@@ -153,21 +153,6 @@ fn ablation_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_evaluate_all(c: &mut Criterion) {
-    // ENT-scale crowd: per-worker evaluations are independent, so
-    // wall-clock should fall near-linearly with the thread count.
-    let mut group = c.benchmark_group("evaluate_all_threads");
-    group.sample_size(10);
-    let inst = BinaryScenario::paper_default(40, 400, 0.5).generate(&mut rng(10));
-    let est = MWorkerEstimator::new(EstimatorConfig::default());
-    for &threads in &[1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| black_box(est.evaluate_all_parallel(black_box(inst.responses()), 0.9, t)));
-        });
-    }
-    group.finish();
-}
-
 fn kary_m_worker_scaling(c: &mut Criterion) {
     // The m-worker k-ary extension: one full A3 pipeline per triple
     // plus O(l²·k⁶) cross-triple covariances; l = ⌊(m−1)/2⌋ stays tiny
@@ -239,7 +224,6 @@ criterion_group!(
     a1_scaling_in_n,
     a2_scaling_in_m,
     a3_scaling_in_k,
-    parallel_evaluate_all,
     kary_m_worker_scaling,
     bootstrap_vs_delta,
     ablation_weights,

@@ -73,16 +73,16 @@ use crowd_data::{
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, delta_variance, min_variance_weights};
 
-/// Reusable per-thread scratch for the k-ary indexed evaluate-all hot
-/// path — the k-ary counterpart of [`crate::EvalScratch`]: the peer-id
+/// Reusable scratch for the k-ary indexed evaluate-all loop — the
+/// k-ary counterpart of the binary estimator's scratch: the peer-id
 /// buffer, the anchored view's mask words and the per-triple counts
-/// tensor all survive from one evaluated worker to the next, so a
-/// thread's whole chunk re-fills the same allocations instead of
-/// building a fresh `(k+1)³` tensor per triple and fresh mask words
-/// per worker. Scratch state never influences outputs — results stay
+/// tensor all survive from one evaluated worker to the next, so the
+/// loop re-fills the same allocations instead of building a fresh
+/// `(k+1)³` tensor per triple and fresh mask words per worker.
+/// Scratch state never influences outputs — results stay
 /// bit-identical to the scratch-free path.
 #[derive(Debug, Default)]
-pub struct KaryEvalScratch {
+struct KaryEvalScratch {
     peers: Vec<WorkerId>,
     anchored: AnchoredScratch,
     /// Lazily sized on first use (the scratch does not know the arity
@@ -275,7 +275,7 @@ impl KaryMWorkerEstimator {
     /// reusable mask words, so an evaluate-all loop allocates nothing
     /// per worker once the buffers reach their high-water marks.
     /// Outputs are bit-identical to the scratch-free path.
-    pub fn evaluate_worker_indexed_scratch(
+    fn evaluate_worker_indexed_scratch(
         &self,
         index: &OverlapIndex,
         worker: WorkerId,
@@ -590,9 +590,8 @@ impl KaryMWorkerEstimator {
     }
 
     /// [`KaryMWorkerEstimator::evaluate_all`] against a caller-built
-    /// index. One [`KaryEvalScratch`] (peer buffer + mask words +
-    /// counts tensor) is reused across the whole worker loop,
-    /// mirroring the binary path.
+    /// index. One scratch (peer buffer, mask words, counts tensor) is
+    /// reused across the whole worker loop, mirroring the binary path.
     pub fn evaluate_all_indexed(
         &self,
         index: &OverlapIndex,
@@ -610,98 +609,6 @@ impl KaryMWorkerEstimator {
             match self.evaluate_worker_indexed_scratch(index, worker, confidence, &mut scratch) {
                 Ok(a) => report.assessments.push(a),
                 Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
-    }
-
-    /// [`KaryMWorkerEstimator::evaluate_all`] across `threads` scoped
-    /// worker threads sharing one [`OverlapIndex`], with the same
-    /// deterministic contiguous chunking as the binary estimator —
-    /// output is identical to the serial path for every thread count.
-    pub fn evaluate_all_parallel(
-        &self,
-        data: &ResponseMatrix,
-        confidence: f64,
-        threads: usize,
-    ) -> Result<KaryWorkerReport> {
-        let m = data.n_workers();
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let index = OverlapIndex::from_matrix(data);
-        self.evaluate_all_indexed_parallel(&index, confidence, threads)
-    }
-
-    /// Parallel [`KaryMWorkerEstimator::evaluate_all_indexed`]: each
-    /// thread holds one [`KaryEvalScratch`] reused across its whole
-    /// contiguous chunk, and scratch state never influences outputs,
-    /// so the report stays bit-identical to the serial path for every
-    /// thread count.
-    pub fn evaluate_all_indexed_parallel(
-        &self,
-        index: &OverlapIndex,
-        confidence: f64,
-        threads: usize,
-    ) -> Result<KaryWorkerReport> {
-        let m = index.n_workers();
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let threads = threads.max(1).min(m);
-        if threads == 1 {
-            return self.evaluate_all_indexed(index, confidence);
-        }
-        let outcomes = crate::parallel::parallel_index_map_with(
-            m,
-            threads,
-            KaryEvalScratch::default,
-            |scratch, i| {
-                self.evaluate_worker_indexed_scratch(index, WorkerId(i as u32), confidence, scratch)
-            },
-        );
-        let mut report = KaryWorkerReport::default();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((WorkerId(i as u32), e)),
-            }
-        }
-        Ok(report)
-    }
-
-    /// Evaluates only the given workers — the k-ary shard entry point,
-    /// mirroring
-    /// [`crate::MWorkerEstimator::evaluate_workers_indexed_parallel`]:
-    /// per-thread [`KaryEvalScratch`] reuse, outcomes in `workers`
-    /// order, each row bit-identical to the corresponding row of a
-    /// full-fleet run.
-    pub fn evaluate_workers_indexed_parallel(
-        &self,
-        index: &OverlapIndex,
-        workers: &[WorkerId],
-        confidence: f64,
-        threads: usize,
-    ) -> Result<KaryWorkerReport> {
-        if index.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: index.n_workers(),
-                need: 3,
-            });
-        }
-        let outcomes = crate::parallel::parallel_index_map_with(
-            workers.len(),
-            threads.max(1),
-            KaryEvalScratch::default,
-            |scratch, i| {
-                self.evaluate_worker_indexed_scratch(index, workers[i], confidence, scratch)
-            },
-        );
-        let mut report = KaryWorkerReport::default();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((workers[i], e)),
             }
         }
         Ok(report)
@@ -1066,30 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_matches_serial_exactly() {
-        let inst = KaryScenario::paper_default(2, 200, 0.9)
-            .with_workers(9)
-            .generate(&mut rng(127));
-        let est = estimator();
-        let serial = est.evaluate_all(inst.responses(), 0.9).unwrap();
-        for threads in [1usize, 2, 4, 16] {
-            let parallel = est
-                .evaluate_all_parallel(inst.responses(), 0.9, threads)
-                .unwrap();
-            assert_eq!(serial.assessments.len(), parallel.assessments.len());
-            for (s, p) in serial.assessments.iter().zip(&parallel.assessments) {
-                assert_eq!(s.worker, p.worker);
-                assert_eq!(s.triples_used, p.triples_used);
-                for (x, y) in s.intervals.iter().zip(&p.intervals) {
-                    assert_eq!(x.center.to_bits(), y.center.to_bits(), "threads {threads}");
-                    assert_eq!(x.half_width.to_bits(), y.half_width.to_bits());
-                }
-            }
-            assert_eq!(serial.failures.len(), parallel.failures.len());
-        }
-    }
-
-    #[test]
     fn subset_evaluation_matches_full_fleet_rows() {
         let inst = KaryScenario::paper_default(2, 150, 0.9)
             .with_workers(6)
@@ -1097,9 +980,10 @@ mod tests {
         let index = OverlapIndex::from_matrix(inst.responses());
         let est = estimator();
         let full = est.evaluate_all_indexed(&index, 0.9).unwrap();
+        let stream = StreamingIndex::from_matrix(inst.responses());
         let subset = [WorkerId(4), WorkerId(1)];
         let partial = est
-            .evaluate_workers_indexed_parallel(&index, &subset, 0.9, 2)
+            .evaluate_workers_streaming(&stream, &subset, 0.9)
             .unwrap();
         for w in subset {
             let (a, b) = (

@@ -24,5 +24,5 @@ mod prob_estimate;
 pub use align::{align_rows_greedy, align_rows_paper, fix_row_signs};
 pub use covariance::counts_covariance;
 pub use estimator::{KaryAssessment, KaryEstimator};
-pub use m_worker::{KaryEvalScratch, KaryMWorkerEstimator, KaryWorkerAssessment, KaryWorkerReport};
+pub use m_worker::{KaryMWorkerEstimator, KaryWorkerAssessment, KaryWorkerReport};
 pub use prob_estimate::{ProbEstimate, population_counts, prob_estimate};

@@ -54,10 +54,10 @@ pub use error::{EstimateError, Result};
 pub use evaluation::{CoverageStats, WorkerAssessment, WorkerReport};
 pub use incremental::{IncrementalEvaluator, KaryIncrementalEvaluator};
 pub use kary::{
-    KaryAssessment, KaryEstimator, KaryEvalScratch, KaryMWorkerEstimator, KaryWorkerAssessment,
-    KaryWorkerReport, ProbEstimate,
+    KaryAssessment, KaryEstimator, KaryMWorkerEstimator, KaryWorkerAssessment, KaryWorkerReport,
+    ProbEstimate,
 };
-pub use m_worker::{EvalScratch, MWorkerEstimator};
-pub use parallel::{parallel_index_map, parallel_index_map_with};
+pub use m_worker::MWorkerEstimator;
+pub use parallel::parallel_index_map;
 pub use policy::{Decision, DecisionRule, PolicyScore, RetentionPolicy};
 pub use three_worker::{ThreeWorkerEstimator, TripleEstimate};

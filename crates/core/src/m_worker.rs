@@ -30,19 +30,18 @@
 use crate::three_worker::{ThreeWorkerEstimator, TripleEstimate};
 use crate::{EstimateError, EstimatorConfig, Result, WorkerAssessment, WorkerReport};
 use crowd_data::{
-    AnchoredOverlap, AnchoredScratch, CachedOverlap, OverlapIndex, OverlapSource, PeerGram,
-    PeerGramScratch, ResponseMatrix, WorkerId,
+    AnchoredOverlap, AnchoredScratch, OverlapIndex, OverlapSource, PeerGram, PeerGramScratch,
+    ResponseMatrix, WorkerId,
 };
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, min_variance_weights};
 
-/// Reusable per-thread scratch for the indexed evaluate-all hot path:
-/// the peer-id buffer, the anchored view's mask words and the
-/// [`PeerGram`] table survive from one evaluated worker to the next,
-/// so a thread's whole chunk runs allocation-free once all have
-/// reached their high-water marks.
+/// Reusable scratch for the indexed evaluate-all loop: the peer-id
+/// buffer, the anchored view's mask words and the [`PeerGram`] table
+/// survive from one evaluated worker to the next, so the loop runs
+/// allocation-free once all have reached their high-water marks.
 #[derive(Debug, Default)]
-pub struct EvalScratch {
+struct EvalScratch {
     peers: Vec<WorkerId>,
     anchored: AnchoredScratch,
     gram: PeerGram,
@@ -101,32 +100,14 @@ impl MWorkerEstimator {
         self.evaluate_worker_on(data, worker, confidence)
     }
 
-    /// [`MWorkerEstimator::evaluate_worker`] with a precomputed
-    /// [`crowd_data::PairCache`], replacing every pairwise merge scan
-    /// with an O(1) lookup — the workhorse of the incremental
-    /// evaluator.
-    pub fn evaluate_worker_cached(
-        &self,
-        data: &ResponseMatrix,
-        cache: Option<&crowd_data::PairCache>,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<WorkerAssessment> {
-        match cache {
-            Some(cache) => {
-                self.evaluate_worker_on(&CachedOverlap { data, cache }, worker, confidence)
-            }
-            None => self.evaluate_worker_on(data, worker, confidence),
-        }
-    }
-
     /// Algorithm A2 for one worker over any overlap substrate. Every
     /// statistic the pipeline touches — candidate overlaps, the three
     /// agreement rates per triple, `c_ij₁j₂`, and the Lemma 4
     /// cross-triple counts `c_iab` — comes from `src`, so the same code
-    /// runs against merge scans (the naive reference), a streaming
-    /// cache, or the [`OverlapIndex`] (O(1) pairs, anchored bitset
-    /// triples). Outputs are identical across substrates.
+    /// runs against merge scans (the naive reference), the
+    /// [`OverlapIndex`] (O(1) pairs, anchored bitset triples) or a
+    /// [`crowd_data::StreamingIndex`]. Outputs are identical across
+    /// substrates.
     pub fn evaluate_worker_on<S: OverlapSource>(
         &self,
         src: &S,
@@ -179,7 +160,7 @@ impl MWorkerEstimator {
     /// view is built into the scratch's reusable mask words, so an
     /// evaluate-all loop allocates nothing per worker. Outputs are
     /// bit-identical to the scratch-free path.
-    pub fn evaluate_worker_indexed_scratch(
+    fn evaluate_worker_indexed_scratch(
         &self,
         index: &OverlapIndex,
         worker: WorkerId,
@@ -301,8 +282,9 @@ impl MWorkerEstimator {
     /// Builds one [`OverlapIndex`] over the matrix and evaluates every
     /// worker against it — the index is built in a single pass and
     /// every downstream statistic becomes a table lookup or bitset
-    /// popcount. Results are identical to the per-worker scan path
-    /// ([`MWorkerEstimator::evaluate_all_naive`]).
+    /// popcount. Results are identical to the per-worker scan path,
+    /// [`MWorkerEstimator::evaluate_workers_on`] over the matrix
+    /// itself.
     pub fn evaluate_all(&self, data: &ResponseMatrix, confidence: f64) -> Result<WorkerReport> {
         if data.n_workers() < 3 {
             return Err(EstimateError::NotEnoughWorkers {
@@ -317,7 +299,7 @@ impl MWorkerEstimator {
     /// [`MWorkerEstimator::evaluate_all`] against a caller-built
     /// [`OverlapIndex`] — for pipelines that reuse one index across
     /// many operations (assessment, pairing diagnostics, k-ary runs).
-    /// One [`EvalScratch`] (peer buffer + anchored mask words) is
+    /// One scratch (peer buffer, anchored mask words, gram table) is
     /// reused across the whole worker loop.
     pub fn evaluate_all_indexed(
         &self,
@@ -336,130 +318,6 @@ impl MWorkerEstimator {
             match self.evaluate_worker_indexed_scratch(index, worker, confidence, &mut scratch) {
                 Ok(a) => report.assessments.push(a),
                 Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
-    }
-
-    /// The pre-index reference path: evaluates every worker by direct
-    /// merge scans over the matrix, recomputing every pairwise and
-    /// triple statistic at each use. Kept as the correctness baseline
-    /// for the equivalence property tests and as the "naive" side of
-    /// the scaling benchmarks; use [`MWorkerEstimator::evaluate_all`]
-    /// everywhere else.
-    pub fn evaluate_all_naive(
-        &self,
-        data: &ResponseMatrix,
-        confidence: f64,
-    ) -> Result<WorkerReport> {
-        if data.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: data.n_workers(),
-                need: 3,
-            });
-        }
-        let mut report = WorkerReport::default();
-        for worker in data.workers() {
-            match self.evaluate_worker(data, worker, confidence) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
-    }
-
-    /// [`MWorkerEstimator::evaluate_all`] across `threads` worker
-    /// threads, sharing one [`OverlapIndex`]. Workers are split into
-    /// contiguous chunks by id — the same deterministic scoped-thread
-    /// chunking as the bench runner — and per-worker evaluations are
-    /// independent, so the report is bit-identical to the serial one
-    /// (assessments in worker order) regardless of thread count.
-    pub fn evaluate_all_parallel(
-        &self,
-        data: &ResponseMatrix,
-        confidence: f64,
-        threads: usize,
-    ) -> Result<WorkerReport> {
-        let m = data.n_workers();
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let index = OverlapIndex::from_matrix(data);
-        self.evaluate_all_indexed_parallel(&index, confidence, threads)
-    }
-
-    /// Parallel [`MWorkerEstimator::evaluate_all_indexed`]; see
-    /// [`MWorkerEstimator::evaluate_all_parallel`]. Each thread holds
-    /// one [`EvalScratch`] reused across its whole contiguous chunk —
-    /// no per-worker view allocation — and scratch state never
-    /// influences outputs, so the report stays bit-identical to the
-    /// serial path for every thread count.
-    pub fn evaluate_all_indexed_parallel(
-        &self,
-        index: &OverlapIndex,
-        confidence: f64,
-        threads: usize,
-    ) -> Result<WorkerReport> {
-        let m = index.n_workers();
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let threads = threads.max(1).min(m);
-        if threads == 1 {
-            return self.evaluate_all_indexed(index, confidence);
-        }
-        let outcomes = crate::parallel::parallel_worker_map_with(
-            m,
-            threads,
-            EvalScratch::default,
-            |scratch, worker| {
-                self.evaluate_worker_indexed_scratch(index, worker, confidence, scratch)
-            },
-        );
-        let mut report = WorkerReport::default();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((WorkerId(i as u32), e)),
-            }
-        }
-        Ok(report)
-    }
-
-    /// Evaluates only the given workers — the shard entry point:
-    /// a shard process calls this for its anchor range against its
-    /// scoped index. Chunking, per-thread [`EvalScratch`] reuse and
-    /// outcome collection match
-    /// [`MWorkerEstimator::evaluate_all_indexed_parallel`] exactly, so
-    /// each returned row is bit-identical to the corresponding row of
-    /// a full-fleet run (assessments and failures in `workers` order —
-    /// pass an ascending range for canonical order).
-    pub fn evaluate_workers_indexed_parallel(
-        &self,
-        index: &OverlapIndex,
-        workers: &[WorkerId],
-        confidence: f64,
-        threads: usize,
-    ) -> Result<WorkerReport> {
-        if index.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: index.n_workers(),
-                need: 3,
-            });
-        }
-        let outcomes = crate::parallel::parallel_index_map_with(
-            workers.len(),
-            threads.max(1),
-            EvalScratch::default,
-            |scratch, i| {
-                self.evaluate_worker_indexed_scratch(index, workers[i], confidence, scratch)
-            },
-        );
-        let mut report = WorkerReport::default();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((workers[i], e)),
             }
         }
         Ok(report)
@@ -675,29 +533,6 @@ mod tests {
             estimator().evaluate_all(inst.responses(), 0.9),
             Err(EstimateError::NotEnoughWorkers { .. })
         ));
-        assert!(matches!(
-            estimator().evaluate_all_parallel(inst.responses(), 0.9, 4),
-            Err(EstimateError::NotEnoughWorkers { .. })
-        ));
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_serial_exactly() {
-        let inst = BinaryScenario::paper_default(11, 150, 0.7).generate(&mut rng(59));
-        let est = estimator();
-        let serial = est.evaluate_all(inst.responses(), 0.9).unwrap();
-        for threads in [1usize, 2, 4, 16] {
-            let parallel = est
-                .evaluate_all_parallel(inst.responses(), 0.9, threads)
-                .unwrap();
-            assert_eq!(serial.assessments.len(), parallel.assessments.len());
-            for (s, p) in serial.assessments.iter().zip(&parallel.assessments) {
-                assert_eq!(s.worker, p.worker);
-                assert_eq!(s.interval, p.interval, "worker {:?}", s.worker);
-                assert_eq!(s.triples_used, p.triples_used);
-            }
-            assert_eq!(serial.failures.len(), parallel.failures.len());
-        }
     }
 
     #[test]
@@ -721,20 +556,15 @@ mod tests {
         let full = estimator().evaluate_all(data, 0.9).unwrap();
         assert!(full.assessments.iter().any(|a| a.triples_used > 2));
 
-        // Naive scans, indexed, and parallel paths agree bit for bit
-        // under the cap.
-        let naive = capped.evaluate_all_naive(data, 0.9).unwrap();
-        for threads in [1usize, 3, 8] {
-            let parallel = capped.evaluate_all_parallel(data, 0.9, threads).unwrap();
-            for (s, p) in serial.assessments.iter().zip(&parallel.assessments) {
-                assert_eq!(s.worker, p.worker);
-                assert_eq!(s.interval, p.interval, "threads {threads}");
-                assert_eq!(s.triples_used, p.triples_used);
-            }
-        }
+        // Naive scans and the indexed path agree bit for bit under
+        // the cap.
+        let workers: Vec<WorkerId> = data.workers().collect();
+        let naive = capped.evaluate_workers_on(data, &workers, 0.9).unwrap();
+        assert_eq!(serial.assessments.len(), naive.assessments.len());
         for (s, n) in serial.assessments.iter().zip(&naive.assessments) {
             assert_eq!(s.worker, n.worker);
             assert_eq!(s.interval, n.interval, "naive vs indexed under cap");
+            assert_eq!(s.triples_used, n.triples_used);
         }
 
         // A cap above the available pairing degree is a no-op.

@@ -8,7 +8,7 @@
 //! the first remaining candidate that shares at least one task with
 //! both `w` and the head. Unpairable candidates are dropped.
 
-use crowd_data::{CachedOverlap, OverlapSource, ResponseMatrix, WorkerId, triple_overlap};
+use crowd_data::{OverlapSource, ResponseMatrix, WorkerId, triple_overlap};
 
 /// A candidate pair forming a triple with the evaluated worker.
 pub type PeerPair = (WorkerId, WorkerId);
@@ -42,28 +42,10 @@ pub fn form_pairs(
     form_pairs_on(data, target, strategy, min_overlap)
 }
 
-/// [`form_pairs`] with an optional precomputed [`crowd_data::PairCache`].
-pub fn form_pairs_cached(
-    data: &ResponseMatrix,
-    cache: Option<&crowd_data::PairCache>,
-    target: WorkerId,
-    strategy: PairingStrategy,
-    min_overlap: usize,
-) -> Vec<PeerPair> {
-    match cache {
-        Some(cache) => form_pairs_on(
-            &CachedOverlap { data, cache },
-            target,
-            strategy,
-            min_overlap,
-        ),
-        None => form_pairs_on(data, target, strategy, min_overlap),
-    }
-}
-
 /// [`form_pairs`] over any overlap substrate — the pairwise queries hit
-/// whatever the source provides (merge scans, a streaming cache, or
-/// the O(1) [`crowd_data::OverlapIndex`] pair table). The produced
+/// whatever the source provides (merge scans, the O(1)
+/// [`crowd_data::OverlapIndex`] pair table, or a
+/// [`crowd_data::StreamingIndex`]). The produced
 /// pairs are identical across substrates.
 pub fn form_pairs_on<S: OverlapSource>(
     src: &S,

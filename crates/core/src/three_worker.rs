@@ -16,7 +16,7 @@
 
 use crate::agreement::Triangle;
 use crate::{EstimateError, EstimatorConfig, Result};
-use crowd_data::{CachedOverlap, OverlapSource, PairStats, ResponseMatrix, WorkerId};
+use crowd_data::{OverlapSource, PairStats, ResponseMatrix, WorkerId};
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, delta_variance};
 
@@ -85,29 +85,11 @@ impl ThreeWorkerEstimator {
         self.triple_estimate_on(data, worker, peer1, peer2)
     }
 
-    /// [`ThreeWorkerEstimator::triple_estimate`] with an optional
-    /// precomputed [`crowd_data::PairCache`] so streaming callers skip
-    /// the pairwise merge scans.
-    pub fn triple_estimate_cached(
-        &self,
-        data: &ResponseMatrix,
-        cache: Option<&crowd_data::PairCache>,
-        worker: WorkerId,
-        peer1: WorkerId,
-        peer2: WorkerId,
-    ) -> Result<TripleEstimate> {
-        match cache {
-            Some(cache) => {
-                self.triple_estimate_on(&CachedOverlap { data, cache }, worker, peer1, peer2)
-            }
-            None => self.triple_estimate_on(data, worker, peer1, peer2),
-        }
-    }
-
     /// [`ThreeWorkerEstimator::triple_estimate`] over any overlap
-    /// substrate ([`crowd_data::OverlapIndex`], a cached matrix, or the
-    /// raw matrix). The estimate is identical across substrates; only
-    /// the statistic-lookup cost differs.
+    /// substrate ([`crowd_data::OverlapIndex`], a
+    /// [`crowd_data::StreamingIndex`], or the raw matrix). The
+    /// estimate is identical across substrates; only the
+    /// statistic-lookup cost differs.
     pub fn triple_estimate_on<S: OverlapSource>(
         &self,
         src: &S,

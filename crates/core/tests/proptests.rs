@@ -3,10 +3,12 @@
 use crowd_core::agreement::{Triangle, agreement_from_errors};
 use crowd_core::kary::{align_rows_greedy, fix_row_signs, population_counts, prob_estimate};
 use crowd_core::{
-    DegeneracyPolicy, EstimatorConfig, KaryMWorkerEstimator, MWorkerEstimator,
+    DegeneracyPolicy, EstimatorConfig, KaryMWorkerEstimator, KaryWorkerReport, MWorkerEstimator,
     ThreeWorkerEstimator, WorkerReport,
 };
-use crowd_data::{Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId};
+use crowd_data::{
+    Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex, TaskId, WorkerId,
+};
 use crowd_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -61,6 +63,36 @@ fn assert_reports_bit_identical(a: &WorkerReport, b: &WorkerReport) -> Result<()
     }
     for (x, y) in a.failures.iter().zip(&b.failures) {
         prop_assert_eq!(x.0, y.0);
+    }
+    Ok(())
+}
+
+/// [`assert_reports_bit_identical`] for k-ary reports: every interval
+/// of every assessed worker, and the failure rows with their reasons.
+fn assert_kary_reports_bit_identical(
+    a: &KaryWorkerReport,
+    b: &KaryWorkerReport,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.assessments.len(), b.assessments.len());
+    prop_assert_eq!(a.failures.len(), b.failures.len());
+    for (x, y) in a.assessments.iter().zip(&b.assessments) {
+        prop_assert_eq!(x.worker, y.worker);
+        prop_assert_eq!(x.triples_used, y.triples_used);
+        prop_assert_eq!(x.weights_fell_back, y.weights_fell_back);
+        prop_assert_eq!(x.intervals.len(), y.intervals.len());
+        for (p, q) in x.intervals.iter().zip(&y.intervals) {
+            prop_assert_eq!(p.center.to_bits(), q.center.to_bits(), "{:?}", x.worker);
+            prop_assert_eq!(
+                p.half_width.to_bits(),
+                q.half_width.to_bits(),
+                "{:?}",
+                x.worker
+            );
+        }
+    }
+    for (x, y) in a.failures.iter().zip(&b.failures) {
+        prop_assert_eq!(x.0, y.0);
+        prop_assert_eq!(&x.1, &y.1);
     }
     Ok(())
 }
@@ -198,30 +230,45 @@ proptest! {
         prop_assert!(g.iter().all(|d| d.is_finite()));
     }
 
-    /// The indexed `evaluate_all` (the production path, one
-    /// [`crowd_data::OverlapIndex`] shared by every worker) is
-    /// bit-identical to the naive per-worker merge-scan reference on
-    /// arbitrary sparse matrices.
+    /// The indexed `evaluate_all` (one [`crowd_data::OverlapIndex`]
+    /// shared by every worker) is bit-identical to both oracles on
+    /// arbitrary sparse matrices: `evaluate_workers_on` over the
+    /// matrix itself (per-worker merge scans, the naive reference) and
+    /// over a [`StreamingIndex`] (the substrate the service serves
+    /// from).
     #[test]
     fn indexed_evaluate_all_equals_naive(data in assessable_matrix()) {
         let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let naive = est.evaluate_all_naive(&data, 0.9).expect("enough workers");
+        let workers: Vec<WorkerId> = data.workers().collect();
         let indexed = est.evaluate_all(&data, 0.9).expect("enough workers");
+        let naive = est.evaluate_workers_on(&data, &workers, 0.9).expect("enough workers");
         assert_reports_bit_identical(&naive, &indexed)?;
+        let stream = StreamingIndex::from_matrix(&data);
+        let streamed = est.evaluate_workers_on(&stream, &workers, 0.9).expect("enough workers");
+        assert_reports_bit_identical(&streamed, &indexed)?;
     }
 
-    /// Parallel `evaluate_all` output is byte-identical to sequential,
-    /// for every thread count, on arbitrary sparse matrices.
+    /// The k-ary twin: `evaluate_all` equals the per-worker matrix-scan
+    /// path and `evaluate_workers_streaming` over a [`StreamingIndex`],
+    /// successes and failure reasons alike.
     #[test]
-    fn parallel_evaluate_all_is_deterministic(
-        data in assessable_matrix(),
-        threads in 2usize..9,
-    ) {
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let serial = est.evaluate_all(&data, 0.9).expect("enough workers");
-        let parallel =
-            est.evaluate_all_parallel(&data, 0.9, threads).expect("enough workers");
-        assert_reports_bit_identical(&serial, &parallel)?;
+    fn kary_evaluate_all_equals_scan_and_streaming(data in assessable_matrix()) {
+        let est = KaryMWorkerEstimator::new(EstimatorConfig::clamping());
+        let workers: Vec<WorkerId> = data.workers().collect();
+        let batch = est.evaluate_all(&data, 0.9).expect("enough workers");
+        let mut naive = KaryWorkerReport::default();
+        for &worker in &workers {
+            match est.evaluate_worker(&data, worker, 0.9) {
+                Ok(a) => naive.assessments.push(a),
+                Err(e) => naive.failures.push((worker, e)),
+            }
+        }
+        assert_kary_reports_bit_identical(&naive, &batch)?;
+        let stream = StreamingIndex::from_matrix(&data);
+        let streamed = est
+            .evaluate_workers_streaming(&stream, &workers, 0.9)
+            .expect("enough workers");
+        assert_kary_reports_bit_identical(&streamed, &batch)?;
     }
 
     /// The k-ary m-worker estimator's indexed path is equivalent to

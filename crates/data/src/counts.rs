@@ -99,10 +99,9 @@ impl CountsTensor {
     /// zeroes the entries, then replays the same union merge as
     /// [`CountsTensor::from_index`], allocating nothing when the
     /// arities match (an arity change re-shapes the tensor instead,
-    /// so a reused scratch buffer is always safe). The k-ary
-    /// evaluate-all hot path reuses one tensor per thread this way
-    /// (see `crowd_core::KaryEvalScratch`); counts are bit-identical
-    /// to a fresh build.
+    /// so a reused scratch buffer is always safe). The k-ary indexed
+    /// evaluate-all loop reuses one tensor across workers this way;
+    /// counts are bit-identical to a fresh build.
     pub fn fill_from_index(
         &mut self,
         index: &crate::OverlapIndex,

@@ -86,10 +86,10 @@
 //! its one-pass cost; the only price of streamability is the per-row
 //! capacity slack (bounded by 2× the row length).
 //!
-//! [`OverlapSource`] abstracts over the three providers (naive matrix
-//! scans, matrix + streaming [`PairCache`], full index) so the
-//! estimators are written once and the naive path stays available as
-//! the correctness reference for the equivalence tests and benchmarks.
+//! [`OverlapSource`] abstracts over the providers (naive matrix scans,
+//! the full index, the streaming index) so the estimators are written
+//! once and the naive scan path stays available as the correctness
+//! reference for the equivalence tests.
 //! For streaming evaluation with maintained anchored views, see
 //! [`crate::StreamingIndex`].
 
@@ -103,12 +103,11 @@ use crate::{
 /// response data set.
 ///
 /// Implemented by [`ResponseMatrix`] (merge scans — the naive
-/// reference), [`CachedOverlap`] (O(1) pairs from a streaming
-/// [`PairCache`], scans for triples) and [`OverlapIndex`] (O(1) pairs,
-/// CSR scans and anchored bitset popcounts for triples). All three
-/// return *identical* counts — only the cost differs — which is what
-/// lets `evaluate_all` switch substrates without changing a single
-/// output bit.
+/// reference), [`OverlapIndex`] (O(1) pairs, CSR scans and anchored
+/// bitset popcounts for triples) and [`crate::StreamingIndex`] (the
+/// index plus maintained anchored views). All return *identical*
+/// counts — only the cost differs — which is what lets `evaluate_all`
+/// switch substrates without changing a single output bit.
 pub trait OverlapSource {
     /// The anchored triple-overlap view; see [`OverlapSource::anchored`].
     type Anchored<'a>: AnchoredOverlap
@@ -288,48 +287,6 @@ impl OverlapSource for ResponseMatrix {
     }
 }
 
-/// A matrix paired with an incrementally maintained [`PairCache`]:
-/// O(1) pair lookups, merge scans for triples. The substrate of the
-/// streaming evaluator, whose cache is updated response by response
-/// (rebuilding a full [`OverlapIndex`] per response would defeat it).
-#[derive(Debug, Clone, Copy)]
-pub struct CachedOverlap<'a> {
-    /// The underlying responses.
-    pub data: &'a ResponseMatrix,
-    /// The maintained pair table.
-    pub cache: &'a PairCache,
-}
-
-impl OverlapSource for CachedOverlap<'_> {
-    type Anchored<'b>
-        = ScanAnchored<'b>
-    where
-        Self: 'b;
-
-    fn n_workers(&self) -> usize {
-        self.data.n_workers()
-    }
-
-    fn arity(&self) -> u16 {
-        self.data.arity()
-    }
-
-    fn pair(&self, a: WorkerId, b: WorkerId) -> PairStats {
-        self.cache.get(a, b)
-    }
-
-    fn triple(&self, a: WorkerId, b: WorkerId, c: WorkerId) -> TripleStats {
-        crate::triple_overlap(self.data, a, b, c)
-    }
-
-    fn anchored(&self, anchor: WorkerId) -> ScanAnchored<'_> {
-        ScanAnchored {
-            data: self.data,
-            anchor,
-        }
-    }
-}
-
 /// Which pair-table representation an [`OverlapIndex`] holds.
 ///
 /// The dense backend ([`PairCache`]) is the default: `m(m−1)/2` packed
@@ -338,9 +295,9 @@ impl OverlapSource for CachedOverlap<'_> {
 /// The sparse backend ([`PairMap`]) stores only co-occurring pairs and
 /// can enumerate a worker's peers directly, so pair-state memory and
 /// the pairing candidate scan track the co-occurrence degree instead
-/// of the fleet size — the backend the sharded pipeline
-/// ([`OverlapIndex::from_matrix_scoped`]) runs on. Both return
-/// identical counts for every pair; only cost differs.
+/// of the fleet size — the backend each shard's
+/// [`crate::StreamingIndex`] runs on in the assessment service. Both
+/// return identical counts for every pair; only cost differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PairBackend {
     /// Packed upper-triangular `O(m²)` table ([`PairCache`]).
@@ -479,9 +436,7 @@ impl OverlapIndex {
     /// The adjacencies are *owned copies* (≈ 2·nnz entries) rather than
     /// borrows of the matrix: the index is self-contained, so it can
     /// outlive the matrix, be shipped to worker shards on its own, and
-    /// keep its rows contiguous for the merge scans. Callers that
-    /// cannot afford the copy can stay on [`CachedOverlap`], which
-    /// borrows the matrix and only materializes the pair table.
+    /// keep its rows contiguous for the merge scans.
     pub fn from_matrix(data: &ResponseMatrix) -> Self {
         Self::from_matrix_with(data, PairBackend::Dense)
     }
@@ -521,60 +476,6 @@ impl OverlapIndex {
             n_workers: m,
             n_tasks: n,
             n_responses: nnz,
-            arity: data.arity(),
-            worker_rows,
-            task_rows,
-            pairs,
-        }
-    }
-
-    /// Builds a **scoped** index holding only the rows of the workers
-    /// in `scope` (ids outside `0..n_workers` are ignored; order and
-    /// duplicates are irrelevant) — the shard-process substrate. The
-    /// id spaces stay *global*: `n_workers`/`n_tasks` match the full
-    /// data, out-of-scope worker rows are empty, task rows keep only
-    /// in-scope responders, and the pair table is harvested from those
-    /// filtered rows, so every statistic **among scope members** is
-    /// exactly what the full index would report while memory tracks
-    /// the scope, not the fleet. Defaults to the sparse pair backend:
-    /// a scoped dense table would still be `O(m²)`, defeating the
-    /// point.
-    pub fn from_matrix_scoped(data: &ResponseMatrix, scope: &[WorkerId]) -> Self {
-        let m = data.n_workers();
-        let n = data.n_tasks();
-        let mut member = vec![false; m];
-        for w in scope {
-            if w.index() < m {
-                member[w.index()] = true;
-            }
-        }
-
-        let mut pairs = PairTable::empty(m, PairBackend::Sparse);
-        let mut task_rows = Vec::with_capacity(n);
-        let mut n_responses = 0usize;
-        for task in data.tasks() {
-            let responders: Vec<(u32, Label)> = data
-                .task_responses(task)
-                .iter()
-                .copied()
-                .filter(|&(w, _)| member[w as usize])
-                .collect();
-            pairs.harvest_task(&responders);
-            n_responses += responders.len();
-            task_rows.push(responders);
-        }
-
-        let mut worker_rows = vec![Vec::new(); m];
-        for (w, in_scope) in member.iter().enumerate() {
-            if *in_scope {
-                worker_rows[w] = data.worker_responses(WorkerId(w as u32)).to_vec();
-            }
-        }
-
-        Self {
-            n_workers: m,
-            n_tasks: n,
-            n_responses,
             arity: data.arity(),
             worker_rows,
             task_rows,
@@ -2024,25 +1925,6 @@ mod tests {
                 triple_joint_labels_optional(&data, WorkerId(a), WorkerId(b), WorkerId(c)),
             );
         }
-    }
-
-    #[test]
-    fn cached_overlap_delegates() {
-        let data = sample(5, 25, 2, 11);
-        let cache = PairCache::from_matrix(&data);
-        let src = CachedOverlap {
-            data: &data,
-            cache: &cache,
-        };
-        assert_eq!(OverlapSource::n_workers(&src), 5);
-        assert_eq!(
-            src.pair(WorkerId(0), WorkerId(3)),
-            pair_stats(&data, WorkerId(0), WorkerId(3))
-        );
-        assert_eq!(
-            src.triple(WorkerId(0), WorkerId(1), WorkerId(2)),
-            triple_overlap(&data, WorkerId(0), WorkerId(1), WorkerId(2))
-        );
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub use gold::GoldStandard;
 pub use gram::{PeerGram, PeerGramScratch, TriplePairGram};
 pub use ids::{TaskId, WorkerId};
 pub use index::{
-    AnchoredOverlap, AnchoredScratch, BitsetAnchored, CachedOverlap, OverlapIndex, OverlapSource,
-    PairBackend, PairTable,
+    AnchoredOverlap, AnchoredScratch, BitsetAnchored, OverlapIndex, OverlapSource, PairBackend,
+    PairTable,
 };
 pub use label::Label;
 pub use majority::{MajorityOutcome, disagreement_rates, majority_vote};

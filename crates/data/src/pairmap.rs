@@ -20,10 +20,9 @@
 //!   peers directly — the pairing candidate scan becomes `O(d_w)`
 //!   instead of the dense table's `O(m)` sweep;
 //! * memory is `O(Σ_w d_w)` — it tracks the data's co-occurrence
-//!   structure, never the fleet size. This is what lets a shard
-//!   process ([`OverlapIndex::from_matrix_scoped`](crate::OverlapIndex)
-//!   with the sparse backend) hold pair state proportional to *its*
-//!   rows only.
+//!   structure, never the fleet size. This is what lets a shard's
+//!   sparse-backed [`StreamingIndex`](crate::StreamingIndex), holding
+//!   only its closure rows, keep pair state proportional to *its* rows.
 //!
 //! Maintenance mirrors the dense cache exactly: one-shot per-task
 //! harvests ([`PairMap::harvest_task`]) or streaming appends

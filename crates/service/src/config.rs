@@ -43,7 +43,7 @@ pub struct ServiceConfig {
     /// their cached rows — bit-identical reports, `O(|dirty|)`
     /// evaluations instead of `O(anchors)`. On by default; turn off
     /// to force full recomputation per request (the baseline the
-    /// `scaling_pr8` bench measures against).
+    /// incremental-equivalence tests compare against).
     pub incremental: bool,
     /// Whether the fleet records stage timings (queue-wait,
     /// batch-apply, drain-eval histograms) and flight-recorder events

@@ -1,5 +1,5 @@
 //! Deterministic seeded fault injection — the harness the recovery
-//! tests, the wire retry tests and the `scaling_pr10` bench all share.
+//! tests and the wire retry tests share.
 //!
 //! A [`FaultPlan`] decides, purely as a function of its seed and the
 //! operation's coordinates (shard + batch ordinal for panics,

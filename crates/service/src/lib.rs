@@ -68,7 +68,7 @@
 //! high-water marks, a batch-size histogram, and the streaming
 //! substrate's re-anchor / gram-patch / gram-rebuild diagnostics are
 //! all surfaced through [`AssessmentService::stats`] (see
-//! [`ServiceStats`]) and land in the `scaling_pr6` bench JSON.
+//! [`ServiceStats`]) and in perfbench's per-layer metrics.
 
 mod config;
 mod error;

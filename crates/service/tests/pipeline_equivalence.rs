@@ -3,18 +3,24 @@
 //! randomized arrival orders, batch sizes (1, 7, 256) and shard
 //! counts (1, 2, 8), with mid-stream snapshots — binary and k-ary —
 //! plus the runtime's edge cases (ingest-after-drain, empty-shard
-//! routing, invalid requests).
+//! routing, invalid requests) and the closure-exactness cases of
+//! sharding itself (contiguous and clustered plans, more shards than
+//! workers, silent workers, anchors whose peers all live in another
+//! shard, merged-report queries across shard boundaries).
 //!
 //! The reference is [`crowd_core::IncrementalEvaluator`] /
 //! [`crowd_core::KaryIncrementalEvaluator`] fed exactly the same
 //! responses in exactly the same order; the service's merged
 //! snapshots must reproduce its reports bit for bit (interval bits,
-//! triple counts, failure taxonomy) at every drain point.
+//! triple counts, failure taxonomy) at every drain point, and the
+//! final snapshot must also equal the unsharded batch `evaluate_all`
+//! over the whole data set.
 
 use crowd_core::{
-    EstimatorConfig, IncrementalEvaluator, KaryIncrementalEvaluator, KaryWorkerReport, WorkerReport,
+    EstimatorConfig, IncrementalEvaluator, KaryIncrementalEvaluator, KaryMWorkerEstimator,
+    KaryWorkerReport, MWorkerEstimator, WorkerReport,
 };
-use crowd_data::{Response, ResponseMatrix, WorkerId};
+use crowd_data::{Label, Response, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId};
 use crowd_service::{AssessmentService, ServiceConfig, ServiceError};
 use crowd_shard::ShardPlan;
 use crowd_sim::{ArrivalSchedule, BinaryScenario, KaryScenario, rng};
@@ -55,23 +61,37 @@ fn kary_reports_identical(a: &KaryWorkerReport, b: &KaryWorkerReport) -> bool {
             .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
 }
 
-/// Streams one arrival schedule into both the service (batched) and
-/// the serial reference, snapshotting mid-stream and at the end;
-/// panics on any divergence. Returns the service for post-checks.
+/// A service on `plan` whose shards evaluate with `estimator`.
+fn spawn_service(
+    data: &ResponseMatrix,
+    plan: ShardPlan,
+    estimator: &EstimatorConfig,
+) -> AssessmentService {
+    let config = ServiceConfig {
+        estimator: estimator.clone(),
+        ..ServiceConfig::default()
+    };
+    AssessmentService::spawn(plan, data.n_tasks(), data.arity(), config)
+}
+
+/// Streams one arrival schedule into both the service (batched, on
+/// `plan`) and the serial reference, snapshotting mid-stream and at
+/// the end; panics on any divergence. Returns the service for
+/// post-checks.
 fn run_binary_differential(
     data: &ResponseMatrix,
-    n_shards: usize,
+    plan: ShardPlan,
+    estimator: &EstimatorConfig,
     batch: usize,
     seed: u64,
 ) -> AssessmentService {
-    let plan = ShardPlan::build_clustered(data, n_shards);
-    let mut service =
-        AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
+    let n_shards = plan.n_shards();
+    let mut service = spawn_service(data, plan, estimator);
     let mut serial = IncrementalEvaluator::new(
         data.n_workers(),
         data.n_tasks(),
         data.arity(),
-        EstimatorConfig::default(),
+        estimator.clone(),
     );
     let sched = ArrivalSchedule::poisson(data, 1000.0, &mut rng(seed));
     let batches: Vec<&[Response]> = sched.batches(batch).collect();
@@ -119,7 +139,76 @@ fn run_binary_differential(
         reports_identical(&snap, &reference),
         "final divergence: shards={n_shards} batch={batch} seed={seed}"
     );
+    let batch_report = MWorkerEstimator::new(estimator.clone())
+        .evaluate_all(data, CONFIDENCE)
+        .unwrap();
+    assert!(
+        reports_identical(&snap, &batch_report),
+        "final divergence from batch evaluate_all: shards={n_shards} batch={batch} seed={seed}"
+    );
     service
+}
+
+/// The k-ary twin of [`run_binary_differential`].
+fn run_kary_differential(
+    data: &ResponseMatrix,
+    plan: ShardPlan,
+    estimator: &EstimatorConfig,
+    batch: usize,
+    seed: u64,
+) {
+    let n_shards = plan.n_shards();
+    let mut service = spawn_service(data, plan, estimator);
+    let mut serial = KaryIncrementalEvaluator::new(
+        data.n_workers(),
+        data.n_tasks(),
+        data.arity(),
+        estimator.clone(),
+    );
+    let sched = ArrivalSchedule::poisson(data, 1000.0, &mut rng(seed));
+    let batches: Vec<&[Response]> = sched.batches(batch).collect();
+    let mid = batches.len() / 2;
+    for (i, group) in batches.iter().enumerate() {
+        service.ingest_batch(group).unwrap();
+        for r in *group {
+            serial.ingest(*r).unwrap();
+        }
+        if i + 1 == mid {
+            let snap = service.snapshot_kary(CONFIDENCE).unwrap();
+            let reference = serial.evaluate_all(CONFIDENCE).unwrap();
+            assert!(
+                kary_reports_identical(&snap, &reference),
+                "mid-stream k-ary divergence: shards={n_shards} batch={batch}"
+            );
+            let worker = WorkerId(1);
+            match (
+                service.assess_worker_kary(worker, CONFIDENCE),
+                serial.evaluate_worker(worker, CONFIDENCE),
+            ) {
+                (Ok(a), Ok(b)) => {
+                    for (p, q) in a.intervals.iter().zip(&b.intervals) {
+                        assert_eq!(p.center.to_bits(), q.center.to_bits());
+                        assert_eq!(p.half_width.to_bits(), q.half_width.to_bits());
+                    }
+                }
+                (Err(ServiceError::Estimate(a)), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!("k-ary outcome mismatch: {a:?} vs {b:?}"),
+            }
+        }
+    }
+    let snap = service.snapshot_kary(CONFIDENCE).unwrap();
+    let reference = serial.evaluate_all(CONFIDENCE).unwrap();
+    assert!(
+        kary_reports_identical(&snap, &reference),
+        "final k-ary divergence: shards={n_shards} batch={batch}"
+    );
+    let batch_report = KaryMWorkerEstimator::new(estimator.clone())
+        .evaluate_all(data, CONFIDENCE)
+        .unwrap();
+    assert!(
+        kary_reports_identical(&snap, &batch_report),
+        "final k-ary divergence from batch evaluate_all: shards={n_shards} batch={batch}"
+    );
 }
 
 #[test]
@@ -128,7 +217,9 @@ fn binary_pipeline_is_bit_identical_to_serial_streaming() {
     let data = inst.responses();
     for &n_shards in &[1usize, 2, 8] {
         for &batch in &[1usize, 7, 256] {
-            run_binary_differential(data, n_shards, batch, 1000 + n_shards as u64 * 10);
+            let plan = ShardPlan::build_clustered(data, n_shards);
+            let seed = 1000 + n_shards as u64 * 10;
+            run_binary_differential(data, plan, &EstimatorConfig::default(), batch, seed);
         }
     }
 }
@@ -140,7 +231,8 @@ fn binary_pipeline_is_arrival_order_invariant() {
     let inst = BinaryScenario::paper_default(10, 50, 0.8).generate(&mut rng(503));
     let data = inst.responses();
     for seed in [7u64, 77, 777] {
-        run_binary_differential(data, 2, 7, seed);
+        let plan = ShardPlan::build_clustered(data, 2);
+        run_binary_differential(data, plan, &EstimatorConfig::default(), 7, seed);
     }
 }
 
@@ -152,50 +244,12 @@ fn kary_pipeline_is_bit_identical_to_serial_streaming() {
     let data = inst.responses();
     for &(n_shards, batch) in &[(1usize, 7usize), (2, 1), (2, 256), (8, 7)] {
         let plan = ShardPlan::build_clustered(data, n_shards);
-        let mut service =
-            AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
-        let mut serial = KaryIncrementalEvaluator::new(
-            data.n_workers(),
-            data.n_tasks(),
-            data.arity(),
-            EstimatorConfig::default(),
-        );
-        let sched = ArrivalSchedule::poisson(data, 1000.0, &mut rng(42 + batch as u64));
-        let batches: Vec<&[Response]> = sched.batches(batch).collect();
-        let mid = batches.len() / 2;
-        for (i, group) in batches.iter().enumerate() {
-            service.ingest_batch(group).unwrap();
-            for r in *group {
-                serial.ingest(*r).unwrap();
-            }
-            if i + 1 == mid {
-                let snap = service.snapshot_kary(CONFIDENCE).unwrap();
-                let reference = serial.evaluate_all(CONFIDENCE).unwrap();
-                assert!(
-                    kary_reports_identical(&snap, &reference),
-                    "mid-stream k-ary divergence: shards={n_shards} batch={batch}"
-                );
-                let worker = WorkerId(1);
-                match (
-                    service.assess_worker_kary(worker, CONFIDENCE),
-                    serial.evaluate_worker(worker, CONFIDENCE),
-                ) {
-                    (Ok(a), Ok(b)) => {
-                        for (p, q) in a.intervals.iter().zip(&b.intervals) {
-                            assert_eq!(p.center.to_bits(), q.center.to_bits());
-                            assert_eq!(p.half_width.to_bits(), q.half_width.to_bits());
-                        }
-                    }
-                    (Err(ServiceError::Estimate(a)), Err(b)) => assert_eq!(a, b),
-                    (a, b) => panic!("k-ary outcome mismatch: {a:?} vs {b:?}"),
-                }
-            }
-        }
-        let snap = service.snapshot_kary(CONFIDENCE).unwrap();
-        let reference = serial.evaluate_all(CONFIDENCE).unwrap();
-        assert!(
-            kary_reports_identical(&snap, &reference),
-            "final k-ary divergence: shards={n_shards} batch={batch}"
+        run_kary_differential(
+            data,
+            plan,
+            &EstimatorConfig::default(),
+            batch,
+            42 + batch as u64,
         );
     }
 }
@@ -372,4 +426,177 @@ fn runtime_counters_reflect_the_stream() {
         finals.shards.iter().map(|s| s.responses).sum::<u64>(),
         after.shards.iter().map(|s| s.responses).sum::<u64>()
     );
+}
+
+#[test]
+fn contiguous_plans_are_bit_identical_binary_and_kary() {
+    // Contiguous id-range plans at 1/2/7 shards, with the paper
+    // default and a capped fleet configuration.
+    let binary = BinaryScenario::paper_default(11, 150, 0.7).generate(&mut rng(601));
+    let kary = KaryScenario::paper_default(3, 200, 0.9)
+        .with_workers(8)
+        .generate(&mut rng(607));
+    for config in [EstimatorConfig::default(), EstimatorConfig::fleet(2)] {
+        for n_shards in [1usize, 2, 7] {
+            let data = binary.responses();
+            run_binary_differential(data, ShardPlan::build(data, n_shards), &config, 7, 601);
+            let data = kary.responses();
+            run_kary_differential(data, ShardPlan::build(data, n_shards), &config, 7, 607);
+        }
+    }
+}
+
+#[test]
+fn more_shards_than_workers_handles_empty_shards() {
+    // m = 5 with 7 contiguous shards: the two trailing shards have no
+    // anchors and an empty closure; they answer with empty reports and
+    // the merged snapshot still matches.
+    let inst = BinaryScenario::paper_default(5, 60, 0.9).generate(&mut rng(617));
+    let data = inst.responses();
+    let plan = ShardPlan::build(data, 7);
+    let empty = plan.shards().last().unwrap();
+    assert!(empty.is_empty() && empty.closure.is_empty());
+    let service = run_binary_differential(data, plan, &EstimatorConfig::default(), 7, 617);
+    let stats = service.stats().unwrap();
+    for shard in &stats.shards {
+        if service.plan().shards()[shard.shard].is_empty() {
+            assert_eq!(shard.responses, 0, "empty shards must see no ingest");
+        }
+    }
+    assert_eq!(service.snapshot(CONFIDENCE).unwrap().assessments.len(), 5);
+}
+
+#[test]
+fn silent_worker_fails_identically_in_both_pipelines() {
+    // Worker 3 never responds; worker 6 answers a task nobody shares.
+    let mut b = ResponseMatrixBuilder::new(7, 31, 2);
+    for w in [0u32, 1, 2, 4, 5] {
+        for t in 0..30u32 {
+            b.push(WorkerId(w), TaskId(t), Label(((w + t) % 2) as u16))
+                .unwrap();
+        }
+    }
+    b.push(WorkerId(6), TaskId(30), Label(0)).unwrap();
+    let data = b.build().unwrap();
+    let config = EstimatorConfig::default();
+    for n_shards in [1usize, 2, 7] {
+        let service =
+            run_binary_differential(&data, ShardPlan::build(&data, n_shards), &config, 7, 619);
+        let snap = service.snapshot(CONFIDENCE).unwrap();
+        let failed: Vec<WorkerId> = snap.failures.iter().map(|f| f.0).collect();
+        assert!(failed.contains(&WorkerId(3)) && failed.contains(&WorkerId(6)));
+        run_binary_differential(
+            &data,
+            ShardPlan::build_clustered(&data, n_shards),
+            &config,
+            7,
+            619,
+        );
+    }
+}
+
+#[test]
+fn anchor_with_all_peers_in_another_shard() {
+    // Workers 2 and 3 work only on community-A tasks (peers 0, 1 —
+    // both anchored by shard 0 under a 3-shard plan), workers 4 and 5
+    // on community B. Shard 1 evaluates anchors {2, 3} whose peers all
+    // live outside its anchor range — the closure must pull them in.
+    let mut b = ResponseMatrixBuilder::new(6, 20, 2);
+    for w in 0..4u32 {
+        for t in 0..10u32 {
+            b.push(WorkerId(w), TaskId(t), Label(((w * t) % 2) as u16))
+                .unwrap();
+        }
+    }
+    for w in 4..6u32 {
+        for t in 10..20u32 {
+            b.push(WorkerId(w), TaskId(t), Label((w % 2) as u16))
+                .unwrap();
+        }
+    }
+    let data = b.build().unwrap();
+    let plan = ShardPlan::build(&data, 3);
+    assert_eq!(plan.shards()[1].anchors, [WorkerId(2), WorkerId(3)]);
+    let closure: Vec<u32> = plan.shards()[1].closure.iter().map(|w| w.0).collect();
+    assert_eq!(closure, vec![0, 1, 2, 3], "peers 0, 1 pulled across shards");
+    for batch in [1usize, 7] {
+        run_binary_differential(&data, plan.clone(), &EstimatorConfig::default(), batch, 623);
+    }
+}
+
+#[test]
+fn merged_report_queries_work_across_shard_boundaries() {
+    // The merged snapshot is a plain WorkerReport: lookups and summary
+    // statistics behave as if it came from one process.
+    let inst = BinaryScenario::paper_default(8, 100, 0.8).generate(&mut rng(631));
+    let data = inst.responses();
+    let plan = ShardPlan::build(data, 3);
+    let service = run_binary_differential(data, plan, &EstimatorConfig::default(), 7, 631);
+    let merged = service.snapshot(CONFIDENCE).unwrap();
+    assert_eq!(
+        merged.assessments.len() + merged.failures.len(),
+        data.n_workers()
+    );
+    for w in data.workers() {
+        let assessed = merged.get(w).is_some();
+        let failed = merged.failures.iter().any(|f| f.0 == w);
+        assert!(assessed ^ failed, "worker {w:?} covered exactly once");
+    }
+    assert!(merged.mean_interval_size() > 0.0);
+}
+
+/// A community-structured fleet whose worker ids interleave across
+/// communities (`w % communities`), so contiguous anchor ranges drag
+/// every community into every closure while a locality-aware plan can
+/// keep each community on one shard.
+fn interleaved_communities(communities: usize, per: usize, tasks_per: usize) -> ResponseMatrix {
+    let m = communities * per;
+    let mut b = ResponseMatrixBuilder::new(m, communities * tasks_per, 2);
+    for w in 0..m as u32 {
+        let community = w as usize % communities;
+        for t in 0..tasks_per as u32 {
+            if (w / communities as u32 + t).is_multiple_of(5) {
+                continue; // leave some attempt sparsity
+            }
+            b.push(
+                WorkerId(w),
+                TaskId((community * tasks_per) as u32 + t),
+                Label((w.wrapping_mul(2654435761).wrapping_add(t * 97) >> 7) as u16 % 2),
+            )
+            .unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn clustered_plans_shrink_closures_and_stay_bit_identical() {
+    // The locality-aware planner must (a) cut the per-shard closure on
+    // an id-scrambled community fleet and (b) keep the served snapshot
+    // bit-identical — only the assignment changed, never the
+    // arithmetic.
+    let data = interleaved_communities(4, 8, 30);
+    for n_shards in [2usize, 4] {
+        let contiguous = ShardPlan::build(&data, n_shards);
+        let clustered = ShardPlan::build_clustered(&data, n_shards);
+        assert!(
+            clustered.max_closure_len() < contiguous.max_closure_len(),
+            "{n_shards} shards: clustered closure {} must undercut contiguous {}",
+            clustered.max_closure_len(),
+            contiguous.max_closure_len()
+        );
+        run_binary_differential(&data, clustered, &EstimatorConfig::default(), 7, 641);
+    }
+}
+
+#[test]
+fn clustered_plans_stay_bit_identical_kary() {
+    let inst = KaryScenario::paper_default(3, 200, 0.9)
+        .with_workers(8)
+        .generate(&mut rng(641));
+    let data = inst.responses();
+    for n_shards in [2usize, 3] {
+        let plan = ShardPlan::build_clustered(data, n_shards);
+        run_kary_differential(data, plan, &EstimatorConfig::default(), 7, 643);
+    }
 }

@@ -1,33 +1,32 @@
-//! Sharded assessment: fleet-scale `evaluate_all` as a
-//! shard-per-process pipeline with **bit-identical** merged output.
+//! Sharded assessment: deterministic shard plans and **bit-identical**
+//! report merging.
 //!
 //! The m-worker estimators are embarrassingly parallel per evaluated
 //! worker, and peer-scoped views already made each evaluation's
-//! working set `O(l)` — but a single process still had to hold the
-//! whole fleet's pair table and one monolithic
-//! [`crowd_data::OverlapIndex`]. This crate removes that last
-//! per-process `O(m²)` obstacle by partitioning the *state*, not just
-//! the loop:
+//! working set `O(l)`. This crate partitions the *state* as well: a
+//! [`ShardPlan`] assigns every worker to one shard as an anchor and
+//! names the closure of workers whose rows that shard must hold, and
+//! [`merge_reports`] / [`merge_kary_reports`] recombine the per-shard
+//! reports into one fleet report. The served path (`crowd_service`)
+//! runs one thread per shard, each owning a sparse-backed
+//! [`crowd_data::StreamingIndex`] fed only its closure's responses:
 //!
 //! ```text
 //!            ┌──────────────────────────────────────────────────┐
-//!            │                 ShardPlan::build                 │
-//!            │  anchors: contiguous worker ranges (deterministic)│
-//!            │  closure: anchors ∪ pairing-reachable peers      │
+//!            │        ShardPlan::build / build_clustered        │
+//!            │ anchors: one shard per worker (deterministic)    │
+//!            │ closure: anchors ∪ pairing-reachable peers       │
 //!            └──────┬───────────────┬───────────────┬───────────┘
-//!                   ▼               ▼               ▼
-//!            ┌────────────┐  ┌────────────┐  ┌────────────┐
-//!   build    │ ShardIndex │  │ ShardIndex │  │ ShardIndex │
-//!  (sparse   │ rows(closure)│ │ rows(closure)│ │ rows(closure)│
-//!   PairMap) │ pairs: O(co-occurring within closure)        │
-//!            └──────┬─────┘  └──────┬─────┘  └──────┬─────┘
+//!   ingest          ▼               ▼               ▼
+//!  (closure_  StreamingIndex₀ StreamingIndex₁ StreamingIndex₂
+//!   shards)   rows(closure₀)  rows(closure₁)  rows(closure₂)
 //!                   ▼               ▼               ▼
 //!   evaluate  WorkerReport    WorkerReport    WorkerReport
 //!   (anchors    (anchors₀)      (anchors₁)      (anchors₂)
 //!    only)          └───────────────┼───────────────┘
 //!                                   ▼
-//!                            merge_reports
-//!                 == evaluate_all_indexed_parallel, bit for bit
+//!                             merge_reports
+//!                    == evaluate_all, bit for bit
 //! ```
 //!
 //! # Why the closure makes sharding exact
@@ -44,15 +43,16 @@
 //! * the per-triple estimates read `pair` among `{w, a, b}` and the
 //!   anchored view over `w`'s tasks.
 //!
-//! A [`ShardIndex`] therefore holds the **full rows** of its closure
-//! members inside the *global* id space: pair statistics among closure
-//! members equal the full-fleet values exactly (both endpoints'
-//! complete response lists are present), and everything downstream is
-//! the same arithmetic on the same integers — so per-anchor outputs
-//! are bit-identical to the unsharded path, which the differential
-//! tests in `tests/shard_equivalence.rs` pin for 1/2/7 shards, binary
-//! and k-ary, including empty shards, silent workers and anchors whose
-//! peers all live in other shards.
+//! A shard's index therefore holds the **full rows** of its closure
+//! members inside the *global* id space — a response of worker `w` is
+//! routed to every shard in [`ShardPlan::closure_shards`]`(w)` — so
+//! pair statistics among closure members equal the full-fleet values
+//! exactly, and everything downstream is the same arithmetic on the
+//! same integers. Per-anchor outputs are bit-identical to the
+//! unsharded path; the service's differential tests pin this for
+//! contiguous and clustered plans, binary and k-ary, including empty
+//! shards, silent workers and anchors whose peers all live in other
+//! shards.
 //!
 //! # Why a shard is small
 //!
@@ -61,34 +61,112 @@
 //! [`crowd_data::PairCache`], and its adjacency rows cover only the
 //! closure. On clustered fleets — the production shape: workers answer
 //! task neighbourhoods, not the whole corpus — closure size tracks the
-//! anchors' co-occurrence neighbourhood, so per-process memory is
+//! anchors' co-occurrence neighbourhood, so per-shard memory is
 //! governed by the data's overlap structure and the shard count, not
-//! by the fleet size (`scaling_pr4` measures ≥ 10× pair-state
-//! reduction at m = 10000 with 8 shards). One process can also run
-//! every shard in sequence and never materialize fleet-wide pair
-//! state at all.
+//! by the fleet size.
 //!
 //! # Example
 //!
 //! ```
-//! use crowd_core::EstimatorConfig;
-//! use crowd_shard::{ShardPlan, ShardRunner};
+//! use crowd_core::{EstimatorConfig, MWorkerEstimator};
+//! use crowd_data::{PairBackend, StreamingIndex};
+//! use crowd_shard::{ShardPlan, merge_reports};
 //! use crowd_sim::BinaryScenario;
 //!
 //! let instance = BinaryScenario::paper_default(9, 120, 0.7)
 //!     .generate(&mut crowd_sim::rng(11));
 //! let data = instance.responses();
+//! let estimator = MWorkerEstimator::new(EstimatorConfig::default());
 //!
 //! let plan = ShardPlan::build(data, 3);
-//! let runner = ShardRunner::new(EstimatorConfig::default());
-//! let report = runner.run(data, &plan, 0.9)?;
-//! // Same rows a single-process evaluate_all would produce.
-//! assert_eq!(report.assessments.len() + report.failures.len(), 9);
-//! # Ok::<(), crowd_core::EstimateError>(())
+//! let mut parts = Vec::new();
+//! for spec in plan.shards() {
+//!     // Each shard sees only its closure members' responses.
+//!     let mut shard = StreamingIndex::new_with(
+//!         data.n_workers(),
+//!         data.n_tasks(),
+//!         data.arity(),
+//!         PairBackend::Sparse,
+//!     );
+//!     for r in data.iter().filter(|r| spec.closure.binary_search(&r.worker).is_ok()) {
+//!         shard.record_response(r)?;
+//!     }
+//!     parts.push(estimator.evaluate_workers_on(&shard, &spec.anchors, 0.9)?);
+//! }
+//! let merged = merge_reports(parts);
+//! // Same rows a single-process evaluate_all produces.
+//! let single = estimator.evaluate_all(data, 0.9)?;
+//! assert_eq!(merged.assessments.len(), single.assessments.len());
+//! for (a, b) in merged.assessments.iter().zip(&single.assessments) {
+//!     assert_eq!(a.interval, b.interval);
+//! }
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod plan;
-pub mod runner;
 
 pub use plan::{ShardPlan, ShardSpec};
-pub use runner::{ShardIndex, ShardRunner, merge_kary_reports, merge_reports};
+
+use crowd_core::{KaryWorkerReport, WorkerReport};
+
+/// Recombines per-shard binary reports into one fleet report in
+/// canonical worker order; rows are kept verbatim, so the merged
+/// report is bit-identical to a single-process run (see
+/// [`crowd_core::WorkerReport::merge`]). Shard order is irrelevant.
+pub fn merge_reports(parts: impl IntoIterator<Item = WorkerReport>) -> WorkerReport {
+    WorkerReport::merge(parts)
+}
+
+/// [`merge_reports`] for k-ary reports.
+pub fn merge_kary_reports(parts: impl IntoIterator<Item = KaryWorkerReport>) -> KaryWorkerReport {
+    KaryWorkerReport::merge(parts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crowd_core::{EstimatorConfig, MWorkerEstimator};
+    use crowd_data::{
+        Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId,
+    };
+
+    fn two_neighbourhoods() -> ResponseMatrix {
+        let mut b = ResponseMatrixBuilder::new(6, 24, 2);
+        for w in 0..3u32 {
+            for t in 0..12u32 {
+                b.push(WorkerId(w), TaskId(t), Label(((w + t) % 2) as u16))
+                    .unwrap();
+            }
+        }
+        for w in 3..6u32 {
+            for t in 12..24u32 {
+                b.push(WorkerId(w), TaskId(t), Label((w % 2) as u16))
+                    .unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn merge_is_shard_order_invariant() {
+        let data = two_neighbourhoods();
+        let plan = ShardPlan::build(&data, 2);
+        let index = OverlapIndex::from_matrix(&data);
+        let est = MWorkerEstimator::new(EstimatorConfig::default());
+        let parts: Vec<WorkerReport> = plan
+            .shards()
+            .iter()
+            .map(|spec| est.evaluate_workers_on(&index, &spec.anchors, 0.9).unwrap())
+            .collect();
+        let forward = merge_reports(parts.clone());
+        let backward = merge_reports(parts.into_iter().rev());
+        assert_eq!(forward.assessments.len(), backward.assessments.len());
+        for (f, b) in forward.assessments.iter().zip(&backward.assessments) {
+            assert_eq!(f.worker, b.worker);
+            assert_eq!(f.interval, b.interval);
+        }
+        let f_fail: Vec<WorkerId> = forward.failures.iter().map(|f| f.0).collect();
+        let b_fail: Vec<WorkerId> = backward.failures.iter().map(|f| f.0).collect();
+        assert_eq!(f_fail, b_fail);
+    }
+}

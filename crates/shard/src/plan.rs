@@ -4,10 +4,9 @@
 //! **anchor** (the shard that evaluates it) and computes each shard's
 //! **closure**: the anchors plus every pairing-reachable peer (any
 //! worker sharing at least one task with an anchor). The closure is
-//! exactly the worker set whose full rows a [`crate::ShardIndex`]
-//! must hold for its anchors' evaluations to reproduce the unsharded
-//! pipeline bit for bit; see the [crate docs](crate) for the
-//! argument.
+//! exactly the worker set whose full rows a shard's index must hold
+//! for its anchors' evaluations to reproduce the unsharded pipeline
+//! bit for bit; see the [crate docs](crate) for the argument.
 //!
 //! Two planners share that machinery:
 //!

@@ -79,8 +79,8 @@ pub struct WireConfig {
     /// ([`FaultPlan::should_drop`] severs a connection after the
     /// request is applied but before the reply;
     /// [`FaultPlan::reply_delay`] stalls every reply). `None` (the
-    /// default) injects nothing; tests and the `scaling_pr10` bench
-    /// share plans with the service config.
+    /// default) injects nothing; tests share plans with the service
+    /// config.
     pub fault: Option<Arc<FaultPlan>>,
 }
 

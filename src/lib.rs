@@ -79,7 +79,7 @@ pub mod prelude {
         AssessmentService, BackpressurePolicy, ServiceConfig, ServiceError, ServiceHandle,
         ServiceMetrics,
     };
-    pub use crowd_shard::{ShardPlan, ShardRunner};
+    pub use crowd_shard::ShardPlan;
     pub use crowd_sim::{ArrivalCursor, ArrivalSchedule, BinaryScenario, KaryScenario};
     pub use crowd_stats::ConfidenceInterval;
     pub use crowd_wire::{WireClient, WireConfig, WireServer};

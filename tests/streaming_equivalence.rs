@@ -170,51 +170,57 @@ fn kary_streaming_is_bit_identical_to_batch_at_prefixes() {
 /// Fleet configuration (capped triples → peer-scoped views): streamed
 /// evaluation still equals batch at every checkpointed prefix, and the
 /// maintained view memory tracks the pairing degree, not the worker
-/// count.
+/// count. Each case names the minimum factor by which resident view
+/// memory must undercut population-scoped views (m mask rows per
+/// view): with a cap of 16 triples a view holds at most 32 peer rows,
+/// so at m = 600 that factor is at least 10.
 #[test]
 fn capped_streaming_is_bit_identical_and_peer_scoped() {
-    let config = EstimatorConfig::fleet(2);
-    let batch_est = MWorkerEstimator::new(config.clone());
-    let m = 12usize;
-    let inst = BinaryScenario::paper_default(m, 100, 0.8).generate(&mut rng(17));
-    let data = inst.responses();
-    let mut responses: Vec<Response> = data.iter().collect();
-    shuffle(&mut responses, 0xcab1e);
+    // (triple cap, workers, tasks, density, seed, residency floor)
+    for (cap, m, n, density, seed, floor) in [
+        (2usize, 12usize, 100usize, 0.8, 17u64, 2usize),
+        (16, 600, 400, 0.1, 23, 10),
+    ] {
+        let config = EstimatorConfig::fleet(cap);
+        let batch_est = MWorkerEstimator::new(config.clone());
+        let inst = BinaryScenario::paper_default(m, n, density).generate(&mut rng(seed));
+        let data = inst.responses();
+        let mut responses: Vec<Response> = data.iter().collect();
+        shuffle(&mut responses, 0xcab1e);
 
-    let mut monitor = IncrementalEvaluator::new(m, 100, 2, config.clone());
-    let mut accumulated = ResponseMatrix::empty(m, 100, 2);
-    let checkpoints = [responses.len() / 2, responses.len()];
-    for (i, r) in responses.iter().enumerate() {
-        monitor.ingest(*r).unwrap();
-        accumulated.insert(*r).unwrap();
-        if !checkpoints.contains(&(i + 1)) {
-            continue;
+        let mut monitor = IncrementalEvaluator::new(m, n, 2, config.clone());
+        let mut accumulated = ResponseMatrix::empty(m, n, 2);
+        let checkpoints = [responses.len() / 2, responses.len()];
+        for (i, r) in responses.iter().enumerate() {
+            monitor.ingest(*r).unwrap();
+            accumulated.insert(*r).unwrap();
+            if !checkpoints.contains(&(i + 1)) {
+                continue;
+            }
+            let batch = batch_est.evaluate_all(&accumulated, 0.9).unwrap();
+            let streaming = monitor.evaluate_all(0.9).unwrap();
+            let context = format!("cap {cap}, m = {m}, prefix {}", i + 1);
+            assert_reports_bit_identical(&batch, &streaming, &context);
+            for a in &streaming.assessments {
+                assert!(a.triples_used <= cap);
+            }
         }
-        let batch = batch_est.evaluate_all(&accumulated, 0.9).unwrap();
-        let streaming = monitor.evaluate_all(0.9).unwrap();
-        assert_reports_bit_identical(&batch, &streaming, &format!("capped prefix {}", i + 1));
-        for a in &streaming.assessments {
-            assert!(a.triples_used <= 2);
-        }
+
+        let scoped = monitor.view_mask_bytes();
+        let full_view = crowd_assess::data::OverlapIndex::from_matrix(&accumulated)
+            .anchored(WorkerId(0))
+            .mask_bytes();
+        assert!(
+            scoped > 0,
+            "anchored views must be resident after evaluation"
+        );
+        assert!(
+            scoped * floor < full_view * m,
+            "cap {cap}, m = {m}: peer-scoped streaming memory {scoped}B should undercut \
+             population-wide views ({}B for m views) at least {floor}x",
+            full_view * m
+        );
     }
-
-    // With the cap at 2 triples, every maintained view tracks ≤ 4
-    // peers: resident mask memory must sit well below a population
-    // scope's m rows per view.
-    let scoped = monitor.view_mask_bytes();
-    let full_view = crowd_assess::data::OverlapIndex::from_matrix(&accumulated)
-        .anchored(WorkerId(0))
-        .mask_bytes();
-    assert!(
-        scoped > 0,
-        "anchored views must be resident after evaluation"
-    );
-    assert!(
-        scoped < full_view * m / 2,
-        "peer-scoped streaming memory {scoped}B should undercut \
-         population-wide views ({}B for m views)",
-        full_view * m
-    );
 }
 
 /// The streaming substrate rejects malformed ingests with the data
