@@ -47,7 +47,7 @@ pub use overlap::{
     triple_joint_labels_optional, triple_overlap,
 };
 pub use pairmap::PairMap;
-pub use streaming::{AnchoredView, StreamingIndex};
+pub use streaming::{AnchoredView, StreamingIndex, ViewRef};
 
 /// Errors produced by data-model operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

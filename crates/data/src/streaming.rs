@@ -146,13 +146,6 @@ pub struct AnchoredView {
     /// gram patch — the ingest path stays allocation-free once it
     /// reaches its high-water mark.
     patch_rows: Vec<usize>,
-    /// Gram patch operations applied by ingest maintenance so far
-    /// (runtime diagnostic; see [`StreamingIndex::gram_patch_count`]).
-    gram_patches: usize,
-    /// Blocked gram (re)builds run by [`AnchoredView::ensure_gram`]
-    /// (runtime diagnostic; see
-    /// [`StreamingIndex::gram_rebuild_count`]).
-    gram_rebuilds: Cell<usize>,
 }
 
 /// The maintained Gram cache of one [`AnchoredView`]; dormant (zero
@@ -202,8 +195,6 @@ impl AnchoredView {
             slot_map: Vec::new(),
             gram: RefCell::new(ScopeGram::default()),
             patch_rows: Vec::new(),
-            gram_patches: 0,
-            gram_rebuilds: Cell::new(0),
         }
     }
 
@@ -232,8 +223,11 @@ impl AnchoredView {
     /// Ingest maintenance: `worker` responded to the already-slotted
     /// anchor task `task`; set its bit if it is in scope. No-op for
     /// un-anchored views (they rebuild from the index on first use).
-    fn note_peer_response(&mut self, worker: u32, task: u32) {
-        let Some(scope) = &self.scope else { return };
+    /// Returns whether the maintained gram was patched.
+    fn note_peer_response(&mut self, worker: u32, task: u32) -> bool {
+        let Some(scope) = &self.scope else {
+            return false;
+        };
         if let Some(row) = scope.row(worker) {
             let slot = self
                 .slot(task)
@@ -246,10 +240,9 @@ impl AnchoredView {
             if gram.live {
                 if gram.remaining == 0 {
                     gram.invalidate();
-                    return;
+                    return false;
                 }
                 gram.remaining -= 1;
-                self.gram_patches += 1;
                 let d = scope.rows();
                 for r in 0..d {
                     if self.matrix.bit(r, slot) {
@@ -259,8 +252,10 @@ impl AnchoredView {
                         }
                     }
                 }
+                return true;
             }
         }
+        false
     }
 
     /// Ingest maintenance: the anchor itself responded to `task`;
@@ -268,9 +263,12 @@ impl AnchoredView {
     /// `responders` (the task's current responder list, anchor
     /// included). Amortized `O(r_t)`: the bit matrix re-lays out only
     /// when the slot count crosses the doubled word capacity. No-op
-    /// for un-anchored views.
-    fn note_anchor_task(&mut self, task: u32, responders: &[(u32, Label)]) {
-        let Some(scope) = &self.scope else { return };
+    /// for un-anchored views. Returns whether the maintained gram was
+    /// patched.
+    fn note_anchor_task(&mut self, task: u32, responders: &[(u32, Label)]) -> bool {
+        let Some(scope) = &self.scope else {
+            return false;
+        };
         debug_assert_eq!(
             self.slot_map[task as usize], 0,
             "anchor tasks are ingested once"
@@ -291,22 +289,23 @@ impl AnchoredView {
             }
             if gram.remaining < rows.len() {
                 gram.invalidate();
-                return;
+                return false;
             }
             gram.remaining -= rows.len();
-            self.gram_patches += 1;
             let d = scope.rows();
             for &r1 in rows {
                 for &r2 in rows {
                     gram.counts[r1 * d + r2] += 1;
                 }
             }
+            true
         } else {
             for &(w, _) in responders {
                 if let Some(row) = scope.row(w) {
                     self.matrix.set_bit(row, slot);
                 }
             }
+            false
         }
     }
 
@@ -344,11 +343,11 @@ impl AnchoredView {
     }
 
     /// Materializes the scope gram if needed (one blocked pass over
-    /// the maintained matrix) and returns it; exact thereafter because
-    /// every ingest patches it in place. Each serve refills the patch
-    /// budget — a table that keeps getting read keeps earning its
-    /// maintenance.
-    fn ensure_gram(&self) -> Ref<'_, ScopeGram> {
+    /// the maintained matrix, counted in `rebuilds`) and returns it;
+    /// exact thereafter because every ingest patches it in place.
+    /// Each serve refills the patch budget — a table that keeps
+    /// getting read keeps earning its maintenance.
+    fn ensure_gram(&self, rebuilds: &Cell<usize>) -> Ref<'_, ScopeGram> {
         {
             let mut gram = self.gram.borrow_mut();
             let scope = self
@@ -360,7 +359,7 @@ impl AnchoredView {
                 let ScopeGram { live, counts, .. } = &mut *gram;
                 self.matrix.gram_rows_into(&rows, counts);
                 *live = true;
-                self.gram_rebuilds.set(self.gram_rebuilds.get() + 1);
+                rebuilds.set(rebuilds.get() + 1);
             }
             gram.remaining = ScopeGram::budget(scope.rows(), self.matrix.words());
         }
@@ -391,15 +390,35 @@ impl AnchoredView {
     }
 }
 
-impl AnchoredOverlap for AnchoredView {
+/// A borrowed [`AnchoredView`] as [`StreamingIndex`] serves it: the
+/// view plus the substrate-wide gram-rebuild counter that the view's
+/// lazy gram materialization bumps (see
+/// [`StreamingIndex::gram_rebuild_count`]). Dereferences to the view.
+#[derive(Debug)]
+pub struct ViewRef<'a> {
+    view: Ref<'a, AnchoredView>,
+    gram_rebuilds: &'a Cell<usize>,
+}
+
+impl std::ops::Deref for ViewRef<'_> {
+    type Target = AnchoredView;
+
+    fn deref(&self) -> &AnchoredView {
+        &self.view
+    }
+}
+
+impl AnchoredOverlap for ViewRef<'_> {
     fn triple_common(&self, a: WorkerId, b: WorkerId) -> usize {
-        self.matrix.triple_common(self.row_of(a), self.row_of(b))
+        let view = &*self.view;
+        view.matrix.triple_common(view.row_of(a), view.row_of(b))
     }
 
     fn common_among(&self, others: &[WorkerId]) -> usize {
+        let view = &*self.view;
         crate::index::common_among_mapped(
-            &self.matrix,
-            self.scope
+            &view.matrix,
+            view.scope
                 .as_ref()
                 .expect("view queried before it was anchored"),
             others,
@@ -411,11 +430,12 @@ impl AnchoredOverlap for AnchoredView {
         // every later call against a covered scope is an O(peers²)
         // table extraction — no popcount ever reruns while the
         // maintained-view invariant holds (ingests patch the cache).
-        let scope = self
+        let view = &*self.view;
+        let scope = view
             .scope
             .as_ref()
             .expect("view queried before it was anchored");
-        let cache = self.ensure_gram();
+        let cache = view.ensure_gram(self.gram_rebuilds);
         gram.reset(peers);
         let dim = gram.dim();
         scratch.rows.clear();
@@ -437,9 +457,10 @@ impl AnchoredOverlap for AnchoredView {
         gram: &mut TriplePairGram,
         scratch: &mut PeerGramScratch,
     ) {
+        let view = &*self.view;
         crate::gram::pair_gram_into_mapped(
-            &self.matrix,
-            self.scope
+            &view.matrix,
+            view.scope
                 .as_ref()
                 .expect("view queried before it was anchored"),
             pairs,
@@ -450,29 +471,6 @@ impl AnchoredOverlap for AnchoredView {
 }
 
 impl<T: AnchoredOverlap> AnchoredOverlap for &T {
-    fn triple_common(&self, a: WorkerId, b: WorkerId) -> usize {
-        (**self).triple_common(a, b)
-    }
-
-    fn common_among(&self, others: &[WorkerId]) -> usize {
-        (**self).common_among(others)
-    }
-
-    fn gram_into(&self, peers: &[WorkerId], gram: &mut PeerGram, scratch: &mut PeerGramScratch) {
-        (**self).gram_into(peers, gram, scratch);
-    }
-
-    fn pair_gram_into(
-        &self,
-        pairs: &[(WorkerId, WorkerId)],
-        gram: &mut TriplePairGram,
-        scratch: &mut PeerGramScratch,
-    ) {
-        (**self).pair_gram_into(pairs, gram, scratch);
-    }
-}
-
-impl AnchoredOverlap for Ref<'_, AnchoredView> {
     fn triple_common(&self, a: WorkerId, b: WorkerId) -> usize {
         (**self).triple_common(a, b)
     }
@@ -528,6 +526,12 @@ pub struct StreamingIndex {
     /// Lazy re-anchors performed so far (diagnostic: a stable pairing
     /// should stop incurring these).
     reanchors: Cell<usize>,
+    /// Blocked gram (re)builds across all views (diagnostic; see
+    /// [`StreamingIndex::gram_rebuild_count`]).
+    gram_rebuilds: Cell<usize>,
+    /// In-place gram patch operations across all views (diagnostic;
+    /// see [`StreamingIndex::gram_patch_count`]).
+    gram_patches: usize,
     /// Monotone ingest epoch: 0 for an empty substrate, advanced by
     /// one per accepted response. [`StreamingIndex::from_matrix`]
     /// seeds at 1 (the seed is one opaque bulk ingest).
@@ -581,6 +585,8 @@ impl StreamingIndex {
                 .map(|_| RefCell::new(AnchoredView::new()))
                 .collect(),
             reanchors: Cell::new(0),
+            gram_rebuilds: Cell::new(0),
+            gram_patches: 0,
             epoch: 0,
             dirty_at: vec![0; n_workers],
             dense_adj,
@@ -619,6 +625,8 @@ impl StreamingIndex {
                 .map(|_| RefCell::new(AnchoredView::new()))
                 .collect(),
             reanchors: Cell::new(0),
+            gram_rebuilds: Cell::new(0),
+            gram_patches: 0,
             epoch: 1,
             dirty_at: vec![1; data.n_workers()],
             dense_adj: Some(adj),
@@ -639,14 +647,18 @@ impl StreamingIndex {
             if anchor == response.worker.0 {
                 continue;
             }
-            self.views[anchor as usize]
-                .borrow_mut()
-                .note_peer_response(response.worker.0, response.task.0);
+            self.gram_patches += usize::from(
+                self.views[anchor as usize]
+                    .borrow_mut()
+                    .note_peer_response(response.worker.0, response.task.0),
+            );
         }
         // The responding worker's own view gains the task as a slot.
-        self.views[response.worker.index()]
-            .borrow_mut()
-            .note_anchor_task(response.task.0, responders);
+        self.gram_patches += usize::from(
+            self.views[response.worker.index()]
+                .borrow_mut()
+                .note_anchor_task(response.task.0, responders),
+        );
         // Dense-backend mirror adjacency: the response co-occurs the
         // worker with every prior responder of the task.
         if let Some(adj) = self.dense_adj.as_mut() {
@@ -701,17 +713,21 @@ impl StreamingIndex {
     /// `O(m)` mask rows forever after the caller has moved to a
     /// pairing-degree scope. The 4× slack tolerates ordinary pairing
     /// drift without rebuild thrash.
-    fn ensure_scope(&self, anchor: WorkerId, scope: PeerMask) -> Ref<'_, AnchoredView> {
+    fn ensure_scope(&self, anchor: WorkerId, scope: PeerMask) -> ViewRef<'_> {
         let cell = &self.views[anchor.index()];
-        {
-            let view = cell.borrow();
-            if view.covers(&scope) && !view.oversized_for(&scope) {
-                return view;
-            }
+        let view = cell.borrow();
+        let view = if view.covers(&scope) && !view.oversized_for(&scope) {
+            view
+        } else {
+            drop(view);
+            self.reanchors.set(self.reanchors.get() + 1);
+            cell.borrow_mut().reanchor(&self.index, anchor, scope);
+            cell.borrow()
+        };
+        ViewRef {
+            view,
+            gram_rebuilds: &self.gram_rebuilds,
         }
-        self.reanchors.set(self.reanchors.get() + 1);
-        cell.borrow_mut().reanchor(&self.index, anchor, scope);
-        cell.borrow()
     }
 
     /// The maintained index.
@@ -725,7 +741,7 @@ impl StreamingIndex {
     /// tracks fewer peers). Prefer [`OverlapSource::anchored_for`] on
     /// evaluation paths — it keeps the view at pairing-degree size.
     #[inline]
-    pub fn view(&self, worker: WorkerId) -> Ref<'_, AnchoredView> {
+    pub fn view(&self, worker: WorkerId) -> ViewRef<'_> {
         self.ensure_scope(worker, PeerMask::population(self.index.n_workers()))
     }
 
@@ -808,24 +824,28 @@ impl StreamingIndex {
     /// maintenance across all views (diagnostic: together with
     /// [`StreamingIndex::gram_rebuild_count`] this makes the
     /// maintained-gram traffic observable — an evaluation-heavy
-    /// monitor should show patches dwarfing rebuilds).
+    /// monitor should show patches dwarfing rebuilds). One load: the
+    /// substrate keeps the total, not the views.
     pub fn gram_patch_count(&self) -> usize {
-        self.views.iter().map(|v| v.borrow().gram_patches).sum()
+        self.gram_patches
     }
 
     /// Total blocked gram (re)builds across all views — lazy first
     /// materializations plus rebuilds forced by re-anchors or an
-    /// exhausted patch budget.
+    /// exhausted patch budget. One load, like
+    /// [`StreamingIndex::reanchor_count`]: the substrate keeps one
+    /// counter that every view's materialization bumps, so a per-message
+    /// poll costs the same at any fleet size. Only evaluation moves it
+    /// (ingest patches or invalidates a gram, never rebuilds one), and
+    /// like every diagnostic counter it restarts at zero on
+    /// [`StreamingIndex::restore`].
     pub fn gram_rebuild_count(&self) -> usize {
-        self.views
-            .iter()
-            .map(|v| v.borrow().gram_rebuilds.get())
-            .sum()
+        self.gram_rebuilds.get()
     }
 }
 
 impl OverlapSource for StreamingIndex {
-    type Anchored<'a> = Ref<'a, AnchoredView>;
+    type Anchored<'a> = ViewRef<'a>;
 
     fn n_workers(&self) -> usize {
         self.index.n_workers()
@@ -843,11 +863,11 @@ impl OverlapSource for StreamingIndex {
         self.index.triple(a, b, c)
     }
 
-    fn anchored(&self, anchor: WorkerId) -> Ref<'_, AnchoredView> {
+    fn anchored(&self, anchor: WorkerId) -> ViewRef<'_> {
         self.ensure_scope(anchor, PeerMask::population(self.index.n_workers()))
     }
 
-    fn anchored_for(&self, anchor: WorkerId, peers: &[WorkerId]) -> Ref<'_, AnchoredView> {
+    fn anchored_for(&self, anchor: WorkerId, peers: &[WorkerId]) -> ViewRef<'_> {
         self.ensure_scope(anchor, PeerMask::scoped_for(peers, self.index.n_workers()))
     }
 

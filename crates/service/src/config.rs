@@ -59,13 +59,18 @@ pub struct ServiceConfig {
     /// Flight-recorder capacity, in events (rounded up to a power of
     /// two, minimum 8). Default 256.
     pub journal_capacity: usize,
-    /// Shard checkpoint cadence, in ingest batches: every N batches a
-    /// shard serializes its substrate
-    /// ([`crowd_data::StreamingIndex::checkpoint`]) and truncates its
-    /// write-ahead log. `0` disables checkpointing **and** crash
-    /// recovery entirely — a shard panic then poisons the fleet, the
-    /// pre-supervision behaviour. Default 64: a crashed shard replays
-    /// at most 64 batches from its WAL.
+    /// Shard compaction cadence, in ingest batches. A shard logs
+    /// every ingest batch in its write-ahead log and compacts the log
+    /// — serializes its substrate
+    /// ([`crowd_data::StreamingIndex::checkpoint`]) as the new base
+    /// and empties the log — once the log holds at least N batches
+    /// *and* at least as many responses as the current base, so total
+    /// encode work stays linear in the responses ingested at any batch
+    /// size. A crashed shard restores the base and replays the log:
+    /// fewer than N batches, or fewer responses than the base holds.
+    /// `0` disables checkpointing **and** crash recovery entirely — a
+    /// shard panic then poisons the fleet, the pre-supervision
+    /// behaviour. Default 64.
     pub checkpoint_interval: usize,
     /// How many times a shard may be respawned from its checkpoint
     /// before the supervisor gives up and lets the panic poison the
@@ -138,8 +143,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the shard checkpoint cadence in ingest batches (`0`
-    /// disables checkpointing and crash recovery).
+    /// Sets the shard compaction cadence in ingest batches (`0`
+    /// disables checkpointing and crash recovery); see
+    /// [`ServiceConfig::checkpoint_interval`].
     pub fn with_checkpoint_interval(mut self, interval: usize) -> Self {
         self.checkpoint_interval = interval;
         self

@@ -23,10 +23,14 @@ use crate::metrics::{ServiceMetrics, StageTimers, StageTimings};
 use crate::stats::{BatchHistogram, ServiceStats, ShardStats};
 
 /// What travels on a shard queue: the message plus its enqueue stamp.
-/// The stamp is `None` when the fleet runs with metrics off — taking
-/// (or not taking) it is the *only* per-message ingest-path cost of
-/// the instrumentation switch, which is how reports stay bit-identical
-/// and throughput stays within noise of the uninstrumented baseline.
+/// The stamp is `None` when the fleet runs with metrics off. Taking it,
+/// timing the batch apply and recording both into the stage
+/// histograms is the *only* per-message ingest-path cost of the
+/// instrumentation switch: a fixed handful of clock reads and relaxed
+/// atomics, independent of fleet and substrate size. Substrate
+/// maintenance is journaled only after evaluation messages (ingest
+/// moves none of those counters), so reports stay bit-identical and
+/// the cost stays flat as the fleet grows.
 type Envelope = (Option<Instant>, ShardMsg);
 
 /// Shared queue-depth gauge: the handle increments on enqueue, the
@@ -145,7 +149,7 @@ enum Stage {
 }
 
 /// Per-shard supervision state that lives **outside** the
-/// unwind boundary: the recovery sources (checkpoint + WAL), the
+/// unwind boundary: the recovery sources (base checkpoint + WAL), the
 /// authoritative fault-tolerance counters, and the armed crash points.
 /// Everything a panic could corrupt lives in the discarded
 /// [`ShardWorker`]; everything here is only mutated at well-defined
@@ -153,20 +157,24 @@ enum Stage {
 /// the `AssertUnwindSafe` in [`ShardRuntime::run`].
 #[derive(Default)]
 struct RecoveryGuard {
-    /// The substrate as of the last checkpoint
+    /// The base: the substrate as of the last compaction
     /// ([`StreamingIndex::checkpoint`] bytes; the spawn-time
     /// checkpoint of the empty substrate seeds it).
     checkpoint: Vec<u8>,
-    /// The persistent shard counters as of that checkpoint.
+    /// Responses the base holds — the compaction threshold.
+    base_responses: usize,
+    /// The persistent shard counters as of the base.
     stats_at_checkpoint: ShardStats,
-    /// Write-ahead log: every ingest batch accepted since the last
-    /// checkpoint, appended **before** it is applied, so a crash mid-
-    /// application replays the whole batch onto the restored
-    /// substrate. Truncated at every checkpoint — bounded by
-    /// [`crate::ServiceConfig::checkpoint_interval`] batches.
+    /// Write-ahead log: every ingest batch accepted since the base,
+    /// moved in **before** it is applied (the shard applies it from
+    /// here), so a crash mid-application replays the whole batch onto
+    /// the restored base. Compacted into a new base once it holds at
+    /// least [`crate::ServiceConfig::checkpoint_interval`] batches and
+    /// at least `base_responses` responses; see
+    /// [`RecoveryGuard::should_compact`].
     wal: Vec<Vec<Response>>,
-    /// Batches applied since the last checkpoint.
-    since_checkpoint: usize,
+    /// Responses across the batches in `wal`.
+    wal_responses: usize,
     /// Monotone 1-based ingest-batch ordinal, across recoveries —
     /// the coordinate fault decisions key on. Incremented before the
     /// fault check so an injected crash cannot re-fire on replay.
@@ -179,6 +187,32 @@ struct RecoveryGuard {
     armed_drain: bool,
     /// The [`CrashPoint::DuringReanchor`] twin.
     armed_assess: bool,
+}
+
+impl RecoveryGuard {
+    /// Whether the log is due for compaction: it spans at least
+    /// `interval` batches *and* at least as many responses as the
+    /// base holds. The second condition makes each re-encode cost at
+    /// most what was logged since the last one, so total encode work
+    /// is linear in the responses ingested (the base at least doubles
+    /// between compactions when every response is accepted), while a
+    /// crash replays at most `max(interval − 1 batches, base)` logged
+    /// responses.
+    fn should_compact(&self, interval: usize) -> bool {
+        self.wal.len() >= interval && self.wal_responses >= self.base_responses
+    }
+
+    /// Makes `worker`'s current state the new base and empties the
+    /// log.
+    fn compact(&mut self, worker: &mut ShardWorker) {
+        self.checkpoint = worker.stream.checkpoint();
+        self.base_responses = worker.stream.n_responses();
+        self.checkpoints += 1;
+        worker.stats.checkpoints = self.checkpoints;
+        self.stats_at_checkpoint = worker.stats.clone();
+        self.wal.clear();
+        self.wal_responses = 0;
+    }
 }
 
 /// The immutable spawn-time inputs of one shard, kept by the
@@ -234,7 +268,7 @@ impl ShardSeed {
 }
 
 /// One shard's supervised thread body: runs the message loop inside
-/// `catch_unwind`; on a panic, respawns the worker from the last
+/// `catch_unwind`; on a panic, respawns the worker from the base
 /// checkpoint, replays the WAL, and keeps serving the *same* queue —
 /// callers blocked on the bounded channel never observe the crash
 /// except as latency. Gives up (sets the dead flag and re-raises the
@@ -317,7 +351,7 @@ impl ShardRuntime {
         }
     }
 
-    /// Rebuilds a worker from the last checkpoint and replays the WAL
+    /// Rebuilds a worker from the base checkpoint and replays the WAL
     /// through the ordinary ingest path (no fault checks — the batch
     /// ordinals already passed them). Returns the worker and how many
     /// responses were replayed.
@@ -383,17 +417,26 @@ impl ShardWorker {
             if let (Some(obs), Some(t0)) = (&self.obs, enqueued) {
                 obs.timers.queue_wait.record_duration(t0.elapsed());
             }
+            // Ingest moves none of the maintenance counters (it
+            // patches or invalidates grams, never re-anchors or
+            // rebuilds), so only the other messages journal them.
+            let maintains = !matches!(msg, ShardMsg::Ingest(_));
             match msg {
                 ShardMsg::Ingest(batch) => {
                     let t0 = self.obs.as_ref().map(|_| Instant::now());
                     guard.batch_ordinal += 1;
                     let crash =
                         fault.and_then(|f| f.panic_for(self.stats.shard, guard.batch_ordinal));
-                    if interval > 0 {
-                        // Write-ahead: the batch is in the log before
-                        // any of it touches the substrate.
-                        guard.wal.push(batch.clone());
-                    }
+                    // Write-ahead: the log takes the batch before any
+                    // of it touches the substrate, and the shard
+                    // applies it from the log entry.
+                    let batch: &[Response] = if interval > 0 {
+                        guard.wal_responses += batch.len();
+                        guard.wal.push(batch);
+                        guard.wal.last().expect("just logged")
+                    } else {
+                        &batch
+                    };
                     match crash {
                         Some(CrashPoint::MidBatch) => {
                             // Half the batch lands, then the thread
@@ -410,17 +453,9 @@ impl ShardWorker {
                         Some(CrashPoint::DuringReanchor) => guard.armed_assess = true,
                         None => {}
                     }
-                    self.apply_batch(&batch);
-                    if interval > 0 {
-                        guard.since_checkpoint += 1;
-                        if guard.since_checkpoint >= interval {
-                            guard.checkpoint = self.stream.checkpoint();
-                            guard.checkpoints += 1;
-                            self.stats.checkpoints = guard.checkpoints;
-                            guard.stats_at_checkpoint = self.stats.clone();
-                            guard.wal.clear();
-                            guard.since_checkpoint = 0;
-                        }
+                    self.apply_batch(batch);
+                    if interval > 0 && guard.should_compact(interval) {
+                        guard.compact(self);
                     }
                     self.observe_stage(Stage::BatchApply, t0);
                 }
@@ -521,7 +556,9 @@ impl ShardWorker {
                 #[cfg(test)]
                 ShardMsg::Panic => panic!("injected shard panic (test)"),
             }
-            self.journal_maintenance();
+            if maintains {
+                self.journal_maintenance();
+            }
         }
         // Queue disconnected: the handle dropped its senders
         // (graceful shutdown). Everything enqueued before the drop
@@ -557,8 +594,8 @@ impl ShardWorker {
     /// Journals substrate maintenance that happened while handling
     /// the last message, by counter delta: re-anchors, full gram
     /// rebuilds and wholesale cache refreshes (`a` = how many). Three
-    /// counter reads per message when metrics are on; nothing at all
-    /// when off.
+    /// counter loads per non-ingest message when metrics are on;
+    /// nothing at all when off.
     fn journal_maintenance(&mut self) {
         let Some(obs) = &mut self.obs else { return };
         let shard = self.stats.shard as u32;
@@ -1798,12 +1835,70 @@ mod tests {
         svc.drain().unwrap();
         let stats = svc.stats().unwrap();
         assert_eq!(stats.total_recoveries(), 1, "exactly one respawn");
-        assert!(stats.total_checkpoints() >= 1, "periodic checkpoints ran");
+        assert!(stats.total_checkpoints() >= 1, "log compaction ran");
         assert_eq!(
             stats.shards.iter().map(|s| s.responses).sum::<u64>(),
             routed as u64,
             "WAL replay restored every pre-crash response exactly once"
         );
+        svc.shutdown().unwrap();
+    }
+
+    /// Amortized compaction: at request-at-a-time ingest a shard
+    /// re-encodes its substrate `O(log responses)` times rather than
+    /// once every `checkpoint_interval` batches, and a crash still
+    /// replays at most the larger of `interval` batches and the base.
+    #[test]
+    fn compaction_is_amortized_at_batch_one() {
+        let data = crowd_sim::BinaryScenario::paper_default(12, 250, 0.8)
+            .generate(&mut crowd_sim::rng(5))
+            .responses()
+            .clone();
+        let plan = ShardPlan::build_clustered(&data, 2);
+        let mut svc = AssessmentService::spawn(
+            plan,
+            data.n_tasks(),
+            data.arity(),
+            ServiceConfig::default().with_checkpoint_interval(4),
+        );
+        let all: Vec<Response> = data.iter().collect();
+        assert!(all.len() >= 2000, "only {} responses", all.len());
+        for &r in &all {
+            svc.ingest(r).unwrap();
+        }
+        svc.drain().unwrap();
+        let before = svc.stats().unwrap();
+        for s in &before.shards {
+            let bound = (s.responses as f64).log2().ceil() as u64 + 2;
+            assert!(
+                (1..=bound).contains(&s.checkpoints),
+                "shard {}: {} checkpoints for {} responses (bound {bound})",
+                s.shard,
+                s.checkpoints,
+                s.responses
+            );
+        }
+        for s in 0..svc.n_shards() {
+            send_raw(&svc, s, ShardMsg::Panic);
+        }
+        svc.drain().unwrap();
+        let after = svc.stats().unwrap();
+        for (b, a) in before.shards.iter().zip(&after.shards) {
+            assert_eq!(a.recoveries, 1);
+            assert_eq!(
+                a.responses, b.responses,
+                "replay restored every response once"
+            );
+            // No response was rejected, so the base holds exactly the
+            // responses that were not replayed.
+            let base = a.responses - a.wal_replayed;
+            assert!(
+                a.wal_replayed <= base.max(4),
+                "shard {} replayed {} responses onto a base of {base}",
+                a.shard,
+                a.wal_replayed
+            );
+        }
         svc.shutdown().unwrap();
     }
 

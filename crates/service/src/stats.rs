@@ -45,8 +45,8 @@ pub struct ShardStats {
     /// Survives the recovery itself: the counter is authoritative in
     /// the supervisor, not the discarded worker state.
     pub recoveries: u64,
-    /// Periodic checkpoints taken (the spawn-time checkpoint of the
-    /// empty substrate is not counted).
+    /// Checkpoints taken by log compaction (the spawn-time checkpoint
+    /// of the empty substrate is not counted).
     pub checkpoints: u64,
     /// Responses replayed from the write-ahead log across all
     /// recoveries of this shard.
@@ -159,7 +159,7 @@ impl ServiceStats {
         self.shards.iter().map(|s| s.recoveries).sum()
     }
 
-    /// Fleet total of periodic checkpoints taken.
+    /// Fleet total of compaction checkpoints taken.
     pub fn total_checkpoints(&self) -> u64 {
         self.shards.iter().map(|s| s.checkpoints).sum()
     }

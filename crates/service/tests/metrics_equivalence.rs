@@ -210,3 +210,84 @@ fn slow_op_threshold_zero_journals_every_stage() {
     // Timestamps are monotone within the journal.
     assert!(m.events.windows(2).all(|w| w[0].seq < w[1].seq));
 }
+
+/// The maintenance journal loses no event: with a journal large
+/// enough that nothing wraps, the summed `Reanchor`, `GramRebuild` and
+/// `CacheFullRefresh` deltas equal the `reanchors`, `gram_rebuilds`
+/// and `cache_full_refreshes` counters — which pins the substrate's
+/// O(1) gram-rebuild counter and journaling only after evaluation
+/// messages, binary and k-ary.
+#[test]
+fn journaled_maintenance_matches_the_counters() {
+    const CAPACITY: usize = 1 << 14;
+    let binary = BinaryScenario::paper_default(12, 60, 0.85)
+        .generate(&mut rng(3121))
+        .responses()
+        .clone();
+    let kary = KaryScenario::paper_default(3, 60, 0.9)
+        .with_workers(10)
+        .generate(&mut rng(555))
+        .responses()
+        .clone();
+    for (data, is_kary) in [(&binary, false), (&kary, true)] {
+        for n_shards in [1usize, 2] {
+            let mut svc = AssessmentService::spawn(
+                ShardPlan::build_clustered(data, n_shards),
+                data.n_tasks(),
+                data.arity(),
+                ServiceConfig::default().with_journal_capacity(CAPACITY),
+            );
+            let mut dice = rng(8200 + n_shards as u64);
+            let all: Vec<Response> = data.iter().collect();
+            for group in all.chunks(12) {
+                svc.ingest_batch(group).unwrap();
+                if dice.random::<f64>() < 0.4 {
+                    // Switching confidence levels forces wholesale
+                    // cache refreshes.
+                    let confidence = if dice.random::<f64>() < 0.5 {
+                        0.9
+                    } else {
+                        0.95
+                    };
+                    if is_kary {
+                        svc.snapshot_kary(confidence).unwrap();
+                    } else {
+                        svc.snapshot(confidence).unwrap();
+                    }
+                }
+                if dice.random::<f64>() < 0.3 {
+                    let w = WorkerId(dice.random_range(0..data.n_workers()) as u32);
+                    // Too little data yet is an answer, not a failure.
+                    let _ = if is_kary {
+                        svc.assess_worker_kary(w, 0.9).map(drop)
+                    } else {
+                        svc.assess_worker(w, 0.9).map(drop)
+                    };
+                }
+            }
+            let m = svc.metrics().unwrap();
+            assert_eq!(m.events_dropped, 0);
+            assert!(m.events.len() < CAPACITY, "the journal never wrapped");
+            let journaled = |kind| m.events_of(kind).map(|e| e.a).sum::<u64>();
+            let reanchors = m.stats.total_reanchors() as u64;
+            let rebuilds = m.stats.total_gram_rebuilds() as u64;
+            let refreshes: u64 = m.stats.shards.iter().map(|s| s.cache_full_refreshes).sum();
+            let context = format!("shards={n_shards} kary={is_kary}");
+            assert_eq!(journaled(EventKind::Reanchor), reanchors, "{context}");
+            assert_eq!(journaled(EventKind::GramRebuild), rebuilds, "{context}");
+            assert_eq!(
+                journaled(EventKind::CacheFullRefresh),
+                refreshes,
+                "{context}"
+            );
+            // The k-ary estimator batches through pair grams, which
+            // views do not cache, so only binary rebuilds scope grams.
+            assert!(
+                reanchors > 0 && refreshes > 0 && (is_kary || rebuilds > 0),
+                "the sequence moved every counter ({context}): \
+                 {reanchors} {rebuilds} {refreshes}"
+            );
+            svc.shutdown().unwrap();
+        }
+    }
+}

@@ -4,7 +4,9 @@
 //! WAL replay, produce drain-point reports bit-for-bit equal to a
 //! never-crashed twin fed exactly the same batches — across shard
 //! counts (1, 2, 8), crash points (mid-batch, at the drain barrier,
-//! during drain-point evaluation), binary and k-ary.
+//! during drain-point evaluation), binary and k-ary — including
+//! request-at-a-time ingest, where amortized compaction leaves a log
+//! far longer than the checkpoint interval to replay.
 //!
 //! Fault visibility contract exercised here:
 //!
@@ -18,7 +20,7 @@
 use std::sync::Arc;
 
 use crowd_core::{KaryWorkerReport, WorkerReport};
-use crowd_data::{Response, ResponseMatrix};
+use crowd_data::{Response, ResponseMatrix, WorkerId};
 use crowd_service::{AssessmentService, CrashPoint, FaultPlan, ServiceConfig, ServiceError};
 use crowd_shard::ShardPlan;
 use crowd_sim::{ArrivalSchedule, BinaryScenario, KaryScenario, rng};
@@ -185,6 +187,109 @@ fn run_kary(data: &ResponseMatrix, n_shards: usize, crash: CrashPoint, seed: u64
     twin.shutdown().unwrap();
 }
 
+/// One worker's assessment as comparable bits (or the estimation
+/// error it failed with), retrying the one call an armed crash point
+/// fails.
+fn probe(svc: &AssessmentService, worker: WorkerId, kary: bool) -> Result<Vec<u64>, String> {
+    with_crash_retry(|| {
+        let bits = if kary {
+            svc.assess_worker_kary(worker, CONFIDENCE).map(|a| {
+                a.intervals
+                    .iter()
+                    .flat_map(|i| [i.center.to_bits(), i.half_width.to_bits()])
+                    .collect()
+            })
+        } else {
+            svc.assess_worker(worker, CONFIDENCE)
+                .map(|a| vec![a.interval.center.to_bits(), a.interval.half_width.to_bits()])
+        };
+        match bits {
+            Err(ServiceError::Estimate(e)) => Ok(Err(format!("{e:?}"))),
+            other => other.map(Ok),
+        }
+    })
+}
+
+/// Request-at-a-time twin of [`run_binary`] / [`run_kary`]: one
+/// response per ingest call, so amortized compaction lets shard 0's
+/// log grow far past `checkpoint_interval` batches before each crash
+/// fires. At batch 1 every response is a shard batch and compaction
+/// lands on shard ordinals 2, 4, 8, …, 2ᵏ; the crash sites 90 and 300
+/// sit 26 and 44 batches past the last compaction. Every 32 responses
+/// a drain and an assessment of one of shard 0's anchors fire an
+/// armed crash point before the next compaction (128 and 512) and
+/// compare the two services; at the end, so do full snapshots.
+fn run_request_at_a_time(data: &ResponseMatrix, n_shards: usize, crash: CrashPoint, kary: bool) {
+    const INTERVAL: usize = 2;
+    let fault = Arc::new(
+        FaultPlan::seeded(501)
+            .with_panic_at(0, 90)
+            .with_panic_at(0, 300)
+            .with_crash_point(crash),
+    );
+    let base = ServiceConfig::default().with_checkpoint_interval(INTERVAL);
+    let plan = ShardPlan::build_clustered(data, n_shards);
+    let anchor = plan.shards()[0].anchors[0];
+    let mut faulted = AssessmentService::spawn(
+        plan.clone(),
+        data.n_tasks(),
+        data.arity(),
+        base.clone().with_fault(fault),
+    );
+    let mut twin = AssessmentService::spawn(plan, data.n_tasks(), data.arity(), base);
+    let sched = ArrivalSchedule::poisson(data, 1000.0, &mut rng(29));
+    let responses: Vec<Response> = sched.batches(1).map(|b| b[0]).collect();
+    let context = format!("{n_shards} shards, {crash:?}, kary {kary}");
+    for (i, &r) in responses.iter().enumerate() {
+        faulted.ingest(r).unwrap();
+        twin.ingest(r).unwrap();
+        let seen = i + 1;
+        if seen % 32 != 0 && seen != responses.len() {
+            continue;
+        }
+        with_crash_retry(|| faulted.drain());
+        assert_eq!(
+            probe(&faulted, anchor, kary),
+            probe(&twin, anchor, kary),
+            "assessment after {seen} responses diverged ({context})"
+        );
+        if seen != responses.len() {
+            continue;
+        }
+        let identical = if kary {
+            let a = with_crash_retry(|| faulted.snapshot_kary(CONFIDENCE));
+            kary_reports_identical(&a, &twin.snapshot_kary(CONFIDENCE).unwrap())
+        } else {
+            let a = with_crash_retry(|| faulted.snapshot(CONFIDENCE));
+            reports_identical(&a, &twin.snapshot(CONFIDENCE).unwrap())
+        };
+        assert!(
+            identical,
+            "snapshot after {seen} responses diverged ({context})"
+        );
+    }
+    let stats = with_crash_retry(|| faulted.stats());
+    let shard0 = &stats.shards[0];
+    assert_eq!(shard0.recoveries, 2, "both crash sites fired ({context})");
+    assert!(
+        shard0.wal_replayed >= 10 * INTERVAL as u64 * shard0.recoveries,
+        "{} recoveries replayed only {} responses: the log was short ({context})",
+        shard0.recoveries,
+        shard0.wal_replayed
+    );
+    assert_eq!(
+        stats.shards.iter().map(|s| s.responses).sum::<u64>(),
+        twin.stats()
+            .unwrap()
+            .shards
+            .iter()
+            .map(|s| s.responses)
+            .sum::<u64>(),
+    );
+    faulted.shutdown().unwrap();
+    twin.shutdown().unwrap();
+}
+
 fn binary_data() -> ResponseMatrix {
     BinaryScenario::paper_default(12, 80, 0.9)
         .generate(&mut rng(17))
@@ -239,6 +344,34 @@ fn recovered_kary_reports_match_never_crashed_twin() {
             CrashPoint::DuringReanchor,
         ] {
             run_kary(&data, n_shards, crash, 401 + n_shards as u64);
+        }
+    }
+}
+
+#[test]
+fn request_at_a_time_recovery_from_a_long_log_is_bit_identical() {
+    let data = binary_data();
+    for n_shards in [1usize, 2, 8] {
+        for crash in [
+            CrashPoint::MidBatch,
+            CrashPoint::AtDrain,
+            CrashPoint::DuringReanchor,
+        ] {
+            run_request_at_a_time(&data, n_shards, crash, false);
+        }
+    }
+}
+
+#[test]
+fn request_at_a_time_kary_recovery_from_a_long_log_is_bit_identical() {
+    let data = kary_data();
+    for n_shards in [1usize, 2, 8] {
+        for crash in [
+            CrashPoint::MidBatch,
+            CrashPoint::AtDrain,
+            CrashPoint::DuringReanchor,
+        ] {
+            run_request_at_a_time(&data, n_shards, crash, true);
         }
     }
 }
