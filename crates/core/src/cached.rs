@@ -4,40 +4,36 @@
 //! The estimators are per-worker: a drain-point report is a list of
 //! independent rows, one per anchor, and a new response from worker
 //! `w` can only move the rows of `{w} ∪ cooccur(w)` (see the dirty
-//! tracking in [`crowd_data::streaming`]). [`ReportCache`] /
-//! [`KaryReportCache`] exploit that by remembering, per anchor, the
-//! last evaluation outcome **and the ingest epoch it was computed
-//! at**. A refresh re-evaluates an anchor only when
-//! [`StreamingIndex::dirty_epoch`] has advanced past its row's epoch;
-//! clean rows are cloned from the cache. Steady-state drain cost
-//! drops from `O(m·T)` (T = per-anchor triple/covariance work) to
-//! `O(|dirty|·T)` — the dominant win under realistic skewed arrival
-//! streams where most anchors are quiet between drains.
+//! tracking in [`crowd_data::streaming`]). [`ReportCache`] exploits
+//! that for any [`Estimator`] — binary and k-ary alike — by
+//! remembering, per anchor, the last evaluation outcome **and the
+//! ingest epoch it was computed at**. A refresh re-evaluates an anchor
+//! only when [`StreamingIndex::dirty_epoch`] has advanced past its
+//! row's epoch; clean rows are cloned from the cache. Steady-state
+//! drain cost drops from `O(m·T)` (T = per-anchor triple/covariance
+//! work) to `O(|dirty|·T)` — the dominant win under realistic skewed
+//! arrival streams where most anchors are quiet between drains.
 //!
 //! # Exactness
 //!
-//! The caches are **bit-identical** to full recomputation, not
+//! The cache is **bit-identical** to full recomputation, not
 //! approximately fresh: a clean row would re-derive the same bits
 //! because every statistic its evaluation reads is unchanged, and
-//! failures ([`EstimateError`] rows) are cached and re-validated the
+//! failures ([`crate::EstimateError`] rows) are cached and re-validated the
 //! same way as successes. Anything that changes the evaluation
 //! question rather than the data — a different confidence level —
 //! invalidates wholesale. The service-level property tests
 //! (`crowd_service/tests/incremental_equivalence.rs`) pin cached
-//! reports against full recomputation at every drain point across
-//! random interleavings.
+//! reports against serial uncached evaluation at every drain point
+//! across random interleavings.
 //!
 //! A cache is keyed to **one** [`StreamingIndex`]: epochs are
 //! stream-local, so feeding a cache from two different substrates
 //! makes its version stamps meaningless. (The shard runtime owns one
-//! cache per shard stream, which is the intended shape.)
+//! cache per estimator per shard stream, which is the intended shape.)
 
-use crate::kary::KaryMWorkerEstimator;
-use crate::{
-    EstimateError, KaryWorkerAssessment, KaryWorkerReport, MWorkerEstimator, Result,
-    WorkerAssessment, WorkerReport,
-};
-use crowd_data::{StreamingIndex, WorkerId};
+use crate::{Estimator, Report, Result};
+use crowd_data::{OverlapSource, StreamingIndex, WorkerId};
 
 /// Running counters of a report cache (cumulative since construction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,115 +49,9 @@ pub struct CacheStats {
     pub last_dirty: usize,
 }
 
-/// The shared epoch-versioned row store behind both caches: one
-/// optional `(epoch, outcome)` slot per worker id plus the confidence
-/// level the rows answer.
-#[derive(Debug, Clone)]
-struct RowCache<T> {
-    rows: Vec<Option<(u64, Result<T>)>>,
-    /// Bit pattern of the confidence level the cached rows were
-    /// computed at; `None` until first use. Compared exactly — a
-    /// different confidence is a different question, so the rows are
-    /// dropped wholesale rather than risking a stale answer.
-    confidence_bits: Option<u64>,
-    stats: CacheStats,
-}
-
-impl<T: Clone> RowCache<T> {
-    fn new() -> Self {
-        Self {
-            rows: Vec::new(),
-            confidence_bits: None,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Drops every row if `confidence` differs from the cached level
-    /// (exact bit comparison), counting a full refresh when live rows
-    /// were actually discarded.
-    fn ensure_confidence(&mut self, confidence: f64) {
-        let bits = confidence.to_bits();
-        if self.confidence_bits != Some(bits) {
-            if self.rows.iter().any(Option::is_some) {
-                self.stats.full_refreshes += 1;
-            }
-            self.rows.clear();
-            self.confidence_bits = Some(bits);
-        }
-    }
-
-    /// The cached outcome for `worker` if it is still exact — present
-    /// and computed at an epoch not older than the worker's last
-    /// dirtying ingest.
-    fn clean_row(&self, stream: &StreamingIndex, worker: WorkerId) -> Option<&Result<T>> {
-        match self.rows.get(worker.index())? {
-            Some((epoch, outcome)) if *epoch >= stream.dirty_epoch(worker) => Some(outcome),
-            _ => None,
-        }
-    }
-
-    fn store(&mut self, worker: WorkerId, epoch: u64, outcome: Result<T>) {
-        if self.rows.len() <= worker.index() {
-            self.rows.resize(worker.index() + 1, None);
-        }
-        self.rows[worker.index()] = Some((epoch, outcome));
-    }
-
-    /// One cache-consulting evaluation: serve the clean row or compute
-    /// via `eval` and version the result at the stream's current
-    /// epoch.
-    fn assess(
-        &mut self,
-        stream: &StreamingIndex,
-        worker: WorkerId,
-        confidence: f64,
-        eval: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        self.ensure_confidence(confidence);
-        if let Some(outcome) = self.clean_row(stream, worker).cloned() {
-            self.stats.hits += 1;
-            return outcome;
-        }
-        self.stats.misses += 1;
-        let outcome = eval();
-        self.store(worker, stream.epoch(), outcome.clone());
-        outcome
-    }
-
-    /// The refresh body shared by both report shapes: walk `anchors`
-    /// in order, re-evaluating dirty rows and cloning clean ones, and
-    /// hand each outcome to `emit` (which builds the report in
-    /// `anchors` order — exactly what the uncached subset entry points
-    /// produce).
-    fn refresh(
-        &mut self,
-        stream: &StreamingIndex,
-        anchors: &[WorkerId],
-        confidence: f64,
-        mut eval: impl FnMut(WorkerId) -> Result<T>,
-        mut emit: impl FnMut(WorkerId, Result<T>),
-    ) {
-        self.ensure_confidence(confidence);
-        let epoch = stream.epoch();
-        let mut dirty = 0usize;
-        for &worker in anchors {
-            if let Some(outcome) = self.clean_row(stream, worker).cloned() {
-                self.stats.hits += 1;
-                emit(worker, outcome);
-                continue;
-            }
-            dirty += 1;
-            self.stats.misses += 1;
-            let outcome = eval(worker);
-            self.store(worker, epoch, outcome.clone());
-            emit(worker, outcome);
-        }
-        self.stats.last_dirty = dirty;
-    }
-}
-
-/// Epoch-versioned cache of binary (Algorithm A2) per-worker
-/// assessments; see the [module docs](self).
+/// Epoch-versioned cache of one estimator's per-worker assessments —
+/// one optional `(epoch, outcome)` slot per worker id plus the
+/// confidence level the rows answer; see the [module docs](self).
 ///
 /// # Example
 ///
@@ -185,142 +75,97 @@ impl<T: Clone> RowCache<T> {
 /// # Ok::<(), crowd_core::EstimateError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct ReportCache {
-    inner: RowCache<WorkerAssessment>,
+pub struct ReportCache<E: Estimator> {
+    rows: Vec<Option<(u64, Result<E::Assessment>)>>,
+    /// Bit pattern of the confidence level the cached rows were
+    /// computed at; `None` until first use. Compared exactly — a
+    /// different confidence is a different question, so the rows are
+    /// dropped wholesale rather than risking a stale answer.
+    confidence_bits: Option<u64>,
+    stats: CacheStats,
 }
 
-impl ReportCache {
+impl<E: Estimator> ReportCache<E> {
     /// An empty cache (first refresh evaluates every anchor).
     pub fn new() -> Self {
         Self {
-            inner: RowCache::new(),
+            rows: Vec::new(),
+            confidence_bits: None,
+            stats: CacheStats::default(),
         }
     }
 
     /// Cumulative hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.stats
+        self.stats
     }
 
-    /// Cache-consulting counterpart of
-    /// [`MWorkerEstimator::evaluate_worker_on`]: serves the cached
-    /// outcome when `worker` is clean, re-evaluates (and re-versions)
-    /// it otherwise. Bit-identical to the uncached call either way.
+    /// Drops every row if `confidence` differs from the cached level
+    /// (exact bit comparison), counting a full refresh when live rows
+    /// were actually discarded.
+    fn ensure_confidence(&mut self, confidence: f64) {
+        let bits = confidence.to_bits();
+        if self.confidence_bits != Some(bits) {
+            if self.rows.iter().any(Option::is_some) {
+                self.stats.full_refreshes += 1;
+            }
+            self.rows.clear();
+            self.confidence_bits = Some(bits);
+        }
+    }
+
+    /// Cache-consulting counterpart of [`Estimator::evaluate_streamed`]:
+    /// serves the cached outcome when `worker` is clean — present and
+    /// computed at an epoch not older than the worker's last dirtying
+    /// ingest — and re-evaluates (and re-versions it at the stream's
+    /// current epoch) otherwise. Bit-identical to the uncached call
+    /// either way.
     pub fn assess(
         &mut self,
-        estimator: &MWorkerEstimator,
+        estimator: &E,
         stream: &StreamingIndex,
         worker: WorkerId,
         confidence: f64,
-    ) -> Result<WorkerAssessment> {
-        self.inner.assess(stream, worker, confidence, || {
-            estimator.evaluate_worker_on(stream, worker, confidence)
-        })
+    ) -> Result<E::Assessment> {
+        self.ensure_confidence(confidence);
+        if let Some(Some((epoch, outcome))) = self.rows.get(worker.index())
+            && *epoch >= stream.dirty_epoch(worker)
+        {
+            self.stats.hits += 1;
+            return outcome.clone();
+        }
+        self.stats.misses += 1;
+        let outcome = estimator.evaluate_streamed(stream, worker, confidence);
+        if self.rows.len() <= worker.index() {
+            self.rows.resize(worker.index() + 1, None);
+        }
+        self.rows[worker.index()] = Some((stream.epoch(), outcome.clone()));
+        outcome
     }
 
-    /// Cache-consulting counterpart of
-    /// [`MWorkerEstimator::evaluate_workers_on`]: re-evaluates only
-    /// the anchors dirtied since their cached rows, cloning the rest.
-    /// The report (assessments and failures in `anchors` order) is
-    /// bit-identical to the uncached subset evaluation.
+    /// Cache-consulting evaluation of `anchors`: re-evaluates only the
+    /// anchors dirtied since their cached rows, cloning the rest. The
+    /// report (assessments and failures in `anchors` order) and the
+    /// population guard are bit-identical to the uncached subset
+    /// evaluation ([`crate::MWorkerEstimator::evaluate_workers_on`],
+    /// [`crate::KaryMWorkerEstimator::evaluate_workers_streaming`]).
     pub fn refresh(
         &mut self,
-        estimator: &MWorkerEstimator,
+        estimator: &E,
         stream: &StreamingIndex,
         anchors: &[WorkerId],
         confidence: f64,
-    ) -> Result<WorkerReport> {
-        // Mirror the uncached entry point's population guard exactly —
-        // the caches must be invisible in the error taxonomy too.
-        let m = crowd_data::OverlapSource::n_workers(stream);
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let mut report = WorkerReport::default();
-        self.inner.refresh(
-            stream,
-            anchors,
-            confidence,
-            |worker| estimator.evaluate_worker_on(stream, worker, confidence),
-            |worker, outcome| match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            },
-        );
+    ) -> Result<Report<E::Assessment>> {
+        let misses = self.stats.misses;
+        let report = Report::evaluate(stream.n_workers(), anchors.iter().copied(), |w| {
+            self.assess(estimator, stream, w, confidence)
+        })?;
+        self.stats.last_dirty = (self.stats.misses - misses) as usize;
         Ok(report)
     }
 }
 
-impl Default for ReportCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Epoch-versioned cache of k-ary (m-worker A3) per-worker
-/// assessments; the k-ary twin of [`ReportCache`].
-#[derive(Debug, Clone)]
-pub struct KaryReportCache {
-    inner: RowCache<KaryWorkerAssessment>,
-}
-
-impl KaryReportCache {
-    /// An empty cache (first refresh evaluates every anchor).
-    pub fn new() -> Self {
-        Self {
-            inner: RowCache::new(),
-        }
-    }
-
-    /// Cumulative hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats
-    }
-
-    /// Cache-consulting counterpart of
-    /// [`KaryMWorkerEstimator::evaluate_worker_streaming`].
-    pub fn assess(
-        &mut self,
-        estimator: &KaryMWorkerEstimator,
-        stream: &StreamingIndex,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<KaryWorkerAssessment> {
-        self.inner.assess(stream, worker, confidence, || {
-            estimator.evaluate_worker_streaming(stream, worker, confidence)
-        })
-    }
-
-    /// Cache-consulting counterpart of
-    /// [`KaryMWorkerEstimator::evaluate_workers_streaming`];
-    /// bit-identical report, `O(|dirty|)` evaluations.
-    pub fn refresh(
-        &mut self,
-        estimator: &KaryMWorkerEstimator,
-        stream: &StreamingIndex,
-        anchors: &[WorkerId],
-        confidence: f64,
-    ) -> Result<KaryWorkerReport> {
-        let m = crowd_data::OverlapSource::n_workers(stream);
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let mut report = KaryWorkerReport::default();
-        self.inner.refresh(
-            stream,
-            anchors,
-            confidence,
-            |worker| estimator.evaluate_worker_streaming(stream, worker, confidence),
-            |worker, outcome| match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            },
-        );
-        Ok(report)
-    }
-}
-
-impl Default for KaryReportCache {
+impl<E: Estimator> Default for ReportCache<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -329,12 +174,71 @@ impl Default for KaryReportCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EstimatorConfig;
-    use crowd_data::{OverlapSource, PairBackend, Response};
-    use crowd_sim::{BinaryScenario, rng};
+    use crate::{
+        EstimateError, EstimatorConfig, KaryMWorkerEstimator, MWorkerEstimator, WorkerReport,
+    };
+    use crowd_data::{PairBackend, Response, ResponseMatrix};
+    use crowd_sim::{BinaryScenario, KaryScenario, rng};
 
     fn assessments_equal(a: &WorkerReport, b: &WorkerReport) -> bool {
         a.assessments == b.assessments && a.failures == b.failures
+    }
+
+    /// Bit-level equality for either estimator's rows: `{:?}` prints
+    /// every float in its shortest round-trip form, so distinct bit
+    /// patterns print differently.
+    fn same_bits<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    /// The uncached subset evaluation the cache must reproduce.
+    fn uncached<E: Estimator>(
+        est: &E,
+        stream: &StreamingIndex,
+        anchors: &[WorkerId],
+        confidence: f64,
+    ) -> Report<E::Assessment> {
+        Report::evaluate(stream.n_workers(), anchors.iter().copied(), |w| {
+            est.evaluate_streamed(stream, w, confidence)
+        })
+        .unwrap()
+    }
+
+    fn estimator<E: Estimator>() -> E {
+        E::from_config(EstimatorConfig::default())
+    }
+
+    /// A fully streamed scenario for each estimator: binary responses
+    /// for A2, ternary `KaryScenario` responses for the k-ary A3
+    /// extension.
+    fn binary_stream(m: usize, n: usize, seed: u64) -> StreamingIndex {
+        StreamingIndex::from_matrix(
+            BinaryScenario::paper_default(m, n, 0.9)
+                .generate(&mut rng(seed))
+                .responses(),
+        )
+    }
+
+    fn kary_stream(m: usize, n: usize, seed: u64) -> StreamingIndex {
+        StreamingIndex::from_matrix(
+            KaryScenario::paper_default(3, n, 0.9)
+                .with_workers(m)
+                .generate(&mut rng(seed))
+                .responses(),
+        )
+    }
+
+    fn anchors_of(stream: &StreamingIndex) -> Vec<WorkerId> {
+        stream.index().workers().collect()
+    }
+
+    fn ingest(s: &mut StreamingIndex, w: u32, t: u32, l: u16) {
+        s.record_response(Response {
+            worker: WorkerId(w),
+            task: crowd_data::TaskId(t),
+            label: crowd_data::Label(l),
+        })
+        .unwrap();
     }
 
     /// Cached refresh equals the uncached subset evaluation bit for
@@ -368,12 +272,9 @@ mod tests {
 
     /// A quiet stretch makes the next drain free: zero dirty rows,
     /// all hits.
-    #[test]
-    fn quiet_drains_are_all_hits() {
-        let inst = BinaryScenario::paper_default(6, 60, 0.9).generate(&mut rng(821));
-        let stream = StreamingIndex::from_matrix(inst.responses());
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let anchors: Vec<WorkerId> = stream.index().workers().collect();
+    fn quiet_drains_are_all_hits_for<E: Estimator>(stream: StreamingIndex) {
+        let est: E = estimator();
+        let anchors = anchors_of(&stream);
         let mut cache = ReportCache::new();
         cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
         assert_eq!(cache.stats().last_dirty, anchors.len());
@@ -383,24 +284,22 @@ mod tests {
         assert_eq!(stats.hits, anchors.len() as u64);
     }
 
+    #[test]
+    fn quiet_drains_are_all_hits() {
+        quiet_drains_are_all_hits_for::<MWorkerEstimator>(binary_stream(6, 60, 821));
+        quiet_drains_are_all_hits_for::<KaryMWorkerEstimator>(kary_stream(6, 60, 822));
+    }
+
     /// A sparse ingest burst dirties only the responder's
     /// co-occurrence neighbourhood — the next refresh re-evaluates
     /// exactly that set and the result still matches full recompute.
-    #[test]
-    fn sparse_burst_reevaluates_only_the_dirty_set() {
+    fn sparse_burst_reevaluates_only_the_dirty_set_for<E: Estimator>(arity: u16) {
         // Two disjoint communities of 4 workers over disjoint tasks.
-        let mut stream = StreamingIndex::new_with(8, 40, 2, PairBackend::Sparse);
-        let ingest = |s: &mut StreamingIndex, w: u32, t: u32, l: u16| {
-            s.record_response(Response {
-                worker: WorkerId(w),
-                task: crowd_data::TaskId(t),
-                label: crowd_data::Label(l),
-            })
-            .unwrap();
-        };
+        let mut stream = StreamingIndex::new_with(8, 40, arity, PairBackend::Sparse);
+        let k = u32::from(arity);
         for t in 0..20u32 {
             for w in 0..4u32 {
-                ingest(&mut stream, w, t, ((w + t) % 2) as u16);
+                ingest(&mut stream, w, t, ((w + t) % k) as u16);
             }
         }
         for t in 20..40u32 {
@@ -408,10 +307,10 @@ mod tests {
                 if (w, t) == (6, 25) {
                     continue; // left for the post-drain burst below
                 }
-                ingest(&mut stream, w, t, ((w * t) % 2) as u16);
+                ingest(&mut stream, w, t, ((w * t) % k) as u16);
             }
         }
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
+        let est: E = estimator();
         let anchors: Vec<WorkerId> = (0..8u32).map(WorkerId).collect();
         let mut cache = ReportCache::new();
         cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
@@ -424,90 +323,99 @@ mod tests {
             4,
             "only the responder's community is dirty"
         );
-        let full = est.evaluate_workers_on(&stream, &anchors, 0.9).unwrap();
-        assert!(assessments_equal(&cached, &full));
+        assert!(same_bits(&cached, &uncached(&est, &stream, &anchors, 0.9)));
+    }
+
+    #[test]
+    fn sparse_burst_reevaluates_only_the_dirty_set() {
+        sparse_burst_reevaluates_only_the_dirty_set_for::<MWorkerEstimator>(2);
+        sparse_burst_reevaluates_only_the_dirty_set_for::<KaryMWorkerEstimator>(3);
     }
 
     /// Changing the confidence level invalidates wholesale — cached
     /// rows answer a different question and must not be served.
-    #[test]
-    fn confidence_change_forces_full_refresh() {
-        let inst = BinaryScenario::paper_default(5, 50, 0.9).generate(&mut rng(831));
-        let stream = StreamingIndex::from_matrix(inst.responses());
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let anchors: Vec<WorkerId> = stream.index().workers().collect();
+    fn confidence_change_forces_full_refresh_for<E: Estimator>(stream: StreamingIndex) {
+        let est: E = estimator();
+        let anchors = anchors_of(&stream);
         let mut cache = ReportCache::new();
         cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
         let at95 = cache.refresh(&est, &stream, &anchors, 0.95).unwrap();
         assert_eq!(cache.stats().full_refreshes, 1);
         assert_eq!(cache.stats().last_dirty, anchors.len());
-        let full = est.evaluate_workers_on(&stream, &anchors, 0.95).unwrap();
-        assert!(assessments_equal(&at95, &full));
+        assert!(same_bits(&at95, &uncached(&est, &stream, &anchors, 0.95)));
+    }
+
+    #[test]
+    fn confidence_change_forces_full_refresh() {
+        confidence_change_forces_full_refresh_for::<MWorkerEstimator>(binary_stream(5, 50, 831));
+        confidence_change_forces_full_refresh_for::<KaryMWorkerEstimator>(kary_stream(5, 80, 832));
     }
 
     /// Failure rows (e.g. NoUsableTriples) are cached and re-served
     /// like successes, and the population guard mirrors the uncached
     /// entry point.
-    #[test]
-    fn failures_cache_and_guards_mirror_uncached_path() {
-        let mut stream = StreamingIndex::new_with(4, 8, 2, PairBackend::Sparse);
+    fn failures_cache_and_guards_mirror_uncached_path_for<E: Estimator>(arity: u16) {
+        let mut stream = StreamingIndex::new_with(4, 8, arity, PairBackend::Sparse);
         for t in 0..8u32 {
-            stream
-                .record_response(Response {
-                    worker: WorkerId(t % 4),
-                    task: crowd_data::TaskId(t),
-                    label: crowd_data::Label((t % 2) as u16),
-                })
-                .unwrap();
+            ingest(&mut stream, t % 4, t, (t % u32::from(arity)) as u16);
         }
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
+        let est: E = estimator();
         let anchors: Vec<WorkerId> = (0..4u32).map(WorkerId).collect();
         let mut cache = ReportCache::new();
         let first = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
         assert_eq!(first.failures.len(), 4);
+        assert!(same_bits(&first, &uncached(&est, &stream, &anchors, 0.9)));
         let second = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
         assert_eq!(cache.stats().last_dirty, 0, "failures must cache too");
-        assert!(assessments_equal(&first, &second));
+        assert!(same_bits(&first, &second));
 
-        let tiny = StreamingIndex::new_with(2, 4, 2, PairBackend::Sparse);
-        assert_eq!(OverlapSource::n_workers(&tiny), 2);
+        let tiny = StreamingIndex::new_with(2, 4, arity, PairBackend::Sparse);
+        assert_eq!(tiny.n_workers(), 2);
         assert!(matches!(
             ReportCache::new().refresh(&est, &tiny, &[WorkerId(0)], 0.9),
             Err(EstimateError::NotEnoughWorkers { got: 2, need: 3 })
         ));
     }
 
-    /// Single-worker assess shares the same row store as refresh: an
-    /// assess after a refresh hits, and a refresh after a dirtying
-    /// ingest + assess does not re-evaluate the already-refreshed row.
     #[test]
-    fn assess_and_refresh_share_rows() {
-        let inst = BinaryScenario::paper_default(5, 60, 0.9).generate(&mut rng(841));
-        let stream = StreamingIndex::from_matrix(inst.responses());
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let anchors: Vec<WorkerId> = stream.index().workers().collect();
+    fn failures_cache_and_guards_mirror_uncached_path() {
+        failures_cache_and_guards_mirror_uncached_path_for::<MWorkerEstimator>(2);
+        failures_cache_and_guards_mirror_uncached_path_for::<KaryMWorkerEstimator>(3);
+    }
+
+    /// Single-worker assess shares the same row store as refresh: an
+    /// assess after a refresh hits, and returns the same bits as an
+    /// uncached evaluation.
+    fn assess_and_refresh_share_rows_for<E: Estimator>(stream: StreamingIndex) {
+        let est: E = estimator();
+        let anchors = anchors_of(&stream);
         let mut cache = ReportCache::new();
         cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
         let misses_before = cache.stats().misses;
-        let a = cache.assess(&est, &stream, WorkerId(2), 0.9).unwrap();
+        let a = cache.assess(&est, &stream, WorkerId(2), 0.9);
         assert_eq!(cache.stats().misses, misses_before, "assess must hit");
-        let direct = est.evaluate_worker_on(&stream, WorkerId(2), 0.9).unwrap();
-        assert_eq!(a, direct);
+        let direct = est.evaluate_streamed(&stream, WorkerId(2), 0.9);
+        assert!(same_bits(&a, &direct));
+    }
+
+    #[test]
+    fn assess_and_refresh_share_rows() {
+        assess_and_refresh_share_rows_for::<MWorkerEstimator>(binary_stream(5, 60, 841));
+        assess_and_refresh_share_rows_for::<KaryMWorkerEstimator>(kary_stream(5, 80, 842));
     }
 
     /// The k-ary cache obeys the same contract.
     #[test]
     fn kary_cache_matches_full_recompute() {
-        use crowd_sim::KaryScenario;
         let inst = KaryScenario::paper_default(3, 80, 0.9)
             .with_workers(6)
             .generate(&mut rng(851));
-        let data = inst.responses();
+        let data: &ResponseMatrix = inst.responses();
         let est = KaryMWorkerEstimator::new(EstimatorConfig::default());
         let mut stream =
             StreamingIndex::new_with(data.n_workers(), data.n_tasks(), 3, PairBackend::Sparse);
         let anchors: Vec<WorkerId> = (0..data.n_workers() as u32).map(WorkerId).collect();
-        let mut cache = KaryReportCache::new();
+        let mut cache = ReportCache::new();
         for (i, r) in data.iter().enumerate() {
             stream.record_response(r).unwrap();
             if i % 53 == 0 || i + 1 == data.n_responses() {

@@ -1,12 +1,14 @@
-//! Assessment reports and interval-accuracy evaluation.
+//! Assessment reports, the [`Estimator`] seam the streaming layers are
+//! written against once for both estimators, and interval-accuracy
+//! evaluation.
 //!
 //! The paper scores its intervals by **interval accuracy**: over many
 //! evaluations, the fraction of c-confidence intervals containing the
 //! true value, which should track `c` (the diagonal of Figures 2a, 3,
 //! 4, 5a, 5c). [`CoverageStats`] accumulates exactly that.
 
-use crate::EstimateError;
-use crowd_data::WorkerId;
+use crate::{EstimateError, EstimatorConfig, Result};
+use crowd_data::{StreamingIndex, WorkerId};
 use crowd_stats::ConfidenceInterval;
 
 /// The outcome of evaluating one worker.
@@ -24,26 +26,97 @@ pub struct WorkerAssessment {
     pub weights_fell_back: bool,
 }
 
-/// The outcome of evaluating every worker in a dataset.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerReport {
+/// A per-worker assessment row that knows which worker it assesses —
+/// what report merging sorts by.
+pub trait WorkerRow: Clone + std::fmt::Debug + Send + 'static {
+    /// The assessed worker.
+    fn worker(&self) -> WorkerId;
+}
+
+impl WorkerRow for WorkerAssessment {
+    fn worker(&self) -> WorkerId {
+        self.worker
+    }
+}
+
+/// An estimator that evaluates one worker at a time on a maintained
+/// [`StreamingIndex`]: the seam the report cache, the streaming
+/// evaluator and the shard runtime are written against once, for the
+/// binary ([`crate::MWorkerEstimator`]) and k-ary
+/// ([`crate::KaryMWorkerEstimator`]) estimators alike.
+pub trait Estimator {
+    /// One worker's assessment.
+    type Assessment: WorkerRow;
+
+    /// An estimator with the given configuration.
+    fn from_config(config: EstimatorConfig) -> Self;
+
+    /// Evaluates `worker` on the data `stream` holds; bit-identical to
+    /// the batch estimator's row on the same data.
+    fn evaluate_streamed(
+        &self,
+        stream: &StreamingIndex,
+        worker: WorkerId,
+        confidence: f64,
+    ) -> Result<Self::Assessment>;
+}
+
+/// The outcome of evaluating a set of workers: assessments of type `A`
+/// plus the workers that could not be evaluated.
+#[derive(Debug, Clone)]
+pub struct Report<A> {
     /// Successful assessments, in worker order.
-    pub assessments: Vec<WorkerAssessment>,
+    pub assessments: Vec<A>,
     /// Workers that could not be evaluated, with the reason.
     pub failures: Vec<(WorkerId, EstimateError)>,
 }
 
-impl WorkerReport {
-    /// Iterates `(worker, interval)` over successful assessments.
-    pub fn iter(&self) -> impl Iterator<Item = (WorkerId, &ConfidenceInterval)> {
-        self.assessments.iter().map(|a| (a.worker, &a.interval))
+/// Binary (Algorithm A2) per-worker outcomes.
+pub type WorkerReport = Report<WorkerAssessment>;
+
+impl<A> Default for Report<A> {
+    fn default() -> Self {
+        Self {
+            assessments: Vec::new(),
+            failures: Vec::new(),
+        }
+    }
+}
+
+impl<A> Report<A> {
+    /// Files one worker's outcome: an assessment, or a failure with
+    /// its reason.
+    pub fn push(&mut self, worker: WorkerId, outcome: Result<A>) {
+        match outcome {
+            Ok(a) => self.assessments.push(a),
+            Err(e) => self.failures.push((worker, e)),
+        }
     }
 
-    /// Looks up one worker's assessment.
-    pub fn get(&self, worker: WorkerId) -> Option<&WorkerAssessment> {
-        self.assessments.iter().find(|a| a.worker == worker)
+    /// Evaluates `workers` in order with `eval` into one report
+    /// (assessments and failures in `workers` order) — the body of
+    /// every evaluate-a-set entry point. A population of fewer than 3
+    /// workers (`n_workers`) is an error, not a report.
+    pub(crate) fn evaluate(
+        n_workers: usize,
+        workers: impl IntoIterator<Item = WorkerId>,
+        mut eval: impl FnMut(WorkerId) -> Result<A>,
+    ) -> Result<Self> {
+        if n_workers < 3 {
+            return Err(EstimateError::NotEnoughWorkers {
+                got: n_workers,
+                need: 3,
+            });
+        }
+        let mut report = Self::default();
+        for worker in workers {
+            report.push(worker, eval(worker));
+        }
+        Ok(report)
     }
+}
 
+impl<A: WorkerRow> Report<A> {
     /// Recombines partial reports — each covering a disjoint subset of
     /// the fleet — into one fleet report in canonical (worker-id)
     /// order: the merge hook of the sharded pipeline
@@ -57,15 +130,27 @@ impl WorkerReport {
     /// failures in worker order. The sort is stable, so duplicate
     /// coverage (a contract violation) degrades to deterministic
     /// output rather than nondeterminism.
-    pub fn merge(parts: impl IntoIterator<Item = WorkerReport>) -> WorkerReport {
-        let mut merged = WorkerReport::default();
+    pub fn merge(parts: impl IntoIterator<Item = Self>) -> Self {
+        let mut merged = Self::default();
         for part in parts {
             merged.assessments.extend(part.assessments);
             merged.failures.extend(part.failures);
         }
-        merged.assessments.sort_by_key(|a| a.worker);
+        merged.assessments.sort_by_key(A::worker);
         merged.failures.sort_by_key(|f| f.0);
         merged
+    }
+}
+
+impl WorkerReport {
+    /// Iterates `(worker, interval)` over successful assessments.
+    pub fn iter(&self) -> impl Iterator<Item = (WorkerId, &ConfidenceInterval)> {
+        self.assessments.iter().map(|a| (a.worker, &a.interval))
+    }
+
+    /// Looks up one worker's assessment.
+    pub fn get(&self, worker: WorkerId) -> Option<&WorkerAssessment> {
+        self.assessments.iter().find(|a| a.worker == worker)
     }
 
     /// Mean interval size over successful assessments (the y-axis of

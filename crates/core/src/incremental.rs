@@ -7,9 +7,10 @@
 //! same [`crowd_data::OverlapIndex`] substrate the batch path uses,
 //! not a private shadow copy of the data.
 //!
-//! [`IncrementalEvaluator`] (binary, Algorithm A2) and
-//! [`KaryIncrementalEvaluator`] (k-ary, the m-worker A3 extension)
-//! each hold one long-lived [`StreamingIndex`]: the overlap index plus
+//! [`StreamingEvaluator`] holds one long-lived [`StreamingIndex`] and
+//! one [`Estimator`] — [`IncrementalEvaluator`] for binary tasks
+//! (Algorithm A2), [`KaryIncrementalEvaluator`] for k-ary tasks (the
+//! m-worker A3 extension). The substrate is the overlap index plus
 //! maintained, **peer-scoped** per-worker anchored bitset views — each
 //! view holds a mask row only for the ≤ 2l peers the last evaluation's
 //! pairing selected (`O(m·l·n̄/64)` resident across the fleet, not
@@ -27,8 +28,10 @@
 //!
 //! so that evaluating any worker at any moment costs **only triple
 //! formation and covariance assembly**: pairing reads the O(1) pair
-//! table and the Lemma 4 / `n₅` cross-triple counts are popcounts on
-//! the maintained views. Nothing is rescanned and no index is rebuilt.
+//! table, the Lemma 4 / `n₅` cross-triple counts are popcounts on the
+//! maintained views, and k-ary counts tensors are union merges of the
+//! maintained adjacency rows. Nothing is rescanned and no index is
+//! rebuilt.
 //!
 //! # Equivalence guarantee
 //!
@@ -37,21 +40,17 @@
 //! observation-equivalent between the streamed substrate and a fresh
 //! batch build on the accumulated data, for *every* ingest order.
 //! Evaluations are therefore **bit-identical** to the batch
-//! [`MWorkerEstimator`] / [`crate::KaryMWorkerEstimator`] at every
-//! stream prefix; `tests/streaming_equivalence.rs` and the
-//! differential property tests in `crates/data/tests/proptests.rs`
-//! enforce this.
+//! [`MWorkerEstimator`] / [`KaryMWorkerEstimator`] at every stream
+//! prefix; `tests/streaming_equivalence.rs` and the differential
+//! property tests in `crates/data/tests/proptests.rs` enforce this.
 
-use crate::cached::{CacheStats, KaryReportCache, ReportCache};
+use crate::cached::{CacheStats, ReportCache};
 use crate::kary::KaryMWorkerEstimator;
-use crate::{
-    EstimatorConfig, KaryWorkerAssessment, KaryWorkerReport, MWorkerEstimator, Result,
-    WorkerAssessment, WorkerReport,
-};
-use crowd_data::{OverlapIndex, Response, ResponseMatrix, StreamingIndex, WorkerId};
+use crate::{Estimator, EstimatorConfig, MWorkerEstimator, Report, Result};
+use crowd_data::{OverlapIndex, OverlapSource, Response, ResponseMatrix, StreamingIndex, WorkerId};
 
 /// Streaming evaluator maintaining the indexed substrate response by
-/// response (binary tasks, Algorithm A2).
+/// response, for any [`Estimator`]; see the [module docs](self).
 ///
 /// # Example
 ///
@@ -71,32 +70,58 @@ use crowd_data::{OverlapIndex, Response, ResponseMatrix, StreamingIndex, WorkerI
 /// # Ok::<(), crowd_data::DataError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct IncrementalEvaluator {
+pub struct StreamingEvaluator<E: Estimator> {
     stream: StreamingIndex,
-    estimator: MWorkerEstimator,
+    estimator: E,
     /// Epoch-versioned per-anchor rows backing
-    /// [`IncrementalEvaluator::evaluate_all_cached`]; unused (zero
-    /// cost) by the uncached entry points.
-    cache: ReportCache,
+    /// [`StreamingEvaluator::evaluate_all_cached`]; unused (zero cost)
+    /// by the uncached entry points.
+    cache: ReportCache<E>,
 }
 
-impl IncrementalEvaluator {
+/// The binary (Algorithm A2) streaming evaluator.
+pub type IncrementalEvaluator = StreamingEvaluator<MWorkerEstimator>;
+
+/// The k-ary (m-worker A3 extension) streaming evaluator; outputs are
+/// bit-identical to [`KaryMWorkerEstimator::evaluate_all`] on the
+/// accumulated data.
+///
+/// # Example
+///
+/// ```
+/// use crowd_core::{EstimatorConfig, KaryIncrementalEvaluator};
+/// use crowd_sim::KaryScenario;
+///
+/// let instance = KaryScenario::paper_default(3, 200, 0.9)
+///     .with_workers(5)
+///     .generate(&mut crowd_sim::rng(7));
+/// let mut monitor = KaryIncrementalEvaluator::new(5, 200, 3, EstimatorConfig::default());
+/// for response in instance.responses().iter() {
+///     monitor.ingest(response)?;
+/// }
+/// let report = monitor.evaluate_all(0.9).unwrap();
+/// assert_eq!(report.assessments.len() + report.failures.len(), 5);
+/// # Ok::<(), crowd_data::DataError>(())
+/// ```
+pub type KaryIncrementalEvaluator = StreamingEvaluator<KaryMWorkerEstimator>;
+
+impl<E: Estimator> StreamingEvaluator<E> {
     /// Creates an empty evaluator for `n_workers × n_tasks` responses
     /// of the given arity.
     pub fn new(n_workers: usize, n_tasks: usize, arity: u16, config: EstimatorConfig) -> Self {
-        Self {
-            stream: StreamingIndex::new(n_workers, n_tasks, arity),
-            estimator: MWorkerEstimator::new(config),
-            cache: ReportCache::new(),
-        }
+        Self::over(StreamingIndex::new(n_workers, n_tasks, arity), config)
     }
 
     /// Seeds the evaluator from an existing response matrix (one batch
     /// index build), after which further responses stream in.
     pub fn from_matrix(data: &ResponseMatrix, config: EstimatorConfig) -> Self {
+        Self::over(StreamingIndex::from_matrix(data), config)
+    }
+
+    fn over(stream: StreamingIndex, config: EstimatorConfig) -> Self {
         Self {
-            stream: StreamingIndex::from_matrix(data),
-            estimator: MWorkerEstimator::new(config),
+            stream,
+            estimator: E::from_config(config),
             cache: ReportCache::new(),
         }
     }
@@ -135,143 +160,31 @@ impl IncrementalEvaluator {
 
     /// Evaluates one worker on the data seen so far; bit-identical to
     /// the batch estimator on the accumulated data.
-    pub fn evaluate_worker(&self, worker: WorkerId, confidence: f64) -> Result<WorkerAssessment> {
+    pub fn evaluate_worker(&self, worker: WorkerId, confidence: f64) -> Result<E::Assessment> {
         self.estimator
-            .evaluate_worker_on(&self.stream, worker, confidence)
+            .evaluate_streamed(&self.stream, worker, confidence)
     }
 
     /// Evaluates every worker on the data seen so far.
-    pub fn evaluate_all(&self, confidence: f64) -> Result<WorkerReport> {
-        let workers: Vec<WorkerId> = self.stream.index().workers().collect();
-        self.estimator
-            .evaluate_workers_on(&self.stream, &workers, confidence)
+    pub fn evaluate_all(&self, confidence: f64) -> Result<Report<E::Assessment>> {
+        Report::evaluate(self.stream.n_workers(), self.index().workers(), |w| {
+            self.evaluate_worker(w, confidence)
+        })
     }
 
-    /// [`IncrementalEvaluator::evaluate_all`] through the
+    /// [`StreamingEvaluator::evaluate_all`] through the
     /// epoch-versioned report cache: only workers whose assessment
     /// inputs changed since their cached rows are re-evaluated, the
     /// rest are cloned — bit-identical output, `O(|dirty|)`
     /// evaluations per call (see [`crate::cached`]).
-    pub fn evaluate_all_cached(&mut self, confidence: f64) -> Result<WorkerReport> {
+    pub fn evaluate_all_cached(&mut self, confidence: f64) -> Result<Report<E::Assessment>> {
         let workers: Vec<WorkerId> = self.stream.index().workers().collect();
         self.cache
             .refresh(&self.estimator, &self.stream, &workers, confidence)
     }
 
     /// Hit/miss counters of the report cache behind
-    /// [`IncrementalEvaluator::evaluate_all_cached`].
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-}
-
-/// Streaming evaluator for k-ary tasks: the m-worker Algorithm A3
-/// extension over the same maintained [`StreamingIndex`] substrate.
-///
-/// Counts tensors are harvested by union merges of the maintained
-/// adjacency rows and the `n₅` cross-triple counts are popcounts on
-/// the maintained anchored views, so — exactly like the binary
-/// evaluator — re-assessment after an ingest pays for triple pipelines
-/// and covariance assembly only. Outputs are bit-identical to
-/// [`KaryMWorkerEstimator::evaluate_all`] on the accumulated data.
-///
-/// # Example
-///
-/// ```
-/// use crowd_core::{EstimatorConfig, KaryIncrementalEvaluator};
-/// use crowd_sim::KaryScenario;
-///
-/// let instance = KaryScenario::paper_default(3, 200, 0.9)
-///     .with_workers(5)
-///     .generate(&mut crowd_sim::rng(7));
-/// let mut monitor = KaryIncrementalEvaluator::new(5, 200, 3, EstimatorConfig::default());
-/// for response in instance.responses().iter() {
-///     monitor.ingest(response)?;
-/// }
-/// let report = monitor.evaluate_all(0.9).unwrap();
-/// assert_eq!(report.assessments.len() + report.failures.len(), 5);
-/// # Ok::<(), crowd_data::DataError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct KaryIncrementalEvaluator {
-    stream: StreamingIndex,
-    estimator: KaryMWorkerEstimator,
-    /// See [`IncrementalEvaluator`]'s cache field.
-    cache: KaryReportCache,
-}
-
-impl KaryIncrementalEvaluator {
-    /// Creates an empty evaluator for `n_workers × n_tasks` responses
-    /// of the given arity.
-    pub fn new(n_workers: usize, n_tasks: usize, arity: u16, config: EstimatorConfig) -> Self {
-        Self {
-            stream: StreamingIndex::new(n_workers, n_tasks, arity),
-            estimator: KaryMWorkerEstimator::new(config),
-            cache: KaryReportCache::new(),
-        }
-    }
-
-    /// Seeds the evaluator from an existing response matrix.
-    pub fn from_matrix(data: &ResponseMatrix, config: EstimatorConfig) -> Self {
-        Self {
-            stream: StreamingIndex::from_matrix(data),
-            estimator: KaryMWorkerEstimator::new(config),
-            cache: KaryReportCache::new(),
-        }
-    }
-
-    /// Ingests one response; validation and costs as in
-    /// [`IncrementalEvaluator::ingest`].
-    pub fn ingest(&mut self, response: Response) -> crowd_data::Result<()> {
-        self.stream.record_response(response)
-    }
-
-    /// The maintained overlap index.
-    pub fn index(&self) -> &OverlapIndex {
-        self.stream.index()
-    }
-
-    /// Total responses ingested.
-    pub fn n_responses(&self) -> usize {
-        self.stream.n_responses()
-    }
-
-    /// Bytes resident across the maintained anchored mask matrices;
-    /// see [`IncrementalEvaluator::view_mask_bytes`].
-    pub fn view_mask_bytes(&self) -> usize {
-        self.stream.view_mask_bytes()
-    }
-
-    /// Evaluates one worker's k×k response-probability matrix on the
-    /// data seen so far; bit-identical to the batch
-    /// [`KaryMWorkerEstimator`] on the accumulated data.
-    pub fn evaluate_worker(
-        &self,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<KaryWorkerAssessment> {
-        self.estimator
-            .evaluate_worker_streaming(&self.stream, worker, confidence)
-    }
-
-    /// Evaluates every worker on the data seen so far.
-    pub fn evaluate_all(&self, confidence: f64) -> Result<KaryWorkerReport> {
-        let workers: Vec<WorkerId> = self.stream.index().workers().collect();
-        self.estimator
-            .evaluate_workers_streaming(&self.stream, &workers, confidence)
-    }
-
-    /// [`KaryIncrementalEvaluator::evaluate_all`] through the
-    /// epoch-versioned report cache; see
-    /// [`IncrementalEvaluator::evaluate_all_cached`].
-    pub fn evaluate_all_cached(&mut self, confidence: f64) -> Result<KaryWorkerReport> {
-        let workers: Vec<WorkerId> = self.stream.index().workers().collect();
-        self.cache
-            .refresh(&self.estimator, &self.stream, &workers, confidence)
-    }
-
-    /// Hit/miss counters of the report cache behind
-    /// [`KaryIncrementalEvaluator::evaluate_all_cached`].
+    /// [`StreamingEvaluator::evaluate_all_cached`].
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }

@@ -65,7 +65,7 @@
 
 use crate::kary::estimator::{TripleDetail, triple_detail};
 use crate::pairing::form_pairs_limited;
-use crate::{CoverageStats, EstimateError, EstimatorConfig, Result};
+use crate::{CoverageStats, EstimateError, Estimator, EstimatorConfig, Report, Result, WorkerRow};
 use crowd_data::{
     AnchoredOverlap, AnchoredScratch, CountsTensor, OverlapIndex, OverlapSource, PeerGramScratch,
     ResponseMatrix, StreamingIndex, TriplePairGram, WorkerId,
@@ -169,15 +169,15 @@ impl KaryWorkerAssessment {
     }
 }
 
+impl WorkerRow for KaryWorkerAssessment {
+    fn worker(&self) -> WorkerId {
+        self.worker
+    }
+}
+
 /// Per-worker outcomes of an [`KaryMWorkerEstimator::evaluate_all`]
 /// run; sparse data routinely leaves a few workers unevaluable.
-#[derive(Debug, Clone, Default)]
-pub struct KaryWorkerReport {
-    /// Workers successfully evaluated.
-    pub assessments: Vec<KaryWorkerAssessment>,
-    /// Workers that could not be evaluated, with the reason.
-    pub failures: Vec<(WorkerId, EstimateError)>,
-}
+pub type KaryWorkerReport = Report<KaryWorkerAssessment>;
 
 impl KaryWorkerReport {
     /// Mean interval size over every assessed entry.
@@ -200,22 +200,6 @@ impl KaryWorkerReport {
             }
         }
         stats
-    }
-
-    /// Recombines disjoint partial reports into one fleet report in
-    /// canonical worker order — the k-ary twin of
-    /// [`crate::WorkerReport::merge`]: rows are kept verbatim and only
-    /// reordered (stable sort), so merged shard output is bit-identical
-    /// to a single-process `evaluate_all`.
-    pub fn merge(parts: impl IntoIterator<Item = KaryWorkerReport>) -> KaryWorkerReport {
-        let mut merged = KaryWorkerReport::default();
-        for part in parts {
-            merged.assessments.extend(part.assessments);
-            merged.failures.extend(part.failures);
-        }
-        merged.assessments.sort_by_key(|a| a.worker);
-        merged.failures.sort_by_key(|f| f.0);
-        merged
     }
 }
 
@@ -353,25 +337,18 @@ impl KaryMWorkerEstimator {
     /// of workers, collecting per-worker outcomes into one
     /// [`KaryWorkerReport`] (assessments and failures in `workers`
     /// order); per-shard reports recombined with
-    /// [`KaryWorkerReport::merge`] equal a serial full-fleet pass.
+    /// [`Report::merge`] equal a serial full-fleet pass.
     pub fn evaluate_workers_streaming(
         &self,
         stream: &StreamingIndex,
         workers: &[WorkerId],
         confidence: f64,
     ) -> Result<KaryWorkerReport> {
-        let m = OverlapSource::n_workers(stream);
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let mut report = KaryWorkerReport::default();
-        for &worker in workers {
-            match self.evaluate_worker_streaming(stream, worker, confidence) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
+        Report::evaluate(
+            OverlapSource::n_workers(stream),
+            workers.iter().copied(),
+            |w| self.evaluate_worker_streaming(stream, w, confidence),
+        )
     }
 
     /// The evaluation body behind every entry point: pairing, the
@@ -597,21 +574,27 @@ impl KaryMWorkerEstimator {
         index: &OverlapIndex,
         confidence: f64,
     ) -> Result<KaryWorkerReport> {
-        if index.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: index.n_workers(),
-                need: 3,
-            });
-        }
         let mut scratch = KaryEvalScratch::default();
-        let mut report = KaryWorkerReport::default();
-        for worker in index.workers() {
-            match self.evaluate_worker_indexed_scratch(index, worker, confidence, &mut scratch) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
+        Report::evaluate(index.n_workers(), index.workers(), |w| {
+            self.evaluate_worker_indexed_scratch(index, w, confidence, &mut scratch)
+        })
+    }
+}
+
+impl Estimator for KaryMWorkerEstimator {
+    type Assessment = KaryWorkerAssessment;
+
+    fn from_config(config: EstimatorConfig) -> Self {
+        Self::new(config)
+    }
+
+    fn evaluate_streamed(
+        &self,
+        stream: &StreamingIndex,
+        worker: WorkerId,
+        confidence: f64,
+    ) -> Result<KaryWorkerAssessment> {
+        self.evaluate_worker_streaming(stream, worker, confidence)
     }
 }
 

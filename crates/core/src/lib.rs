@@ -48,11 +48,11 @@ pub mod preprocess;
 pub mod three_worker;
 
 pub use aggregation::{AggregatedAnswer, AnswerAggregator, MapAggregator, WeightingRule};
-pub use cached::{CacheStats, KaryReportCache, ReportCache};
+pub use cached::{CacheStats, ReportCache};
 pub use config::{DegeneracyPolicy, EstimatorConfig};
 pub use error::{EstimateError, Result};
-pub use evaluation::{CoverageStats, WorkerAssessment, WorkerReport};
-pub use incremental::{IncrementalEvaluator, KaryIncrementalEvaluator};
+pub use evaluation::{CoverageStats, Estimator, Report, WorkerAssessment, WorkerReport, WorkerRow};
+pub use incremental::{IncrementalEvaluator, KaryIncrementalEvaluator, StreamingEvaluator};
 pub use kary::{
     KaryAssessment, KaryEstimator, KaryMWorkerEstimator, KaryWorkerAssessment, KaryWorkerReport,
     ProbEstimate,

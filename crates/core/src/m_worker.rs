@@ -28,10 +28,12 @@
 //! being silently mis-estimated.
 
 use crate::three_worker::{ThreeWorkerEstimator, TripleEstimate};
-use crate::{EstimateError, EstimatorConfig, Result, WorkerAssessment, WorkerReport};
+use crate::{
+    EstimateError, Estimator, EstimatorConfig, Report, Result, WorkerAssessment, WorkerReport,
+};
 use crowd_data::{
     AnchoredOverlap, AnchoredScratch, OverlapIndex, OverlapSource, PeerGram, PeerGramScratch,
-    ResponseMatrix, WorkerId,
+    ResponseMatrix, StreamingIndex, WorkerId,
 };
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, min_variance_weights};
@@ -139,20 +141,9 @@ impl MWorkerEstimator {
         workers: &[WorkerId],
         confidence: f64,
     ) -> Result<WorkerReport> {
-        if src.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: src.n_workers(),
-                need: 3,
-            });
-        }
-        let mut report = WorkerReport::default();
-        for &worker in workers {
-            match self.evaluate_worker_on(src, worker, confidence) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
+        Report::evaluate(src.n_workers(), workers.iter().copied(), |w| {
+            self.evaluate_worker_on(src, w, confidence)
+        })
     }
 
     /// [`MWorkerEstimator::evaluate_worker_on`] against an
@@ -306,21 +297,10 @@ impl MWorkerEstimator {
         index: &OverlapIndex,
         confidence: f64,
     ) -> Result<WorkerReport> {
-        if index.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: index.n_workers(),
-                need: 3,
-            });
-        }
         let mut scratch = EvalScratch::default();
-        let mut report = WorkerReport::default();
-        for worker in index.workers() {
-            match self.evaluate_worker_indexed_scratch(index, worker, confidence, &mut scratch) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
+        Report::evaluate(index.n_workers(), index.workers(), |w| {
+            self.evaluate_worker_indexed_scratch(index, w, confidence, &mut scratch)
+        })
     }
 
     /// Lemma 4: the l×l covariance matrix of the per-triple estimates
@@ -405,6 +385,23 @@ impl MWorkerEstimator {
             }
         }
         cov
+    }
+}
+
+impl Estimator for MWorkerEstimator {
+    type Assessment = WorkerAssessment;
+
+    fn from_config(config: EstimatorConfig) -> Self {
+        Self::new(config)
+    }
+
+    fn evaluate_streamed(
+        &self,
+        stream: &StreamingIndex,
+        worker: WorkerId,
+        confidence: f64,
+    ) -> Result<WorkerAssessment> {
+        self.evaluate_worker_on(stream, worker, confidence)
     }
 }
 

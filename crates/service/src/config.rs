@@ -7,7 +7,7 @@ use crowd_core::EstimatorConfig;
 
 use crate::fault::FaultPlan;
 
-/// What [`crate::AssessmentService::ingest_batch`] does when a shard's
+/// What [`crate::ServiceHandle::ingest_batch`] does when a shard's
 /// bounded queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
@@ -26,7 +26,11 @@ pub enum BackpressurePolicy {
     Reject,
 }
 
-/// Tuning knobs for [`crate::AssessmentService::spawn`].
+/// Tuning knobs for [`crate::AssessmentService::spawn`]. None of them
+/// changes a report: every assessment request is answered through the
+/// shard's epoch-versioned report cache (`crowd_core::cached`), which
+/// is bit-identical to full recomputation, so there is no uncached
+/// mode to select.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bounded capacity of each shard's message queue, in messages
@@ -37,14 +41,6 @@ pub struct ServiceConfig {
     pub policy: BackpressurePolicy,
     /// Estimator configuration used by every shard.
     pub estimator: EstimatorConfig,
-    /// Whether shards answer assessment requests through the
-    /// epoch-versioned report caches (`crowd_core::cached`):
-    /// drain-point snapshots re-evaluate only anchors dirtied since
-    /// their cached rows — bit-identical reports, `O(|dirty|)`
-    /// evaluations instead of `O(anchors)`. On by default; turn off
-    /// to force full recomputation per request (the baseline the
-    /// incremental-equivalence tests compare against).
-    pub incremental: bool,
     /// Whether the fleet records stage timings (queue-wait,
     /// batch-apply, drain-eval histograms) and flight-recorder events
     /// (see [`crate::ServiceMetrics`]). Instrumentation never touches
@@ -89,7 +85,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             policy: BackpressurePolicy::Block,
             estimator: EstimatorConfig::default(),
-            incremental: true,
             metrics: true,
             slow_op_threshold: Duration::from_millis(100),
             journal_capacity: 256,
@@ -116,12 +111,6 @@ impl ServiceConfig {
     /// Sets the estimator configuration.
     pub fn with_estimator(mut self, estimator: EstimatorConfig) -> Self {
         self.estimator = estimator;
-        self
-    }
-
-    /// Enables or disables epoch-versioned incremental assessment.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
         self
     }
 

@@ -1,6 +1,7 @@
 //! The thread-per-shard runtime; see the [crate docs](crate) for the
 //! architecture and guarantees.
 
+use std::ops::Deref;
 use std::panic::{AssertUnwindSafe, catch_unwind, resume_unwind};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError, channel, sync_channel};
@@ -9,12 +10,12 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crowd_core::{
-    EstimatorConfig, KaryMWorkerEstimator, KaryReportCache, KaryWorkerAssessment, KaryWorkerReport,
-    MWorkerEstimator, ReportCache, WorkerAssessment, WorkerReport,
+    Estimator, EstimatorConfig, KaryMWorkerEstimator, KaryWorkerAssessment, KaryWorkerReport,
+    MWorkerEstimator, Report, ReportCache, WorkerAssessment, WorkerReport,
 };
 use crowd_data::{DataError, PairBackend, Response, StreamingIndex, WorkerId};
 use crowd_obs::{EventJournal, EventKind};
-use crowd_shard::{ShardPlan, merge_kary_reports, merge_reports};
+use crowd_shard::{ShardPlan, merge_reports};
 
 use crate::config::{BackpressurePolicy, ServiceConfig};
 use crate::error::ServiceError;
@@ -63,28 +64,10 @@ impl QueueDepth {
 enum ShardMsg {
     /// A contiguous group of responses subscribed to this shard.
     Ingest(Vec<Response>),
-    /// Evaluate one worker (binary, Algorithm A2).
-    AssessWorker {
-        worker: WorkerId,
-        confidence: f64,
-        reply: Sender<Result<WorkerAssessment, ServiceError>>,
-    },
-    /// Evaluate one worker (k-ary, the m-worker A3 extension).
-    AssessWorkerKary {
-        worker: WorkerId,
-        confidence: f64,
-        reply: Sender<Result<KaryWorkerAssessment, ServiceError>>,
-    },
-    /// Evaluate all of this shard's anchors (binary).
-    AssessAnchors {
-        confidence: f64,
-        reply: Sender<Result<WorkerReport, ServiceError>>,
-    },
-    /// Evaluate all of this shard's anchors (k-ary).
-    AssessAnchorsKary {
-        confidence: f64,
-        reply: Sender<Result<KaryWorkerReport, ServiceError>>,
-    },
+    /// Evaluate one worker or all of this shard's anchors, through
+    /// the report cache of one estimator's lane; the job picks its
+    /// lane and sends its own reply (see [`ServiceHandle::request`]).
+    Assess(AssessJob),
     /// Report the shard's counters.
     Stats { reply: Sender<ShardStats> },
     /// FIFO barrier: reply once everything enqueued earlier has been
@@ -100,28 +83,64 @@ enum ShardMsg {
     Panic,
 }
 
+/// An evaluation bound for one shard: given the shard's lanes, its
+/// substrate and its anchors, it evaluates and replies.
+type AssessJob = Box<dyn FnOnce(&mut Lanes, &StreamingIndex, &[WorkerId]) + Send>;
+
+/// The receiving end of one shard's reply to an [`AssessJob`].
+type Reply<T> = Receiver<Result<T, ServiceError>>;
+
+/// One estimator's shard-resident state: the estimator and its
+/// epoch-versioned report cache, keyed to the shard's `stream` —
+/// drain-point snapshots re-evaluate only anchors dirtied since their
+/// cached rows, bit-identically (see `crowd_core::cached`).
+struct Lane<E: Estimator> {
+    estimator: E,
+    cache: ReportCache<E>,
+}
+
+impl<E: Estimator> Lane<E> {
+    fn new(config: &EstimatorConfig) -> Self {
+        Self {
+            estimator: E::from_config(config.clone()),
+            cache: ReportCache::new(),
+        }
+    }
+}
+
+/// A shard's lanes, one per estimator the service serves.
+struct Lanes {
+    binary: Lane<MWorkerEstimator>,
+    kary: Lane<KaryMWorkerEstimator>,
+}
+
+/// An estimator the shard runtime serves: it knows its lane.
+trait Served: Estimator + Sized + 'static {
+    fn lane(lanes: &mut Lanes) -> &mut Lane<Self>;
+}
+
+impl Served for MWorkerEstimator {
+    fn lane(lanes: &mut Lanes) -> &mut Lane<Self> {
+        &mut lanes.binary
+    }
+}
+
+impl Served for KaryMWorkerEstimator {
+    fn lane(lanes: &mut Lanes) -> &mut Lane<Self> {
+        &mut lanes.kary
+    }
+}
+
 /// The state one shard thread owns.
 struct ShardWorker {
     stream: StreamingIndex,
-    binary: MWorkerEstimator,
-    kary: KaryMWorkerEstimator,
+    lanes: Lanes,
     anchors: Vec<WorkerId>,
     /// `is_home[w]`: this shard evaluates `w`, so it is the one shard
     /// that counts `w`'s rejected responses (exact fleet totals).
     is_home: Vec<bool>,
     depth: Arc<QueueDepth>,
     stats: ShardStats,
-    /// Whether assessment requests go through the epoch-versioned
-    /// report caches below ([`ServiceConfig::incremental`]); off means
-    /// every request recomputes from scratch.
-    incremental: bool,
-    /// Epoch-versioned rows of the last binary assessments, keyed to
-    /// this shard's `stream` — drain-point snapshots re-evaluate only
-    /// anchors dirtied since their cached rows, bit-identically (see
-    /// `crowd_core::cached`).
-    binary_cache: ReportCache,
-    /// The k-ary twin.
-    kary_cache: KaryReportCache,
     /// Stage timers + journal wiring; `None` when spawned with
     /// [`ServiceConfig::metrics`] off. Nothing behind this Option is
     /// ever consulted by evaluation — only timed around it.
@@ -226,7 +245,6 @@ struct ShardSeed {
     anchors: Vec<WorkerId>,
     is_home: Vec<bool>,
     depth: Arc<QueueDepth>,
-    incremental: bool,
     slow_ns: u64,
     timers: Option<Arc<StageTimers>>,
     journal: Option<Arc<EventJournal>>,
@@ -243,8 +261,10 @@ impl ShardSeed {
                 self.arity,
                 PairBackend::Sparse,
             ),
-            binary: MWorkerEstimator::new(self.estimator.clone()),
-            kary: KaryMWorkerEstimator::new(self.estimator.clone()),
+            lanes: Lanes {
+                binary: Lane::new(&self.estimator),
+                kary: Lane::new(&self.estimator),
+            },
             anchors: self.anchors.clone(),
             is_home: self.is_home.clone(),
             depth: Arc::clone(&self.depth),
@@ -252,9 +272,6 @@ impl ShardSeed {
                 shard: self.shard,
                 ..ShardStats::default()
             },
-            incremental: self.incremental,
-            binary_cache: ReportCache::new(),
-            kary_cache: KaryReportCache::new(),
             obs: self.timers.as_ref().map(|timers| ShardObs {
                 timers: Arc::clone(timers),
                 journal: Arc::clone(self.journal.as_ref().expect("timers imply journal")),
@@ -459,80 +476,12 @@ impl ShardWorker {
                     }
                     self.observe_stage(Stage::BatchApply, t0);
                 }
-                ShardMsg::AssessWorker {
-                    worker,
-                    confidence,
-                    reply,
-                } => {
+                ShardMsg::Assess(job) => {
                     self.fire_assess_crash(guard);
                     let t0 = self.obs.as_ref().map(|_| Instant::now());
                     self.stats.assess_requests += 1;
-                    let out = if self.incremental {
-                        self.binary_cache
-                            .assess(&self.binary, &self.stream, worker, confidence)
-                    } else {
-                        self.binary
-                            .evaluate_worker_on(&self.stream, worker, confidence)
-                    }
-                    .map_err(ServiceError::Estimate);
+                    job(&mut self.lanes, &self.stream, &self.anchors);
                     self.observe_stage(Stage::DrainEval, t0);
-                    let _ = reply.send(out);
-                }
-                ShardMsg::AssessWorkerKary {
-                    worker,
-                    confidence,
-                    reply,
-                } => {
-                    self.fire_assess_crash(guard);
-                    let t0 = self.obs.as_ref().map(|_| Instant::now());
-                    self.stats.assess_requests += 1;
-                    let out = if self.incremental {
-                        self.kary_cache
-                            .assess(&self.kary, &self.stream, worker, confidence)
-                    } else {
-                        self.kary
-                            .evaluate_worker_streaming(&self.stream, worker, confidence)
-                    }
-                    .map_err(ServiceError::Estimate);
-                    self.observe_stage(Stage::DrainEval, t0);
-                    let _ = reply.send(out);
-                }
-                ShardMsg::AssessAnchors { confidence, reply } => {
-                    self.fire_assess_crash(guard);
-                    let t0 = self.obs.as_ref().map(|_| Instant::now());
-                    self.stats.assess_requests += 1;
-                    let out = if self.incremental {
-                        self.binary_cache.refresh(
-                            &self.binary,
-                            &self.stream,
-                            &self.anchors,
-                            confidence,
-                        )
-                    } else {
-                        self.binary
-                            .evaluate_workers_on(&self.stream, &self.anchors, confidence)
-                    }
-                    .map_err(ServiceError::Estimate);
-                    self.observe_stage(Stage::DrainEval, t0);
-                    let _ = reply.send(out);
-                }
-                ShardMsg::AssessAnchorsKary { confidence, reply } => {
-                    self.fire_assess_crash(guard);
-                    let t0 = self.obs.as_ref().map(|_| Instant::now());
-                    self.stats.assess_requests += 1;
-                    let out = if self.incremental {
-                        self.kary_cache
-                            .refresh(&self.kary, &self.stream, &self.anchors, confidence)
-                    } else {
-                        self.kary.evaluate_workers_streaming(
-                            &self.stream,
-                            &self.anchors,
-                            confidence,
-                        )
-                    }
-                    .map_err(ServiceError::Estimate);
-                    self.observe_stage(Stage::DrainEval, t0);
-                    let _ = reply.send(out);
                 }
                 ShardMsg::Stats { reply } => {
                     let _ = reply.send(self.snapshot_stats());
@@ -612,8 +561,8 @@ impl ShardWorker {
                 .record(EventKind::GramRebuild, shard, delta, 0, "");
             obs.prev_rebuilds = rebuilds;
         }
-        let refreshes =
-            self.binary_cache.stats().full_refreshes + self.kary_cache.stats().full_refreshes;
+        let refreshes = self.lanes.binary.cache.stats().full_refreshes
+            + self.lanes.kary.cache.stats().full_refreshes;
         if refreshes > obs.prev_full_refreshes {
             let delta = refreshes - obs.prev_full_refreshes;
             obs.journal
@@ -628,7 +577,10 @@ impl ShardWorker {
         s.gram_patches = self.stream.gram_patch_count();
         s.gram_rebuilds = self.stream.gram_rebuild_count();
         s.queue_high_water = self.depth.high_water();
-        let (b, k) = (self.binary_cache.stats(), self.kary_cache.stats());
+        let (b, k) = (
+            self.lanes.binary.cache.stats(),
+            self.lanes.kary.cache.stats(),
+        );
         s.cache_hits = b.hits + k.hits;
         s.cache_misses = b.misses + k.misses;
         s.cache_full_refreshes = b.full_refreshes + k.full_refreshes;
@@ -636,7 +588,7 @@ impl ShardWorker {
     }
 }
 
-/// Accounting for one [`AssessmentService::ingest_batch`] call.
+/// Accounting for one [`ServiceHandle::ingest_batch`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestReceipt {
     /// Per-shard response deliveries enqueued (a response subscribed
@@ -662,27 +614,29 @@ pub struct ShardOutage {
 }
 
 /// A fleet snapshot that tolerates unavailable shards: the merged
-/// report over every shard that answered, plus a typed outage per
-/// shard that did not. `outages` empty ⇔ the report is the same one
-/// [`ServiceHandle::snapshot`] would have returned.
+/// report `R` (binary by default, [`KaryWorkerReport`] for
+/// [`ServiceHandle::snapshot_kary_degraded`]) over every shard that
+/// answered, plus a typed outage per shard that did not. `outages`
+/// empty ⇔ the report is the same one the strict snapshot would have
+/// returned.
 #[derive(Debug, Clone)]
-pub struct DegradedSnapshot {
+pub struct DegradedSnapshot<R = WorkerReport> {
     /// Merged assessments from the responsive shards, canonical
     /// worker order.
-    pub report: WorkerReport,
+    pub report: R,
     /// The shards missing from `report`, in shard order.
     pub outages: Vec<ShardOutage>,
 }
 
-/// The k-ary twin of [`DegradedSnapshot`]; see
-/// [`ServiceHandle::snapshot_kary_degraded`].
-#[derive(Debug, Clone)]
-pub struct DegradedKarySnapshot {
-    /// Merged assessments from the responsive shards, canonical
-    /// worker order.
-    pub report: KaryWorkerReport,
-    /// The shards missing from `report`, in shard order.
-    pub outages: Vec<ShardOutage>,
+impl<R> DegradedSnapshot<R> {
+    /// The strict reading: the report when every shard answered,
+    /// otherwise the first outage's error.
+    fn strict(self) -> Result<R, ServiceError> {
+        match self.outages.into_iter().next() {
+            Some(outage) => Err(outage.error),
+            None => Ok(self.report),
+        }
+    }
 }
 
 /// The mutable routing state behind [`ServiceHandle::ingest_batch`]:
@@ -754,7 +708,8 @@ fn lock_ignore_poison<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A cloneable, thread-safe handle to a running [`AssessmentService`]
 /// fleet: the dispatch seam the wire server fans its connection
-/// threads into.
+/// threads into, and the one API every caller — owner included,
+/// through `Deref` — uses.
 ///
 /// Every method takes `&self`; clones share the same shard threads,
 /// queues and counters. Ingest is serialized by an internal lock (the
@@ -773,10 +728,7 @@ impl std::fmt::Debug for ShardMsg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             Self::Ingest(b) => return write!(f, "Ingest({} responses)", b.len()),
-            Self::AssessWorker { .. } => "AssessWorker",
-            Self::AssessWorkerKary { .. } => "AssessWorkerKary",
-            Self::AssessAnchors { .. } => "AssessAnchors",
-            Self::AssessAnchorsKary { .. } => "AssessAnchorsKary",
+            Self::Assess(_) => "Assess",
             Self::Stats { .. } => "Stats",
             Self::Drain { .. } => "Drain",
             #[cfg(test)]
@@ -961,17 +913,7 @@ impl ServiceHandle {
         worker: WorkerId,
         confidence: f64,
     ) -> Result<WorkerAssessment, ServiceError> {
-        let shard = self.home_shard_of(worker)?;
-        let (reply, rx) = channel();
-        self.send_to(
-            shard,
-            ShardMsg::AssessWorker {
-                worker,
-                confidence,
-                reply,
-            },
-        )?;
-        rx.recv().map_err(|_| self.shard_down(shard))?
+        self.assess_worker_with::<MWorkerEstimator>(worker, confidence)
     }
 
     /// Evaluates one worker's k×k response-probability matrix on its
@@ -981,17 +923,7 @@ impl ServiceHandle {
         worker: WorkerId,
         confidence: f64,
     ) -> Result<KaryWorkerAssessment, ServiceError> {
-        let shard = self.home_shard_of(worker)?;
-        let (reply, rx) = channel();
-        self.send_to(
-            shard,
-            ShardMsg::AssessWorkerKary {
-                worker,
-                confidence,
-                reply,
-            },
-        )?;
-        rx.recv().map_err(|_| self.shard_down(shard))?
+        self.assess_worker_with::<KaryMWorkerEstimator>(worker, confidence)
     }
 
     /// Evaluates an explicit set of workers (binary), each on its home
@@ -1007,31 +939,22 @@ impl ServiceHandle {
     ) -> Result<WorkerReport, ServiceError> {
         // Enqueue all requests before awaiting any reply so distinct
         // home shards evaluate concurrently.
-        let mut rxs = Vec::with_capacity(workers.len());
+        let mut pending = Vec::with_capacity(workers.len());
         for &worker in workers {
-            let shard = self.home_shard_of(worker)?;
-            let (reply, rx) = channel();
-            self.send_to(
-                shard,
-                ShardMsg::AssessWorker {
-                    worker,
-                    confidence,
-                    reply,
-                },
-            )?;
-            rxs.push((worker, shard, rx));
+            pending.push((
+                worker,
+                self.enqueue_assess::<MWorkerEstimator>(worker, confidence)?,
+            ));
         }
         let mut report = WorkerReport::default();
-        for (worker, shard, rx) in rxs {
-            match rx.recv().map_err(|_| self.shard_down(shard))? {
+        for (worker, (shard, rx)) in pending {
+            match self.await_reply(shard, rx) {
                 Ok(a) => report.assessments.push(a),
                 Err(ServiceError::Estimate(e)) => report.failures.push((worker, e)),
                 Err(other) => return Err(other),
             }
         }
-        report.assessments.sort_by_key(|a| a.worker);
-        report.failures.sort_by_key(|f| f.0);
-        Ok(report)
+        Ok(merge_reports([report]))
     }
 
     /// Fleet snapshot (binary): every shard evaluates its anchors
@@ -1040,46 +963,15 @@ impl ServiceHandle {
     /// bit-identical to a serial
     /// [`crowd_core::IncrementalEvaluator::evaluate_all`] over the
     /// same responses. Requests are enqueued on all shards before any
-    /// reply is awaited, so shards evaluate concurrently.
+    /// reply is awaited, so shards evaluate concurrently. Fails with
+    /// the first unavailable shard's error.
     pub fn snapshot(&self, confidence: f64) -> Result<WorkerReport, ServiceError> {
-        let m = self.shared.plan.n_workers();
-        if m < 3 {
-            return Err(ServiceError::Estimate(
-                crowd_core::EstimateError::NotEnoughWorkers { got: m, need: 3 },
-            ));
-        }
-        let mut rxs = Vec::with_capacity(self.n_shards());
-        for s in 0..self.n_shards() {
-            let (reply, rx) = channel();
-            self.send_to(s, ShardMsg::AssessAnchors { confidence, reply })?;
-            rxs.push(rx);
-        }
-        let mut parts = Vec::with_capacity(rxs.len());
-        for (s, rx) in rxs.into_iter().enumerate() {
-            parts.push(rx.recv().map_err(|_| self.shard_down(s))??);
-        }
-        Ok(merge_reports(parts))
+        self.snapshot_degraded(confidence)?.strict()
     }
 
     /// Fleet snapshot (k-ary); see [`ServiceHandle::snapshot`].
     pub fn snapshot_kary(&self, confidence: f64) -> Result<KaryWorkerReport, ServiceError> {
-        let m = self.shared.plan.n_workers();
-        if m < 3 {
-            return Err(ServiceError::Estimate(
-                crowd_core::EstimateError::NotEnoughWorkers { got: m, need: 3 },
-            ));
-        }
-        let mut rxs = Vec::with_capacity(self.n_shards());
-        for s in 0..self.n_shards() {
-            let (reply, rx) = channel();
-            self.send_to(s, ShardMsg::AssessAnchorsKary { confidence, reply })?;
-            rxs.push(rx);
-        }
-        let mut parts = Vec::with_capacity(rxs.len());
-        for (s, rx) in rxs.into_iter().enumerate() {
-            parts.push(rx.recv().map_err(|_| self.shard_down(s))??);
-        }
-        Ok(merge_kary_reports(parts))
+        self.snapshot_kary_degraded(confidence)?.strict()
     }
 
     /// [`ServiceHandle::snapshot`] with graceful degradation: shards
@@ -1094,29 +986,54 @@ impl ServiceHandle {
     /// can never be assessed, and [`ServiceError::ShuttingDown`]
     /// means there is no fleet left to degrade.
     pub fn snapshot_degraded(&self, confidence: f64) -> Result<DegradedSnapshot, ServiceError> {
+        self.snapshot_with::<MWorkerEstimator>(confidence)
+    }
+
+    /// The k-ary [`ServiceHandle::snapshot_degraded`].
+    pub fn snapshot_kary_degraded(
+        &self,
+        confidence: f64,
+    ) -> Result<DegradedSnapshot<KaryWorkerReport>, ServiceError> {
+        self.snapshot_with::<KaryMWorkerEstimator>(confidence)
+    }
+
+    /// The body of both `assess_worker` spellings.
+    fn assess_worker_with<E: Served>(
+        &self,
+        worker: WorkerId,
+        confidence: f64,
+    ) -> Result<E::Assessment, ServiceError> {
+        let (shard, rx) = self.enqueue_assess::<E>(worker, confidence)?;
+        self.await_reply(shard, rx)
+    }
+
+    /// The body of all four snapshot spellings: one cached refresh
+    /// per shard, merged over the shards that answered.
+    fn snapshot_with<E: Served>(
+        &self,
+        confidence: f64,
+    ) -> Result<DegradedSnapshot<Report<E::Assessment>>, ServiceError> {
         let m = self.shared.plan.n_workers();
         if m < 3 {
             return Err(ServiceError::Estimate(
                 crowd_core::EstimateError::NotEnoughWorkers { got: m, need: 3 },
             ));
         }
-        let mut rxs = Vec::with_capacity(self.n_shards());
+        let mut pending = Vec::with_capacity(self.n_shards());
         for s in 0..self.n_shards() {
-            let (reply, rx) = channel();
-            match self.send_to(s, ShardMsg::AssessAnchors { confidence, reply }) {
-                Ok(()) => rxs.push((s, Ok(rx))),
-                Err(ServiceError::ShuttingDown) => return Err(ServiceError::ShuttingDown),
-                Err(e) => rxs.push((s, Err(e))),
+            let rx = self.request::<E, _>(s, move |lane, stream, anchors| {
+                lane.cache
+                    .refresh(&lane.estimator, stream, anchors, confidence)
+            });
+            if let Err(ServiceError::ShuttingDown) = rx {
+                return Err(ServiceError::ShuttingDown);
             }
+            pending.push((s, rx));
         }
         let mut parts = Vec::new();
         let mut outages = Vec::new();
-        for (s, rx) in rxs {
-            let outcome = match rx {
-                Ok(rx) => rx.recv().map_err(|_| self.shard_down(s)).and_then(|r| r),
-                Err(e) => Err(e),
-            };
-            match outcome {
+        for (s, rx) in pending {
+            match rx.and_then(|rx| self.await_reply(s, rx)) {
                 Ok(part) => parts.push(part),
                 Err(error) => outages.push(ShardOutage { shard: s, error }),
             }
@@ -1127,42 +1044,43 @@ impl ServiceHandle {
         })
     }
 
-    /// The k-ary twin of [`ServiceHandle::snapshot_degraded`].
-    pub fn snapshot_kary_degraded(
+    /// Enqueues `worker`'s cached evaluation on its home shard's `E`
+    /// lane; returns the shard and the reply receiver.
+    fn enqueue_assess<E: Served>(
         &self,
+        worker: WorkerId,
         confidence: f64,
-    ) -> Result<DegradedKarySnapshot, ServiceError> {
-        let m = self.shared.plan.n_workers();
-        if m < 3 {
-            return Err(ServiceError::Estimate(
-                crowd_core::EstimateError::NotEnoughWorkers { got: m, need: 3 },
-            ));
-        }
-        let mut rxs = Vec::with_capacity(self.n_shards());
-        for s in 0..self.n_shards() {
-            let (reply, rx) = channel();
-            match self.send_to(s, ShardMsg::AssessAnchorsKary { confidence, reply }) {
-                Ok(()) => rxs.push((s, Ok(rx))),
-                Err(ServiceError::ShuttingDown) => return Err(ServiceError::ShuttingDown),
-                Err(e) => rxs.push((s, Err(e))),
-            }
-        }
-        let mut parts = Vec::new();
-        let mut outages = Vec::new();
-        for (s, rx) in rxs {
-            let outcome = match rx {
-                Ok(rx) => rx.recv().map_err(|_| self.shard_down(s)).and_then(|r| r),
-                Err(e) => Err(e),
-            };
-            match outcome {
-                Ok(part) => parts.push(part),
-                Err(error) => outages.push(ShardOutage { shard: s, error }),
-            }
-        }
-        Ok(DegradedKarySnapshot {
-            report: merge_kary_reports(parts),
-            outages,
-        })
+    ) -> Result<(usize, Reply<E::Assessment>), ServiceError> {
+        let shard = self.home_shard_of(worker)?;
+        let rx = self.request::<E, _>(shard, move |lane, stream, _| {
+            lane.cache
+                .assess(&lane.estimator, stream, worker, confidence)
+        })?;
+        Ok((shard, rx))
+    }
+
+    /// Enqueues `eval` on `shard`'s `E` lane as one
+    /// [`ShardMsg::Assess`] job; the receiver yields its outcome.
+    fn request<E: Served, T: Send + 'static>(
+        &self,
+        shard: usize,
+        eval: impl FnOnce(&mut Lane<E>, &StreamingIndex, &[WorkerId]) -> crowd_core::Result<T>
+        + Send
+        + 'static,
+    ) -> Result<Reply<T>, ServiceError> {
+        let (reply, rx) = channel();
+        let job: AssessJob = Box::new(move |lanes, stream, anchors| {
+            let out = eval(E::lane(lanes), stream, anchors).map_err(ServiceError::Estimate);
+            let _ = reply.send(out);
+        });
+        self.send_to(shard, ShardMsg::Assess(job))?;
+        Ok(rx)
+    }
+
+    /// Awaits one shard's reply; a dropped reply means the shard went
+    /// down mid-request.
+    fn await_reply<T>(&self, shard: usize, rx: Reply<T>) -> Result<T, ServiceError> {
+        rx.recv().map_err(|_| self.shard_down(shard))?
     }
 
     /// FIFO barrier: returns once every shard has processed
@@ -1366,9 +1284,10 @@ impl ServiceHandle {
 
 /// The thread-per-shard assessment runtime; see the
 /// [crate docs](crate). This type uniquely owns the fleet (dropping it
-/// shuts the shard threads down); [`AssessmentService::handle`] yields
-/// cloneable [`ServiceHandle`]s for concurrent callers such as wire
-/// connection threads.
+/// shuts the shard threads down) and dereferences to its
+/// [`ServiceHandle`], whose methods serve every request;
+/// [`AssessmentService::handle`] yields cloneable handles for
+/// concurrent callers such as wire connection threads.
 ///
 /// # Example
 ///
@@ -1432,7 +1351,6 @@ impl AssessmentService {
                         .map(|w| plan.shard_of(WorkerId(w as u32)) == s)
                         .collect(),
                     depth: Arc::clone(&depth),
-                    incremental: config.incremental,
                     slow_ns,
                     timers: fleet_obs.as_ref().map(|o| Arc::clone(&o.timers[s])),
                     journal: fleet_obs.as_ref().map(|o| Arc::clone(&o.journal)),
@@ -1484,94 +1402,19 @@ impl AssessmentService {
         self.handle.clone()
     }
 
-    /// The plan the service routes by.
-    pub fn plan(&self) -> &ShardPlan {
-        self.handle.plan()
-    }
-
-    /// Number of shard threads.
-    pub fn n_shards(&self) -> usize {
-        self.handle.n_shards()
-    }
-
-    /// See [`ServiceHandle::ingest_batch`].
-    pub fn ingest_batch(&mut self, batch: &[Response]) -> Result<IngestReceipt, ServiceError> {
-        self.handle.ingest_batch(batch)
-    }
-
-    /// See [`ServiceHandle::ingest`].
-    pub fn ingest(&mut self, response: Response) -> Result<IngestReceipt, ServiceError> {
-        self.handle.ingest(response)
-    }
-
-    /// See [`ServiceHandle::assess_worker`].
-    pub fn assess_worker(
-        &self,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<WorkerAssessment, ServiceError> {
-        self.handle.assess_worker(worker, confidence)
-    }
-
-    /// See [`ServiceHandle::assess_worker_kary`].
-    pub fn assess_worker_kary(
-        &self,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<KaryWorkerAssessment, ServiceError> {
-        self.handle.assess_worker_kary(worker, confidence)
-    }
-
-    /// See [`ServiceHandle::assess_workers`].
-    pub fn assess_workers(
-        &self,
-        workers: &[WorkerId],
-        confidence: f64,
-    ) -> Result<WorkerReport, ServiceError> {
-        self.handle.assess_workers(workers, confidence)
-    }
-
-    /// See [`ServiceHandle::snapshot`].
-    pub fn snapshot(&self, confidence: f64) -> Result<WorkerReport, ServiceError> {
-        self.handle.snapshot(confidence)
-    }
-
-    /// See [`ServiceHandle::snapshot_kary`].
-    pub fn snapshot_kary(&self, confidence: f64) -> Result<KaryWorkerReport, ServiceError> {
-        self.handle.snapshot_kary(confidence)
-    }
-
-    /// See [`ServiceHandle::snapshot_degraded`].
-    pub fn snapshot_degraded(&self, confidence: f64) -> Result<DegradedSnapshot, ServiceError> {
-        self.handle.snapshot_degraded(confidence)
-    }
-
-    /// See [`ServiceHandle::snapshot_kary_degraded`].
-    pub fn snapshot_kary_degraded(
-        &self,
-        confidence: f64,
-    ) -> Result<DegradedKarySnapshot, ServiceError> {
-        self.handle.snapshot_kary_degraded(confidence)
-    }
-
-    /// See [`ServiceHandle::drain`].
-    pub fn drain(&self) -> Result<(), ServiceError> {
-        self.handle.drain()
-    }
-
-    /// See [`ServiceHandle::stats`].
-    pub fn stats(&self) -> Result<ServiceStats, ServiceError> {
-        self.handle.stats()
-    }
-
-    /// See [`ServiceHandle::metrics`].
-    pub fn metrics(&self) -> Result<ServiceMetrics, ServiceError> {
-        self.handle.metrics()
-    }
-
-    /// See [`ServiceHandle::shutdown`].
+    /// Graceful shutdown of the owned fleet; see
+    /// [`ServiceHandle::shutdown`].
     pub fn shutdown(&mut self) -> Result<ServiceStats, ServiceError> {
         self.handle.shutdown()
+    }
+}
+
+impl Deref for AssessmentService {
+    type Target = ServiceHandle;
+
+    /// Every request goes through the owned fleet's handle.
+    fn deref(&self) -> &ServiceHandle {
+        &self.handle
     }
 }
 
@@ -1640,7 +1483,7 @@ mod tests {
     #[test]
     fn shed_policy_drops_with_accounting() {
         let (data, plan) = small_fleet();
-        let mut svc = AssessmentService::spawn(
+        let svc = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -1678,7 +1521,7 @@ mod tests {
     #[test]
     fn reject_policy_fails_with_queue_full() {
         let (data, plan) = small_fleet();
-        let mut svc = AssessmentService::spawn(
+        let svc = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -1712,7 +1555,7 @@ mod tests {
     #[test]
     fn block_policy_waits_out_a_full_queue() {
         let (data, plan) = small_fleet();
-        let mut svc = AssessmentService::spawn(
+        let svc = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -1956,6 +1799,30 @@ mod tests {
             degraded.report.assessments.len() + degraded.report.failures.len() > 0,
             "shard 1's anchors were still evaluated"
         );
+        // The k-ary degraded snapshot rides the same body: one outage
+        // for the dead shard, and every anchor of shard 1 still
+        // reported, as an assessment or a failure.
+        let kary = svc.snapshot_kary_degraded(0.9).unwrap();
+        assert_eq!(kary.outages.len(), 1);
+        assert!(matches!(
+            kary.outages[0],
+            ShardOutage {
+                shard: 0,
+                error: ServiceError::ShardPanicked { shard: 0 },
+            }
+        ));
+        let reported: Vec<WorkerId> = kary
+            .report
+            .assessments
+            .iter()
+            .map(|a| a.worker)
+            .chain(kary.report.failures.iter().map(|f| f.0))
+            .collect();
+        let shard1 = &svc.plan().shards()[1].anchors;
+        assert!(!shard1.is_empty());
+        for w in shard1 {
+            assert!(reported.contains(w), "shard 1's anchor {w:?} is missing");
+        }
         match svc.shutdown() {
             Err(ServiceError::ShardPanicked { shard: 0 }) => {}
             other => panic!("expected ShardPanicked at shutdown, got {other:?}"),
@@ -2031,7 +1898,7 @@ mod tests {
     #[test]
     fn mixed_batch_with_bad_id_is_rejected_atomically() {
         let (data, plan) = small_fleet();
-        let mut svc =
+        let svc =
             AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
         let mut batch: Vec<Response> = data.iter().take(5).collect();
         batch.push(Response {

@@ -2,7 +2,7 @@
 //! substrate's maintenance diagnostics, aggregated fleet-wide.
 
 /// Counters one shard thread maintains and reports (via
-/// [`crate::AssessmentService::stats`], and finally when it exits).
+/// [`crate::ServiceHandle::stats`], and finally when it exits).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard id (position in the plan).
@@ -30,8 +30,8 @@ pub struct ShardStats {
     /// High-water mark of the shard's bounded queue, in messages.
     pub queue_high_water: usize,
     /// Report-cache rows served without re-evaluation (binary + k-ary
-    /// caches combined; see `crowd_core::cached`). Zero when the
-    /// service runs with [`crate::ServiceConfig::incremental`] off.
+    /// caches combined; see `crowd_core::cached`). Every assessment
+    /// request goes through the caches.
     pub cache_hits: u64,
     /// Report-cache rows (re-)evaluated because they were absent or
     /// dirtied by ingest since their cached version — the dirty-set
@@ -100,7 +100,7 @@ impl BatchHistogram {
 }
 
 /// A fleet-wide stats snapshot; see
-/// [`crate::AssessmentService::stats`].
+/// [`crate::ServiceHandle::stats`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Per-shard counters, in shard order.

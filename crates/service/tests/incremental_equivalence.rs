@@ -1,19 +1,22 @@
 //! Differential tests pinning the incremental (report-cache) service
-//! **bit-identical** to a cache-disabled twin at every drain point,
+//! **bit-identical** to uncached evaluation at every drain point,
 //! under randomized ingest/assess/drain interleavings, shard counts
 //! (1, 2, 8), binary and k-ary — including mid-stream confidence
 //! switches (the wholesale-invalidation path) and streams long enough
 //! that views re-anchor between snapshots, so cached rows survive
 //! substrate maintenance, not just quiet appends.
 //!
-//! The reference is the same runtime with
-//! [`ServiceConfig::with_incremental`]`(false)`, fed exactly the same
-//! responses in exactly the same order. The cached service must
-//! reproduce its reports bit for bit (interval bits, triple counts,
-//! failure taxonomy) at every comparison, while its cache counters
-//! prove the fast path actually ran.
+//! The reference is a serial, unsharded
+//! [`crowd_core::IncrementalEvaluator`] /
+//! [`crowd_core::KaryIncrementalEvaluator`] fed exactly the same
+//! responses in exactly the same order and queried through its
+//! uncached `evaluate_all` / `evaluate_worker`. The cached service
+//! must reproduce its reports bit for bit (interval bits, triple
+//! counts, failure taxonomy) at every comparison, while its cache
+//! counters prove the fast path actually ran.
 
-use crowd_core::{KaryWorkerReport, WorkerReport};
+use crowd_core::{Estimator, EstimatorConfig, KaryWorkerReport, StreamingEvaluator, WorkerReport};
+use crowd_core::{KaryMWorkerEstimator, MWorkerEstimator};
 use crowd_data::{Response, ResponseMatrix, WorkerId};
 use crowd_service::{AssessmentService, ServiceConfig, ServiceError};
 use crowd_shard::ShardPlan;
@@ -54,26 +57,36 @@ fn kary_reports_identical(a: &KaryWorkerReport, b: &KaryWorkerReport) -> bool {
             .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
 }
 
-/// Spawns the cached service and its cache-disabled twin over the
-/// same shard plan.
-fn spawn_pair(data: &ResponseMatrix, n_shards: usize) -> (AssessmentService, AssessmentService) {
-    assert!(
-        ServiceConfig::default().incremental,
-        "the report cache is the default service mode"
-    );
+/// Spawns the cached service and its serial uncached reference.
+fn spawn_pair<E: Estimator>(
+    data: &ResponseMatrix,
+    n_shards: usize,
+) -> (AssessmentService, StreamingEvaluator<E>) {
     let cached = AssessmentService::spawn(
         ShardPlan::build_clustered(data, n_shards),
         data.n_tasks(),
         data.arity(),
         ServiceConfig::default(),
     );
-    let full = AssessmentService::spawn(
-        ShardPlan::build_clustered(data, n_shards),
+    let full = StreamingEvaluator::new(
+        data.n_workers(),
         data.n_tasks(),
         data.arity(),
-        ServiceConfig::default().with_incremental(false),
+        EstimatorConfig::default(),
     );
     (cached, full)
+}
+
+/// Ingests one group into both sides, in the same order.
+fn ingest_both<E: Estimator>(
+    cached: &AssessmentService,
+    full: &mut StreamingEvaluator<E>,
+    group: &[Response],
+) {
+    cached.ingest_batch(group).unwrap();
+    for &r in group {
+        full.ingest(r).unwrap();
+    }
 }
 
 #[test]
@@ -81,27 +94,26 @@ fn cached_service_is_bit_identical_to_uncached_binary() {
     let inst = BinaryScenario::paper_default(12, 60, 0.85).generate(&mut rng(821));
     let data = inst.responses();
     for &n_shards in &[1usize, 2, 8] {
-        let (mut cached, mut full) = spawn_pair(data, n_shards);
+        let (cached, mut full) = spawn_pair::<MWorkerEstimator>(data, n_shards);
         let mut dice = rng(900 + n_shards as u64);
         let sched = ArrivalSchedule::poisson(data, 1000.0, &mut rng(77));
         let batches: Vec<&[Response]> = sched.batches(16).collect();
         let mid = batches.len() / 2;
         let mut confidence = 0.9;
         for (i, group) in batches.iter().enumerate() {
-            cached.ingest_batch(group).unwrap();
-            full.ingest_batch(group).unwrap();
+            ingest_both(&cached, &mut full, group);
             if i + 1 == mid {
                 // Guarantee live cached rows, then switch confidence:
                 // the next request must take the wholesale-invalidation
                 // path and still agree bit for bit.
                 let a = cached.snapshot(confidence).unwrap();
-                let b = full.snapshot(confidence).unwrap();
+                let b = full.evaluate_all(confidence).unwrap();
                 assert!(reports_identical(&a, &b), "pre-switch divergence");
                 confidence = 0.95;
             }
             if dice.random::<f64>() < 0.35 {
                 let a = cached.snapshot(confidence).unwrap();
-                let b = full.snapshot(confidence).unwrap();
+                let b = full.evaluate_all(confidence).unwrap();
                 assert!(
                     reports_identical(&a, &b),
                     "drain-point divergence: shards={n_shards} batch={i}"
@@ -111,7 +123,8 @@ fn cached_service_is_bit_identical_to_uncached_binary() {
                 let w = WorkerId(dice.random::<u32>() % data.n_workers() as u32);
                 match (
                     cached.assess_worker(w, confidence),
-                    full.assess_worker(w, confidence),
+                    full.evaluate_worker(w, confidence)
+                        .map_err(ServiceError::Estimate),
                 ) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(a.interval.center.to_bits(), b.interval.center.to_bits());
@@ -132,7 +145,7 @@ fn cached_service_is_bit_identical_to_uncached_binary() {
         // them, so the second snapshot must be served entirely from
         // cache — identical bits, zero new misses.
         let a = cached.snapshot(confidence).unwrap();
-        let b = full.snapshot(confidence).unwrap();
+        let b = full.evaluate_all(confidence).unwrap();
         assert!(
             reports_identical(&a, &b),
             "final divergence shards={n_shards}"
@@ -155,13 +168,6 @@ fn cached_service_is_bit_identical_to_uncached_binary() {
             after.total_reanchors() > 0,
             "the stream must be long enough to re-anchor views mid-stream"
         );
-        // The uncached twin never touches a cache.
-        let fs = full.stats().unwrap();
-        assert_eq!(
-            fs.total_cache_hits() + fs.total_cache_misses() + fs.total_cache_full_refreshes(),
-            0,
-            "with_incremental(false) must bypass the cache entirely"
-        );
     }
 }
 
@@ -172,18 +178,17 @@ fn cached_service_is_bit_identical_to_uncached_kary() {
         .generate(&mut rng(823));
     let data = inst.responses();
     for &n_shards in &[1usize, 2, 8] {
-        let (mut cached, mut full) = spawn_pair(data, n_shards);
+        let (cached, mut full) = spawn_pair::<KaryMWorkerEstimator>(data, n_shards);
         let mut dice = rng(1100 + n_shards as u64);
         let sched = ArrivalSchedule::poisson(data, 1000.0, &mut rng(78));
         let batches: Vec<&[Response]> = sched.batches(16).collect();
         let mid = batches.len() / 2;
         let mut confidence = 0.9;
         for (i, group) in batches.iter().enumerate() {
-            cached.ingest_batch(group).unwrap();
-            full.ingest_batch(group).unwrap();
+            ingest_both(&cached, &mut full, group);
             if i + 1 == mid {
                 let a = cached.snapshot_kary(confidence).unwrap();
-                let b = full.snapshot_kary(confidence).unwrap();
+                let b = full.evaluate_all(confidence).unwrap();
                 assert!(
                     kary_reports_identical(&a, &b),
                     "pre-switch k-ary divergence"
@@ -192,7 +197,7 @@ fn cached_service_is_bit_identical_to_uncached_kary() {
             }
             if dice.random::<f64>() < 0.35 {
                 let a = cached.snapshot_kary(confidence).unwrap();
-                let b = full.snapshot_kary(confidence).unwrap();
+                let b = full.evaluate_all(confidence).unwrap();
                 assert!(
                     kary_reports_identical(&a, &b),
                     "k-ary drain-point divergence: shards={n_shards} batch={i}"
@@ -202,7 +207,8 @@ fn cached_service_is_bit_identical_to_uncached_kary() {
                 let w = WorkerId(dice.random::<u32>() % data.n_workers() as u32);
                 match (
                     cached.assess_worker_kary(w, confidence),
-                    full.assess_worker_kary(w, confidence),
+                    full.evaluate_worker(w, confidence)
+                        .map_err(ServiceError::Estimate),
                 ) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(a.triples_used, b.triples_used);
@@ -219,7 +225,7 @@ fn cached_service_is_bit_identical_to_uncached_kary() {
             }
         }
         let a = cached.snapshot_kary(confidence).unwrap();
-        let b = full.snapshot_kary(confidence).unwrap();
+        let b = full.evaluate_all(confidence).unwrap();
         assert!(
             kary_reports_identical(&a, &b),
             "final k-ary divergence shards={n_shards}"
@@ -237,17 +243,17 @@ fn cached_service_is_bit_identical_to_uncached_kary() {
 fn explicit_worker_sets_share_cache_rows_with_snapshots() {
     // assess_workers rides the same per-anchor cache as snapshot: a
     // snapshot primes the rows, and a quiet explicit-set request is
-    // then all hits while agreeing with the uncached twin bit for bit.
+    // then all hits while agreeing with the uncached reference bit for
+    // bit.
     let inst = BinaryScenario::paper_default(10, 50, 0.9).generate(&mut rng(829));
     let data = inst.responses();
-    let (mut cached, mut full) = spawn_pair(data, 2);
+    let (cached, mut full) = spawn_pair::<MWorkerEstimator>(data, 2);
     let all: Vec<Response> = data.iter().collect();
     for chunk in all.chunks(32) {
-        cached.ingest_batch(chunk).unwrap();
-        full.ingest_batch(chunk).unwrap();
+        ingest_both(&cached, &mut full, chunk);
     }
     let a = cached.snapshot(0.9).unwrap();
-    let b = full.snapshot(0.9).unwrap();
+    let b = full.evaluate_all(0.9).unwrap();
     assert!(reports_identical(&a, &b));
     let before = cached.stats().unwrap();
     let set: Vec<WorkerId> = (0..data.n_workers() as u32)
@@ -255,7 +261,10 @@ fn explicit_worker_sets_share_cache_rows_with_snapshots() {
         .map(WorkerId)
         .collect();
     let a = cached.assess_workers(&set, 0.9).unwrap();
-    let b = full.assess_workers(&set, 0.9).unwrap();
+    let mut b = WorkerReport::default();
+    for &w in &set {
+        b.push(w, full.evaluate_worker(w, 0.9));
+    }
     assert!(reports_identical(&a, &b));
     let after = cached.stats().unwrap();
     assert_eq!(

@@ -187,7 +187,7 @@ fn slow_op_threshold_zero_journals_every_stage() {
     // capture path the bench also exercises with injected slow ops.
     let inst = BinaryScenario::paper_default(8, 40, 0.9).generate(&mut rng(17));
     let data = inst.responses();
-    let mut svc = AssessmentService::spawn(
+    let svc = AssessmentService::spawn(
         ShardPlan::build_clustered(data, 2),
         data.n_tasks(),
         data.arity(),

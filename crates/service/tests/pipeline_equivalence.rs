@@ -86,7 +86,7 @@ fn run_binary_differential(
     seed: u64,
 ) -> AssessmentService {
     let n_shards = plan.n_shards();
-    let mut service = spawn_service(data, plan, estimator);
+    let service = spawn_service(data, plan, estimator);
     let mut serial = IncrementalEvaluator::new(
         data.n_workers(),
         data.n_tasks(),
@@ -158,7 +158,7 @@ fn run_kary_differential(
     seed: u64,
 ) {
     let n_shards = plan.n_shards();
-    let mut service = spawn_service(data, plan, estimator);
+    let service = spawn_service(data, plan, estimator);
     let mut serial = KaryIncrementalEvaluator::new(
         data.n_workers(),
         data.n_tasks(),
@@ -262,7 +262,7 @@ fn ingest_continues_after_drain() {
     let inst = BinaryScenario::paper_default(8, 40, 0.9).generate(&mut rng(507));
     let data = inst.responses();
     let plan = ShardPlan::build_clustered(data, 2);
-    let mut service =
+    let service =
         AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
     let mut serial = IncrementalEvaluator::new(
         data.n_workers(),
@@ -306,7 +306,7 @@ fn empty_shards_route_and_snapshot_cleanly() {
     let data = inst.responses();
     let plan = ShardPlan::build_clustered(data, 9);
     assert!(plan.shards().iter().any(|s| s.is_empty()));
-    let mut service =
+    let service =
         AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
     let mut serial = IncrementalEvaluator::new(
         data.n_workers(),
@@ -336,7 +336,7 @@ fn invalid_requests_surface_the_data_taxonomy() {
     let inst = BinaryScenario::paper_default(6, 30, 0.9).generate(&mut rng(511));
     let data = inst.responses();
     let plan = ShardPlan::build_clustered(data, 2);
-    let mut service =
+    let service =
         AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
     // Out-of-fleet worker: rejected before routing, nothing enqueued.
     let bogus = Response {

@@ -6,8 +6,8 @@
 //! working set `O(l)`. This crate partitions the *state* as well: a
 //! [`ShardPlan`] assigns every worker to one shard as an anchor and
 //! names the closure of workers whose rows that shard must hold, and
-//! [`merge_reports`] / [`merge_kary_reports`] recombine the per-shard
-//! reports into one fleet report. The served path (`crowd_service`)
+//! [`merge_reports`] recombines the per-shard reports of either
+//! estimator into one fleet report. The served path (`crowd_service`)
 //! runs one thread per shard, each owning a sparse-backed
 //! [`crowd_data::StreamingIndex`] fed only its closure's responses:
 //!
@@ -107,25 +107,23 @@ pub mod plan;
 
 pub use plan::{ShardPlan, ShardSpec};
 
-use crowd_core::{KaryWorkerReport, WorkerReport};
+use crowd_core::{Report, WorkerRow};
 
-/// Recombines per-shard binary reports into one fleet report in
-/// canonical worker order; rows are kept verbatim, so the merged
-/// report is bit-identical to a single-process run (see
-/// [`crowd_core::WorkerReport::merge`]). Shard order is irrelevant.
-pub fn merge_reports(parts: impl IntoIterator<Item = WorkerReport>) -> WorkerReport {
-    WorkerReport::merge(parts)
+/// Recombines per-shard reports of either estimator into one fleet
+/// report in canonical worker order; rows are kept verbatim, so the
+/// merged report is bit-identical to a single-process run (see
+/// [`crowd_core::Report::merge`]). Shard order is irrelevant.
+pub fn merge_reports<A: WorkerRow>(parts: impl IntoIterator<Item = Report<A>>) -> Report<A> {
+    Report::merge(parts)
 }
 
-/// [`merge_reports`] for k-ary reports.
-pub fn merge_kary_reports(parts: impl IntoIterator<Item = KaryWorkerReport>) -> KaryWorkerReport {
-    KaryWorkerReport::merge(parts)
-}
+/// The k-ary spelling of [`merge_reports`].
+pub use merge_reports as merge_kary_reports;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd_core::{EstimatorConfig, MWorkerEstimator};
+    use crowd_core::{EstimatorConfig, MWorkerEstimator, WorkerReport};
     use crowd_data::{
         Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId,
     };

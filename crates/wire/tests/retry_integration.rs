@@ -97,7 +97,7 @@ fn batch(n: u32) -> Vec<Response> {
 #[test]
 fn retry_after_dropped_connection_ingests_exactly_once() {
     let (inst, faulted) = fleet(2, 910);
-    let (_, mut twin) = fleet(2, 910);
+    let (_, twin) = fleet(2, 910);
     let data = inst.responses();
 
     // Connection 1's 2nd frame and connection 2's 4th frame are
@@ -271,7 +271,7 @@ fn sequences_older_than_the_window_age_out() {
 /// bit-identical to the in-process report.
 #[test]
 fn reads_retry_through_dropped_connections() {
-    let (inst, mut service) = fleet(2, 915);
+    let (inst, service) = fleet(2, 915);
     let data = inst.responses();
     // Conn 1's very first frame is dropped.
     let fault = Arc::new(FaultPlan::seeded(6).with_drop_at(1, 1));
