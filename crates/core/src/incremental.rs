@@ -144,11 +144,19 @@ impl<E: Estimator> StreamingEvaluator<E> {
         self.stream.n_responses()
     }
 
-    /// Bytes resident across the maintained anchored mask matrices —
-    /// bounded by the pairing degree per view, not the worker count
-    /// (see [`crowd_data::StreamingIndex::view_mask_bytes`]).
+    /// Bytes resident in per-view state across the maintained anchored
+    /// views — mask words, materialized grams and slot entries —
+    /// bounded by the pairing degree per view, not the worker count or
+    /// the task-id space (see
+    /// [`crowd_data::StreamingIndex::view_mask_bytes`]).
     pub fn view_mask_bytes(&self) -> usize {
         self.stream.view_mask_bytes()
+    }
+
+    /// Bytes resident in the maintained views' mask words alone (see
+    /// [`crowd_data::StreamingIndex::view_mask_word_bytes`]).
+    pub fn view_mask_word_bytes(&self) -> usize {
+        self.stream.view_mask_word_bytes()
     }
 
     /// Lazy view re-anchors performed so far (see

@@ -34,7 +34,9 @@
 //! peers the pairing selected, so [`OverlapSource::anchored_for`]
 //! scopes the view to a declared peer set: a `PeerMask` remaps each
 //! peer to a dense mask row, the build stamps the anchor's slots into
-//! an epoch-invalidated task→slot map and walks each peer's task row
+//! an epoch-invalidated task→slot scratch (one per builder — a
+//! thread's [`AnchoredScratch`] or a whole streaming substrate, never
+//! one per view) and walks each peer's task row
 //! once (`O(l_anchor + Σ_{p ∈ peers} l_p)`), and the matrix holds
 //! `peers · ⌈l_anchor/64⌉` words — memory tracks the
 //! pairing degree, never the population. Near-population scopes
@@ -491,6 +493,14 @@ impl OverlapIndex {
     /// responders. Rejects out-of-range ids, out-of-arity labels and
     /// duplicate `(worker, task)` responses via [`crate::DataError`].
     pub fn record_response(&mut self, response: Response) -> crate::Result<()> {
+        self.insert_response(response).map(|_| ())
+    }
+
+    /// [`OverlapIndex::record_response`], returning the position the
+    /// response took in its worker's row — a maintained streaming view
+    /// keeps its slots parallel to that row and inserts at the same
+    /// place.
+    pub(crate) fn insert_response(&mut self, response: Response) -> crate::Result<usize> {
         let Response {
             worker,
             task,
@@ -542,7 +552,7 @@ impl OverlapIndex {
         self.worker_rows[worker.index()].insert(w_pos, (task.0, label));
         self.task_rows[task.index()].insert(t_pos, (worker.0, label));
         self.n_responses += 1;
-        Ok(())
+        Ok(w_pos)
     }
 
     /// Number of workers covered.
@@ -776,6 +786,15 @@ impl PeerMask {
         match self {
             Self::Population(m) => *m,
             Self::Peers(ids) => ids.len(),
+        }
+    }
+
+    /// Heap bytes held by the map: the scoped peer list (the identity
+    /// map holds none).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Self::Population(_) => 0,
+            Self::Peers(ids) => ids.capacity() * std::mem::size_of::<u32>(),
         }
     }
 
@@ -1407,8 +1426,10 @@ impl MaskStore<'_> {
 /// pay an O(n) clear. Backing the anchored build with O(1) slot
 /// lookups is what makes the peer fill `O(l_anchor + Σ_p l_p)` —
 /// each peer row is walked once, no per-peer merge against the
-/// anchor's row.
-#[derive(Debug, Default)]
+/// anchor's row. One map serves every build of its owner (a thread's
+/// [`AnchoredScratch`], or a whole [`crate::StreamingIndex`]), so its
+/// `O(n)` words are paid once per owner, never once per view.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SlotStamps {
     epoch: u64,
     stamp: Vec<u64>,
@@ -1439,7 +1460,7 @@ impl SlotStamps {
 }
 
 /// Reusable build storage for [`OverlapIndex::anchored_for_in`]:
-/// holds the mask words and the stamped slot map of the previous view
+/// holds the mask words and the slot stamps of the previous view
 /// so consecutive anchored builds (one per evaluated worker) allocate
 /// nothing once both have reached their high-water marks.
 #[derive(Debug, Default)]
@@ -1470,10 +1491,13 @@ pub struct BitsetAnchored<'a> {
     peers: PeerMask,
 }
 
-/// Shared anchored-view fill: re-shapes `matrix` (pre-sized to the
-/// anchor's exact degree, so no doubling re-layout ever runs) and sets
-/// its bits for the scope. Slots are the anchor's tasks in task order.
-/// Identity scopes use the legacy per-task responder fill
+/// The one anchored-view fill, behind the batch builds and the
+/// streaming re-anchor alike — one implementation of the bit layout,
+/// so the streamed-vs-batch bit-identity guarantee cannot drift
+/// between copies. Re-shapes `matrix` (pre-sized to the anchor's exact
+/// degree, so no doubling re-layout ever runs) and sets its bits for
+/// the scope. Slots are the anchor's tasks in task order. Identity
+/// scopes use the legacy per-task responder fill
 /// (`O(Σ_{t ∈ tasks(anchor)} r_t)`, O(1) row mapping); peer scopes
 /// stamp the anchor's slots into `stamps` and walk each peer's task
 /// row once with O(1) slot lookups (`O(l_anchor + Σ_{p ∈ peers} l_p)`
@@ -1485,28 +1509,6 @@ pub(crate) fn fill_anchored(
     peers: &PeerMask,
     matrix: &mut MaskMatrix,
     stamps: &mut SlotStamps,
-) {
-    if matches!(peers, PeerMask::Peers(_)) {
-        stamps.begin(index.n_tasks());
-        for (slot, &(task, _)) in index.worker_responses(anchor).iter().enumerate() {
-            stamps.set(task, slot as u32);
-        }
-    }
-    fill_anchored_with(index, anchor, peers, matrix, |task| stamps.get(task));
-}
-
-/// The fill kernel behind both the batch builds and the streaming
-/// re-anchor, parameterized over the peer branch's `task → slot`
-/// lookup (epoch stamps for the batch paths, the maintained view's
-/// own slot map for streaming) so there is exactly **one**
-/// implementation of the bit layout — the streamed-vs-batch
-/// bit-identity guarantee cannot drift between copies.
-pub(crate) fn fill_anchored_with(
-    index: &OverlapIndex,
-    anchor: WorkerId,
-    peers: &PeerMask,
-    matrix: &mut MaskMatrix,
-    slot_of: impl Fn(u32) -> Option<u32>,
 ) {
     let anchor_row = index.worker_responses(anchor);
     matrix.reset(
@@ -1523,13 +1525,17 @@ pub(crate) fn fill_anchored_with(
             }
         }
         PeerMask::Peers(_) => {
+            stamps.begin(index.n_tasks());
+            for (slot, &(task, _)) in anchor_row.iter().enumerate() {
+                stamps.set(task, slot as u32);
+            }
             for row in 0..peers.rows() {
                 // One bounds check and row-offset multiply per peer,
                 // not per response — this loop touches every response
                 // of every peer, the dominant term of the fill.
                 let words = matrix.row_mut(row);
                 for &(task, _) in index.worker_responses(WorkerId(peers.worker_of(row))) {
-                    if let Some(slot) = slot_of(task) {
+                    if let Some(slot) = stamps.get(task) {
                         words[slot as usize / 64] |= 1u64 << (slot as usize % 64);
                     }
                 }

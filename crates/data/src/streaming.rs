@@ -12,8 +12,8 @@
 //!
 //! * a response `(w, t)` adds one bit (`w` attempted `t`) to the view
 //!   of every anchor that already attempted `t` *and tracks `w` in its
-//!   peer scope* — `O(r_t)` peer-map probes located through each
-//!   view's task→slot map;
+//!   peer scope* — `O(r_t)` peer-map probes, plus a slot lookup for
+//!   each anchor that does track `w` (see below);
 //! * the view of `w` itself gains a new slot for `t`, set for every
 //!   current responder of `t` inside its scope — another `O(r_t)`.
 //!
@@ -26,8 +26,9 @@
 //! pairing selected — never a row per population member. When a later
 //! call declares peers outside the current scope (the pairing
 //! changed), the view **re-anchors**: one fresh peer-scoped build from
-//! the index (`O(l_anchor + Σ_{p ∈ peers} l_p)` plus an `O(n)`
-//! slot-map sweep), after which incremental maintenance resumes.
+//! the index through the batch views' own fill kernel
+//! (`O(l_anchor + Σ_{p ∈ peers} l_p)`, plus `O(l_anchor)` to reset
+//! the view's slots), after which incremental maintenance resumes.
 //! Calls whose peers are already covered are served as-is — unless
 //! the held scope is > 4× the requested one, where the view
 //! re-anchors *down* and releases the larger allocation (a view that
@@ -44,6 +45,23 @@
 //! maintained views answer *exactly* what a fresh batch build would —
 //! the property the streaming-equivalence test suite pins down to the
 //! bit.
+//!
+//! # Slot lookup
+//!
+//! Ingest must find, for an anchor `a` that tracks the arriving
+//! worker, the slot the arriving task `t` occupies in `a`'s view —
+//! without hashing, and without per-view state sized by the task-id
+//! space. Each anchored view therefore keeps its slots **parallel to
+//! its anchor's task-sorted worker row**: entry `j` is the slot of the
+//! row's `j`-th task. The lookup is a binary search of `t` in that row
+//! (`O(log l_anchor)`, the same order as the peer-map probe before
+//! it, and run only for anchors whose scope holds the arriving
+//! worker); the anchor's own new task inserts its slot at the position
+//! the index inserted the response into the row; a re-anchor resets
+//! the entries to task order in `O(l_anchor)`. That is one `u32` per
+//! response of an anchored worker and nothing for a dormant one. The
+//! slots are derived state: checkpoints do not carry them, and a
+//! restored substrate rebuilds them when a view next anchors.
 //!
 //! # Maintained grams
 //!
@@ -64,16 +82,18 @@
 //! Re-anchors invalidate the table the same way.
 //!
 //! Memory: an **anchored** view holds at most `2l × ⌈l_anchor/64⌉`
-//! mask words plus a dense `n`-entry task→slot map; dormant views
-//! hold neither (the slot map is claimed on first anchoring), so the
-//! resident cost is `O(a·(l·n̄/64 + n))` in the number of *evaluated*
-//! workers `a ≤ m` — down from the population-scoped
-//! `O(m²·n̄/64 + m·n)` of the original design, which is what
-//! fleet-scale worker counts (and per-shard service monitors sharing
-//! one fleet-sized id space) need. A materialized gram adds `O(l²)`
-//! per **evaluated** view. At even larger scale shard workers first (see
-//! ROADMAP "Sharded assessment") — one monitor per shard closure also
-//! bounds the gram residency.
+//! mask words plus its `l_anchor` slots; dormant views hold neither.
+//! The slots of all views together are at most one `u32` per response
+//! (`N` in all), and the substrate adds one `n`-entry slot-stamp
+//! scratch that every re-anchor shares, so the resident cost is
+//! `O(a·l·n̄/64 + N + n)` in the number of *evaluated* workers
+//! `a ≤ m` — nothing per view grows with the task-id space, which is
+//! what fleet-scale worker counts (and per-shard service monitors
+//! sharing one fleet-sized id space) need; the population-scoped
+//! original design held `O(m²·n̄/64 + m·n)`. A materialized gram adds
+//! `O(l²)` per **evaluated** view. At even larger scale shard workers
+//! first (see ROADMAP "Sharded assessment") — one monitor per shard
+//! closure also bounds the gram residency.
 //!
 //! # Ingest epochs and dirty tracking
 //!
@@ -99,7 +119,7 @@
 //! worker whose `dirty_epoch` has not advanced past a cached
 //! evaluation would re-derive bit-identical numbers.
 
-use crate::index::{AnchoredOverlap, MaskMatrix, OverlapSource, PairBackend, PeerMask};
+use crate::index::{AnchoredOverlap, MaskMatrix, OverlapSource, PairBackend, PeerMask, SlotStamps};
 use crate::{
     Label, OverlapIndex, PairStats, PeerGram, PeerGramScratch, Response, ResponseMatrix, TaskId,
     TriplePairGram, TripleStats, WorkerId,
@@ -123,16 +143,11 @@ pub struct AnchoredView {
     /// The peer scope: which workers have mask rows. `None` until the
     /// first anchored query for this worker.
     scope: Option<PeerMask>,
-    /// Dense direct map `task → slot + 1` (0 = anchor never attempted
-    /// the task). `O(1)` lookups with one cache line touched — the
-    /// ingest hot path does one lookup per responder of the arriving
-    /// task, so a search structure here would dominate maintenance.
-    /// Slots never move once assigned. **Empty until the view first
-    /// anchors** (sized to `n_tasks` by [`AnchoredView::reanchor`]):
-    /// a fleet of dormant views costs `O(1)` each, not `O(n)` — the
-    /// term that would otherwise dominate a per-shard service holding
-    /// one [`StreamingIndex`] per shard over a fleet-sized id space.
-    slot_map: Vec<u32>,
+    /// The slot of each anchor task, parallel to the anchor's
+    /// task-sorted worker row (see the [module docs](self)). Empty
+    /// until the view first anchors; one entry per anchor task
+    /// thereafter.
+    slots: Vec<u32>,
     /// Lazily materialized scope-rows × scope-rows Gram of AND
     /// popcounts, **patched incrementally** on every ingest that flips
     /// a mask bit — a covariance evaluation against a stable scope
@@ -192,18 +207,9 @@ impl AnchoredView {
         Self {
             matrix: MaskMatrix::new(0, 1),
             scope: None,
-            slot_map: Vec::new(),
+            slots: Vec::new(),
             gram: RefCell::new(ScopeGram::default()),
             patch_rows: Vec::new(),
-        }
-    }
-
-    /// The slot assigned to `task`, if the anchor attempted it.
-    #[inline]
-    fn slot(&self, task: u32) -> Option<u32> {
-        match self.slot_map[task as usize] {
-            0 => None,
-            s => Some(s - 1),
         }
     }
 
@@ -220,18 +226,20 @@ impl AnchoredView {
             .is_some_and(|s| s.rows() > 4 * peers.rows().max(1))
     }
 
-    /// Ingest maintenance: `worker` responded to the already-slotted
-    /// anchor task `task`; set its bit if it is in scope. No-op for
-    /// un-anchored views (they rebuild from the index on first use).
-    /// Returns whether the maintained gram was patched.
-    fn note_peer_response(&mut self, worker: u32, task: u32) -> bool {
+    /// Ingest maintenance: `worker` responded to the anchor task
+    /// `task`; set its bit if it is in scope, at the slot found by
+    /// binary search in `anchor_row` (the anchor's worker row). No-op
+    /// for un-anchored views (they rebuild from the index on first
+    /// use). Returns whether the maintained gram was patched.
+    fn note_peer_response(&mut self, worker: u32, task: u32, anchor_row: &[(u32, Label)]) -> bool {
         let Some(scope) = &self.scope else {
             return false;
         };
         if let Some(row) = scope.row(worker) {
-            let slot = self
-                .slot(task)
+            let at = anchor_row
+                .binary_search_by_key(&task, |&(t, _)| t)
                 .expect("responders of a task are anchors of that task");
+            let slot = self.slots[at];
             self.matrix.set_bit(row, slot);
             // Patch the maintained gram: row's intersections grow by
             // one against every scoped row that also has the slot set
@@ -258,23 +266,20 @@ impl AnchoredView {
         false
     }
 
-    /// Ingest maintenance: the anchor itself responded to `task`;
-    /// assign the next slot and fill it for the in-scope members of
+    /// Ingest maintenance: the anchor itself responded to a task,
+    /// which took position `at` of its worker row; assign the next
+    /// slot (recorded at `at`) and fill it for the in-scope members of
     /// `responders` (the task's current responder list, anchor
-    /// included). Amortized `O(r_t)`: the bit matrix re-lays out only
-    /// when the slot count crosses the doubled word capacity. No-op
-    /// for un-anchored views. Returns whether the maintained gram was
-    /// patched.
-    fn note_anchor_task(&mut self, task: u32, responders: &[(u32, Label)]) -> bool {
+    /// included). Amortized `O(r_t + l_anchor)`: the bit matrix
+    /// re-lays out only when the slot count crosses the doubled word
+    /// capacity. No-op for un-anchored views. Returns whether the
+    /// maintained gram was patched.
+    fn note_anchor_task(&mut self, at: usize, responders: &[(u32, Label)]) -> bool {
         let Some(scope) = &self.scope else {
             return false;
         };
-        debug_assert_eq!(
-            self.slot_map[task as usize], 0,
-            "anchor tasks are ingested once"
-        );
         let slot = self.matrix.push_slot();
-        self.slot_map[task as usize] = slot + 1;
+        self.slots.insert(at, slot);
         let gram = self.gram.get_mut();
         if gram.live {
             // The fresh slot is set exactly for the in-scope
@@ -309,32 +314,25 @@ impl AnchoredView {
         }
     }
 
-    /// Re-anchors the view for `scope`: an `O(n)` slot-map sweep
-    /// (slots in task order) followed by the *same*
-    /// [`crate::index::fill_anchored_with`] kernel the batch views
-    /// use, looking slots up through the freshly built map — one
-    /// implementation of the bit layout, so the maintained and batch
-    /// views cannot drift apart. The matrix is pre-sized to the
-    /// anchor's exact current degree (no doubling re-layout) and its
-    /// reuse slack is released afterwards: the view is long-lived
-    /// state, and a downsizing re-anchor (population → peer scope)
-    /// must actually return the memory it claims to.
-    fn reanchor(&mut self, index: &OverlapIndex, anchor: WorkerId, scope: PeerMask) {
-        // First anchoring claims the dense slot map; dormant views
-        // never pay the `O(n)` allocation.
-        self.slot_map.clear();
-        self.slot_map.resize(index.n_tasks(), 0);
-        for (slot, &(task, _)) in index.worker_responses(anchor).iter().enumerate() {
-            self.slot_map[task as usize] = slot as u32 + 1;
-        }
-        let (matrix, slot_map) = (&mut self.matrix, &self.slot_map);
-        crate::index::fill_anchored_with(index, anchor, &scope, matrix, |task| {
-            match slot_map[task as usize] {
-                0 => None,
-                s => Some(s - 1),
-            }
-        });
+    /// Re-anchors the view for `scope` through the *same*
+    /// [`crate::index::fill_anchored`] kernel the batch views use
+    /// (slots in task order; `stamps` is the substrate's shared
+    /// scratch) — one implementation of the bit layout, so the
+    /// maintained and batch views cannot drift apart. The matrix is
+    /// pre-sized to the anchor's exact current degree (no doubling
+    /// re-layout) and its reuse slack is released afterwards: the view
+    /// is long-lived state, and a downsizing re-anchor (population →
+    /// peer scope) must actually return the memory it claims to.
+    fn reanchor(
+        &mut self,
+        index: &OverlapIndex,
+        anchor: WorkerId,
+        scope: PeerMask,
+        stamps: &mut SlotStamps,
+    ) {
+        crate::index::fill_anchored(index, anchor, &scope, &mut self.matrix, stamps);
         self.matrix.shrink();
+        self.slots = (0..index.worker_responses(anchor).len() as u32).collect();
         self.scope = Some(scope);
         // The cached gram is keyed to the old scope's rows; drop it
         // (the next gram query recomputes lazily) rather than patch
@@ -374,11 +372,22 @@ impl AnchoredView {
     /// Bytes resident in the view's bit matrix (zero until the view is
     /// first anchored; `peers · ⌈l_anchor/64⌉` words thereafter).
     pub fn mask_bytes(&self) -> usize {
-        if self.scope.is_some() {
-            self.matrix.mask_bytes()
-        } else {
-            0
-        }
+        self.matrix.mask_bytes()
+    }
+
+    /// Every byte of per-view state: the bit matrix, the materialized
+    /// gram, the patch buffer, the peer list and the slots. Zero for a
+    /// dormant view.
+    fn resident_bytes(&self) -> usize {
+        let Some(scope) = &self.scope else {
+            return 0;
+        };
+        let u32_bytes = std::mem::size_of::<u32>();
+        self.matrix.mask_bytes()
+            + self.gram.borrow().counts.capacity() * u32_bytes
+            + self.patch_rows.capacity() * std::mem::size_of::<usize>()
+            + scope.heap_bytes()
+            + self.slots.capacity() * u32_bytes
     }
 
     #[inline]
@@ -523,6 +532,9 @@ impl<T: AnchoredOverlap> AnchoredOverlap for &T {
 pub struct StreamingIndex {
     index: OverlapIndex,
     views: Vec<RefCell<AnchoredView>>,
+    /// The fill kernel's task→slot stamps, one scratch shared by every
+    /// re-anchor (allocated by the first peer-scoped one).
+    stamps: RefCell<SlotStamps>,
     /// Lazy re-anchors performed so far (diagnostic: a stable pairing
     /// should stop incurring these).
     reanchors: Cell<usize>,
@@ -584,6 +596,7 @@ impl StreamingIndex {
             views: (0..n_workers)
                 .map(|_| RefCell::new(AnchoredView::new()))
                 .collect(),
+            stamps: RefCell::default(),
             reanchors: Cell::new(0),
             gram_rebuilds: Cell::new(0),
             gram_patches: 0,
@@ -624,6 +637,7 @@ impl StreamingIndex {
             views: (0..data.n_workers())
                 .map(|_| RefCell::new(AnchoredView::new()))
                 .collect(),
+            stamps: RefCell::default(),
             reanchors: Cell::new(0),
             gram_rebuilds: Cell::new(0),
             gram_patches: 0,
@@ -640,24 +654,25 @@ impl StreamingIndex {
     /// views cost nothing. The validation and error taxonomy are
     /// [`OverlapIndex::record_response`]'s.
     pub fn record_response(&mut self, response: Response) -> crate::Result<()> {
-        self.index.record_response(response)?;
+        let at = self.index.insert_response(response)?;
         let responders = self.index.task_responses(response.task);
         // Existing anchors of this task gain one bit: the new worker.
         for &(anchor, _) in responders {
             if anchor == response.worker.0 {
                 continue;
             }
-            self.gram_patches += usize::from(
-                self.views[anchor as usize]
-                    .borrow_mut()
-                    .note_peer_response(response.worker.0, response.task.0),
-            );
+            self.gram_patches +=
+                usize::from(self.views[anchor as usize].get_mut().note_peer_response(
+                    response.worker.0,
+                    response.task.0,
+                    self.index.worker_responses(WorkerId(anchor)),
+                ));
         }
         // The responding worker's own view gains the task as a slot.
         self.gram_patches += usize::from(
             self.views[response.worker.index()]
-                .borrow_mut()
-                .note_anchor_task(response.task.0, responders),
+                .get_mut()
+                .note_anchor_task(at, responders),
         );
         // Dense-backend mirror adjacency: the response co-occurs the
         // worker with every prior responder of the task.
@@ -721,7 +736,8 @@ impl StreamingIndex {
         } else {
             drop(view);
             self.reanchors.set(self.reanchors.get() + 1);
-            cell.borrow_mut().reanchor(&self.index, anchor, scope);
+            cell.borrow_mut()
+                .reanchor(&self.index, anchor, scope, &mut self.stamps.borrow_mut());
             cell.borrow()
         };
         ViewRef {
@@ -757,10 +773,21 @@ impl StreamingIndex {
         self.index.n_tasks()
     }
 
-    /// Bytes resident across all maintained mask matrices — the
-    /// quantity the peer-scoped design bounds by `O(m·l·n̄/64)`
-    /// instead of `O(m²·n̄/64)`.
+    /// Bytes resident in per-view state across all views: each
+    /// anchored view's mask words, materialized gram, patch buffer,
+    /// peer list and slots — the quantity the peer-scoped design
+    /// bounds by `O(a·(l·n̄/64 + l² + n̄))` in the number of anchored
+    /// views `a`, with nothing sized by `n_tasks`. Dormant views count
+    /// zero; the shared slot-stamp scratch is substrate state and not
+    /// counted.
     pub fn view_mask_bytes(&self) -> usize {
+        self.views.iter().map(|v| v.borrow().resident_bytes()).sum()
+    }
+
+    /// Bytes resident in the anchored views' mask words alone — the
+    /// part of [`StreamingIndex::view_mask_bytes`] that peer scoping
+    /// shrinks from `m` rows per view to the pairing degree.
+    pub fn view_mask_word_bytes(&self) -> usize {
         self.views.iter().map(|v| v.borrow().mask_bytes()).sum()
     }
 
@@ -1043,11 +1070,11 @@ mod tests {
         assert_eq!(stream.view_mask_bytes(), 0, "un-anchored views are free");
 
         let peers = [WorkerId(1), WorkerId(2)];
-        let scoped_bytes = {
+        let (scoped_bytes, resident) = {
             let view = stream.anchored_for(WorkerId(0), &peers);
-            view.mask_bytes()
+            (view.mask_bytes(), view.resident_bytes())
         };
-        assert_eq!(stream.view_mask_bytes(), scoped_bytes);
+        assert_eq!(stream.view_mask_bytes(), resident);
         let full_bytes = stream.index().anchored(WorkerId(0)).mask_bytes();
         assert_eq!(
             full_bytes,
@@ -1069,16 +1096,63 @@ mod tests {
         };
         assert!(population_bytes > 0);
         let peers = [WorkerId(3), WorkerId(9)];
-        let scoped_bytes = {
+        let (scoped_bytes, resident) = {
             let view = stream.anchored_for(WorkerId(0), &peers);
-            view.mask_bytes()
+            (view.mask_bytes(), view.resident_bytes())
         };
-        assert_eq!(stream.view_mask_bytes(), scoped_bytes);
+        assert_eq!(stream.view_mask_bytes(), resident);
         assert!(
             scoped_bytes * 4 <= population_bytes,
             "downsizing from 16 rows to 2 must release the allocation: \
              {scoped_bytes}B resident after re-anchor vs {population_bytes}B before"
         );
+    }
+
+    /// Per-view state grows with the responses a view covers, never
+    /// with the task-id space: two substrates holding the same
+    /// responses over 100 and 100 000 task ids carry byte-identical
+    /// views, whether anchored peer-scoped or population-wide, before
+    /// and after further ingest. (Only the substrate's one shared slot
+    /// stamp scratch scales with the id space.)
+    #[test]
+    fn per_view_state_does_not_scale_with_task_ids() {
+        let data = sample(6, 100, 2, 5);
+        let mut responses: Vec<_> = data.iter().collect();
+        responses.reverse();
+        let cut = responses.len() * 3 / 4;
+        let mut small = StreamingIndex::new(6, 100, 2);
+        let mut large = StreamingIndex::new(6, 100_000, 2);
+        for stream in [&mut small, &mut large] {
+            for r in &responses[..cut] {
+                stream.record_response(*r).unwrap();
+            }
+            for w in 0..6u32 {
+                let view = if w.is_multiple_of(2) {
+                    stream.view(WorkerId(w))
+                } else {
+                    stream.anchored_for(WorkerId(w), &[WorkerId((w + 1) % 6), WorkerId(0)])
+                };
+                let _ = view.gram(&[WorkerId(0)]);
+            }
+        }
+        let per_view = |s: &StreamingIndex| -> Vec<usize> {
+            s.views
+                .iter()
+                .map(|v| v.borrow().resident_bytes())
+                .collect()
+        };
+        assert!(
+            per_view(&small).iter().all(|&b| b > 0),
+            "every view anchored"
+        );
+        assert_eq!(per_view(&small), per_view(&large));
+        for stream in [&mut small, &mut large] {
+            for r in &responses[cut..] {
+                stream.record_response(*r).unwrap();
+            }
+        }
+        assert_eq!(per_view(&small), per_view(&large));
+        assert_eq!(small.view_mask_bytes(), large.view_mask_bytes());
     }
 
     /// Querying outside the declared peer scope is a loud contract

@@ -3,7 +3,8 @@
 //! decode to typed errors — never panic.
 
 use crowd_data::{
-    CheckpointError, Label, OverlapSource, PairBackend, Response, StreamingIndex, TaskId, WorkerId,
+    AnchoredOverlap, CheckpointError, Label, OverlapSource, PairBackend, Response, StreamingIndex,
+    TaskId, WorkerId,
 };
 use proptest::prelude::*;
 
@@ -33,6 +34,57 @@ fn streaming_state() -> impl Strategy<Value = StreamingIndex> {
             },
         )
     })
+}
+
+/// A random response stream over a random shape and backend:
+/// `(m, n, arity, backend, responses)`, duplicate-free, in a
+/// data-dependent order.
+fn response_stream() -> impl Strategy<Value = (usize, usize, u16, PairBackend, Vec<Response>)> {
+    (2usize..=8, 2usize..=16, 2u16..=4, any::<bool>()).prop_flat_map(|(m, n, arity, sparse)| {
+        proptest::collection::vec(proptest::option::weighted(0.4, 0..arity), m * n).prop_map(
+            move |cells| {
+                let backend = if sparse {
+                    PairBackend::Sparse
+                } else {
+                    PairBackend::Dense
+                };
+                let responses = cells
+                    .into_iter()
+                    .enumerate()
+                    .filter_map(|(i, cell)| {
+                        cell.map(|label| Response {
+                            worker: WorkerId((i % m) as u32),
+                            task: TaskId((i / m) as u32),
+                            label: Label(label),
+                        })
+                    })
+                    .collect();
+                (m, n, arity, backend, responses)
+            },
+        )
+    })
+}
+
+/// The peer set the checkpoint properties anchor worker `w` with: the
+/// whole population for even `w`, one or two neighbours for odd `w`.
+fn scope_of(w: u32, m: u32) -> Vec<WorkerId> {
+    if w.is_multiple_of(2) {
+        (0..m).map(WorkerId).collect()
+    } else {
+        let mut peers = vec![WorkerId((w + 1) % m), WorkerId((w + m - 1) % m)];
+        peers.dedup();
+        peers
+    }
+}
+
+/// Anchors every view of `s` (population scope for even workers, a
+/// small peer set for odd ones) and materializes its gram.
+fn anchor_all(s: &StreamingIndex) {
+    let m = s.index().n_workers() as u32;
+    for w in 0..m {
+        let peers = scope_of(w, m);
+        let _ = s.anchored_for(WorkerId(w), &peers).gram(&peers);
+    }
 }
 
 proptest! {
@@ -68,6 +120,55 @@ proptest! {
                     original.pair(WorkerId(a), WorkerId(b))
                 );
             }
+        }
+    }
+
+    /// Anchored views — their masks, grams and slots — are derived
+    /// state that never reaches a checkpoint: a substrate
+    /// whose every view is anchored encodes to the same bytes as an
+    /// unanchored twin. A substrate restored from those bytes that
+    /// ingests the rest of the stream and then anchors answers every
+    /// view query exactly like the original, which stayed anchored
+    /// throughout.
+    #[test]
+    fn anchored_views_stay_out_of_checkpoints(
+        (m, n, arity, backend, responses) in response_stream(),
+        cut in 0.0f64..1.0,
+    ) {
+        let cut = (responses.len() as f64 * cut) as usize;
+        let mut original = StreamingIndex::new_with(m, n, arity, backend);
+        let mut twin = StreamingIndex::new_with(m, n, arity, backend);
+        for r in &responses[..cut] {
+            original.record_response(*r).unwrap();
+            twin.record_response(*r).unwrap();
+        }
+        anchor_all(&original);
+        let bytes = original.checkpoint();
+        prop_assert_eq!(&bytes, &twin.checkpoint());
+
+        let mut restored = StreamingIndex::restore(&bytes).expect("own checkpoint must decode");
+        for r in &responses[cut..] {
+            original.record_response(*r).unwrap();
+            restored.record_response(*r).unwrap();
+        }
+        anchor_all(&restored);
+        prop_assert_eq!(restored.index(), original.index());
+        prop_assert_eq!(restored.checkpoint(), original.checkpoint());
+        let m = m as u32;
+        for w in 0..m {
+            let peers = scope_of(w, m);
+            let (a, b) = (WorkerId(w), &peers);
+            let ours = original.anchored_for(a, b);
+            let theirs = restored.anchored_for(a, b);
+            prop_assert_eq!(ours.common_among(&[]), theirs.common_among(&[]));
+            prop_assert_eq!(ours.common_among(b), theirs.common_among(b));
+            for &p in b {
+                prop_assert_eq!(ours.pair_common(p), theirs.pair_common(p));
+                for &q in b {
+                    prop_assert_eq!(ours.triple_common(p, q), theirs.triple_common(p, q));
+                }
+            }
+            prop_assert_eq!(ours.gram(b), theirs.gram(b));
         }
     }
 

@@ -61,6 +61,128 @@ fn brute_pair(data: &ResponseMatrix, a: WorkerId, b: WorkerId) -> (usize, usize)
     (common, agree)
 }
 
+/// One run of the maintained-slot interleaving property (see
+/// `maintained_slots_survive_interleaved_reanchors` below): replays `data`
+/// in a shuffled order into a substrate on `backend`, and after every
+/// ingest takes one `plan` step on one worker's view — a population
+/// re-anchor up (`view()`), a plan-chosen peer set through
+/// `anchored_for` (re-anchoring up when the set is not covered, down
+/// when the held scope is > 4× larger), a gram materialization, or
+/// nothing. Then every view asked for so far must answer exactly what
+/// a fresh batch `anchored_for` build of the same prefix answers, with
+/// no re-anchor during the check.
+fn check_interleaved_reanchors(
+    data: &ResponseMatrix,
+    backend: PairBackend,
+    order_seed: u64,
+    plan: &[u64],
+) -> Result<(), TestCaseError> {
+    let (m, n, arity) = (data.n_workers(), data.n_tasks(), data.arity());
+    let all: Vec<WorkerId> = (0..m as u32).map(WorkerId).collect();
+    let mut responses: Vec<Response> = data.iter().collect();
+    shuffle(&mut responses, order_seed);
+    let mut stream = StreamingIndex::new_with(m, n, arity, backend);
+    let mut accumulated = ResponseMatrix::empty(m, n, arity);
+    // The peer set each view was last asked for (`None` = dormant),
+    // and whether its maintained gram was materialized since its last
+    // re-anchor.
+    let mut scopes: Vec<Option<Vec<WorkerId>>> = vec![None; m];
+    let mut grams = vec![false; m];
+    for (i, r) in responses.iter().enumerate() {
+        stream.record_response(*r).unwrap();
+        accumulated.insert(*r).unwrap();
+        let step = plan[i % plan.len()];
+        let w = (step % m as u64) as usize;
+        let anchor = WorkerId(w as u32);
+        let before = stream.reanchor_count();
+        match (step >> 8) % 4 {
+            0 => {
+                let _ = stream.view(anchor);
+                scopes[w] = Some(all.clone());
+            }
+            1 => {
+                let peers: Vec<WorkerId> = all
+                    .iter()
+                    .copied()
+                    .filter(|p| p.index() != w && (step >> (16 + p.index())) & 1 == 1)
+                    .collect();
+                let _ = stream.anchored_for(anchor, &peers);
+                scopes[w] = Some(peers);
+            }
+            2 => {
+                if let Some(peers) = &scopes[w] {
+                    let _ = stream.anchored_for(anchor, peers).gram(peers);
+                    grams[w] = true;
+                }
+            }
+            _ => {}
+        }
+        if stream.reanchor_count() != before {
+            grams[w] = false;
+        }
+
+        let batch = OverlapIndex::from_matrix(&accumulated);
+        let settled = stream.reanchor_count();
+        for (w, peers) in scopes.iter().enumerate() {
+            let Some(peers) = peers else { continue };
+            let anchor = WorkerId(w as u32);
+            let view = stream.anchored_for(anchor, peers);
+            let fresh = batch.anchored_for(anchor, peers);
+            let at = i + 1;
+            prop_assert_eq!(
+                view.common_among(&[]),
+                fresh.common_among(&[]),
+                "prefix {} anchor {} slot count",
+                at,
+                w
+            );
+            prop_assert_eq!(
+                view.common_among(peers),
+                fresh.common_among(peers),
+                "prefix {} anchor {} common_among",
+                at,
+                w
+            );
+            for &a in peers {
+                prop_assert_eq!(
+                    view.pair_common(a),
+                    fresh.pair_common(a),
+                    "prefix {} anchor {} peer {:?}",
+                    at,
+                    w,
+                    a
+                );
+                for &b in peers {
+                    prop_assert_eq!(
+                        view.triple_common(a, b),
+                        fresh.triple_common(a, b),
+                        "prefix {} anchor {} pair ({:?},{:?})",
+                        at,
+                        w,
+                        a,
+                        b
+                    );
+                }
+            }
+            if grams[w] {
+                prop_assert_eq!(
+                    view.gram(peers),
+                    fresh.gram(peers),
+                    "prefix {} anchor {} gram",
+                    at,
+                    w
+                );
+            }
+        }
+        prop_assert_eq!(
+            stream.reanchor_count(),
+            settled,
+            "checks must not re-anchor"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -722,6 +844,34 @@ proptest! {
             for &b in &sub {
                 prop_assert_eq!(sub_gram.get(a, b), after.get(a, b));
             }
+        }
+    }
+
+    /// The views' slots stay exact through worker-row insert shifts
+    /// and re-anchor resets: ingest interleaved with re-anchors up and
+    /// down keeps every maintained view equal to a fresh batch build
+    /// at every prefix, on both pair backends. Binary here; the k-ary
+    /// twin follows.
+    #[test]
+    fn maintained_slots_survive_interleaved_reanchors(
+        data in sparse_matrix(9, 16, 2),
+        seed in 0u64..u64::MAX,
+        plan in proptest::collection::vec(0u64..u64::MAX, 1..24),
+    ) {
+        for backend in [PairBackend::Dense, PairBackend::Sparse] {
+            check_interleaved_reanchors(&data, backend, seed, &plan)?;
+        }
+    }
+
+    /// The k-ary twin of the interleaving property above.
+    #[test]
+    fn maintained_slots_survive_interleaved_reanchors_kary(
+        data in sparse_matrix(8, 14, 3),
+        seed in 0u64..u64::MAX,
+        plan in proptest::collection::vec(0u64..u64::MAX, 1..24),
+    ) {
+        for backend in [PairBackend::Dense, PairBackend::Sparse] {
+            check_interleaved_reanchors(&data, backend, seed, &plan)?;
         }
     }
 

@@ -170,10 +170,11 @@ fn kary_streaming_is_bit_identical_to_batch_at_prefixes() {
 /// Fleet configuration (capped triples → peer-scoped views): streamed
 /// evaluation still equals batch at every checkpointed prefix, and the
 /// maintained view memory tracks the pairing degree, not the worker
-/// count. Each case names the minimum factor by which resident view
-/// memory must undercut population-scoped views (m mask rows per
+/// count. Each case names the minimum factor by which resident mask
+/// words must undercut population-scoped views (m mask rows per
 /// view): with a cap of 16 triples a view holds at most 32 peer rows,
-/// so at m = 600 that factor is at least 10.
+/// so at m = 600 that factor is at least 10. The rest of each view's
+/// state is bounded by the pairing degree and its own task count.
 #[test]
 fn capped_streaming_is_bit_identical_and_peer_scoped() {
     // (triple cap, workers, tasks, density, seed, residency floor)
@@ -206,7 +207,17 @@ fn capped_streaming_is_bit_identical_and_peer_scoped() {
             }
         }
 
-        let scoped = monitor.view_mask_bytes();
+        let scoped = monitor.view_mask_word_bytes();
+        // Everything else a view holds is sized by its pairing degree
+        // (≤ 2·cap peers: a (2·cap)² gram, the peer list and the patch
+        // buffer) and its own task count (one slot per task, ≤ n, with
+        // at most 2× growth slack) — never by the worker count.
+        let per_view_rest = 4 * (2 * cap) * (2 * cap) + 40 * cap + 8 * n;
+        assert!(
+            monitor.view_mask_bytes() <= scoped + m * per_view_rest,
+            "cap {cap}, m = {m}: per-view state beyond the masks must stay within \
+             {per_view_rest}B per view"
+        );
         let full_view = crowd_assess::data::OverlapIndex::from_matrix(&accumulated)
             .anchored(WorkerId(0))
             .mask_bytes();
@@ -216,7 +227,7 @@ fn capped_streaming_is_bit_identical_and_peer_scoped() {
         );
         assert!(
             scoped * floor < full_view * m,
-            "cap {cap}, m = {m}: peer-scoped streaming memory {scoped}B should undercut \
+            "cap {cap}, m = {m}: peer-scoped streaming mask words {scoped}B should undercut \
              population-wide views ({}B for m views) at least {floor}x",
             full_view * m
         );
