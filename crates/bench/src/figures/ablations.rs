@@ -206,6 +206,7 @@ pub fn pairing_strategy(options: &RunOptions) -> FigureResult {
     let per_rep: Vec<[[Option<f64>; 5]; 2]> = parallel_reps(options, |seed| {
         let data = interleaved_block_instance(seed);
         let index = crowd_data::OverlapIndex::from_matrix(&data);
+        let workers: Vec<_> = index.workers().collect();
         let mut cells = [[None; 5]; 2];
         for (s, (_, strategy)) in strategies.iter().enumerate() {
             let est = MWorkerEstimator::new(EstimatorConfig {
@@ -214,7 +215,7 @@ pub fn pairing_strategy(options: &RunOptions) -> FigureResult {
             });
             for (i, &c) in confidences.iter().enumerate() {
                 cells[s][i] = est
-                    .evaluate_all_indexed(&index, c)
+                    .evaluate_workers_on(&index, &workers, c)
                     .ok()
                     .filter(|report| !report.assessments.is_empty())
                     .map(|report| report.mean_interval_size());
@@ -316,13 +317,16 @@ pub fn degeneracy_policy(options: &RunOptions) -> FigureResult {
             let mut rng = crowd_sim::rng(seed);
             let inst = scenario.generate(&mut rng);
             let index = crowd_data::OverlapIndex::from_matrix(inst.responses());
-            [0, 1].map(|p| match estimators[p].evaluate_all_indexed(&index, 0.9) {
-                Ok(report) => {
-                    let cov = report.coverage(|w| Some(inst.true_error_rate(w)));
-                    (cov, report.assessments.len(), 9)
-                }
-                Err(_) => (CoverageStats::default(), 0, 9),
-            })
+            let workers: Vec<_> = index.workers().collect();
+            [0, 1].map(
+                |p| match estimators[p].evaluate_workers_on(&index, &workers, 0.9) {
+                    Ok(report) => {
+                        let cov = report.coverage(|w| Some(inst.true_error_rate(w)));
+                        (cov, report.assessments.len(), 9)
+                    }
+                    Err(_) => (CoverageStats::default(), 0, 9),
+                },
+            )
         });
         for (p, (acc_points, eval_points)) in per_policy.iter_mut().enumerate() {
             let mut cov = CoverageStats::default();
@@ -377,9 +381,10 @@ pub fn kary_m_accuracy(options: &RunOptions) -> FigureResult {
             let mut rng = crowd_sim::rng(seed);
             let inst = scenario.generate(&mut rng);
             let index = crowd_data::OverlapIndex::from_matrix(inst.responses());
+            let workers: Vec<_> = index.workers().collect();
             confidences
                 .iter()
-                .map(|&c| match est.evaluate_all_indexed(&index, c) {
+                .map(|&c| match est.evaluate_workers_on(&index, &workers, c) {
                     Ok(report) => report.coverage(|w| Some(inst.true_confusion(w))),
                     Err(_) => CoverageStats::default(),
                 })

@@ -31,8 +31,9 @@ pub fn run(options: &RunOptions) -> FigureResult {
         // are bit-identical, so this cannot move a point — see
         // `tests/figure_regression.rs`).
         let index = OverlapIndex::from_matrix(inst.responses());
-        let rep_opt = optimized.evaluate_all_indexed(&index, 0.5).ok()?;
-        let rep_uni = uniform.evaluate_all_indexed(&index, 0.5).ok()?;
+        let workers: Vec<_> = index.workers().collect();
+        let rep_opt = optimized.evaluate_workers_on(&index, &workers, 0.5).ok()?;
+        let rep_uni = uniform.evaluate_workers_on(&index, &workers, 0.5).ok()?;
         if rep_opt.assessments.is_empty() || rep_uni.assessments.is_empty() {
             return None;
         }

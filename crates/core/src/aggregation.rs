@@ -1,7 +1,7 @@
 //! Answer aggregation using estimated worker abilities.
 //!
 //! The paper's closing claim is that reliable worker evaluation
-//! "yield[s] improved quality crowdsourced results": once error rates
+//! "yield\[s\] improved quality crowdsourced results": once error rates
 //! are known, the Bayes-optimal combination of binary votes weighs
 //! each worker by the log-odds of being correct,
 //! `w_i = ln((1 − p_i)/p_i)`, instead of counting votes equally.

@@ -1,5 +1,5 @@
 //! Dawid-Skene EM estimation — the classical point-estimate
-//! comparator (related work, [13] in the paper).
+//! comparator (related work, \[13\] in the paper).
 //!
 //! Jointly estimates hidden true labels and per-worker confusion
 //! matrices by expectation-maximization. Converges to a *local*

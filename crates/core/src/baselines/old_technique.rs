@@ -1,4 +1,4 @@
-//! The reproduced "old technique" of reference [2] (Joglekar et al.,
+//! The reproduced "old technique" of reference \[2\] (Joglekar et al.,
 //! KDD 2013) — the baseline of Figure 1.
 //!
 //! For worker `i` on **regular binary** data, the remaining workers are

@@ -20,7 +20,10 @@
 //! approximately fresh: a clean row would re-derive the same bits
 //! because every statistic its evaluation reads is unchanged, and
 //! failures ([`crate::EstimateError`] rows) are cached and re-validated the
-//! same way as successes. Anything that changes the evaluation
+//! same way as successes. A miss calls [`Estimator::evaluate_streamed`],
+//! which runs the estimator's one evaluation body — the code batch
+//! `evaluate_all` runs over an [`crowd_data::OverlapIndex`] — on the
+//! stream. Anything that changes the evaluation
 //! question rather than the data — a different confidence level —
 //! invalidates wholesale. The service-level property tests
 //! (`crowd_service/tests/incremental_equivalence.rs`) pin cached
@@ -148,7 +151,7 @@ impl<E: Estimator> ReportCache<E> {
     /// report (assessments and failures in `anchors` order) and the
     /// population guard are bit-identical to the uncached subset
     /// evaluation ([`crate::MWorkerEstimator::evaluate_workers_on`],
-    /// [`crate::KaryMWorkerEstimator::evaluate_workers_streaming`]).
+    /// [`crate::KaryMWorkerEstimator::evaluate_workers_on`]).
     pub fn refresh(
         &mut self,
         estimator: &E,
@@ -420,9 +423,7 @@ mod tests {
             stream.record_response(r).unwrap();
             if i % 53 == 0 || i + 1 == data.n_responses() {
                 let cached = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
-                let full = est
-                    .evaluate_workers_streaming(&stream, &anchors, 0.9)
-                    .unwrap();
+                let full = est.evaluate_workers_on(&stream, &anchors, 0.9).unwrap();
                 assert_eq!(cached.assessments.len(), full.assessments.len());
                 assert_eq!(cached.failures.len(), full.failures.len());
                 for (c, f) in cached.assessments.iter().zip(&full.assessments) {

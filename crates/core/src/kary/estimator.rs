@@ -4,7 +4,7 @@
 use crate::kary::covariance::{counts_covariance, perturbation_entries};
 use crate::kary::prob_estimate::{ProbEstimate, prob_estimate};
 use crate::{EstimateError, EstimatorConfig, Result};
-use crowd_data::{CountsTensor, OverlapIndex, ResponseMatrix, WorkerId};
+use crowd_data::{CountsTensor, OverlapSource, WorkerId};
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, DeltaMethod};
 
@@ -183,28 +183,19 @@ impl KaryEstimator {
         prob_estimate(counts)
     }
 
-    /// Full Algorithm A3 for the worker triple `(w₁, w₂, w₃)`.
-    pub fn evaluate(
+    /// Full Algorithm A3 for the worker triple `(w₁, w₂, w₃)` over any
+    /// overlap substrate: the counts tensor comes from
+    /// [`OverlapSource::fill_counts`] (a task scan over a
+    /// [`crowd_data::ResponseMatrix`], a CSR union merge over an index).
+    /// Identical output on every substrate.
+    pub fn evaluate<S: OverlapSource>(
         &self,
-        data: &ResponseMatrix,
+        src: &S,
         workers: [WorkerId; 3],
         confidence: f64,
     ) -> Result<KaryAssessment> {
-        let counts = CountsTensor::from_matrix(data, workers[0], workers[1], workers[2]);
-        self.evaluate_counts(&counts, workers, confidence)
-    }
-
-    /// Full Algorithm A3 against an [`OverlapIndex`]: the counts tensor
-    /// is harvested by a union merge of the triple's CSR rows instead
-    /// of a per-(task, worker) binary-search scan. Identical output to
-    /// [`KaryEstimator::evaluate`] on the indexed matrix.
-    pub fn evaluate_indexed(
-        &self,
-        index: &OverlapIndex,
-        workers: [WorkerId; 3],
-        confidence: f64,
-    ) -> Result<KaryAssessment> {
-        let counts = CountsTensor::from_index(index, workers[0], workers[1], workers[2]);
+        let mut counts = CountsTensor::zeros(src.arity() as usize);
+        src.fill_counts(&mut counts, workers[0], workers[1], workers[2]);
         self.evaluate_counts(&counts, workers, confidence)
     }
 

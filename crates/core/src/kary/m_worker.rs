@@ -73,20 +73,19 @@ use crowd_data::{
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, delta_variance, min_variance_weights};
 
-/// Reusable scratch for the k-ary indexed evaluate-all loop — the
-/// k-ary counterpart of the binary estimator's scratch: the peer-id
-/// buffer, the anchored view's mask words and the per-triple counts
-/// tensor all survive from one evaluated worker to the next, so the
-/// loop re-fills the same allocations instead of building a fresh
-/// `(k+1)³` tensor per triple and fresh mask words per worker.
-/// Scratch state never influences outputs — results stay
-/// bit-identical to the scratch-free path.
+/// Reusable scratch for one k-ary evaluation loop — the k-ary
+/// counterpart of the binary estimator's scratch: the peer-id buffer,
+/// the anchored view's build storage and the per-triple counts tensor
+/// all survive from one triple and one evaluated worker to the next,
+/// so the loop re-fills the same allocations instead of building a
+/// fresh `(k+1)³` tensor per triple and fresh mask words per worker.
+/// Scratch state never influences outputs.
 #[derive(Debug, Default)]
 struct KaryEvalScratch {
     peers: Vec<WorkerId>,
     anchored: AnchoredScratch,
-    /// Lazily sized on first use (the scratch does not know the arity
-    /// until it meets its first index).
+    /// Sized on first use, and re-shaped by
+    /// [`OverlapSource::fill_counts`] on an arity change.
     tensor: Option<CountsTensor>,
     /// The cross-triple `n₅` table and the combined-mask scratch of
     /// its blocked kernel (see [`crowd_data::gram`]).
@@ -225,154 +224,73 @@ impl KaryMWorkerEstimator {
         &self.config
     }
 
-    /// Evaluates a single worker, aggregating every usable triple.
-    pub fn evaluate_worker(
-        &self,
-        data: &ResponseMatrix,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<KaryWorkerAssessment> {
-        self.evaluate_worker_with(data, worker, confidence, |a, b| {
-            CountsTensor::from_matrix(data, worker, a, b)
-        })
-    }
-
-    /// [`KaryMWorkerEstimator::evaluate_worker`] against an
-    /// [`OverlapIndex`]: pairing reads the O(1) pair table, counts
-    /// tensors are harvested by CSR union merges, and the `n₅`
-    /// cross-triple counts become bitset popcounts on the anchored
-    /// view. Identical output to the matrix path.
-    pub fn evaluate_worker_indexed(
-        &self,
-        index: &OverlapIndex,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<KaryWorkerAssessment> {
-        self.evaluate_worker_with(index, worker, confidence, |a, b| {
-            CountsTensor::from_index(index, worker, a, b)
-        })
-    }
-
-    /// [`KaryMWorkerEstimator::evaluate_worker_indexed`] with
-    /// caller-held [`KaryEvalScratch`]: counts tensors are re-filled
-    /// in place and the anchored view is built into the scratch's
-    /// reusable mask words, so an evaluate-all loop allocates nothing
-    /// per worker once the buffers reach their high-water marks.
-    /// Outputs are bit-identical to the scratch-free path.
-    fn evaluate_worker_indexed_scratch(
-        &self,
-        index: &OverlapIndex,
-        worker: WorkerId,
-        confidence: f64,
-        scratch: &mut KaryEvalScratch,
-    ) -> Result<KaryWorkerAssessment> {
-        let KaryEvalScratch {
-            peers,
-            anchored,
-            tensor,
-            n5,
-            gram_scratch,
-        } = scratch;
-        self.evaluate_worker_via(
-            index,
-            worker,
-            confidence,
-            peers,
-            tensor,
-            n5,
-            gram_scratch,
-            |buf, a, b| {
-                // First use sizes the tensor; fill_from_index re-shapes
-                // on arity change, so cross-index scratch reuse is safe.
-                buf.get_or_insert_with(|| CountsTensor::zeros(index.arity() as usize))
-                    .fill_from_index(index, worker, a, b);
-            },
-            |ps| index.anchored_for_in(worker, ps, anchored),
-        )
-    }
-
-    /// The substrate-generic worker evaluation behind the matrix,
-    /// indexed and streaming entry points: overlap statistics come
-    /// from `src`, counts tensors from the `tensor` closure.
-    pub(crate) fn evaluate_worker_with<S: OverlapSource>(
+    /// Evaluates one worker over any overlap substrate, aggregating
+    /// every usable triple: pairing and the `n₅` cross-triple counts
+    /// read `src`, and each triple's counts tensor comes from
+    /// [`OverlapSource::fill_counts`] — a task scan over a
+    /// [`ResponseMatrix`], CSR union merges over an [`OverlapIndex`] or
+    /// a [`StreamingIndex`]. Outputs are identical across substrates.
+    pub fn evaluate_worker<S: OverlapSource>(
         &self,
         src: &S,
         worker: WorkerId,
         confidence: f64,
-        tensor: impl Fn(WorkerId, WorkerId) -> CountsTensor,
     ) -> Result<KaryWorkerAssessment> {
-        self.evaluate_worker_via(
-            src,
-            worker,
-            confidence,
-            &mut Vec::new(),
-            &mut None,
-            &mut TriplePairGram::default(),
-            &mut PeerGramScratch::default(),
-            |buf, a, b| *buf = Some(tensor(a, b)),
-            |peers| src.anchored_for(worker, peers),
-        )
+        self.evaluate_in(src, worker, confidence, &mut KaryEvalScratch::default())
     }
 
-    /// Evaluates one worker against a maintained [`StreamingIndex`]:
-    /// overlap statistics come from the stream's peer-scoped anchored
-    /// views, counts tensors from union merges of the accumulated
-    /// index's adjacency rows. Bit-identical to the batch
-    /// [`KaryMWorkerEstimator::evaluate_all`] row on the accumulated
-    /// data — the public entry point behind
-    /// [`crate::KaryIncrementalEvaluator`] and the shard-resident
-    /// assessment runtime.
-    pub fn evaluate_worker_streaming(
+    /// [`KaryMWorkerEstimator::evaluate_worker`] for a set of workers,
+    /// collecting per-worker outcomes into one [`KaryWorkerReport`]
+    /// (assessments and failures in `workers` order). One scratch is
+    /// reused across the loop; per-shard reports recombined with
+    /// [`Report::merge`] equal a serial full-fleet pass.
+    pub fn evaluate_workers_on<S: OverlapSource>(
         &self,
-        stream: &StreamingIndex,
-        worker: WorkerId,
+        src: &S,
+        workers: &[WorkerId],
         confidence: f64,
-    ) -> Result<KaryWorkerAssessment> {
-        self.evaluate_worker_with(stream, worker, confidence, |a, b| {
-            CountsTensor::from_index(stream.index(), worker, a, b)
+    ) -> Result<KaryWorkerReport> {
+        let mut scratch = KaryEvalScratch::default();
+        Report::evaluate(src.n_workers(), workers.iter().copied(), |w| {
+            self.evaluate_in(src, w, confidence, &mut scratch)
         })
     }
 
-    /// [`KaryMWorkerEstimator::evaluate_worker_streaming`] for a set
-    /// of workers, collecting per-worker outcomes into one
-    /// [`KaryWorkerReport`] (assessments and failures in `workers`
-    /// order); per-shard reports recombined with
-    /// [`Report::merge`] equal a serial full-fleet pass.
+    /// Evaluates every worker, collecting per-worker failures instead
+    /// of aborting. Builds one [`OverlapIndex`] and runs every worker
+    /// against it, exactly like the binary
+    /// [`crate::MWorkerEstimator::evaluate_all`].
+    pub fn evaluate_all(&self, data: &ResponseMatrix, confidence: f64) -> Result<KaryWorkerReport> {
+        let workers: Vec<WorkerId> = data.workers().collect();
+        self.evaluate_workers_on(&OverlapIndex::from_matrix(data), &workers, confidence)
+    }
+
+    /// [`KaryMWorkerEstimator::evaluate_workers_on`] under its former
+    /// streaming-only name, which the benchmark's layer trace still
+    /// calls; it goes with the next benchmark change.
+    #[doc(hidden)]
     pub fn evaluate_workers_streaming(
         &self,
         stream: &StreamingIndex,
         workers: &[WorkerId],
         confidence: f64,
     ) -> Result<KaryWorkerReport> {
-        Report::evaluate(
-            OverlapSource::n_workers(stream),
-            workers.iter().copied(),
-            |w| self.evaluate_worker_streaming(stream, w, confidence),
-        )
+        self.evaluate_workers_on(stream, workers, confidence)
     }
 
     /// The evaluation body behind every entry point: pairing, the
-    /// per-triple A3 pipelines (each counts tensor produced by `fill`
-    /// into the reusable `tensor_buf`), and — when more than one
-    /// triple survives — the peer-scoped anchored view built by `view`
-    /// from the selected peer set, whose one-pass
+    /// per-triple A3 pipelines (each counts tensor re-filled into the
+    /// scratch tensor), and — when more than one triple survives — the
+    /// peer-scoped anchored view built into the scratch from the
+    /// selected peer set, whose one-pass
     /// [`AnchoredOverlap::pair_gram_into`] kernel batches every `n₅`
     /// cross-triple count.
-    // The scratch buffers arrive as separate parameters (not one
-    // struct) because `fill` and `view` must borrow disjoint fields of
-    // the caller's scratch at the same time.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_worker_via<S: OverlapSource, A: AnchoredOverlap>(
+    fn evaluate_in<S: OverlapSource>(
         &self,
         src: &S,
         worker: WorkerId,
         confidence: f64,
-        peers_buf: &mut Vec<WorkerId>,
-        tensor_buf: &mut Option<CountsTensor>,
-        n5: &mut TriplePairGram,
-        gram_scratch: &mut PeerGramScratch,
-        mut fill: impl FnMut(&mut Option<CountsTensor>, WorkerId, WorkerId),
-        view: impl FnOnce(&[WorkerId]) -> A,
+        scratch: &mut KaryEvalScratch,
     ) -> Result<KaryWorkerAssessment> {
         if src.n_workers() < 3 {
             return Err(EstimateError::NotEnoughWorkers {
@@ -389,12 +307,17 @@ impl KaryMWorkerEstimator {
             self.config.max_triples,
         );
 
+        let KaryEvalScratch {
+            peers,
+            anchored,
+            tensor,
+            n5,
+            gram_scratch,
+        } = scratch;
         let mut ctxs: Vec<TripleCtx> = Vec::with_capacity(pairs.len());
         for (a, b) in pairs {
-            fill(tensor_buf, a, b);
-            let counts = tensor_buf
-                .as_ref()
-                .expect("fill populated the tensor buffer");
+            let counts = tensor.get_or_insert_with(|| CountsTensor::zeros(k));
+            src.fill_counts(counts, worker, a, b);
             match triple_detail(counts, &self.config) {
                 Ok(detail) => {
                     let p_hat = [
@@ -449,13 +372,16 @@ impl KaryMWorkerEstimator {
         if l >= 2 {
             // Sorted and deduplicated, so the view's mask is sized by
             // the distinct-peer count, not 2·pairs.
-            peers_buf.clear();
-            peers_buf.extend(ctxs.iter().flat_map(|c| [c.peers.0, c.peers.1]));
-            peers_buf.sort_unstable();
-            peers_buf.dedup();
-            let anchored = view(peers_buf);
+            peers.clear();
+            peers.extend(ctxs.iter().flat_map(|c| [c.peers.0, c.peers.1]));
+            peers.sort_unstable();
+            peers.dedup();
             let pair_list: Vec<(WorkerId, WorkerId)> = ctxs.iter().map(|c| c.peers).collect();
-            anchored.pair_gram_into(&pair_list, n5, gram_scratch);
+            src.anchored_for_in(worker, peers, anchored).pair_gram_into(
+                &pair_list,
+                n5,
+                gram_scratch,
+            );
         }
 
         // Per-entry J-term tables, shared across entries of one triple
@@ -550,35 +476,6 @@ impl KaryMWorkerEstimator {
             weights_fell_back: fell_back,
         })
     }
-
-    /// Evaluates every worker, collecting per-worker failures instead
-    /// of aborting. Builds one [`OverlapIndex`] and runs every worker
-    /// against it, exactly like the binary
-    /// [`crate::MWorkerEstimator::evaluate_all`].
-    pub fn evaluate_all(&self, data: &ResponseMatrix, confidence: f64) -> Result<KaryWorkerReport> {
-        if data.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: data.n_workers(),
-                need: 3,
-            });
-        }
-        let index = OverlapIndex::from_matrix(data);
-        self.evaluate_all_indexed(&index, confidence)
-    }
-
-    /// [`KaryMWorkerEstimator::evaluate_all`] against a caller-built
-    /// index. One scratch (peer buffer, mask words, counts tensor) is
-    /// reused across the whole worker loop, mirroring the binary path.
-    pub fn evaluate_all_indexed(
-        &self,
-        index: &OverlapIndex,
-        confidence: f64,
-    ) -> Result<KaryWorkerReport> {
-        let mut scratch = KaryEvalScratch::default();
-        Report::evaluate(index.n_workers(), index.workers(), |w| {
-            self.evaluate_worker_indexed_scratch(index, w, confidence, &mut scratch)
-        })
-    }
 }
 
 impl Estimator for KaryMWorkerEstimator {
@@ -594,7 +491,7 @@ impl Estimator for KaryMWorkerEstimator {
         worker: WorkerId,
         confidence: f64,
     ) -> Result<KaryWorkerAssessment> {
-        self.evaluate_worker_streaming(stream, worker, confidence)
+        self.evaluate_worker(stream, worker, confidence)
     }
 }
 
@@ -902,7 +799,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_tensors_per_worker() {
-        // Drive the scratch entry point directly over every worker:
+        // Drive one scratch over every worker:
         // reused counts tensors and mask words must never leak state
         // between evaluations (the k-ary twin of the binary
         // scratch_reuse test).
@@ -913,8 +810,8 @@ mod tests {
         let est = estimator();
         let mut scratch = KaryEvalScratch::default();
         for worker in index.workers() {
-            let fresh = est.evaluate_worker_indexed(&index, worker, 0.9);
-            let reused = est.evaluate_worker_indexed_scratch(&index, worker, 0.9, &mut scratch);
+            let fresh = est.evaluate_worker(&index, worker, 0.9);
+            let reused = est.evaluate_in(&index, worker, 0.9, &mut scratch);
             match (fresh, reused) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.triples_used, b.triples_used, "worker {worker:?}");
@@ -940,9 +837,8 @@ mod tests {
                 .with_workers(5)
                 .generate(&mut rng(seed));
             let index = OverlapIndex::from_matrix(inst.responses());
-            let fresh = est.evaluate_worker_indexed(&index, WorkerId(0), 0.9);
-            let reused =
-                est.evaluate_worker_indexed_scratch(&index, WorkerId(0), 0.9, &mut scratch);
+            let fresh = est.evaluate_worker(&index, WorkerId(0), 0.9);
+            let reused = est.evaluate_in(&index, WorkerId(0), 0.9, &mut scratch);
             match (fresh, reused) {
                 (Ok(a), Ok(b)) => {
                     for (x, y) in a.intervals.iter().zip(&b.intervals) {
@@ -960,14 +856,11 @@ mod tests {
         let inst = KaryScenario::paper_default(2, 150, 0.9)
             .with_workers(6)
             .generate(&mut rng(131));
-        let index = OverlapIndex::from_matrix(inst.responses());
         let est = estimator();
-        let full = est.evaluate_all_indexed(&index, 0.9).unwrap();
+        let full = est.evaluate_all(inst.responses(), 0.9).unwrap();
         let stream = StreamingIndex::from_matrix(inst.responses());
         let subset = [WorkerId(4), WorkerId(1)];
-        let partial = est
-            .evaluate_workers_streaming(&stream, &subset, 0.9)
-            .unwrap();
+        let partial = est.evaluate_workers_on(&stream, &subset, 0.9).unwrap();
         for w in subset {
             let (a, b) = (
                 full.assessments.iter().find(|a| a.worker == w),

@@ -38,10 +38,11 @@ use crowd_data::{
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, min_variance_weights};
 
-/// Reusable scratch for the indexed evaluate-all loop: the peer-id
-/// buffer, the anchored view's mask words and the [`PeerGram`] table
-/// survive from one evaluated worker to the next, so the loop runs
-/// allocation-free once all have reached their high-water marks.
+/// Reusable scratch for one evaluation loop: the peer-id buffer, the
+/// anchored view's build storage and the [`PeerGram`] table survive
+/// from one evaluated worker to the next, so a loop over an
+/// [`OverlapIndex`] runs allocation-free once all have reached their
+/// high-water marks. Scratch state never influences outputs.
 #[derive(Debug, Default)]
 struct EvalScratch {
     peers: Vec<WorkerId>,
@@ -92,48 +93,28 @@ impl MWorkerEstimator {
         &self.config
     }
 
-    /// Evaluates a single worker, aggregating every usable triple.
-    pub fn evaluate_worker(
-        &self,
-        data: &ResponseMatrix,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<WorkerAssessment> {
-        self.evaluate_worker_on(data, worker, confidence)
-    }
-
     /// Algorithm A2 for one worker over any overlap substrate. Every
     /// statistic the pipeline touches — candidate overlaps, the three
     /// agreement rates per triple, `c_ij₁j₂`, and the Lemma 4
     /// cross-triple counts `c_iab` — comes from `src`, so the same code
-    /// runs against merge scans (the naive reference), the
-    /// [`OverlapIndex`] (O(1) pairs, anchored bitset triples) or a
-    /// [`crowd_data::StreamingIndex`]. Outputs are identical across
+    /// runs against merge scans over a [`ResponseMatrix`] (the naive
+    /// reference), an [`OverlapIndex`] (O(1) pairs, anchored bitset
+    /// triples) or a [`StreamingIndex`]. Outputs are identical across
     /// substrates.
-    pub fn evaluate_worker_on<S: OverlapSource>(
+    pub fn evaluate_worker<S: OverlapSource>(
         &self,
         src: &S,
         worker: WorkerId,
         confidence: f64,
     ) -> Result<WorkerAssessment> {
-        self.evaluate_worker_via(
-            src,
-            worker,
-            confidence,
-            &mut Vec::new(),
-            &mut PeerGram::default(),
-            &mut PeerGramScratch::default(),
-            |peers| src.anchored_for(worker, peers),
-        )
+        self.evaluate_in(src, worker, confidence, &mut EvalScratch::default())
     }
 
-    /// [`MWorkerEstimator::evaluate_worker_on`] for a set of workers,
+    /// [`MWorkerEstimator::evaluate_worker`] for a set of workers,
     /// collecting per-worker outcomes into one [`WorkerReport`]
-    /// (assessments and failures in `workers` order). This is the
-    /// subset entry point the shard-resident assessment runtime uses
-    /// to answer snapshot requests from its maintained streaming
-    /// substrate; rows are bit-identical to evaluating each worker
-    /// individually, so reports merged across shards with
+    /// (assessments and failures in `workers` order). One scratch is
+    /// reused across the loop; rows are bit-identical to evaluating
+    /// each worker individually, so reports merged across shards with
     /// [`WorkerReport::merge`] equal a serial full-fleet pass.
     pub fn evaluate_workers_on<S: OverlapSource>(
         &self,
@@ -141,50 +122,38 @@ impl MWorkerEstimator {
         workers: &[WorkerId],
         confidence: f64,
     ) -> Result<WorkerReport> {
+        let mut scratch = EvalScratch::default();
         Report::evaluate(src.n_workers(), workers.iter().copied(), |w| {
-            self.evaluate_worker_on(src, w, confidence)
+            self.evaluate_in(src, w, confidence, &mut scratch)
         })
     }
 
-    /// [`MWorkerEstimator::evaluate_worker_on`] against an
-    /// [`OverlapIndex`] with caller-held [`EvalScratch`]: the anchored
-    /// view is built into the scratch's reusable mask words, so an
-    /// evaluate-all loop allocates nothing per worker. Outputs are
-    /// bit-identical to the scratch-free path.
-    fn evaluate_worker_indexed_scratch(
-        &self,
-        index: &OverlapIndex,
-        worker: WorkerId,
-        confidence: f64,
-        scratch: &mut EvalScratch,
-    ) -> Result<WorkerAssessment> {
-        let EvalScratch {
-            peers,
-            anchored,
-            gram,
-            gram_scratch,
-        } = scratch;
-        self.evaluate_worker_via(index, worker, confidence, peers, gram, gram_scratch, |ps| {
-            index.anchored_for_in(worker, ps, anchored)
-        })
+    /// Evaluates every worker, collecting per-worker failures instead
+    /// of aborting (sparse real data routinely has a few unevaluable
+    /// workers).
+    ///
+    /// Builds one [`OverlapIndex`] over the matrix in a single pass and
+    /// evaluates every worker against it, so every downstream
+    /// statistic becomes a table lookup or bitset popcount. Results
+    /// are identical to [`MWorkerEstimator::evaluate_workers_on`] over
+    /// the matrix itself.
+    pub fn evaluate_all(&self, data: &ResponseMatrix, confidence: f64) -> Result<WorkerReport> {
+        let workers: Vec<WorkerId> = data.workers().collect();
+        self.evaluate_workers_on(&OverlapIndex::from_matrix(data), &workers, confidence)
     }
 
-    /// The evaluation body behind both entry points: pairing, the
-    /// peer-scoped anchored view (built by `view` from the selected
-    /// peer set, so it holds `O(peers)` mask rows — never
+    /// The evaluation body behind every entry point: pairing, the
+    /// peer-scoped anchored view (built into `scratch` from the
+    /// selected peer set, so it holds `O(peers)` mask rows — never
     /// `O(n_workers)`), one [`PeerGram`] pass answering every triple
     /// count of the evaluation, triple estimation, and the Lemma 4/5
     /// combination.
-    #[allow(clippy::too_many_arguments)] // scratch fields arrive split so `view` can borrow disjointly
-    fn evaluate_worker_via<S: OverlapSource, A: AnchoredOverlap>(
+    fn evaluate_in<S: OverlapSource>(
         &self,
         src: &S,
         worker: WorkerId,
         confidence: f64,
-        peers_buf: &mut Vec<WorkerId>,
-        gram: &mut PeerGram,
-        gram_scratch: &mut PeerGramScratch,
-        view: impl FnOnce(&[WorkerId]) -> A,
+        scratch: &mut EvalScratch,
     ) -> Result<WorkerAssessment> {
         if src.n_workers() < 3 {
             return Err(EstimateError::NotEnoughWorkers {
@@ -208,15 +177,21 @@ impl MWorkerEstimator {
         // workers the pairing selected. Sorted and deduplicated, so
         // the view's mask and the gram are sized by the distinct-peer
         // count, not 2·pairs.
-        peers_buf.clear();
-        peers_buf.extend(pairs.iter().flat_map(|&(a, b)| [a, b]));
-        peers_buf.sort_unstable();
-        peers_buf.dedup();
-        let anchored = view(peers_buf);
+        let EvalScratch {
+            peers,
+            anchored,
+            gram,
+            gram_scratch,
+        } = scratch;
+        peers.clear();
+        peers.extend(pairs.iter().flat_map(|&(a, b)| [a, b]));
+        peers.sort_unstable();
+        peers.dedup();
         // Every `c_{worker,a,b}` this evaluation will ever ask for —
         // the per-triple `c_all` here and the O(T²) Lemma 4 loop below
         // — in one blocked pass; see `crowd_data::gram`.
-        anchored.gram_into(peers_buf, gram, gram_scratch);
+        src.anchored_for_in(worker, peers, anchored)
+            .gram_into(peers, gram, gram_scratch);
         let mut triples: Vec<TripleEstimate> = Vec::with_capacity(pairs.len());
         for (a, b) in pairs {
             let c_all = gram.get(a, b);
@@ -263,43 +238,6 @@ impl MWorkerEstimator {
             interval,
             triples_used: triples.len(),
             weights_fell_back: weights.fell_back,
-        })
-    }
-
-    /// Evaluates every worker, collecting per-worker failures instead
-    /// of aborting (sparse real data routinely has a few unevaluable
-    /// workers).
-    ///
-    /// Builds one [`OverlapIndex`] over the matrix and evaluates every
-    /// worker against it — the index is built in a single pass and
-    /// every downstream statistic becomes a table lookup or bitset
-    /// popcount. Results are identical to the per-worker scan path,
-    /// [`MWorkerEstimator::evaluate_workers_on`] over the matrix
-    /// itself.
-    pub fn evaluate_all(&self, data: &ResponseMatrix, confidence: f64) -> Result<WorkerReport> {
-        if data.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: data.n_workers(),
-                need: 3,
-            });
-        }
-        let index = OverlapIndex::from_matrix(data);
-        self.evaluate_all_indexed(&index, confidence)
-    }
-
-    /// [`MWorkerEstimator::evaluate_all`] against a caller-built
-    /// [`OverlapIndex`] — for pipelines that reuse one index across
-    /// many operations (assessment, pairing diagnostics, k-ary runs).
-    /// One scratch (peer buffer, anchored mask words, gram table) is
-    /// reused across the whole worker loop.
-    pub fn evaluate_all_indexed(
-        &self,
-        index: &OverlapIndex,
-        confidence: f64,
-    ) -> Result<WorkerReport> {
-        let mut scratch = EvalScratch::default();
-        Report::evaluate(index.n_workers(), index.workers(), |w| {
-            self.evaluate_worker_indexed_scratch(index, w, confidence, &mut scratch)
         })
     }
 
@@ -401,7 +339,7 @@ impl Estimator for MWorkerEstimator {
         worker: WorkerId,
         confidence: f64,
     ) -> Result<WorkerAssessment> {
-        self.evaluate_worker_on(stream, worker, confidence)
+        self.evaluate_worker(stream, worker, confidence)
     }
 }
 
@@ -577,15 +515,15 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_views_per_worker() {
-        // Drive the scratch entry point directly over workers of very
-        // different degrees: reused mask words must never leak bits.
+        // Drive one scratch over workers of very different degrees:
+        // reused mask words must never leak bits.
         let inst = BinaryScenario::paper_default(9, 120, 0.6).generate(&mut rng(67));
         let index = crowd_data::OverlapIndex::from_matrix(inst.responses());
         let est = estimator();
         let mut scratch = EvalScratch::default();
         for worker in index.workers() {
-            let fresh = est.evaluate_worker_on(&index, worker, 0.9);
-            let reused = est.evaluate_worker_indexed_scratch(&index, worker, 0.9, &mut scratch);
+            let fresh = est.evaluate_worker(&index, worker, 0.9);
+            let reused = est.evaluate_in(&index, worker, 0.9, &mut scratch);
             match (fresh, reused) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.interval, b.interval, "worker {worker:?}");

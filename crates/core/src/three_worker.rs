@@ -74,23 +74,11 @@ impl ThreeWorkerEstimator {
 
     /// Runs steps 1–4 of the method for worker `i` in the triple
     /// `(i, j₁, j₂)`, returning the estimate plus the ingredients
-    /// Algorithm A2 aggregates.
-    pub fn triple_estimate(
-        &self,
-        data: &ResponseMatrix,
-        worker: WorkerId,
-        peer1: WorkerId,
-        peer2: WorkerId,
-    ) -> Result<TripleEstimate> {
-        self.triple_estimate_on(data, worker, peer1, peer2)
-    }
-
-    /// [`ThreeWorkerEstimator::triple_estimate`] over any overlap
-    /// substrate ([`crowd_data::OverlapIndex`], a
-    /// [`crowd_data::StreamingIndex`], or the raw matrix). The
-    /// estimate is identical across substrates; only the
-    /// statistic-lookup cost differs.
-    pub fn triple_estimate_on<S: OverlapSource>(
+    /// Algorithm A2 aggregates. Works over any overlap substrate
+    /// ([`crowd_data::ResponseMatrix`], [`crowd_data::OverlapIndex`]
+    /// or [`crowd_data::StreamingIndex`]); the estimate is identical
+    /// across substrates, only the statistic-lookup cost differs.
+    pub fn triple_estimate<S: OverlapSource>(
         &self,
         src: &S,
         worker: WorkerId,

@@ -1,13 +1,15 @@
 //! Property-based tests for the estimators' internal invariants.
 
 use crowd_core::agreement::{Triangle, agreement_from_errors};
+use crowd_core::kary::KaryEstimator;
 use crowd_core::kary::{align_rows_greedy, fix_row_signs, population_counts, prob_estimate};
 use crowd_core::{
     DegeneracyPolicy, EstimatorConfig, KaryMWorkerEstimator, KaryWorkerReport, MWorkerEstimator,
-    ThreeWorkerEstimator, WorkerReport,
+    Report, ThreeWorkerEstimator, WorkerReport, WorkerRow,
 };
 use crowd_data::{
-    Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex, TaskId, WorkerId,
+    Label, OverlapIndex, PairBackend, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex,
+    TaskId, WorkerId,
 };
 use crowd_linalg::Matrix;
 use proptest::prelude::*;
@@ -95,6 +97,74 @@ fn assert_kary_reports_bit_identical(
         prop_assert_eq!(&x.1, &y.1);
     }
     Ok(())
+}
+
+/// Strategy: one sort key per worker id of [`assessable_matrix`]; see
+/// [`shuffled_subset`].
+fn worker_keys() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(0u32..1000, 8)
+}
+
+/// The workers of `data` whose key is not divisible by 4, ordered by
+/// key: a random subset in a random order.
+fn shuffled_subset(data: &ResponseMatrix, keys: &[u32]) -> Vec<WorkerId> {
+    let mut workers: Vec<WorkerId> = data
+        .workers()
+        .filter(|w| !keys[w.index()].is_multiple_of(4))
+        .collect();
+    workers.sort_by_key(|w| keys[w.index()]);
+    workers
+}
+
+/// The rows of `full` for `workers`, in `workers` order: what
+/// `evaluate_workers_on(.., workers, ..)` must return.
+fn rows_for<A: WorkerRow + Clone>(full: &Report<A>, workers: &[WorkerId]) -> Report<A> {
+    let mut rows = Report::default();
+    for &w in workers {
+        if let Some(a) = full.assessments.iter().find(|a| a.worker() == w) {
+            rows.assessments.push(a.clone());
+        } else if let Some(f) = full.failures.iter().find(|f| f.0 == w) {
+            rows.failures.push(f.clone());
+        }
+    }
+    rows
+}
+
+/// One triple per worker in `workers`: the worker and the next two
+/// worker ids after it, cyclically.
+fn triples_for(data: &ResponseMatrix, workers: &[WorkerId]) -> Vec<[WorkerId; 3]> {
+    let m = data.n_workers() as u32;
+    workers
+        .iter()
+        .map(|&w| [w, WorkerId((w.0 + 1) % m), WorkerId((w.0 + 2) % m)])
+        .collect()
+}
+
+/// Runs `$body` once per overlap substrate of the matrix `$data`, with
+/// `$src` bound to the substrate and `$name` to its label: the matrix
+/// itself (merge scans, the naive reference), a dense and a sparse
+/// [`OverlapIndex`], and a [`StreamingIndex`].
+macro_rules! for_each_substrate {
+    ($data:expr, |$name:ident, $src:ident| $body:block) => {{
+        let data: &ResponseMatrix = $data;
+        {
+            let ($name, $src) = ("matrix", data);
+            $body
+        }
+        {
+            let ($name, $src) = ("dense index", &OverlapIndex::from_matrix(data));
+            $body
+        }
+        {
+            let index = OverlapIndex::from_matrix_with(data, PairBackend::Sparse);
+            let ($name, $src) = ("sparse index", &index);
+            $body
+        }
+        {
+            let ($name, $src) = ("streaming index", &StreamingIndex::from_matrix(data));
+            $body
+        }
+    }};
 }
 
 /// Strategy: a random diagonally dominant row-stochastic k×k matrix.
@@ -230,85 +300,62 @@ proptest! {
         prop_assert!(g.iter().all(|d| d.is_finite()));
     }
 
-    /// The indexed `evaluate_all` (one [`crowd_data::OverlapIndex`]
-    /// shared by every worker) is bit-identical to both oracles on
-    /// arbitrary sparse matrices: `evaluate_workers_on` over the
-    /// matrix itself (per-worker merge scans, the naive reference) and
-    /// over a [`StreamingIndex`] (the substrate the service serves
-    /// from).
+    /// The binary estimator's one entry, `evaluate_workers_on`, gives
+    /// on every substrate the rows `evaluate_all` gives, bit for bit,
+    /// over a shuffled worker subset: one scratch is reused across
+    /// workers in non-id order, so a leak between evaluations shows.
+    /// `ThreeWorkerEstimator::triple_estimate` agrees across the same
+    /// substrates.
     #[test]
-    fn indexed_evaluate_all_equals_naive(data in assessable_matrix()) {
+    fn indexed_evaluate_all_equals_naive(data in assessable_matrix(), keys in worker_keys()) {
         let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let workers: Vec<WorkerId> = data.workers().collect();
-        let indexed = est.evaluate_all(&data, 0.9).expect("enough workers");
-        let naive = est.evaluate_workers_on(&data, &workers, 0.9).expect("enough workers");
-        assert_reports_bit_identical(&naive, &indexed)?;
-        let stream = StreamingIndex::from_matrix(&data);
-        let streamed = est.evaluate_workers_on(&stream, &workers, 0.9).expect("enough workers");
-        assert_reports_bit_identical(&streamed, &indexed)?;
+        let three = ThreeWorkerEstimator::new(EstimatorConfig::default());
+        let workers = shuffled_subset(&data, &keys);
+        let expect = rows_for(&est.evaluate_all(&data, 0.9).expect("enough workers"), &workers);
+        let triples = triples_for(&data, &workers);
+        let oracle: Vec<String> = triples
+            .iter()
+            .map(|&[w, a, b]| format!("{:?}", three.triple_estimate(&data, w, a, b)))
+            .collect();
+        for_each_substrate!(&data, |substrate, src| {
+            let report = est.evaluate_workers_on(src, &workers, 0.9).expect("enough workers");
+            assert_reports_bit_identical(&report, &expect)
+                .map_err(|e| TestCaseError::fail(format!("{substrate}: {e:?}")))?;
+            for (&[w, a, b], want) in triples.iter().zip(&oracle) {
+                let got = format!("{:?}", three.triple_estimate(src, w, a, b));
+                prop_assert_eq!(&got, want, "{}: triple ({:?}, {:?}, {:?})", substrate, w, a, b);
+            }
+        });
     }
 
-    /// The k-ary twin: `evaluate_all` equals the per-worker matrix-scan
-    /// path and `evaluate_workers_streaming` over a [`StreamingIndex`],
-    /// successes and failure reasons alike.
+    /// The k-ary twin: `evaluate_workers_on` equals the `evaluate_all`
+    /// rows on every substrate over a shuffled worker subset,
+    /// successes and failure reasons alike (so a reused counts tensor
+    /// or peer buffer that leaks state shows), and
+    /// `KaryEstimator::evaluate` agrees across the same substrates.
     #[test]
-    fn kary_evaluate_all_equals_scan_and_streaming(data in assessable_matrix()) {
+    fn kary_evaluate_all_equals_scan_and_streaming(
+        data in assessable_matrix(),
+        keys in worker_keys(),
+    ) {
         let est = KaryMWorkerEstimator::new(EstimatorConfig::clamping());
-        let workers: Vec<WorkerId> = data.workers().collect();
-        let batch = est.evaluate_all(&data, 0.9).expect("enough workers");
-        let mut naive = KaryWorkerReport::default();
-        for &worker in &workers {
-            match est.evaluate_worker(&data, worker, 0.9) {
-                Ok(a) => naive.assessments.push(a),
-                Err(e) => naive.failures.push((worker, e)),
+        let a3 = KaryEstimator::new(EstimatorConfig::clamping());
+        let workers = shuffled_subset(&data, &keys);
+        let expect = rows_for(&est.evaluate_all(&data, 0.9).expect("enough workers"), &workers);
+        let triples = triples_for(&data, &workers);
+        let oracle: Vec<String> = triples
+            .iter()
+            .map(|&t| format!("{:?}", a3.evaluate(&data, t, 0.9)))
+            .collect();
+        for_each_substrate!(&data, |substrate, src| {
+            let report = est.evaluate_workers_on(src, &workers, 0.9).expect("enough workers");
+            assert_kary_reports_bit_identical(&report, &expect)
+                .map_err(|e| TestCaseError::fail(format!("{substrate}: {e:?}")))?;
+            for (&t, want) in triples.iter().zip(&oracle) {
+                let got = format!("{:?}", a3.evaluate(src, t, 0.9));
+                prop_assert_eq!(&got, want, "{}: triple {:?}", substrate, t);
             }
-        }
-        assert_kary_reports_bit_identical(&naive, &batch)?;
-        let stream = StreamingIndex::from_matrix(&data);
-        let streamed = est
-            .evaluate_workers_streaming(&stream, &workers, 0.9)
-            .expect("enough workers");
-        assert_kary_reports_bit_identical(&streamed, &batch)?;
-    }
-
-    /// The k-ary m-worker estimator's indexed path is equivalent to
-    /// the matrix-scan path per worker: the same workers succeed, and
-    /// successful assessments agree bit for bit.
-    #[test]
-    fn kary_indexed_evaluate_equals_matrix_path(data in assessable_matrix()) {
-        let est = KaryMWorkerEstimator::new(EstimatorConfig::clamping());
-        let index = OverlapIndex::from_matrix(&data);
-        for worker in data.workers() {
-            let direct = est.evaluate_worker(&data, worker, 0.9);
-            let indexed = est.evaluate_worker_indexed(&index, worker, 0.9);
-            match (direct, indexed) {
-                (Ok(d), Ok(i)) => {
-                    prop_assert_eq!(d.triples_used, i.triples_used);
-                    prop_assert_eq!(d.weights_fell_back, i.weights_fell_back);
-                    for (a, b) in d.intervals.iter().zip(&i.intervals) {
-                        prop_assert_eq!(a.center.to_bits(), b.center.to_bits());
-                        prop_assert_eq!(a.half_width.to_bits(), b.half_width.to_bits());
-                    }
-                    let k = d.v.rows();
-                    for r in 0..k {
-                        for c in 0..k {
-                            prop_assert_eq!(
-                                d.v.get(r, c).to_bits(),
-                                i.v.get(r, c).to_bits()
-                            );
-                        }
-                    }
-                }
-                (Err(_), Err(_)) => {}
-                (d, i) => {
-                    return Err(TestCaseError::fail(format!(
-                        "paths disagree for {worker:?}: direct {:?} vs indexed {:?}",
-                        d.map(|a| a.triples_used),
-                        i.map(|a| a.triples_used)
-                    )));
-                }
-            }
-        }
+        });
     }
 
     /// The forward agreement map stays in [1/2, 1] for admissible

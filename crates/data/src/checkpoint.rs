@@ -6,7 +6,7 @@
 //! ingested response row, and the ingest-epoch state that drives the
 //! dirty-set report caches. [`StreamingIndex::checkpoint`] /
 //! [`StreamingIndex::restore`] round-trip **bit-identically**: the
-//! restored index compares equal to the original ([`OverlapIndex`]
+//! restored index compares equal to the original ([`OverlapIndex`](crate::OverlapIndex)
 //! derives `Eq`), every epoch counter matches, and re-encoding the
 //! restored substrate reproduces the original bytes byte for byte.
 //!

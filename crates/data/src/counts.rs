@@ -80,29 +80,15 @@ impl CountsTensor {
         )
     }
 
-    /// Builds the tensor from an [`crate::OverlapIndex`] by a union
-    /// merge of the triple's CSR rows — `O(|w₁| + |w₂| + |w₃|)` instead
-    /// of a binary search per (task, worker) cell. Bit-identical to
-    /// [`CountsTensor::from_matrix`] on the same data.
-    pub fn from_index(
-        index: &crate::OverlapIndex,
-        w1: WorkerId,
-        w2: WorkerId,
-        w3: WorkerId,
-    ) -> Self {
-        let mut t = Self::zeros(index.arity() as usize);
-        t.fill_from_index(index, w1, w2, w3);
-        t
-    }
-
-    /// Re-fills an existing tensor from the index **in place** —
-    /// zeroes the entries, then replays the same union merge as
-    /// [`CountsTensor::from_index`], allocating nothing when the
-    /// arities match (an arity change re-shapes the tensor instead,
-    /// so a reused scratch buffer is always safe). The k-ary indexed
-    /// evaluate-all loop reuses one tensor across workers this way;
-    /// counts are bit-identical to a fresh build.
-    pub fn fill_from_index(
+    /// Re-fills the tensor **in place** from an [`crate::OverlapIndex`]
+    /// by a union merge of the triple's CSR rows —
+    /// `O(|w₁| + |w₂| + |w₃|)` instead of a binary search per
+    /// (task, worker) cell — allocating nothing when the arities match
+    /// (an arity change re-shapes the tensor instead, so a reused
+    /// scratch buffer is always safe). This is the indexed substrates'
+    /// [`crate::OverlapSource::fill_counts`]; counts are bit-identical
+    /// to [`CountsTensor::from_matrix`] on the same data.
+    pub(crate) fn fill_from_index(
         &mut self,
         index: &crate::OverlapIndex,
         w1: WorkerId,

@@ -11,7 +11,7 @@
 //!
 //! `PeerGram` computes the full peers×peers symmetric matrix of
 //! AND-popcounts in **one register-blocked pass** over the mask words
-//! ([`MaskMatrix::gram_rows_into`]): rows are processed in blocks of
+//! (`MaskMatrix::gram_rows_into`): rows are processed in blocks of
 //! [`GRAM_BLOCK`](crate::index) so each loaded cache line of mask
 //! words feeds multiple independent accumulators, and the per-row
 //! popcounts land on the diagonal for free. The covariance assembly

@@ -45,7 +45,7 @@
 //! responder fill, which is cheaper there; both fills produce the same
 //! bits, so the choice is invisible to every query. The evaluate-all
 //! hot path additionally reuses one [`AnchoredScratch`] per thread
-//! ([`OverlapIndex::anchored_for_in`]), so consecutive view builds
+//! ([`OverlapSource::anchored_for_in`]), so consecutive view builds
 //! allocate nothing. Matrices are always pre-sized to the anchor's
 //! exact degree — the mask-word doubling re-layout only ever runs on
 //! the streaming ingest path.
@@ -91,14 +91,18 @@
 //! [`OverlapSource`] abstracts over the providers (naive matrix scans,
 //! the full index, the streaming index) so the estimators are written
 //! once and the naive scan path stays available as the correctness
-//! reference for the equivalence tests.
+//! reference for the equivalence tests. It also owns what an
+//! evaluation loop reuses from worker to worker — the anchored view's
+//! build storage ([`OverlapSource::anchored_for_in`]) and the k-ary
+//! counts tensor ([`OverlapSource::fill_counts`]) — so an estimator
+//! has one evaluation body and no per-substrate entry points.
 //! For streaming evaluation with maintained anchored views, see
 //! [`crate::StreamingIndex`].
 
 use crate::overlap::triple_scan;
 use crate::{
-    Label, PairCache, PairMap, PairStats, PeerGram, PeerGramScratch, Response, ResponseMatrix,
-    TaskId, TriplePairGram, TripleStats, WorkerId,
+    CountsTensor, Label, PairCache, PairMap, PairStats, PeerGram, PeerGramScratch, Response,
+    ResponseMatrix, TaskId, TriplePairGram, TripleStats, WorkerId,
 };
 
 /// A provider of pairwise and triple overlap statistics over one
@@ -108,8 +112,12 @@ use crate::{
 /// reference), [`OverlapIndex`] (O(1) pairs, CSR scans and anchored
 /// bitset popcounts for triples) and [`crate::StreamingIndex`] (the
 /// index plus maintained anchored views). All return *identical*
-/// counts — only the cost differs — which is what lets `evaluate_all`
-/// switch substrates without changing a single output bit.
+/// counts — only the cost differs — which is what lets each estimator
+/// keep one substrate-generic evaluation body whose output bits do not
+/// depend on the substrate. The two reuse hooks,
+/// [`OverlapSource::anchored_for_in`] and
+/// [`OverlapSource::fill_counts`], let that body carry one scratch
+/// across an evaluation loop on every substrate.
 pub trait OverlapSource {
     /// The anchored triple-overlap view; see [`OverlapSource::anchored`].
     type Anchored<'a>: AnchoredOverlap
@@ -149,6 +157,29 @@ pub trait OverlapSource {
         let _ = peers;
         self.anchored(anchor)
     }
+
+    /// [`OverlapSource::anchored_for`] built into caller-held
+    /// [`AnchoredScratch`], so a loop that evaluates many workers with
+    /// one scratch re-layouts and allocates nothing once the scratch
+    /// has grown to the largest view it has served. The view answers
+    /// exactly like [`OverlapSource::anchored_for`]. The default
+    /// ignores the scratch; [`OverlapIndex`] builds its bit matrix into
+    /// it.
+    fn anchored_for_in<'s>(
+        &'s self,
+        anchor: WorkerId,
+        peers: &[WorkerId],
+        scratch: &'s mut AnchoredScratch,
+    ) -> Self::Anchored<'s> {
+        let _ = scratch;
+        self.anchored_for(anchor, peers)
+    }
+
+    /// Re-fills `tensor` with the Algorithm A3 counts tensor of the
+    /// triple `(w1, w2, w3)`, re-shaping it if its arity differs from
+    /// [`OverlapSource::arity`], so one tensor can be reused across
+    /// triples and substrates. Counts are identical on every substrate.
+    fn fill_counts(&self, tensor: &mut CountsTensor, w1: WorkerId, w2: WorkerId, w3: WorkerId);
 
     /// If the substrate tracks co-occurrence explicitly, appends the
     /// workers sharing at least one task with `worker` to `out`
@@ -286,6 +317,10 @@ impl OverlapSource for ResponseMatrix {
 
     fn anchored(&self, anchor: WorkerId) -> ScanAnchored<'_> {
         ScanAnchored { data: self, anchor }
+    }
+
+    fn fill_counts(&self, tensor: &mut CountsTensor, w1: WorkerId, w2: WorkerId, w3: WorkerId) {
+        *tensor = CountsTensor::from_matrix(self, w1, w2, w3);
     }
 }
 
@@ -634,7 +669,7 @@ impl OverlapIndex {
     /// the same three-way union merge, but each joint row is handed to
     /// `visit` instead of collected — the allocation-free path the
     /// reusable k-ary counts-tensor fill runs on
-    /// ([`crate::CountsTensor::fill_from_index`]).
+    /// ([`OverlapSource::fill_counts`] on an index).
     pub fn triple_joint_for_each(
         &self,
         a: WorkerId,
@@ -704,6 +739,19 @@ impl OverlapSource for OverlapIndex {
         BitsetAnchored::build_scoped(self, anchor, peers)
     }
 
+    fn anchored_for_in<'s>(
+        &'s self,
+        anchor: WorkerId,
+        peers: &[WorkerId],
+        scratch: &'s mut AnchoredScratch,
+    ) -> BitsetAnchored<'s> {
+        BitsetAnchored::build_in(self, anchor, peers, scratch)
+    }
+
+    fn fill_counts(&self, tensor: &mut CountsTensor, w1: WorkerId, w2: WorkerId, w3: WorkerId) {
+        tensor.fill_from_index(self, w1, w2, w3);
+    }
+
     fn co_occurring_into(&self, worker: WorkerId, out: &mut Vec<WorkerId>) -> bool {
         match &self.pairs {
             // The dense table cannot enumerate a worker's peers without
@@ -714,22 +762,6 @@ impl OverlapSource for OverlapIndex {
                 true
             }
         }
-    }
-}
-
-impl OverlapIndex {
-    /// [`OverlapSource::anchored_for`] building into a caller-held
-    /// [`AnchoredScratch`]: the returned view borrows the scratch's
-    /// mask words, so an evaluate-all loop that keeps one scratch per
-    /// thread re-layouts nothing and allocates nothing once the words
-    /// vector has grown to the largest view it has served.
-    pub fn anchored_for_in<'s>(
-        &self,
-        anchor: WorkerId,
-        peers: &[WorkerId],
-        scratch: &'s mut AnchoredScratch,
-    ) -> BitsetAnchored<'s> {
-        BitsetAnchored::build_in(self, anchor, peers, scratch)
     }
 }
 
@@ -1459,7 +1491,7 @@ impl SlotStamps {
     }
 }
 
-/// Reusable build storage for [`OverlapIndex::anchored_for_in`]:
+/// Reusable build storage for [`OverlapSource::anchored_for_in`]:
 /// holds the mask words and the slot stamps of the previous view
 /// so consecutive anchored builds (one per evaluated worker) allocate
 /// nothing once both have reached their high-water marks.
@@ -1472,7 +1504,7 @@ pub struct AnchoredScratch {
 /// Anchored triple overlaps by bitset intersection.
 ///
 /// The anchor's attempted tasks define bit positions `0..s` (task
-/// order). A [`PeerMask`] maps each in-scope worker to a mask row
+/// order). A `PeerMask` maps each in-scope worker to a mask row
 /// recording which of those tasks it attempted; then
 /// `c_{anchor,a,b} = popcount(masks[a] & masks[b])`, a handful of word
 /// operations per query instead of a three-way merge scan.

@@ -41,6 +41,19 @@ pub fn pair_stats(data: &ResponseMatrix, a: WorkerId, b: WorkerId) -> PairStats 
 /// Merge scan of two task-sorted `(task, label)` rows. Shared by the
 /// matrix-level [`pair_stats`] and the CSR rows of
 /// [`crate::OverlapIndex`].
+/// The pair-table lookup contract shared by [`PairCache::get`] and
+/// [`crate::PairMap::get`]: two distinct workers of the `m` covered.
+#[inline]
+pub(crate) fn check_pair(a: WorkerId, b: WorkerId, m: usize) {
+    assert!(a != b, "pair table has no diagonal: ({}, {})", a.0, b.0);
+    assert!(
+        a.index().max(b.index()) < m,
+        "pair ({}, {}) out of range for {m} workers",
+        a.0,
+        b.0
+    );
+}
+
 pub(crate) fn pair_scan(la: &[(u32, Label)], lb: &[(u32, Label)]) -> PairStats {
     let mut i = 0;
     let mut j = 0;
@@ -239,7 +252,13 @@ impl PairCache {
     }
 
     /// The cached statistics for a worker pair.
+    ///
+    /// # Panics
+    /// Panics if `a == b` or either id is not below
+    /// [`PairCache::n_workers`], in every build profile: the packed
+    /// index of such a pair lands in another pair's slot.
     pub fn get(&self, a: WorkerId, b: WorkerId) -> PairStats {
+        check_pair(a, b, self.m);
         let (common, agree) = self.counts[self.index(a.0, b.0)];
         PairStats {
             common_tasks: common as usize,
@@ -468,5 +487,20 @@ mod tests {
                 assert_eq!(fast.agreements, agree);
             }
         }
+    }
+
+    // An out-of-range or diagonal pair must panic rather than read
+    // another pair's packed slot: with m = 10, (3, 12) maps to slot 32
+    // (the pair (4, 9)) and (3, 3) wraps to slot 23.
+    #[test]
+    #[should_panic(expected = "out of range for 10 workers")]
+    fn dense_lookup_rejects_out_of_range_ids() {
+        PairCache::empty(10).get(WorkerId(3), WorkerId(12));
+    }
+
+    #[test]
+    #[should_panic(expected = "no diagonal")]
+    fn dense_lookup_rejects_the_diagonal() {
+        PairCache::empty(10).get(WorkerId(3), WorkerId(3));
     }
 }

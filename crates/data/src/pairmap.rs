@@ -25,7 +25,7 @@
 //!   only its closure rows, keep pair state proportional to *its* rows.
 //!
 //! Maintenance mirrors the dense cache exactly: one-shot per-task
-//! harvests ([`PairMap::harvest_task`]) or streaming appends
+//! harvests (`PairMap::harvest_task`) or streaming appends
 //! ([`PairMap::record_response`]), and the differential property tests
 //! in `crates/data/tests/proptests.rs` pin `PairMap` == `PairCache`
 //! for every co-occurring pair under random matrices and random ingest
@@ -99,8 +99,13 @@ impl PairMap {
 
     /// The stored statistics for a pair; pairs that never co-occurred
     /// read as zero.
+    ///
+    /// # Panics
+    /// Panics if `a == b` or either id is not below
+    /// [`PairMap::n_workers`], in every build profile, exactly like
+    /// [`crate::PairCache::get`].
     pub fn get(&self, a: WorkerId, b: WorkerId) -> PairStats {
-        debug_assert!(a != b, "pair map has no diagonal");
+        crate::overlap::check_pair(a, b, self.rows.len());
         let (common, agree) = match self.rows[a.index()].binary_search_by_key(&b.0, |&(p, _, _)| p)
         {
             Ok(pos) => {
@@ -253,5 +258,17 @@ mod tests {
             .count();
         assert_eq!(sparse.n_pairs(), nonzero);
         assert!(sparse.table_bytes() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 10 workers")]
+    fn sparse_lookup_rejects_out_of_range_ids() {
+        PairMap::empty(10).get(WorkerId(3), WorkerId(12));
+    }
+
+    #[test]
+    #[should_panic(expected = "no diagonal")]
+    fn sparse_lookup_rejects_the_diagonal() {
+        PairMap::empty(10).get(WorkerId(3), WorkerId(3));
     }
 }

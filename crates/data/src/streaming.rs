@@ -121,8 +121,8 @@
 
 use crate::index::{AnchoredOverlap, MaskMatrix, OverlapSource, PairBackend, PeerMask, SlotStamps};
 use crate::{
-    Label, OverlapIndex, PairStats, PeerGram, PeerGramScratch, Response, ResponseMatrix, TaskId,
-    TriplePairGram, TripleStats, WorkerId,
+    CountsTensor, Label, OverlapIndex, PairStats, PeerGram, PeerGramScratch, Response,
+    ResponseMatrix, TaskId, TriplePairGram, TripleStats, WorkerId,
 };
 use std::cell::{Cell, Ref, RefCell};
 
@@ -896,6 +896,10 @@ impl OverlapSource for StreamingIndex {
 
     fn anchored_for(&self, anchor: WorkerId, peers: &[WorkerId]) -> ViewRef<'_> {
         self.ensure_scope(anchor, PeerMask::scoped_for(peers, self.index.n_workers()))
+    }
+
+    fn fill_counts(&self, tensor: &mut CountsTensor, w1: WorkerId, w2: WorkerId, w3: WorkerId) {
+        tensor.fill_from_index(&self.index, w1, w2, w3);
     }
 
     fn co_occurring_into(&self, worker: WorkerId, out: &mut Vec<WorkerId>) -> bool {

@@ -387,8 +387,10 @@ proptest! {
         }
     }
 
-    /// The union-merge joint view and the counts tensor built from the
-    /// index are identical to their matrix-scan counterparts.
+    /// The union-merge joint view and the counts tensors filled by the
+    /// indexed substrates are identical to their matrix-scan
+    /// counterparts, including a fill that re-shapes a tensor of
+    /// another arity and a refill over another triple's counts.
     #[test]
     fn indexed_joint_labels_and_tensor_match(data in sparse_matrix(5, 25, 3)) {
         if data.n_workers() < 3 { return Ok(()); }
@@ -398,10 +400,14 @@ proptest! {
             index.triple_joint_labels_optional(a, b, c),
             triple_joint_labels_optional(&data, a, b, c)
         );
-        prop_assert_eq!(
-            CountsTensor::from_index(&index, a, b, c),
-            CountsTensor::from_matrix(&data, a, b, c)
-        );
+        let expect = CountsTensor::from_matrix(&data, a, b, c);
+        let mut tensor = CountsTensor::zeros(2);
+        index.fill_counts(&mut tensor, a, b, c);
+        prop_assert_eq!(&tensor, &expect);
+        let stream = StreamingIndex::from_matrix(&data);
+        stream.fill_counts(&mut tensor, c, a, b);
+        stream.fill_counts(&mut tensor, a, b, c);
+        prop_assert_eq!(&tensor, &expect);
     }
 
     /// Differential test of the streaming append path: for random

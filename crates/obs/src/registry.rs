@@ -10,7 +10,7 @@
 //!
 //! Names are Prometheus-style: `snake_case`, optionally with a
 //! trailing `{label="value"}` block (e.g.
-//! `crowd_stage_queue_wait_ns{shard="3"}`). [`render_text`] groups
+//! `crowd_stage_queue_wait_ns{shard="3"}`). [`render_text`](MetricsRegistry::render_text) groups
 //! series that share the base name (the part before `{`) under one
 //! `# TYPE` header, as the exposition format requires.
 //!

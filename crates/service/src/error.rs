@@ -10,7 +10,7 @@
 use crowd_core::EstimateError;
 use crowd_data::DataError;
 
-/// Why a service call failed; see the [module docs](self).
+/// Why a service call failed; see the `error` module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// A shard's bounded queue was full under

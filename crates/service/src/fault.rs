@@ -44,7 +44,7 @@ pub enum CrashPoint {
     DuringReanchor,
 }
 
-/// A deterministic seeded fault schedule; see the [module docs](self).
+/// A deterministic seeded fault schedule; see the `fault` module docs.
 /// Cheap to share (`Arc`) between a service config, a wire config and
 /// the test driving both.
 #[derive(Debug, Clone, Default)]

@@ -47,12 +47,14 @@ fn sparse_backed_full_index_is_bit_identical_to_dense() {
     let inst = BinaryScenario::paper_default(9, 120, 0.6).generate(&mut rng(613));
     let data = inst.responses();
     let est = MWorkerEstimator::new(EstimatorConfig::default());
+    let workers: Vec<_> = data.workers().collect();
     let dense = est
-        .evaluate_all_indexed(&OverlapIndex::from_matrix(data), 0.9)
+        .evaluate_workers_on(&OverlapIndex::from_matrix(data), &workers, 0.9)
         .unwrap();
     let sparse = est
-        .evaluate_all_indexed(
+        .evaluate_workers_on(
             &OverlapIndex::from_matrix_with(data, PairBackend::Sparse),
+            &workers,
             0.9,
         )
         .unwrap();

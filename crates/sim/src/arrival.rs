@@ -21,7 +21,7 @@ use rand::RngExt;
 
 /// A fixed arrival trace: every response of one instance, in arrival
 /// order, with a monotone arrival offset (seconds from stream start)
-/// for each. See the [module docs](self).
+/// for each. See the `arrival` module docs.
 #[derive(Debug, Clone)]
 pub struct ArrivalSchedule {
     responses: Vec<Response>,
