@@ -180,7 +180,7 @@ mod tests {
     use crate::{
         EstimateError, EstimatorConfig, KaryMWorkerEstimator, MWorkerEstimator, WorkerReport,
     };
-    use crowd_data::{PairBackend, Response, ResponseMatrix};
+    use crowd_data::{Response, ResponseMatrix};
     use crowd_sim::{BinaryScenario, KaryScenario, rng};
 
     fn assessments_equal(a: &WorkerReport, b: &WorkerReport) -> bool {
@@ -252,8 +252,7 @@ mod tests {
         let inst = BinaryScenario::paper_default(8, 90, 0.8).generate(&mut rng(811));
         let data = inst.responses();
         let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let mut stream =
-            StreamingIndex::new_with(data.n_workers(), data.n_tasks(), 2, PairBackend::Sparse);
+        let mut stream = StreamingIndex::new(data.n_workers(), data.n_tasks(), 2);
         let anchors: Vec<WorkerId> = (0..data.n_workers() as u32).map(WorkerId).collect();
         let mut cache = ReportCache::new();
         for (i, r) in data.iter().enumerate() {
@@ -298,7 +297,7 @@ mod tests {
     /// exactly that set and the result still matches full recompute.
     fn sparse_burst_reevaluates_only_the_dirty_set_for<E: Estimator>(arity: u16) {
         // Two disjoint communities of 4 workers over disjoint tasks.
-        let mut stream = StreamingIndex::new_with(8, 40, arity, PairBackend::Sparse);
+        let mut stream = StreamingIndex::new(8, 40, arity);
         let k = u32::from(arity);
         for t in 0..20u32 {
             for w in 0..4u32 {
@@ -358,7 +357,7 @@ mod tests {
     /// like successes, and the population guard mirrors the uncached
     /// entry point.
     fn failures_cache_and_guards_mirror_uncached_path_for<E: Estimator>(arity: u16) {
-        let mut stream = StreamingIndex::new_with(4, 8, arity, PairBackend::Sparse);
+        let mut stream = StreamingIndex::new(4, 8, arity);
         for t in 0..8u32 {
             ingest(&mut stream, t % 4, t, (t % u32::from(arity)) as u16);
         }
@@ -372,7 +371,7 @@ mod tests {
         assert_eq!(cache.stats().last_dirty, 0, "failures must cache too");
         assert!(same_bits(&first, &second));
 
-        let tiny = StreamingIndex::new_with(2, 4, arity, PairBackend::Sparse);
+        let tiny = StreamingIndex::new(2, 4, arity);
         assert_eq!(tiny.n_workers(), 2);
         assert!(matches!(
             ReportCache::new().refresh(&est, &tiny, &[WorkerId(0)], 0.9),
@@ -415,8 +414,7 @@ mod tests {
             .generate(&mut rng(851));
         let data: &ResponseMatrix = inst.responses();
         let est = KaryMWorkerEstimator::new(EstimatorConfig::default());
-        let mut stream =
-            StreamingIndex::new_with(data.n_workers(), data.n_tasks(), 3, PairBackend::Sparse);
+        let mut stream = StreamingIndex::new(data.n_workers(), data.n_tasks(), 3);
         let anchors: Vec<WorkerId> = (0..data.n_workers() as u32).map(WorkerId).collect();
         let mut cache = ReportCache::new();
         for (i, r) in data.iter().enumerate() {

@@ -43,7 +43,7 @@ pub fn form_pairs(
 }
 
 /// [`form_pairs`] over any overlap substrate — the pairwise queries hit
-/// whatever the source provides (merge scans, the O(1)
+/// whatever the source provides (merge scans, the
 /// [`crowd_data::OverlapIndex`] pair table, or a
 /// [`crowd_data::StreamingIndex`]). The produced
 /// pairs are identical across substrates.
@@ -78,10 +78,11 @@ pub fn form_pairs_limited<S: OverlapSource>(
     }
     let overlap = |a: WorkerId, b: WorkerId| -> usize { src.pair(a, b).common_tasks };
     // Candidates: everyone sharing enough tasks with the target.
-    // Substrates that track co-occurrence (the sparse pair table) hand
-    // over the peer list directly — `O(d_target)` instead of an `O(m)`
-    // population sweep, with the same candidates in the same (id)
-    // order since absent pairs have zero overlap.
+    // Substrates that track co-occurrence (the indexes' pair table)
+    // hand over the peer list directly — `O(d_target)` on a sparse
+    // pair row instead of an `O(m)` population sweep, with the same
+    // candidates in the same (id) order since absent pairs have zero
+    // overlap.
     fn screen<S: OverlapSource>(
         src: &S,
         target: WorkerId,

@@ -8,8 +8,7 @@ use crowd_core::{
     Report, ThreeWorkerEstimator, WorkerReport, WorkerRow,
 };
 use crowd_data::{
-    Label, OverlapIndex, PairBackend, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex,
-    TaskId, WorkerId,
+    Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex, TaskId, WorkerId,
 };
 use crowd_linalg::Matrix;
 use proptest::prelude::*;
@@ -142,8 +141,10 @@ fn triples_for(data: &ResponseMatrix, workers: &[WorkerId]) -> Vec<[WorkerId; 3]
 
 /// Runs `$body` once per overlap substrate of the matrix `$data`, with
 /// `$src` bound to the substrate and `$name` to its label: the matrix
-/// itself (merge scans, the naive reference), a dense and a sparse
-/// [`OverlapIndex`], and a [`StreamingIndex`].
+/// itself (merge scans and a population-sweep pairing scan, the naive
+/// reference), a bulk-built [`OverlapIndex`], and a [`StreamingIndex`]
+/// that ingested the responses one at a time (its pair rows reach
+/// their form through mid-stream promotion).
 macro_rules! for_each_substrate {
     ($data:expr, |$name:ident, $src:ident| $body:block) => {{
         let data: &ResponseMatrix = $data;
@@ -152,16 +153,17 @@ macro_rules! for_each_substrate {
             $body
         }
         {
-            let ($name, $src) = ("dense index", &OverlapIndex::from_matrix(data));
+            let ($name, $src) = ("index", &OverlapIndex::from_matrix(data));
             $body
         }
         {
-            let index = OverlapIndex::from_matrix_with(data, PairBackend::Sparse);
-            let ($name, $src) = ("sparse index", &index);
-            $body
-        }
-        {
-            let ($name, $src) = ("streaming index", &StreamingIndex::from_matrix(data));
+            let mut stream = StreamingIndex::new(data.n_workers(), data.n_tasks(), data.arity());
+            for r in data.iter() {
+                stream
+                    .record_response(r)
+                    .expect("matrix responses are unique");
+            }
+            let ($name, $src) = ("streaming index", &stream);
             $body
         }
     }};

@@ -2,33 +2,36 @@
 //! crash-recovery substrate for the service layer.
 //!
 //! A checkpoint captures everything a shard needs to resume exactly
-//! where it left off: the index shape, the pair-table backend, every
-//! ingested response row, and the ingest-epoch state that drives the
-//! dirty-set report caches. [`StreamingIndex::checkpoint`] /
-//! [`StreamingIndex::restore`] round-trip **bit-identically**: the
-//! restored index compares equal to the original ([`OverlapIndex`](crate::OverlapIndex)
-//! derives `Eq`), every epoch counter matches, and re-encoding the
-//! restored substrate reproduces the original bytes byte for byte.
+//! where it left off: the index shape, every ingested response row,
+//! and the ingest-epoch state that drives the dirty-set report caches.
+//! [`StreamingIndex::checkpoint`] / [`StreamingIndex::restore`]
+//! round-trip **bit-identically**: the restored index compares equal
+//! to the original ([`OverlapIndex`](crate::OverlapIndex) derives
+//! `Eq`), every epoch counter matches, and re-encoding the restored
+//! substrate reproduces the original bytes byte for byte.
 //!
-//! # Format (version 1, all integers little-endian)
+//! # Format (version 2, all integers little-endian)
 //!
 //! | Field        | Bytes | Meaning |
 //! |--------------|-------|---------|
 //! | magic        | 8     | `b"CRWDCKPT"` |
-//! | version      | 2     | format version, currently `1` |
-//! | backend      | 1     | `0` = dense pair table, `1` = sparse [`crate::PairMap`] |
+//! | version      | 2     | format version, currently `2` |
 //! | arity        | 2     | label arity |
-//! | n_workers    | 8     | worker-id space |
-//! | n_tasks      | 8     | task-id space |
+//! | n_workers    | 8     | worker-id space, at most `u32::MAX` |
+//! | n_tasks      | 8     | task-id space, at most `u32::MAX` |
 //! | n_responses  | 8     | total rows that follow (cross-checked) |
 //! | epoch        | 8     | monotone ingest epoch |
 //! | rows         | —     | per worker: `len: u32`, then `len ×` (`task: u32`, `label: u16`), task-ascending |
 //! | dirty_at     | 8·m   | per-worker dirty epochs |
 //! | checksum     | 8     | FNV-1a 64 over every preceding byte |
 //!
+//! Version 1 carried a pair-table backend byte after the version;
+//! there is one pair table now, and version 1 bytes are refused with
+//! [`CheckpointError::UnsupportedVersion`].
+//!
 //! Only the task-sorted worker rows travel: the worker-sorted task
-//! rows, the pair table (dense or sparse), and the dense mirror
-//! adjacency are all deterministic functions of the row set, so
+//! rows and the pair table (each row's sparse or dense form included)
+//! are deterministic functions of the row set, so
 //! [`StreamingIndex::restore`] rebuilds them by replaying the rows
 //! through [`StreamingIndex::record_response`] — which also makes the
 //! decoder inherit the full ingest validation (arity, duplicates,
@@ -38,21 +41,24 @@
 //! state a freshly spawned shard starts in.
 //!
 //! Decoding never panics on hostile bytes: truncation, bad magic,
-//! unknown versions, malformed counts and checksum mismatches all come
-//! back as typed [`CheckpointError`]s.
+//! unknown versions, malformed counts, shapes too large to allocate
+//! and checksum mismatches all come back as typed
+//! [`CheckpointError`]s. Worker counts are bounded by the input itself
+//! (every worker occupies at least a 4-byte row length and an 8-byte
+//! dirty epoch) and task counts by the `u32` id space; the task rows
+//! are allocated fallibly.
 
+use crate::DataError;
 use crate::ids::{TaskId, WorkerId};
-use crate::index::PairBackend;
 use crate::label::Label;
 use crate::matrix::Response;
 use crate::streaming::StreamingIndex;
-use crate::{DataError, PairTable};
 
 /// Leading magic of every checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CRWDCKPT";
 
 /// The format version this build writes (and the only one it reads).
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Why checkpoint bytes failed to decode. Every variant is a typed
 /// refusal — hostile or damaged input never panics.
@@ -64,9 +70,11 @@ pub enum CheckpointError {
     BadMagic,
     /// The version field names a format this build does not read.
     UnsupportedVersion(u16),
-    /// A structurally invalid field (count overflow, trailing bytes,
-    /// out-of-range tag).
+    /// A structurally invalid field (count overflow, a count the
+    /// input cannot hold, trailing bytes).
     Malformed(&'static str),
+    /// The declared shape is valid but could not be allocated.
+    TooLarge(&'static str),
     /// The trailing FNV-1a checksum does not match the content.
     ChecksumMismatch {
         /// Checksum recomputed over the received content.
@@ -86,6 +94,7 @@ impl std::fmt::Display for CheckpointError {
             Self::BadMagic => write!(f, "checkpoint magic mismatch"),
             Self::UnsupportedVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             Self::Malformed(what) => write!(f, "malformed checkpoint field: {what}"),
+            Self::TooLarge(what) => write!(f, "checkpoint {what} exceeds available memory"),
             Self::ChecksumMismatch { computed, stored } => write!(
                 f,
                 "checkpoint checksum mismatch: computed {computed:#018x}, stored {stored:#018x}"
@@ -179,10 +188,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Converts a `u64` shape field to `usize`, refusing sizes this
-/// address space cannot hold.
-fn shape(v: u64, what: &'static str) -> Result<usize, CheckpointError> {
-    usize::try_from(v).map_err(|_| CheckpointError::Malformed(what))
+/// Converts a `u64` id-space size to `usize`, refusing sizes beyond
+/// the `u32` id space.
+fn id_space(v: u64, what: &'static str) -> Result<usize, CheckpointError> {
+    u32::try_from(v)
+        .map(|v| v as usize)
+        .map_err(|_| CheckpointError::Malformed(what))
 }
 
 impl StreamingIndex {
@@ -192,13 +203,9 @@ impl StreamingIndex {
     pub fn checkpoint(&self) -> Vec<u8> {
         let index = self.index();
         let m = index.n_workers();
-        let mut out = Vec::with_capacity(45 + index.n_responses() * 6 + m * 12);
+        let mut out = Vec::with_capacity(52 + index.n_responses() * 6 + m * 12);
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         put_u16(&mut out, CHECKPOINT_VERSION);
-        out.push(match index.pairs() {
-            PairTable::Dense(_) => 0,
-            PairTable::Sparse(_) => 1,
-        });
         put_u16(&mut out, index.arity());
         put_u64(&mut out, m as u64);
         put_u64(&mut out, index.n_tasks() as u64);
@@ -223,10 +230,10 @@ impl StreamingIndex {
     /// Decodes a checkpoint produced by [`StreamingIndex::checkpoint`]
     /// back into a substrate whose index state is bit-identical to the
     /// original's: the rows are replayed through
-    /// [`StreamingIndex::record_response`] (rebuilding task rows, the
-    /// pair table, and the dense mirror adjacency — all deterministic
-    /// functions of the row set), then the serialized epoch state is
-    /// reinstated so dirty-set report caches resume exactly.
+    /// [`StreamingIndex::record_response`] (rebuilding the task rows
+    /// and the pair table — deterministic functions of the row set),
+    /// then the serialized epoch state is reinstated so dirty-set
+    /// report caches resume exactly.
     pub fn restore(bytes: &[u8]) -> Result<Self, CheckpointError> {
         if bytes.len() < CHECKPOINT_MAGIC.len() {
             return Err(CheckpointError::Truncated("magic"));
@@ -253,26 +260,27 @@ impl StreamingIndex {
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let backend = match r.take(1, "backend tag")?[0] {
-            0 => PairBackend::Dense,
-            1 => PairBackend::Sparse,
-            _ => return Err(CheckpointError::Malformed("backend tag")),
-        };
         let arity = r.u16("arity")?;
         if arity < 2 {
             return Err(CheckpointError::Malformed("arity"));
         }
-        let m = shape(r.u64("worker count")?, "worker count")?;
-        let n_tasks = shape(r.u64("task count")?, "task count")?;
-        let n_responses = shape(r.u64("response count")?, "response count")?;
-        // Each response occupies ≥ 6 bytes; refuse counts the input
-        // cannot possibly hold before allocating anything.
-        if n_responses > r.remaining() / 6 || m > r.remaining().saturating_add(1) {
+        let m = id_space(r.u64("worker count")?, "worker count")?;
+        let n_tasks = id_space(r.u64("task count")?, "task count")?;
+        let n_responses = r.u64("response count")?;
+        let epoch = r.u64("epoch")?;
+        // Refuse counts the input cannot possibly hold before
+        // allocating anything: each worker occupies ≥ 12 bytes (row
+        // length and dirty epoch), each response 6.
+        if m > r.remaining() / 12 {
+            return Err(CheckpointError::Malformed("worker count"));
+        }
+        if n_responses > ((r.remaining() - 12 * m) / 6) as u64 {
             return Err(CheckpointError::Malformed("response count"));
         }
-        let epoch = r.u64("epoch")?;
+        let n_responses = n_responses as usize;
 
-        let mut stream = StreamingIndex::new_with(m, n_tasks, arity, backend);
+        let mut stream = StreamingIndex::try_new(m, n_tasks, arity)
+            .map_err(|_| CheckpointError::TooLarge("task count"))?;
         let mut replayed = 0usize;
         for w in 0..m as u32 {
             let len = r.u32("row length")? as usize;
@@ -282,7 +290,7 @@ impl StreamingIndex {
             for _ in 0..len {
                 let task = r.u32("row task")?;
                 let label = r.u16("row label")?;
-                if task as u64 >= n_tasks as u64 {
+                if task as usize >= n_tasks {
                     return Err(CheckpointError::Invalid(DataError::UnknownId {
                         kind: "task",
                         id: task,
@@ -321,8 +329,8 @@ mod tests {
     use super::*;
     use crate::OverlapSource;
 
-    fn sample(backend: PairBackend) -> StreamingIndex {
-        let mut s = StreamingIndex::new_with(5, 8, 3, backend);
+    fn sample() -> StreamingIndex {
+        let mut s = StreamingIndex::new(5, 8, 3);
         for (w, t, l) in [
             (0u32, 0u32, 0u16),
             (1, 0, 0),
@@ -345,31 +353,32 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_bit_identical_both_backends() {
-        for backend in [PairBackend::Dense, PairBackend::Sparse] {
-            let original = sample(backend);
-            let bytes = original.checkpoint();
-            let restored = StreamingIndex::restore(&bytes).unwrap();
-            assert_eq!(restored.index(), original.index());
-            assert_eq!(restored.epoch(), original.epoch());
-            for w in 0..5u32 {
-                assert_eq!(
-                    restored.dirty_epoch(WorkerId(w)),
-                    original.dirty_epoch(WorkerId(w))
-                );
-                assert_eq!(
-                    restored.pair(WorkerId(w), WorkerId((w + 1) % 5)),
-                    original.pair(WorkerId(w), WorkerId((w + 1) % 5))
-                );
-            }
-            // Re-encoding the restored substrate reproduces the bytes.
-            assert_eq!(restored.checkpoint(), bytes);
+    fn round_trip_is_bit_identical() {
+        let original = sample();
+        // Every worker but 3 (one peer) reaches the dense pair-row
+        // threshold 3·d ≥ 5.
+        assert_eq!(original.index().pairs().dense_rows(), 4);
+        let bytes = original.checkpoint();
+        let restored = StreamingIndex::restore(&bytes).unwrap();
+        assert_eq!(restored.index(), original.index());
+        assert_eq!(restored.epoch(), original.epoch());
+        for w in 0..5u32 {
+            assert_eq!(
+                restored.dirty_epoch(WorkerId(w)),
+                original.dirty_epoch(WorkerId(w))
+            );
+            assert_eq!(
+                restored.pair(WorkerId(w), WorkerId((w + 1) % 5)),
+                original.pair(WorkerId(w), WorkerId((w + 1) % 5))
+            );
         }
+        // Re-encoding the restored substrate reproduces the bytes.
+        assert_eq!(restored.checkpoint(), bytes);
     }
 
     #[test]
     fn empty_substrate_round_trips() {
-        let original = StreamingIndex::new_with(3, 4, 2, PairBackend::Sparse);
+        let original = StreamingIndex::new(3, 4, 2);
         let bytes = original.checkpoint();
         let restored = StreamingIndex::restore(&bytes).unwrap();
         assert_eq!(restored.index(), original.index());
@@ -379,7 +388,7 @@ mod tests {
 
     #[test]
     fn truncation_is_typed_at_every_length() {
-        let bytes = sample(PairBackend::Sparse).checkpoint();
+        let bytes = sample().checkpoint();
         for len in 0..bytes.len() {
             let err = StreamingIndex::restore(&bytes[..len]).unwrap_err();
             assert!(
@@ -394,7 +403,7 @@ mod tests {
 
     #[test]
     fn corruption_is_caught_by_the_checksum() {
-        let bytes = sample(PairBackend::Dense).checkpoint();
+        let bytes = sample().checkpoint();
         for i in 0..bytes.len() - 8 {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
@@ -411,14 +420,14 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_typed() {
-        let mut bytes = sample(PairBackend::Sparse).checkpoint();
+        let mut bytes = sample().checkpoint();
         bytes[0] = b'X';
         assert_eq!(
             StreamingIndex::restore(&bytes).unwrap_err(),
             CheckpointError::BadMagic
         );
 
-        let mut versioned = sample(PairBackend::Sparse).checkpoint();
+        let mut versioned = sample().checkpoint();
         versioned[8] = 0xFF;
         versioned[9] = 0xFF;
         let body = versioned.len() - 8;
@@ -430,10 +439,88 @@ mod tests {
         );
     }
 
+    /// Re-seals `body` (everything but the trailer) with its checksum.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    /// A version-2 header for an empty substrate of the given shape,
+    /// with `tail` appended before the trailer.
+    fn header(m: u64, n_tasks: u64, tail: &[u8]) -> Vec<u8> {
+        let mut body = CHECKPOINT_MAGIC.to_vec();
+        put_u16(&mut body, CHECKPOINT_VERSION);
+        put_u16(&mut body, 2);
+        put_u64(&mut body, m);
+        put_u64(&mut body, n_tasks);
+        put_u64(&mut body, 0);
+        put_u64(&mut body, 0);
+        body.extend_from_slice(tail);
+        sealed(body)
+    }
+
+    #[test]
+    fn version_one_is_refused() {
+        // A version-1 checkpoint of an empty 1-worker, 1-task dense
+        // substrate, backend byte and all.
+        let mut body = CHECKPOINT_MAGIC.to_vec();
+        put_u16(&mut body, 1);
+        body.push(0);
+        put_u16(&mut body, 2);
+        for v in [1u64, 1, 0, 0] {
+            put_u64(&mut body, v);
+        }
+        put_u32(&mut body, 0);
+        put_u64(&mut body, 0);
+        assert_eq!(
+            StreamingIndex::restore(&sealed(body)).unwrap_err(),
+            CheckpointError::UnsupportedVersion(1)
+        );
+    }
+
+    #[test]
+    fn header_shapes_match_the_encoder() {
+        let empty = StreamingIndex::new(0, 3, 2).checkpoint();
+        assert_eq!(header(0, 3, &[]), empty);
+        assert_eq!(empty.len(), 52);
+        let one = StreamingIndex::new(1, 3, 2).checkpoint();
+        assert_eq!(header(1, 3, &[0; 12]), one);
+    }
+
+    /// Task counts beyond the `u32` id space are refused before
+    /// anything is allocated.
+    #[test]
+    fn task_counts_beyond_the_id_space_are_malformed() {
+        for n_tasks in [u64::MAX, u32::MAX as u64 + 2, u32::MAX as u64 + 1] {
+            assert_eq!(
+                StreamingIndex::restore(&header(0, n_tasks, &[])).unwrap_err(),
+                CheckpointError::Malformed("task count"),
+                "n_tasks = {n_tasks}"
+            );
+        }
+    }
+
+    /// Every worker occupies at least 12 bytes (row length and dirty
+    /// epoch), so a worker count one past `remaining / 12` is refused
+    /// up front — and so is one beyond the `u32` id space.
+    #[test]
+    fn worker_counts_the_input_cannot_hold_are_malformed() {
+        let three_workers = [0u8; 36];
+        assert!(StreamingIndex::restore(&header(3, 4, &three_workers)).is_ok());
+        for m in [4, u32::MAX as u64 + 1, u64::MAX] {
+            assert_eq!(
+                StreamingIndex::restore(&header(m, 4, &three_workers)).unwrap_err(),
+                CheckpointError::Malformed("worker count"),
+                "m = {m}"
+            );
+        }
+    }
+
     #[test]
     fn invalid_rows_fail_replay_validation_not_panic() {
         // Hand-build a checkpoint whose row labels exceed the arity.
-        let mut s = StreamingIndex::new_with(2, 2, 4, PairBackend::Sparse);
+        let mut s = StreamingIndex::new(2, 2, 4);
         s.record_response(Response {
             worker: WorkerId(0),
             task: TaskId(0),
@@ -441,8 +528,8 @@ mod tests {
         })
         .unwrap();
         let mut bytes = s.checkpoint();
-        // Arity field sits right after magic + version + backend tag.
-        let arity_at = 8 + 2 + 1;
+        // Arity field sits right after magic + version.
+        let arity_at = 8 + 2;
         bytes[arity_at] = 2;
         bytes[arity_at + 1] = 0;
         let body = bytes.len() - 8;
@@ -459,7 +546,7 @@ mod tests {
     fn restored_substrate_keeps_streaming() {
         // A restored substrate is not a dead snapshot: further ingest
         // must behave exactly like ingest into the original.
-        let mut original = sample(PairBackend::Sparse);
+        let mut original = sample();
         let mut restored = StreamingIndex::restore(&original.checkpoint()).unwrap();
         let extra = Response {
             worker: WorkerId(2),

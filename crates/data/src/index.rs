@@ -15,10 +15,11 @@
 //!
 //! * a segmented task → `(worker, label)` adjacency,
 //! * a segmented worker → `(task, label)` adjacency,
-//! * the packed upper-triangular pair table (a [`PairCache`]),
-//!   harvested **per task** — each task's responder list contributes
-//!   its pairs directly, so the table costs `O(Σ_t r_t²)` once instead
-//!   of `O(m²)` merge scans.
+//! * the pair table (a [`PairMap`], whose rows are sparse or dense by
+//!   co-occurrence degree), bulk-built **per worker row** — each
+//!   worker's co-responders are counted into a scratch row and
+//!   compacted once, so the table costs `O(Σ_t r_t²)` once instead of
+//!   `O(m²)` merge scans.
 //!
 //! Triple statistics cannot be tabulated up front (`O(m³)` space), so
 //! the index answers them two ways: merge scans over its adjacency
@@ -78,13 +79,15 @@
 //!   read the exact same task-sorted / worker-sorted slices as before;
 //! * appending response `(w, t)` is a sorted insert into two rows —
 //!   `O(log r + r)` in the row lengths, amortized over the doubling —
-//!   plus an `O(r_t)` pair-table harvest against the task's current
-//!   responders; **no append ever triggers a whole-index rebuild**.
+//!   plus an `O(r_t)` pair-table update against the task's current
+//!   responders (a pair row that reaches the dense threshold is
+//!   promoted once, in `O(m)`); **no append ever triggers a
+//!   whole-index rebuild**.
 //!
 //! The invariant: after any interleaving of builds and appends, row
 //! `w` of the worker adjacency is exactly the task-sorted response
-//! list of `w` (ditto tasks), and the pair table equals the one-pass
-//! batch harvest of the accumulated data. Batch construction keeps
+//! list of `w` (ditto tasks), and the pair table — row forms included —
+//! equals the bulk build of the accumulated data. Batch construction keeps
 //! its one-pass cost; the only price of streamability is the per-row
 //! capacity slack (bounded by 2× the row length).
 //!
@@ -100,16 +103,18 @@
 //! [`crate::StreamingIndex`].
 
 use crate::overlap::triple_scan;
+use std::collections::TryReserveError;
+
 use crate::{
-    CountsTensor, Label, PairCache, PairMap, PairStats, PeerGram, PeerGramScratch, Response,
-    ResponseMatrix, TaskId, TriplePairGram, TripleStats, WorkerId,
+    CountsTensor, Label, PairMap, PairStats, PeerGram, PeerGramScratch, Response, ResponseMatrix,
+    TaskId, TriplePairGram, TripleStats, WorkerId,
 };
 
 /// A provider of pairwise and triple overlap statistics over one
 /// response data set.
 ///
 /// Implemented by [`ResponseMatrix`] (merge scans — the naive
-/// reference), [`OverlapIndex`] (O(1) pairs, CSR scans and anchored
+/// reference), [`OverlapIndex`] (pair-table lookups, CSR scans and anchored
 /// bitset popcounts for triples) and [`crate::StreamingIndex`] (the
 /// index plus maintained anchored views). All return *identical*
 /// counts — only the cost differs — which is what lets each estimator
@@ -186,8 +191,9 @@ pub trait OverlapSource {
     /// (ascending by id, `worker` itself excluded) and returns `true`;
     /// otherwise returns `false` and leaves `out` untouched — callers
     /// must then scan the whole population. This is the pairing
-    /// candidate scan's fast path: a sparse pair table answers it in
-    /// `O(d_w)` instead of `O(m)` lookups, and because workers absent
+    /// candidate scan's fast path: the index's pair table lists a
+    /// worker's peers directly (`O(d_w)` on a sparse row) instead of
+    /// `O(m)` lookups, and because workers absent
     /// from the list have zero overlap by construction, consumers that
     /// filter on a minimum overlap see the **same candidate set in the
     /// same order** either way.
@@ -324,79 +330,6 @@ impl OverlapSource for ResponseMatrix {
     }
 }
 
-/// Which pair-table representation an [`OverlapIndex`] holds.
-///
-/// The dense backend ([`PairCache`]) is the default: `m(m−1)/2` packed
-/// entries, O(1) lookups, no per-entry overhead — right for paper-scale
-/// crowds and for well-mixed data where most pairs co-occur anyway.
-/// The sparse backend ([`PairMap`]) stores only co-occurring pairs and
-/// can enumerate a worker's peers directly, so pair-state memory and
-/// the pairing candidate scan track the co-occurrence degree instead
-/// of the fleet size — the backend each shard's
-/// [`crate::StreamingIndex`] runs on in the assessment service. Both
-/// return identical counts for every pair; only cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PairBackend {
-    /// Packed upper-triangular `O(m²)` table ([`PairCache`]).
-    #[default]
-    Dense,
-    /// Per-worker sorted peer adjacencies, co-occurring pairs only
-    /// ([`PairMap`]).
-    Sparse,
-}
-
-/// The pair table of an [`OverlapIndex`]: dense or sparse (see
-/// [`PairBackend`]), with one maintenance and lookup API so the index
-/// code is written once.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PairTable {
-    /// Dense packed table.
-    Dense(PairCache),
-    /// Sparse co-occurring-pairs map.
-    Sparse(PairMap),
-}
-
-impl PairTable {
-    fn empty(m: usize, backend: PairBackend) -> Self {
-        match backend {
-            PairBackend::Dense => Self::Dense(PairCache::empty(m)),
-            PairBackend::Sparse => Self::Sparse(PairMap::empty(m)),
-        }
-    }
-
-    /// The stored statistics for a pair (zero when it never
-    /// co-occurred).
-    pub fn get(&self, a: WorkerId, b: WorkerId) -> PairStats {
-        match self {
-            Self::Dense(t) => t.get(a, b),
-            Self::Sparse(t) => t.get(a, b),
-        }
-    }
-
-    /// Bytes resident in the pair state — the quantity the sharding
-    /// benchmark compares across backends.
-    pub fn table_bytes(&self) -> usize {
-        match self {
-            Self::Dense(t) => t.table_bytes(),
-            Self::Sparse(t) => t.table_bytes(),
-        }
-    }
-
-    fn harvest_task(&mut self, responders: &[(u32, Label)]) {
-        match self {
-            Self::Dense(t) => t.harvest_task(responders),
-            Self::Sparse(t) => t.harvest_task(responders),
-        }
-    }
-
-    fn record_response(&mut self, worker: WorkerId, label: Label, others: &[(u32, Label)]) {
-        match self {
-            Self::Dense(t) => t.record_response(worker, label, others),
-            Self::Sparse(t) => t.record_response(worker, label, others),
-        }
-    }
-}
-
 /// The one-pass overlap substrate; see the [module docs](self).
 ///
 /// # Example
@@ -429,9 +362,8 @@ pub struct OverlapIndex {
     worker_rows: Vec<Vec<(u32, Label)>>,
     /// Per-task `(worker, label)` rows, worker-sorted.
     task_rows: Vec<Vec<(u32, Label)>>,
-    /// Pair agreement/co-occurrence table (dense or sparse; see
-    /// [`PairBackend`]).
-    pairs: PairTable,
+    /// Pair agreement/co-occurrence table, density-adaptive per row.
+    pairs: PairMap,
 }
 
 impl OverlapIndex {
@@ -440,51 +372,52 @@ impl OverlapIndex {
     ///
     /// # Panics
     /// Panics if `arity < 2` (mirroring
-    /// [`crate::ResponseMatrixBuilder::new`]).
+    /// [`crate::ResponseMatrixBuilder::new`]), or if the task rows
+    /// cannot be allocated.
     pub fn new(n_workers: usize, n_tasks: usize, arity: u16) -> Self {
-        Self::new_with(n_workers, n_tasks, arity, PairBackend::Dense)
+        Self::try_new(n_workers, n_tasks, arity).expect("index shape exceeds available memory")
     }
 
-    /// [`OverlapIndex::new`] with an explicit pair-table backend; see
-    /// [`PairBackend`] for the trade-off.
+    /// [`OverlapIndex::new`], returning the allocation failure of an
+    /// oversized task-id space instead of aborting (a checkpoint
+    /// restore reads it from untrusted bytes; every other part of the
+    /// shape is bounded by the input's length).
     ///
     /// # Panics
     /// Panics if `arity < 2`.
-    pub fn new_with(n_workers: usize, n_tasks: usize, arity: u16, backend: PairBackend) -> Self {
+    pub(crate) fn try_new(
+        n_workers: usize,
+        n_tasks: usize,
+        arity: u16,
+    ) -> Result<Self, TryReserveError> {
         assert!(
             arity >= 2,
             "tasks must have at least two possible responses"
         );
-        Self {
+        let mut task_rows = Vec::new();
+        task_rows.try_reserve_exact(n_tasks)?;
+        task_rows.resize(n_tasks, Vec::new());
+        Ok(Self {
             n_workers,
             n_tasks,
             n_responses: 0,
             arity,
             worker_rows: vec![Vec::new(); n_workers],
-            task_rows: vec![Vec::new(); n_tasks],
-            pairs: PairTable::empty(n_workers, backend),
-        }
+            task_rows,
+            pairs: PairMap::empty(n_workers),
+        })
     }
 
-    /// Builds the index in one pass over the matrix: the task rows and
-    /// the pair table are filled from each task's responder list as it
-    /// is visited; the worker rows from each worker's row.
+    /// Builds the index in one pass over the matrix: the task and
+    /// worker rows are copied from the matrix's adjacencies, and the
+    /// pair table is bulk-built row by row
+    /// ([`PairMap::from_matrix`]).
     ///
     /// The adjacencies are *owned copies* (≈ 2·nnz entries) rather than
     /// borrows of the matrix: the index is self-contained, so it can
     /// outlive the matrix, be shipped to worker shards on its own, and
     /// keep its rows contiguous for the merge scans.
     pub fn from_matrix(data: &ResponseMatrix) -> Self {
-        Self::from_matrix_with(data, PairBackend::Dense)
-    }
-
-    /// [`OverlapIndex::from_matrix`] with an explicit pair-table
-    /// backend (the sparse backend is the fleet-scale opt-in; see
-    /// [`PairBackend`]). Every query answers identically across
-    /// backends.
-    pub fn from_matrix_with(data: &ResponseMatrix, backend: PairBackend) -> Self {
-        let m = data.n_workers();
-        let n = data.n_tasks();
         let nnz = data.n_responses();
         // Pair-table counts are packed into u32 (8 bytes per entry
         // matters at fleet scale); make the resulting capacity limit
@@ -495,28 +428,20 @@ impl OverlapIndex {
              shard the matrix before indexing",
             u32::MAX
         );
-
-        let mut pairs = PairTable::empty(m, backend);
-        let mut task_rows = Vec::with_capacity(n);
-        for task in data.tasks() {
-            let responders = data.task_responses(task);
-            pairs.harvest_task(responders);
-            task_rows.push(responders.to_vec());
-        }
-
-        let mut worker_rows = Vec::with_capacity(m);
-        for worker in data.workers() {
-            worker_rows.push(data.worker_responses(worker).to_vec());
-        }
-
         Self {
-            n_workers: m,
-            n_tasks: n,
+            n_workers: data.n_workers(),
+            n_tasks: data.n_tasks(),
             n_responses: nnz,
             arity: data.arity(),
-            worker_rows,
-            task_rows,
-            pairs,
+            worker_rows: data
+                .workers()
+                .map(|w| data.worker_responses(w).to_vec())
+                .collect(),
+            task_rows: data
+                .tasks()
+                .map(|t| data.task_responses(t).to_vec())
+                .collect(),
+            pairs: PairMap::from_matrix(data),
         }
     }
 
@@ -614,16 +539,10 @@ impl OverlapIndex {
         self.arity
     }
 
-    /// The pair table (dense or sparse; see [`PairBackend`]).
+    /// The pair table.
     #[inline]
-    pub fn pairs(&self) -> &PairTable {
+    pub fn pairs(&self) -> &PairMap {
         &self.pairs
-    }
-
-    /// Bytes resident in the pair table; see
-    /// [`PairTable::table_bytes`].
-    pub fn pair_table_bytes(&self) -> usize {
-        self.pairs.table_bytes()
     }
 
     /// One worker's `(task, label)` row, task-sorted.
@@ -753,15 +672,8 @@ impl OverlapSource for OverlapIndex {
     }
 
     fn co_occurring_into(&self, worker: WorkerId, out: &mut Vec<WorkerId>) -> bool {
-        match &self.pairs {
-            // The dense table cannot enumerate a worker's peers without
-            // an O(m) sweep — no better than the caller's own scan.
-            PairTable::Dense(_) => false,
-            PairTable::Sparse(map) => {
-                out.extend(map.co_occurring(worker));
-                true
-            }
-        }
+        out.extend(self.pairs.co_occurring(worker));
+        true
     }
 }
 

@@ -35,18 +35,17 @@ pub use counts::{AttemptPattern, CountsTensor};
 pub use gold::GoldStandard;
 pub use gram::{PeerGram, PeerGramScratch, TriplePairGram};
 pub use ids::{TaskId, WorkerId};
-pub use index::{
-    AnchoredOverlap, AnchoredScratch, BitsetAnchored, OverlapIndex, OverlapSource, PairBackend,
-    PairTable,
-};
+pub use index::{AnchoredOverlap, AnchoredScratch, BitsetAnchored, OverlapIndex, OverlapSource};
 pub use label::Label;
 pub use majority::{MajorityOutcome, disagreement_rates, majority_vote};
 pub use matrix::{Response, ResponseMatrix, ResponseMatrixBuilder};
 pub use overlap::{
-    PairCache, PairStats, TripleStats, pair_stats, triple_joint_labels,
-    triple_joint_labels_optional, triple_overlap,
+    PairStats, TripleStats, pair_stats, triple_joint_labels, triple_joint_labels_optional,
+    triple_overlap,
 };
 pub use pairmap::PairMap;
+#[doc(hidden)]
+pub use streaming::PairBackend;
 pub use streaming::{AnchoredView, StreamingIndex, ViewRef};
 
 /// Errors produced by data-model operations.

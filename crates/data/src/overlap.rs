@@ -38,11 +38,8 @@ pub fn pair_stats(data: &ResponseMatrix, a: WorkerId, b: WorkerId) -> PairStats 
     pair_scan(data.worker_responses(a), data.worker_responses(b))
 }
 
-/// Merge scan of two task-sorted `(task, label)` rows. Shared by the
-/// matrix-level [`pair_stats`] and the CSR rows of
-/// [`crate::OverlapIndex`].
-/// The pair-table lookup contract shared by [`PairCache::get`] and
-/// [`crate::PairMap::get`]: two distinct workers of the `m` covered.
+/// The pair-table lookup contract of [`crate::PairMap::get`]: two
+/// distinct workers of the `m` covered.
 #[inline]
 pub(crate) fn check_pair(a: WorkerId, b: WorkerId, m: usize) {
     assert!(a != b, "pair table has no diagonal: ({}, {})", a.0, b.0);
@@ -54,6 +51,9 @@ pub(crate) fn check_pair(a: WorkerId, b: WorkerId, m: usize) {
     );
 }
 
+/// Merge scan of two task-sorted `(task, label)` rows. Shared by the
+/// matrix-level [`pair_stats`] and the CSR rows of
+/// [`crate::OverlapIndex`].
 pub(crate) fn pair_scan(la: &[(u32, Label)], lb: &[(u32, Label)]) -> PairStats {
     let mut i = 0;
     let mut j = 0;
@@ -179,111 +179,6 @@ pub(crate) fn triple_joint_scan(
     out
 }
 
-/// All pairwise overlap statistics, maintained either by a one-shot
-/// scan ([`PairCache::from_matrix`]) or incrementally, one response at
-/// a time ([`PairCache::record_response`]).
-///
-/// The batch estimators recompute `q̂_ij` by merge scans; with a cache
-/// those lookups are `O(1)`, which is what makes streaming evaluation
-/// cheap — each arriving response touches only the pairs it completes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairCache {
-    m: usize,
-    /// Upper-triangular `(common, agreements)` counts, row-major over
-    /// `a < b`.
-    counts: Vec<(u32, u32)>,
-}
-
-impl PairCache {
-    /// An all-zero cache for `m` workers.
-    pub fn empty(m: usize) -> Self {
-        Self {
-            m,
-            counts: vec![(0, 0); m * (m.max(1) - 1) / 2],
-        }
-    }
-
-    /// Builds the cache in **one pass over the response matrix**: every
-    /// task's responder list is harvested directly into the packed pair
-    /// table, costing `O(Σ_t r_t²)` total instead of one
-    /// `O(|w_i| + |w_j|)` merge scan per pair — on sparse data the
-    /// per-task responder lists are short, so this is the cheaper and
-    /// far more cache-friendly direction.
-    pub fn from_matrix(data: &ResponseMatrix) -> Self {
-        let mut cache = Self::empty(data.n_workers());
-        for task in data.tasks() {
-            cache.harvest_task(data.task_responses(task));
-        }
-        cache
-    }
-
-    /// Folds one task's worker-sorted responder list into the table.
-    pub(crate) fn harvest_task(&mut self, responders: &[(u32, Label)]) {
-        for (i, &(wa, la)) in responders.iter().enumerate() {
-            for &(wb, lb) in &responders[i + 1..] {
-                let idx = self.index(wa, wb);
-                let (c, a) = &mut self.counts[idx];
-                *c += 1;
-                if la == lb {
-                    *a += 1;
-                }
-            }
-        }
-    }
-
-    /// Number of workers covered.
-    pub fn n_workers(&self) -> usize {
-        self.m
-    }
-
-    /// Bytes resident in the packed pair table — `m(m−1)/2` entries
-    /// of 8 bytes, *regardless of how many pairs co-occur*. The
-    /// scaling benchmark's dense-side pair-state measurement; compare
-    /// [`crate::PairMap::table_bytes`].
-    pub fn table_bytes(&self) -> usize {
-        self.counts.capacity() * std::mem::size_of::<(u32, u32)>()
-    }
-
-    fn index(&self, a: u32, b: u32) -> usize {
-        debug_assert!(a != b, "pair cache has no diagonal");
-        let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
-        // Row-major upper triangle: offset of row `lo` + column shift.
-        lo * self.m - lo * (lo + 1) / 2 + (hi - lo - 1)
-    }
-
-    /// The cached statistics for a worker pair.
-    ///
-    /// # Panics
-    /// Panics if `a == b` or either id is not below
-    /// [`PairCache::n_workers`], in every build profile: the packed
-    /// index of such a pair lands in another pair's slot.
-    pub fn get(&self, a: WorkerId, b: WorkerId) -> PairStats {
-        check_pair(a, b, self.m);
-        let (common, agree) = self.counts[self.index(a.0, b.0)];
-        PairStats {
-            common_tasks: common as usize,
-            agreements: agree as usize,
-        }
-    }
-
-    /// Updates the cache for a new response by `worker` with `label`,
-    /// given the task's *other* responders (i.e. the per-task list
-    /// **before** the response is inserted). `O(responders)`.
-    pub fn record_response(&mut self, worker: WorkerId, label: Label, others: &[(u32, Label)]) {
-        for &(other, other_label) in others {
-            if other == worker.0 {
-                continue;
-            }
-            let idx = self.index(worker.0, other);
-            let (c, a) = &mut self.counts[idx];
-            *c += 1;
-            if other_label == label {
-                *a += 1;
-            }
-        }
-    }
-}
-
 /// For every task at least one of the three workers attempted, the
 /// (possibly absent) labels of all three. Tasks none of the three
 /// attempted are skipped — they carry no information about the triple
@@ -405,48 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_cache_matches_batch_scan() {
-        let m = paper_example();
-        let cache = PairCache::from_matrix(&m);
-        assert_eq!(cache.n_workers(), 3);
-        for a in 0..3u32 {
-            for b in (a + 1)..3u32 {
-                assert_eq!(
-                    cache.get(WorkerId(a), WorkerId(b)),
-                    pair_stats(&m, WorkerId(a), WorkerId(b))
-                );
-                // Symmetric lookup.
-                assert_eq!(
-                    cache.get(WorkerId(b), WorkerId(a)),
-                    cache.get(WorkerId(a), WorkerId(b))
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pair_cache_incremental_matches_batch() {
-        // Stream the example matrix response-by-response; the
-        // incrementally maintained cache must equal the batch scan.
-        let target = paper_example();
-        let mut data = ResponseMatrix::empty(3, 100, 2);
-        let mut cache = PairCache::empty(3);
-        for r in target.iter() {
-            cache.record_response(r.worker, r.label, data.task_responses(r.task));
-            data.insert(r).unwrap();
-        }
-        assert_eq!(cache, PairCache::from_matrix(&target));
-    }
-
-    #[test]
-    fn pair_cache_empty_and_tiny() {
-        let cache = PairCache::empty(0);
-        assert_eq!(cache.n_workers(), 0);
-        let cache = PairCache::empty(2);
-        assert_eq!(cache.get(WorkerId(0), WorkerId(1)).common_tasks, 0);
-    }
-
-    #[test]
     fn brute_force_cross_check() {
         // Compare the merge scans with a naive O(n·m) recomputation on a
         // small pseudo-random matrix.
@@ -487,20 +340,5 @@ mod tests {
                 assert_eq!(fast.agreements, agree);
             }
         }
-    }
-
-    // An out-of-range or diagonal pair must panic rather than read
-    // another pair's packed slot: with m = 10, (3, 12) maps to slot 32
-    // (the pair (4, 9)) and (3, 3) wraps to slot 23.
-    #[test]
-    #[should_panic(expected = "out of range for 10 workers")]
-    fn dense_lookup_rejects_out_of_range_ids() {
-        PairCache::empty(10).get(WorkerId(3), WorkerId(12));
-    }
-
-    #[test]
-    #[should_panic(expected = "no diagonal")]
-    fn dense_lookup_rejects_the_diagonal() {
-        PairCache::empty(10).get(WorkerId(3), WorkerId(3));
     }
 }

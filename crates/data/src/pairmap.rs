@@ -1,70 +1,149 @@
-//! The sparse pair table: co-occurrence/agreement counts keyed by
-//! **co-occurring worker pairs only**.
+//! The pair table: co-occurrence/agreement counts `(c_ij, a_ij)` for
+//! every worker pair, in per-worker rows that adapt to the data's
+//! density.
 //!
-//! The dense [`crate::PairCache`] packs one `(common, agreements)`
-//! entry per unordered worker pair — `m(m−1)/2` entries regardless of
-//! how many pairs ever share a task. That is the right trade on small
-//! or well-mixed crowds (O(1) lookups, no per-entry overhead), but at
-//! fleet scale it is the last `O(m²)` object in the pipeline: a
-//! 10 000-worker fleet pays ~400 MB for a table that is mostly zeros,
-//! because real crowds are *clustered* — a worker co-occurs with the
-//! peers of its task neighbourhood, not with the whole fleet.
+//! Fleet-scale crowds are *clustered* — a worker co-occurs with the
+//! peers of its task neighbourhood, not with the whole fleet — so a
+//! packed `m(m−1)/2` table would be mostly zeros (~400 MB at 10 000
+//! workers). Paper-scale and well-mixed crowds are the opposite: every
+//! worker co-occurs with nearly everyone, and a per-entry peer id and
+//! search only cost time. [`PairMap`] therefore picks a form **per
+//! row**, in the spirit of the container-per-chunk layout of Roaring
+//! bitmaps:
 //!
-//! [`PairMap`] stores only the nonzero entries, as per-worker sorted
-//! peer adjacencies (both directions, so either endpoint can enumerate
-//! its peers):
+//! * a **sparse** row holds sorted `(peer, common, agreements)` entries
+//!   for the co-occurring peers only — `get` is a binary search,
+//!   `O(log d)` in the row's co-occurrence degree `d`, and absent pairs
+//!   read as zero;
+//! * a **dense** row holds one `(common, agreements)` cell per worker
+//!   id — `get` is one indexed load.
 //!
-//! * `get(a, b)` is a binary search over `a`'s peer row — `O(log d_a)`
-//!   in the co-occurrence degree, and absent pairs read as zero;
-//! * [`PairMap::co_occurring`] enumerates a worker's co-occurring
-//!   peers directly — the pairing candidate scan becomes `O(d_w)`
-//!   instead of the dense table's `O(m)` sweep;
-//! * memory is `O(Σ_w d_w)` — it tracks the data's co-occurrence
-//!   structure, never the fleet size. This is what lets a shard's
-//!   sparse-backed [`StreamingIndex`](crate::StreamingIndex), holding
-//!   only its closure rows, keep pair state proportional to *its* rows.
+//! A row is dense exactly when `3·d ≥ m` (see [`PairMap::dense_rows`]).
+//! At the threshold a dense row (`8m` bytes) costs at most 2× the
+//! sparse row it replaces (`12d` bytes), and beyond it less. The form
+//! is a **pure function of `(m, d)`**: streaming ingest
+//! ([`PairMap::record_response`]) promotes a row the moment its degree
+//! reaches the threshold and never demotes it (degrees only grow), and
+//! the bulk build picks each row's form from its final degree. Equal
+//! data therefore gives equal tables whatever the ingest order, which
+//! keeps [`crate::OverlapIndex`]'s `Eq` and bit-identical checkpoint
+//! round-trips.
 //!
-//! Maintenance mirrors the dense cache exactly: one-shot per-task
-//! harvests (`PairMap::harvest_task`) or streaming appends
-//! ([`PairMap::record_response`]), and the differential property tests
-//! in `crates/data/tests/proptests.rs` pin `PairMap` == `PairCache`
-//! for every co-occurring pair under random matrices and random ingest
-//! orders.
+//! Both directions of a pair are stored, so either endpoint can
+//! enumerate its peers: [`PairMap::co_occurring`] is the pairing
+//! candidate scan's and the streaming dirty tracker's neighbour list —
+//! `O(d)` on a sparse row and `O(m) ≤ O(3d)` on a dense one. Memory is
+//! `O(Σ_w min(d_w, m))`: it tracks the co-occurrence structure, which
+//! is what lets a shard's [`StreamingIndex`](crate::StreamingIndex),
+//! holding only its closure's rows, keep pair state proportional to
+//! *its* rows.
+//!
+//! The differential property tests in `crates/data/tests/proptests.rs`
+//! pin every lookup and neighbour list to the `pair_stats` merge scan
+//! and the bulk build to streamed ingest in random orders, on shapes
+//! whose rows sit on both sides of the threshold and cross it
+//! mid-stream.
 
-use crate::{Label, PairStats, WorkerId};
+use crate::{Label, PairStats, ResponseMatrix, TaskId, WorkerId};
 
-/// One peer entry of a worker's adjacency row: `(peer, common,
-/// agreements)`, kept sorted by peer id.
+/// One peer entry of a sparse row: `(peer, common, agreements)`, kept
+/// sorted by peer id.
 type PairEntry = (u32, u32, u32);
 
-/// Sparse pairwise co-occurrence/agreement counts; see the
-/// [module docs](self).
+/// One worker's counts against its peers; see the [module docs](self).
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Row {
+    /// Co-occurring peers only, sorted by peer id.
+    Sparse(Vec<PairEntry>),
+    /// `(common, agreements)` per worker id (`m` cells; the row's own
+    /// cell stays zero).
+    Dense(Vec<(u32, u32)>),
+}
+
+/// Whether a row of co-occurrence degree `degree` in an `m`-worker
+/// table is dense: the one representation rule.
+#[inline]
+const fn is_dense(degree: usize, m: usize) -> bool {
+    3 * degree >= m
+}
+
+/// Pairwise co-occurrence/agreement counts with density-adaptive rows;
+/// see the [module docs](self).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairMap {
-    /// Per-worker peer rows, sorted by peer id. Both directions of a
-    /// pair are stored, so `rows[a]` alone answers "who co-occurs with
-    /// `a`".
-    rows: Vec<Vec<PairEntry>>,
+    rows: Vec<Row>,
 }
 
 impl PairMap {
     /// An all-empty map for `m` workers (every pair reads as zero).
     pub fn empty(m: usize) -> Self {
         Self {
-            rows: vec![Vec::new(); m],
+            rows: vec![Row::Sparse(Vec::new()); m],
         }
     }
 
-    /// Builds the map in one pass over the response matrix, harvesting
-    /// each task's responder list — the same `O(Σ_t r_t²)` discipline
-    /// as [`crate::PairCache::from_matrix`], but touching only the
-    /// pairs that actually co-occur.
-    pub fn from_matrix(data: &crate::ResponseMatrix) -> Self {
-        let mut map = Self::empty(data.n_workers());
-        for task in data.tasks() {
-            map.harvest_task(data.task_responses(task));
-        }
-        map
+    /// Builds the map from a response matrix, one row at a time, in
+    /// ascending worker order. Row `w`'s pairs with higher ids are
+    /// accumulated in an `m`-cell scratch row indexed by worker id —
+    /// walking `w`'s tasks and adding every higher-id co-responder's
+    /// `(common, agreement)` — and filed under each such peer for its
+    /// own row; its pairs with lower ids arrive already filed (and
+    /// sorted) by the earlier rows. The row is then compacted once into
+    /// its sparse or dense form. `O(Σ_t r_t²/2)` counter bumps in all,
+    /// each into the cache-resident scratch, with no per-bump search or
+    /// insert.
+    pub fn from_matrix(data: &ResponseMatrix) -> Self {
+        let m = data.n_workers();
+        let mut scratch = vec![(0u32, 0u32); m];
+        let mut higher: Vec<u32> = Vec::new();
+        // `filed[q]`: the entries `(p, common, agreements)` of q's pairs
+        // with lower ids p, in ascending p.
+        let mut filed: Vec<Vec<PairEntry>> = vec![Vec::new(); m];
+        // `seen[t]`: how many of task t's (worker-sorted) responders
+        // have had their rows built — so the current worker sits at
+        // that position, and its higher-id co-responders follow it.
+        let mut seen = vec![0usize; data.n_tasks()];
+        let rows = data
+            .workers()
+            .map(|worker| {
+                let w = worker.0;
+                for &(task, label) in data.worker_responses(worker) {
+                    let responders = data.task_responses(TaskId(task));
+                    let at = &mut seen[task as usize];
+                    debug_assert_eq!(responders[*at].0, w);
+                    *at += 1;
+                    for &(peer, peer_label) in &responders[*at..] {
+                        let cell = &mut scratch[peer as usize];
+                        if cell.0 == 0 {
+                            higher.push(peer);
+                        }
+                        cell.0 += 1;
+                        cell.1 += u32::from(peer_label == label);
+                    }
+                }
+                for &q in &higher {
+                    let (common, agree) = scratch[q as usize];
+                    filed[q as usize].push((w, common, agree));
+                }
+                let mut lower = std::mem::take(&mut filed[w as usize]);
+                let row = if is_dense(lower.len() + higher.len(), m) {
+                    for &(p, common, agree) in &lower {
+                        scratch[p as usize] = (common, agree);
+                    }
+                    Row::Dense(std::mem::replace(&mut scratch, vec![(0, 0); m]))
+                } else {
+                    higher.sort_unstable();
+                    lower.extend(higher.iter().map(|&q| {
+                        let (common, agree) = std::mem::take(&mut scratch[q as usize]);
+                        (q, common, agree)
+                    }));
+                    Row::Sparse(lower)
+                };
+                higher.clear();
+                row
+            })
+            .collect();
+        Self { rows }
     }
 
     /// Number of workers covered.
@@ -74,45 +153,66 @@ impl PairMap {
 
     /// Number of distinct co-occurring (unordered) pairs stored.
     pub fn n_pairs(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum::<usize>() / 2
+        (0..self.rows.len() as u32)
+            .map(|w| self.co_occurring(WorkerId(w)).count())
+            .sum::<usize>()
+            / 2
     }
 
-    /// Bytes resident in the adjacency rows (capacity, not length —
-    /// slack from growth is real memory). The scaling benchmark's
-    /// pair-state measurement.
+    /// Number of rows in the dense, direct-indexed form — those whose
+    /// co-occurrence degree `d` satisfies `3·d ≥ m`.
+    pub fn dense_rows(&self) -> usize {
+        self.rows
+            .iter()
+            .filter(|r| matches!(r, Row::Dense(_)))
+            .count()
+    }
+
+    /// Bytes resident in the rows (capacity, not length — slack from
+    /// growth is real memory).
     pub fn table_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<Vec<PairEntry>>()
+        self.rows.capacity() * std::mem::size_of::<Row>()
             + self
                 .rows
                 .iter()
-                .map(|r| r.capacity() * std::mem::size_of::<PairEntry>())
+                .map(|r| match r {
+                    Row::Sparse(e) => e.capacity() * std::mem::size_of::<PairEntry>(),
+                    Row::Dense(c) => c.capacity() * std::mem::size_of::<(u32, u32)>(),
+                })
                 .sum::<usize>()
     }
 
     /// The workers sharing at least one task with `worker`, ascending
     /// by id — the pairing candidate scan's fast path.
     pub fn co_occurring(&self, worker: WorkerId) -> impl Iterator<Item = WorkerId> + '_ {
-        self.rows[worker.index()]
-            .iter()
-            .map(|&(p, _, _)| WorkerId(p))
+        let (sparse, dense): (&[PairEntry], &[(u32, u32)]) = match &self.rows[worker.index()] {
+            Row::Sparse(entries) => (entries, &[]),
+            Row::Dense(cells) => (&[], cells),
+        };
+        sparse.iter().map(|&(p, _, _)| WorkerId(p)).chain(
+            dense
+                .iter()
+                .enumerate()
+                .filter(|(_, cell)| cell.0 > 0)
+                .map(|(p, _)| WorkerId(p as u32)),
+        )
     }
 
     /// The stored statistics for a pair; pairs that never co-occurred
-    /// read as zero.
+    /// read as zero. `O(1)` when `a`'s row is dense, a binary search
+    /// of it otherwise.
     ///
     /// # Panics
     /// Panics if `a == b` or either id is not below
-    /// [`PairMap::n_workers`], in every build profile, exactly like
-    /// [`crate::PairCache::get`].
+    /// [`PairMap::n_workers`], in every build profile.
     pub fn get(&self, a: WorkerId, b: WorkerId) -> PairStats {
         crate::overlap::check_pair(a, b, self.rows.len());
-        let (common, agree) = match self.rows[a.index()].binary_search_by_key(&b.0, |&(p, _, _)| p)
-        {
-            Ok(pos) => {
-                let (_, c, g) = self.rows[a.index()][pos];
-                (c, g)
-            }
-            Err(_) => (0, 0),
+        let (common, agree) = match &self.rows[a.index()] {
+            Row::Dense(cells) => cells[b.index()],
+            Row::Sparse(entries) => match entries.binary_search_by_key(&b.0, |&(p, _, _)| p) {
+                Ok(pos) => (entries[pos].1, entries[pos].2),
+                Err(_) => (0, 0),
+            },
         };
         PairStats {
             common_tasks: common as usize,
@@ -127,31 +227,45 @@ impl PairMap {
         self.bump_directed(b, a, agree);
     }
 
+    /// Adds one observation to `from`'s row, promoting the row to the
+    /// dense form when a new peer brings its degree to the threshold.
     fn bump_directed(&mut self, from: u32, to: u32, agree: bool) {
-        let row = &mut self.rows[from as usize];
-        match row.binary_search_by_key(&to, |&(p, _, _)| p) {
-            Ok(pos) => {
-                row[pos].1 += 1;
-                row[pos].2 += u32::from(agree);
+        let m = self.rows.len();
+        let promoted = match &mut self.rows[from as usize] {
+            Row::Dense(cells) => {
+                let cell = &mut cells[to as usize];
+                cell.0 += 1;
+                cell.1 += u32::from(agree);
+                None
             }
-            Err(pos) => row.insert(pos, (to, 1, u32::from(agree))),
-        }
-    }
-
-    /// Folds one task's worker-sorted responder list into the map;
-    /// mirrors [`crate::PairCache::harvest_task`].
-    pub(crate) fn harvest_task(&mut self, responders: &[(u32, Label)]) {
-        for (i, &(wa, la)) in responders.iter().enumerate() {
-            for &(wb, lb) in &responders[i + 1..] {
-                self.bump(wa, wb, la == lb);
-            }
+            Row::Sparse(entries) => match entries.binary_search_by_key(&to, |&(p, _, _)| p) {
+                Ok(pos) => {
+                    entries[pos].1 += 1;
+                    entries[pos].2 += u32::from(agree);
+                    None
+                }
+                Err(pos) => {
+                    entries.insert(pos, (to, 1, u32::from(agree)));
+                    is_dense(entries.len(), m).then(|| {
+                        let mut cells = vec![(0, 0); m];
+                        for &(p, common, agree) in entries.iter() {
+                            cells[p as usize] = (common, agree);
+                        }
+                        cells
+                    })
+                }
+            },
+        };
+        if let Some(cells) = promoted {
+            self.rows[from as usize] = Row::Dense(cells);
         }
     }
 
     /// Updates the map for a new response by `worker` with `label`,
     /// given the task's *other* responders (the per-task list
-    /// **before** the response is inserted); mirrors
-    /// [`crate::PairCache::record_response`].
+    /// **before** the response is inserted). `O(r_t)` counter bumps,
+    /// each `O(1)` on a dense row and a binary search (plus a sorted
+    /// insert for a new peer) on a sparse one.
     pub fn record_response(&mut self, worker: WorkerId, label: Label, others: &[(u32, Label)]) {
         for &(other, other_label) in others {
             if other == worker.0 {
@@ -165,7 +279,7 @@ impl PairMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PairCache, ResponseMatrix, ResponseMatrixBuilder, TaskId};
+    use crate::{ResponseMatrixBuilder, pair_stats};
 
     fn sample() -> ResponseMatrix {
         let mut b = ResponseMatrixBuilder::new(5, 12, 2);
@@ -188,20 +302,37 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A 12-worker chain: worker `w` shares task `w` with worker
+    /// `w + 1`, and worker 0 also shares one task each with workers
+    /// 2..=`hub_peers`. Worker 0's degree is `hub_peers`; everyone
+    /// else's is at most 3, below the threshold of 4 (`3·4 ≥ 12`).
+    fn hub(hub_peers: u32) -> ResponseMatrix {
+        let mut b = ResponseMatrixBuilder::new(12, 30, 2);
+        for w in 0..11u32 {
+            b.push(WorkerId(w), TaskId(w), Label(0)).unwrap();
+            b.push(WorkerId(w + 1), TaskId(w), Label((w % 2) as u16))
+                .unwrap();
+        }
+        for p in 2..=hub_peers {
+            b.push(WorkerId(0), TaskId(11 + p), Label(1)).unwrap();
+            b.push(WorkerId(p), TaskId(11 + p), Label(1)).unwrap();
+        }
+        b.build().unwrap()
+    }
+
     #[test]
-    fn matches_dense_cache_everywhere() {
+    fn matches_the_merge_scan_everywhere() {
         let data = sample();
-        let sparse = PairMap::from_matrix(&data);
-        let dense = PairCache::from_matrix(&data);
-        assert_eq!(sparse.n_workers(), 5);
+        let map = PairMap::from_matrix(&data);
+        assert_eq!(map.n_workers(), 5);
         for a in 0..5u32 {
             for b in 0..5u32 {
                 if a == b {
                     continue;
                 }
                 assert_eq!(
-                    sparse.get(WorkerId(a), WorkerId(b)),
-                    dense.get(WorkerId(a), WorkerId(b)),
+                    map.get(WorkerId(a), WorkerId(b)),
+                    pair_stats(&data, WorkerId(a), WorkerId(b)),
                     "pair ({a},{b})"
                 );
             }
@@ -211,18 +342,15 @@ mod tests {
     #[test]
     fn co_occurring_lists_exactly_the_nonzero_pairs() {
         let data = sample();
-        let sparse = PairMap::from_matrix(&data);
+        let map = PairMap::from_matrix(&data);
         for a in 0..5u32 {
-            let listed: Vec<u32> = sparse.co_occurring(WorkerId(a)).map(|w| w.0).collect();
-            let mut expect: Vec<u32> = (0..5u32)
-                .filter(|&b| {
-                    b != a && crate::pair_stats(&data, WorkerId(a), WorkerId(b)).common_tasks > 0
-                })
+            let listed: Vec<u32> = map.co_occurring(WorkerId(a)).map(|w| w.0).collect();
+            let expect: Vec<u32> = (0..5u32)
+                .filter(|&b| b != a && pair_stats(&data, WorkerId(a), WorkerId(b)).common_tasks > 0)
                 .collect();
-            expect.sort_unstable();
             assert_eq!(listed, expect, "worker {a}");
         }
-        assert_eq!(sparse.co_occurring(WorkerId(4)).count(), 0);
+        assert_eq!(map.co_occurring(WorkerId(4)).count(), 0);
     }
 
     #[test]
@@ -240,8 +368,62 @@ mod tests {
         assert_eq!(streamed, batch);
     }
 
+    /// The form of a row follows `3·d ≥ m` exactly: a hub of degree 3
+    /// stays sparse in a 12-worker table, degree 4 is dense.
+    #[test]
+    fn rows_promote_exactly_at_the_threshold() {
+        let below = PairMap::from_matrix(&hub(3));
+        assert!(matches!(below.rows[0], Row::Sparse(_)));
+        assert_eq!(below.dense_rows(), 0);
+        let at = PairMap::from_matrix(&hub(4));
+        assert!(matches!(at.rows[0], Row::Dense(_)));
+        assert_eq!(at.dense_rows(), 1);
+    }
+
+    /// Streaming ingest promotes the hub's row mid-stream; every
+    /// lookup and neighbour list reads the same just before and just
+    /// after the promotion, and the final table equals the bulk build.
+    #[test]
+    fn promotion_mid_stream_changes_no_lookup() {
+        let data = hub(6);
+        let mut map = PairMap::empty(12);
+        let mut so_far = ResponseMatrix::empty(12, 30, 2);
+        let mut promotions = 0;
+        for r in data.iter() {
+            let before = map.clone();
+            map.record_response(r.worker, r.label, so_far.task_responses(r.task));
+            so_far.insert(r).unwrap();
+            if map.dense_rows() > before.dense_rows() {
+                promotions += 1;
+                // The pair this response bumped moved by one; nothing
+                // else may move.
+                for a in 0..12u32 {
+                    for b in 0..12u32 {
+                        if a != b {
+                            assert_eq!(
+                                map.get(WorkerId(a), WorkerId(b)),
+                                pair_stats(&so_far, WorkerId(a), WorkerId(b))
+                            );
+                        }
+                    }
+                    let listed: Vec<_> = map.co_occurring(WorkerId(a)).collect();
+                    let expect: Vec<_> = (0..12u32)
+                        .map(WorkerId)
+                        .filter(|&b| {
+                            b.0 != a && pair_stats(&so_far, WorkerId(a), b).common_tasks > 0
+                        })
+                        .collect();
+                    assert_eq!(listed, expect);
+                }
+            }
+        }
+        assert_eq!(promotions, 1, "only the hub crosses 3·d ≥ 12");
+        assert_eq!(map, PairMap::from_matrix(&data));
+    }
+
     #[test]
     fn empty_and_absent_pairs_read_zero() {
+        assert_eq!(PairMap::empty(0).n_workers(), 0);
         let map = PairMap::empty(3);
         assert_eq!(map.n_pairs(), 0);
         assert_eq!(map.get(WorkerId(0), WorkerId(2)).common_tasks, 0);
@@ -251,13 +433,13 @@ mod tests {
     #[test]
     fn pair_count_and_bytes_track_the_data() {
         let data = sample();
-        let sparse = PairMap::from_matrix(&data);
+        let map = PairMap::from_matrix(&data);
         let nonzero = (0..5u32)
             .flat_map(|a| ((a + 1)..5u32).map(move |b| (a, b)))
-            .filter(|&(a, b)| crate::pair_stats(&data, WorkerId(a), WorkerId(b)).common_tasks > 0)
+            .filter(|&(a, b)| pair_stats(&data, WorkerId(a), WorkerId(b)).common_tasks > 0)
             .count();
-        assert_eq!(sparse.n_pairs(), nonzero);
-        assert!(sparse.table_bytes() > 0);
+        assert_eq!(map.n_pairs(), nonzero);
+        assert!(map.table_bytes() > 0);
     }
 
     #[test]
@@ -270,5 +452,19 @@ mod tests {
     #[should_panic(expected = "no diagonal")]
     fn sparse_lookup_rejects_the_diagonal() {
         PairMap::empty(10).get(WorkerId(3), WorkerId(3));
+    }
+
+    // A dense row must not answer an out-of-range or diagonal pair
+    // from its own (zero) cell either.
+    #[test]
+    #[should_panic(expected = "out of range for 12 workers")]
+    fn dense_lookup_rejects_out_of_range_ids() {
+        PairMap::from_matrix(&hub(6)).get(WorkerId(0), WorkerId(12));
+    }
+
+    #[test]
+    #[should_panic(expected = "no diagonal")]
+    fn dense_lookup_rejects_the_diagonal() {
+        PairMap::from_matrix(&hub(6)).get(WorkerId(0), WorkerId(0));
     }
 }

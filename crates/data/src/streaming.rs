@@ -112,17 +112,17 @@
 //! creates are included. Note the set is deliberately wider than the
 //! arriving task's responders: an anchor that never touched the task
 //! can still re-pair when a peer–peer overlap among its candidates
-//! moves. With the sparse pair backend the set is read straight off
-//! the [`crate::PairMap`] row in `O(d_w)`; the dense backend keeps a
-//! small mirror adjacency for the same purpose. This is what makes
+//! moves. The set is read straight off the worker's
+//! [`crate::PairMap`] row — `O(d_w)` on a sparse row, `O(m) ≤ O(3·d_w)`
+//! on a dense one. This is what makes
 //! epoch-gated report caches (`crowd_core`'s `ReportCache`) sound: a
 //! worker whose `dirty_epoch` has not advanced past a cached
 //! evaluation would re-derive bit-identical numbers.
 
-use crate::index::{AnchoredOverlap, MaskMatrix, OverlapSource, PairBackend, PeerMask, SlotStamps};
+use crate::index::{AnchoredOverlap, MaskMatrix, OverlapSource, PeerMask, SlotStamps};
 use crate::{
     CountsTensor, Label, OverlapIndex, PairStats, PeerGram, PeerGramScratch, Response,
-    ResponseMatrix, TaskId, TriplePairGram, TripleStats, WorkerId,
+    ResponseMatrix, TriplePairGram, TripleStats, WorkerId,
 };
 use std::cell::{Cell, Ref, RefCell};
 
@@ -552,59 +552,51 @@ pub struct StreamingIndex {
     /// changed (see the [module docs](self) and
     /// [`StreamingIndex::dirty_epoch`]).
     dirty_at: Vec<u64>,
-    /// Sorted co-occurring-worker lists, maintained only under the
-    /// dense pair backend whose table cannot enumerate a worker's
-    /// neighbours; the sparse backend serves
-    /// [`OverlapSource::co_occurring_into`] straight off its rows.
-    dense_adj: Option<Vec<Vec<u32>>>,
-    /// Reusable neighbour buffer for the per-ingest dirty sweep.
-    dirty_scratch: Vec<WorkerId>,
 }
 
-/// Sorted-unique insertion for the mirror adjacency rows.
-fn insert_sorted(row: &mut Vec<u32>, w: u32) {
-    if let Err(pos) = row.binary_search(&w) {
-        row.insert(pos, w);
-    }
+/// The one pair-table choice left — kept only so callers written
+/// against the former backend switch still compile; see
+/// [`StreamingIndex::new_with`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairBackend {
+    /// The density-adaptive [`crate::PairMap`].
+    Sparse,
 }
 
 impl StreamingIndex {
-    /// An empty streaming substrate of the given shape (dense pair
-    /// table).
+    /// An empty streaming substrate of the given shape.
     ///
     /// # Panics
-    /// Panics if `arity < 2` (mirroring [`OverlapIndex::new`]).
+    /// Panics if `arity < 2` or the task rows cannot be allocated
+    /// (mirroring [`OverlapIndex::new`]).
     pub fn new(n_workers: usize, n_tasks: usize, arity: u16) -> Self {
-        Self::new_with(n_workers, n_tasks, arity, PairBackend::Dense)
+        Self::try_new(n_workers, n_tasks, arity).expect("index shape exceeds available memory")
     }
 
-    /// [`StreamingIndex::new`] with an explicit pair-table backend.
-    /// The sparse [`crate::PairMap`] backend is the fleet-scale /
-    /// per-shard opt-in: a shard worker ingesting only its closure's
-    /// responses holds pair state proportional to the co-occurring
-    /// pairs it actually sees, never `O(m²)` (see [`PairBackend`]).
+    /// Forwards to [`StreamingIndex::new`]; kept for callers written
+    /// against the former pair-backend switch.
+    #[doc(hidden)]
+    pub fn new_with(n_workers: usize, n_tasks: usize, arity: u16, backend: PairBackend) -> Self {
+        let _ = backend;
+        Self::new(n_workers, n_tasks, arity)
+    }
+
+    /// [`StreamingIndex::new`], returning the allocation failure of an
+    /// oversized shape instead of aborting (checkpoint restores read
+    /// the shape from untrusted bytes).
     ///
     /// # Panics
-    /// Panics if `arity < 2` (mirroring [`OverlapIndex::new_with`]).
-    pub fn new_with(n_workers: usize, n_tasks: usize, arity: u16, backend: PairBackend) -> Self {
-        let dense_adj = match backend {
-            PairBackend::Dense => Some(vec![Vec::new(); n_workers]),
-            PairBackend::Sparse => None,
-        };
-        Self {
-            index: OverlapIndex::new_with(n_workers, n_tasks, arity, backend),
-            views: (0..n_workers)
-                .map(|_| RefCell::new(AnchoredView::new()))
-                .collect(),
-            stamps: RefCell::default(),
-            reanchors: Cell::new(0),
-            gram_rebuilds: Cell::new(0),
-            gram_patches: 0,
-            epoch: 0,
-            dirty_at: vec![0; n_workers],
-            dense_adj,
-            dirty_scratch: Vec::new(),
-        }
+    /// Panics if `arity < 2`.
+    pub(crate) fn try_new(
+        n_workers: usize,
+        n_tasks: usize,
+        arity: u16,
+    ) -> Result<Self, std::collections::TryReserveError> {
+        Ok(Self::with_index(
+            OverlapIndex::try_new(n_workers, n_tasks, arity)?,
+            0,
+        ))
     }
 
     /// Seeds the substrate from an existing matrix — one batch index
@@ -613,38 +605,21 @@ impl StreamingIndex {
     /// counts as one bulk ingest: the epoch starts at 1 with every
     /// worker dirty at it.
     pub fn from_matrix(data: &ResponseMatrix) -> Self {
-        let index = OverlapIndex::from_matrix(data);
-        // The batch index uses the dense pair backend, which cannot
-        // enumerate neighbours; build the mirror adjacency from the
-        // task responder lists (`O(Σ r_t²)`, same order as the pair
-        // table build itself).
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); data.n_workers()];
-        for t in 0..data.n_tasks() as u32 {
-            let responders = index.task_responses(TaskId(t));
-            for (i, &(a, _)) in responders.iter().enumerate() {
-                for &(b, _) in &responders[i + 1..] {
-                    adj[a as usize].push(b);
-                    adj[b as usize].push(a);
-                }
-            }
-        }
-        for row in &mut adj {
-            row.sort_unstable();
-            row.dedup();
-        }
+        Self::with_index(OverlapIndex::from_matrix(data), 1)
+    }
+
+    /// Wraps `index` with dormant views, every worker dirty at `epoch`.
+    fn with_index(index: OverlapIndex, epoch: u64) -> Self {
+        let m = index.n_workers();
         Self {
             index,
-            views: (0..data.n_workers())
-                .map(|_| RefCell::new(AnchoredView::new()))
-                .collect(),
+            views: (0..m).map(|_| RefCell::new(AnchoredView::new())).collect(),
             stamps: RefCell::default(),
             reanchors: Cell::new(0),
             gram_rebuilds: Cell::new(0),
             gram_patches: 0,
-            epoch: 1,
-            dirty_at: vec![1; data.n_workers()],
-            dense_adj: Some(adj),
-            dirty_scratch: Vec::new(),
+            epoch,
+            dirty_at: vec![epoch; m],
         }
     }
 
@@ -674,18 +649,6 @@ impl StreamingIndex {
                 .get_mut()
                 .note_anchor_task(at, responders),
         );
-        // Dense-backend mirror adjacency: the response co-occurs the
-        // worker with every prior responder of the task.
-        if let Some(adj) = self.dense_adj.as_mut() {
-            let w = response.worker.0;
-            for &(r, _) in responders {
-                if r == w {
-                    continue;
-                }
-                insert_sorted(&mut adj[w as usize], r);
-                insert_sorted(&mut adj[r as usize], w);
-            }
-        }
         self.mark_dirty(response.worker);
         Ok(())
     }
@@ -700,25 +663,11 @@ impl StreamingIndex {
         self.epoch += 1;
         let epoch = self.epoch;
         self.dirty_at[worker.index()] = epoch;
-        let mut scratch = std::mem::take(&mut self.dirty_scratch);
-        scratch.clear();
-        if self.index.co_occurring_into(worker, &mut scratch) {
-            for &p in &scratch {
-                self.dirty_at[p.index()] = epoch;
-            }
-        } else if let Some(adj) = &self.dense_adj {
-            for &p in &adj[worker.index()] {
-                self.dirty_at[p as usize] = epoch;
-            }
-        } else {
-            // No adjacency available (a future backend without
-            // neighbour enumeration): degrade soundly by dirtying
-            // everyone rather than risking a stale cached report.
-            for d in &mut self.dirty_at {
-                *d = epoch;
-            }
-        }
-        self.dirty_scratch = scratch;
+        let dirty_at = &mut self.dirty_at;
+        self.index
+            .pairs()
+            .co_occurring(worker)
+            .for_each(|p| dirty_at[p.index()] = epoch);
     }
 
     /// Serves the view of `anchor`, re-anchoring it first when its
@@ -903,21 +852,7 @@ impl OverlapSource for StreamingIndex {
     }
 
     fn co_occurring_into(&self, worker: WorkerId, out: &mut Vec<WorkerId>) -> bool {
-        if self.index.co_occurring_into(worker, out) {
-            return true;
-        }
-        // Dense backend: serve from the mirror adjacency the dirty
-        // tracker maintains. Same sorted-ascending, positive-overlap
-        // worker list the sparse rows would produce, so pairing sees
-        // an identical candidate sequence (zero-overlap workers are
-        // screened out either way; see `crowd_core::pairing`).
-        match &self.dense_adj {
-            Some(adj) => {
-                out.extend(adj[worker.index()].iter().map(|&w| WorkerId(w)));
-                true
-            }
-            None => false,
-        }
+        self.index.co_occurring_into(worker, out)
     }
 }
 
@@ -1212,54 +1147,51 @@ mod tests {
     }
 
     /// The ingest epoch advances once per accepted response and the
-    /// dirty set of each ingest is exactly `{w} ∪ cooccur(w)` —
-    /// under both pair backends.
+    /// dirty set of each ingest is exactly `{w} ∪ cooccur(w)`.
     #[test]
     fn dirty_sets_are_worker_plus_cooccurrence() {
-        for backend in [PairBackend::Dense, PairBackend::Sparse] {
-            let mut stream = StreamingIndex::new_with(5, 10, 2, backend);
-            assert_eq!(stream.epoch(), 0);
-            for w in 0..5u32 {
-                assert_eq!(stream.dirty_epoch(WorkerId(w)), 0);
-                assert!(!stream.is_dirty_since(WorkerId(w), 0));
-            }
-            // Workers 0 and 1 share task 0; worker 3 answers task 5 alone.
-            let ingest = |s: &mut StreamingIndex, w: u32, t: u32| {
-                s.record_response(Response {
-                    worker: WorkerId(w),
-                    task: TaskId(t),
-                    label: Label(0),
-                })
-                .unwrap();
-            };
-            ingest(&mut stream, 0, 0);
-            assert_eq!(stream.epoch(), 1);
-            assert_eq!(stream.dirty_epoch(WorkerId(0)), 1);
-            assert_eq!(stream.dirty_epoch(WorkerId(1)), 0);
-
-            ingest(&mut stream, 1, 0);
-            // Worker 1's response co-occurs it with worker 0: both dirty.
-            assert_eq!(stream.epoch(), 2);
-            assert_eq!(stream.dirty_epoch(WorkerId(0)), 2);
-            assert_eq!(stream.dirty_epoch(WorkerId(1)), 2);
-            assert_eq!(stream.dirty_epoch(WorkerId(3)), 0);
-
-            ingest(&mut stream, 3, 5);
-            // A lone responder dirties only itself.
-            assert_eq!(stream.epoch(), 3);
-            assert_eq!(stream.dirty_epoch(WorkerId(0)), 2);
-            assert_eq!(stream.dirty_epoch(WorkerId(3)), 3);
-
-            let mut dirty = Vec::new();
-            stream.dirty_since(0, &mut dirty);
-            assert_eq!(dirty, vec![WorkerId(0), WorkerId(1), WorkerId(3)]);
-            stream.dirty_since(2, &mut dirty);
-            assert_eq!(dirty, vec![WorkerId(3)]);
-            stream.dirty_since(3, &mut dirty);
-            assert!(dirty.is_empty());
-            assert!(stream.is_dirty_since(WorkerId(1), 1));
-            assert!(!stream.is_dirty_since(WorkerId(1), 2));
+        let mut stream = StreamingIndex::new(5, 10, 2);
+        assert_eq!(stream.epoch(), 0);
+        for w in 0..5u32 {
+            assert_eq!(stream.dirty_epoch(WorkerId(w)), 0);
+            assert!(!stream.is_dirty_since(WorkerId(w), 0));
         }
+        // Workers 0 and 1 share task 0; worker 3 answers task 5 alone.
+        let ingest = |s: &mut StreamingIndex, w: u32, t: u32| {
+            s.record_response(Response {
+                worker: WorkerId(w),
+                task: TaskId(t),
+                label: Label(0),
+            })
+            .unwrap();
+        };
+        ingest(&mut stream, 0, 0);
+        assert_eq!(stream.epoch(), 1);
+        assert_eq!(stream.dirty_epoch(WorkerId(0)), 1);
+        assert_eq!(stream.dirty_epoch(WorkerId(1)), 0);
+
+        ingest(&mut stream, 1, 0);
+        // Worker 1's response co-occurs it with worker 0: both dirty.
+        assert_eq!(stream.epoch(), 2);
+        assert_eq!(stream.dirty_epoch(WorkerId(0)), 2);
+        assert_eq!(stream.dirty_epoch(WorkerId(1)), 2);
+        assert_eq!(stream.dirty_epoch(WorkerId(3)), 0);
+
+        ingest(&mut stream, 3, 5);
+        // A lone responder dirties only itself.
+        assert_eq!(stream.epoch(), 3);
+        assert_eq!(stream.dirty_epoch(WorkerId(0)), 2);
+        assert_eq!(stream.dirty_epoch(WorkerId(3)), 3);
+
+        let mut dirty = Vec::new();
+        stream.dirty_since(0, &mut dirty);
+        assert_eq!(dirty, vec![WorkerId(0), WorkerId(1), WorkerId(3)]);
+        stream.dirty_since(2, &mut dirty);
+        assert_eq!(dirty, vec![WorkerId(3)]);
+        stream.dirty_since(3, &mut dirty);
+        assert!(dirty.is_empty());
+        assert!(stream.is_dirty_since(WorkerId(1), 1));
+        assert!(!stream.is_dirty_since(WorkerId(1), 2));
     }
 
     /// A response from `w` dirties co-occurring anchors even when they
@@ -1268,7 +1200,7 @@ mod tests {
     /// would be unsound.
     #[test]
     fn cooccurring_nonresponders_are_dirtied() {
-        let mut stream = StreamingIndex::new_with(3, 10, 2, PairBackend::Sparse);
+        let mut stream = StreamingIndex::new(3, 10, 2);
         let ingest = |s: &mut StreamingIndex, w: u32, t: u32| {
             s.record_response(Response {
                 worker: WorkerId(w),
@@ -1289,8 +1221,8 @@ mod tests {
     }
 
     /// A matrix seed is one bulk ingest: epoch 1, everyone dirty at
-    /// it, and the mirror adjacency answers `co_occurring_into` with
-    /// the same positive-overlap peers the pair table holds.
+    /// it, and `co_occurring_into` lists exactly the positive-overlap
+    /// peers.
     #[test]
     fn seeded_substrates_start_fully_dirty_with_adjacency() {
         let data = sample(7, 30, 2, 41);
@@ -1307,7 +1239,7 @@ mod tests {
             co.clear();
             assert!(
                 stream.co_occurring_into(a, &mut co),
-                "dense-backed streaming substrates must enumerate neighbours"
+                "streaming substrates enumerate neighbours"
             );
             let expect: Vec<WorkerId> = stream
                 .index()

@@ -3,65 +3,48 @@
 //! decode to typed errors — never panic.
 
 use crowd_data::{
-    AnchoredOverlap, CheckpointError, Label, OverlapSource, PairBackend, Response, StreamingIndex,
-    TaskId, WorkerId,
+    AnchoredOverlap, CheckpointError, Label, OverlapSource, Response, StreamingIndex, TaskId,
+    WorkerId,
 };
 use proptest::prelude::*;
 
-/// A random streaming substrate: shape, backend, and a duplicate-free
-/// response set applied in a data-dependent order.
-fn streaming_state() -> impl Strategy<Value = StreamingIndex> {
-    (2usize..=8, 2usize..=16, 2u16..=4, any::<bool>()).prop_flat_map(|(m, n, arity, sparse)| {
-        proptest::collection::vec(proptest::option::weighted(0.4, 0..arity), m * n).prop_map(
-            move |cells| {
-                let backend = if sparse {
-                    PairBackend::Sparse
-                } else {
-                    PairBackend::Dense
-                };
-                let mut s = StreamingIndex::new_with(m, n, arity, backend);
-                for (i, cell) in cells.into_iter().enumerate() {
-                    if let Some(label) = cell {
-                        s.record_response(Response {
-                            worker: WorkerId((i % m) as u32),
-                            task: TaskId((i / m) as u32),
-                            label: Label(label),
-                        })
-                        .expect("cells are duplicate-free by construction");
-                    }
-                }
-                s
-            },
+/// A random response stream: `(m, n, arity, responses)`,
+/// duplicate-free, in a data-dependent order. Each worker answers each
+/// task with its own probability (5–70%), so the streamed pair-table
+/// rows land on both sides of the dense-row threshold (`3·d ≥ m`) and
+/// heavy rows are promoted mid-stream.
+fn response_stream() -> impl Strategy<Value = (usize, usize, u16, Vec<Response>)> {
+    (2usize..=12, 2usize..=16, 2u16..=4).prop_flat_map(|(m, n, arity)| {
+        (
+            proptest::collection::vec(5u32..70, m),
+            proptest::collection::vec((0u32..100, 0..arity), m * n),
         )
-    })
-}
-
-/// A random response stream over a random shape and backend:
-/// `(m, n, arity, backend, responses)`, duplicate-free, in a
-/// data-dependent order.
-fn response_stream() -> impl Strategy<Value = (usize, usize, u16, PairBackend, Vec<Response>)> {
-    (2usize..=8, 2usize..=16, 2u16..=4, any::<bool>()).prop_flat_map(|(m, n, arity, sparse)| {
-        proptest::collection::vec(proptest::option::weighted(0.4, 0..arity), m * n).prop_map(
-            move |cells| {
-                let backend = if sparse {
-                    PairBackend::Sparse
-                } else {
-                    PairBackend::Dense
-                };
+            .prop_map(move |(activity, cells)| {
                 let responses = cells
                     .into_iter()
                     .enumerate()
-                    .filter_map(|(i, cell)| {
-                        cell.map(|label| Response {
-                            worker: WorkerId((i % m) as u32),
-                            task: TaskId((i / m) as u32),
-                            label: Label(label),
-                        })
+                    .filter(|&(i, (roll, _))| roll < activity[i % m])
+                    .map(|(i, (_, label))| Response {
+                        worker: WorkerId((i % m) as u32),
+                        task: TaskId((i / m) as u32),
+                        label: Label(label),
                     })
                     .collect();
-                (m, n, arity, backend, responses)
-            },
-        )
+                (m, n, arity, responses)
+            })
+    })
+}
+
+/// A random streaming substrate: [`response_stream`] ingested in
+/// order.
+fn streaming_state() -> impl Strategy<Value = StreamingIndex> {
+    response_stream().prop_map(|(m, n, arity, responses)| {
+        let mut s = StreamingIndex::new(m, n, arity);
+        for r in responses {
+            s.record_response(r)
+                .expect("cells are duplicate-free by construction");
+        }
+        s
     })
 }
 
@@ -90,8 +73,10 @@ fn anchor_all(s: &StreamingIndex) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// restore(checkpoint(s)) is bit-identical to s: equal index,
-    /// equal epoch state, and a byte-identical re-encode.
+    /// restore(checkpoint(s)) is bit-identical to s: equal index (the
+    /// pair table's row forms included, although the restore replays
+    /// the rows worker by worker rather than in ingest order), equal
+    /// epoch state, and a byte-identical re-encode.
     #[test]
     fn round_trip_is_byte_identical(original in streaming_state()) {
         let bytes = original.checkpoint();
@@ -132,12 +117,12 @@ proptest! {
     /// throughout.
     #[test]
     fn anchored_views_stay_out_of_checkpoints(
-        (m, n, arity, backend, responses) in response_stream(),
+        (m, n, arity, responses) in response_stream(),
         cut in 0.0f64..1.0,
     ) {
         let cut = (responses.len() as f64 * cut) as usize;
-        let mut original = StreamingIndex::new_with(m, n, arity, backend);
-        let mut twin = StreamingIndex::new_with(m, n, arity, backend);
+        let mut original = StreamingIndex::new(m, n, arity);
+        let mut twin = StreamingIndex::new(m, n, arity);
         for r in &responses[..cut] {
             original.record_response(*r).unwrap();
             twin.record_response(*r).unwrap();
@@ -205,6 +190,7 @@ proptest! {
                 | CheckpointError::BadMagic
                 | CheckpointError::Truncated(_)
                 | CheckpointError::Malformed(_)
+                | CheckpointError::TooLarge(_)
                 | CheckpointError::UnsupportedVersion(_)
                 | CheckpointError::Invalid(_),
             ) => {}
@@ -219,4 +205,25 @@ proptest! {
         let bytes: Vec<u8> = words.into_iter().map(|w| w as u8).collect();
         let _ = StreamingIndex::restore(&bytes);
     }
+}
+
+/// The generated substrates hold pair rows of both forms: most states
+/// have promoted at least one row, and many keep sparse rows beside
+/// promoted ones.
+#[test]
+fn generated_states_straddle_the_dense_threshold() {
+    let strategy = streaming_state();
+    let mut rng = proptest::rng_for("generated_states_straddle_the_dense_threshold");
+    let (mut promoted, mut both_forms) = (0, 0);
+    for _ in 0..64 {
+        let s = strategy.generate(&mut rng);
+        let dense = s.index().pairs().dense_rows();
+        promoted += usize::from(dense > 0);
+        both_forms += usize::from(dense > 0 && dense < s.index().n_workers());
+    }
+    assert!(promoted >= 32, "{promoted}/64 states promote a row");
+    assert!(
+        both_forms >= 16,
+        "{both_forms}/64 states hold both row forms"
+    );
 }

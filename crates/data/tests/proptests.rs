@@ -1,12 +1,12 @@
 //! Property-based tests on the data-model invariants: overlap scans,
-//! the pair cache, counts tensors and CSV round-trips must all agree
+//! the pair table, counts tensors and CSV round-trips must all agree
 //! with brute-force recomputation on arbitrary sparse matrices.
 
 use crowd_data::{
     AnchoredOverlap, AnchoredScratch, AttemptPattern, CountsTensor, Label, OverlapIndex,
-    OverlapSource, PairBackend, PairCache, PairMap, PeerGram, PeerGramScratch, Response,
-    ResponseMatrix, ResponseMatrixBuilder, StreamingIndex, TaskId, TriplePairGram, WorkerId,
-    majority_vote, pair_stats, triple_joint_labels, triple_joint_labels_optional, triple_overlap,
+    OverlapSource, PairMap, PeerGram, PeerGramScratch, Response, ResponseMatrix,
+    ResponseMatrixBuilder, StreamingIndex, TaskId, TriplePairGram, WorkerId, majority_vote,
+    pair_stats, triple_joint_labels, triple_joint_labels_optional, triple_overlap,
 };
 use proptest::prelude::*;
 
@@ -46,6 +46,36 @@ fn sparse_matrix(
     })
 }
 
+/// Strategy: a response matrix whose pair-table rows fall on both
+/// sides of the dense-row threshold (`3·d ≥ m`). Each worker answers
+/// each task with its own probability, 2–70%, so light workers
+/// co-occur with a few peers while heavy ones co-occur with most of
+/// the fleet — and a streamed heavy row crosses the threshold
+/// mid-stream.
+fn mixed_density_matrix(
+    max_workers: usize,
+    max_tasks: usize,
+    arity: u16,
+) -> impl Strategy<Value = ResponseMatrix> {
+    (6..=max_workers, 8..=max_tasks).prop_flat_map(move |(m, n)| {
+        (
+            proptest::collection::vec(2u32..70, m),
+            proptest::collection::vec((0u32..100, 0..arity), m * n),
+        )
+            .prop_map(move |(activity, cells)| {
+                let mut b = ResponseMatrixBuilder::new(m, n, arity);
+                for (i, &(roll, label)) in cells.iter().enumerate() {
+                    let (w, t) = (i / n, i % n);
+                    if roll < activity[w] {
+                        b.push(WorkerId(w as u32), TaskId(t as u32), Label(label))
+                            .expect("generated ids are valid");
+                    }
+                }
+                b.build().expect("generated cells are unique")
+            })
+    })
+}
+
 /// Brute-force pair statistics straight from `response()` lookups.
 fn brute_pair(data: &ResponseMatrix, a: WorkerId, b: WorkerId) -> (usize, usize) {
     let mut common = 0;
@@ -63,7 +93,7 @@ fn brute_pair(data: &ResponseMatrix, a: WorkerId, b: WorkerId) -> (usize, usize)
 
 /// One run of the maintained-slot interleaving property (see
 /// `maintained_slots_survive_interleaved_reanchors` below): replays `data`
-/// in a shuffled order into a substrate on `backend`, and after every
+/// in a shuffled order into a substrate, and after every
 /// ingest takes one `plan` step on one worker's view — a population
 /// re-anchor up (`view()`), a plan-chosen peer set through
 /// `anchored_for` (re-anchoring up when the set is not covered, down
@@ -73,7 +103,6 @@ fn brute_pair(data: &ResponseMatrix, a: WorkerId, b: WorkerId) -> (usize, usize)
 /// no re-anchor during the check.
 fn check_interleaved_reanchors(
     data: &ResponseMatrix,
-    backend: PairBackend,
     order_seed: u64,
     plan: &[u64],
 ) -> Result<(), TestCaseError> {
@@ -81,7 +110,7 @@ fn check_interleaved_reanchors(
     let all: Vec<WorkerId> = (0..m as u32).map(WorkerId).collect();
     let mut responses: Vec<Response> = data.iter().collect();
     shuffle(&mut responses, order_seed);
-    let mut stream = StreamingIndex::new_with(m, n, arity, backend);
+    let mut stream = StreamingIndex::new(m, n, arity);
     let mut accumulated = ResponseMatrix::empty(m, n, arity);
     // The peer set each view was last asked for (`None` = dormant),
     // and whether its maintained gram was materialized since its last
@@ -203,42 +232,108 @@ proptest! {
         }
     }
 
-    /// The pair cache agrees with per-pair merge scans for every pair.
+    /// The pair table agrees with the merge scans everywhere, on
+    /// rows of both forms: every lookup equals `pair_stats` (absent
+    /// pairs read zero), each worker's neighbour list is exactly its
+    /// positive-overlap peers in id order, and the pair count is the
+    /// number of co-occurring pairs.
     #[test]
-    fn pair_cache_matches_scans(data in sparse_matrix(6, 25, 2)) {
-        let cache = PairCache::from_matrix(&data);
-        for a in 0..data.n_workers() as u32 {
-            for b in 0..data.n_workers() as u32 {
-                if a == b { continue; }
-                let direct = pair_stats(&data, WorkerId(a), WorkerId(b));
-                let cached = cache.get(WorkerId(a), WorkerId(b));
-                prop_assert_eq!(direct, cached);
+    fn pair_table_matches_scans(
+        dense in sparse_matrix(7, 25, 3),
+        mixed in mixed_density_matrix(14, 24, 3),
+    ) {
+        for data in [dense, mixed] {
+            let map = PairMap::from_matrix(&data);
+            prop_assert_eq!(map.n_workers(), data.n_workers());
+            let m = data.n_workers() as u32;
+            let mut nonzero = 0usize;
+            for a in 0..m {
+                for b in 0..m {
+                    if a == b { continue; }
+                    let s = map.get(WorkerId(a), WorkerId(b));
+                    prop_assert_eq!(s, pair_stats(&data, WorkerId(a), WorkerId(b)),
+                        "pair ({},{})", a, b);
+                    if a < b && s.common_tasks > 0 { nonzero += 1; }
+                }
+                let listed: Vec<u32> = map.co_occurring(WorkerId(a)).map(|w| w.0).collect();
+                let expect: Vec<u32> = (0..m)
+                    .filter(|&b| b != a
+                        && pair_stats(&data, WorkerId(a), WorkerId(b)).common_tasks > 0)
+                    .collect();
+                prop_assert_eq!(listed, expect, "worker {}", a);
             }
+            prop_assert_eq!(map.n_pairs(), nonzero);
         }
     }
 
-    /// Replaying responses one at a time through the incremental cache
-    /// reproduces the batch cache (the invariant the streaming
-    /// evaluator relies on).
+    /// Streaming the responses one at a time, in a random order,
+    /// leaves the pair table equal — row forms included — to the bulk
+    /// build of the data seen so far, at every prefix: a row's form is
+    /// a function of its degree alone, whatever the ingest order. Each
+    /// arriving response sees the task's earlier responders, as in
+    /// production.
     #[test]
-    fn incremental_cache_matches_batch(data in sparse_matrix(5, 20, 2)) {
-        let batch = PairCache::from_matrix(&data);
-        let mut incremental = PairCache::empty(data.n_workers());
-        // Replay grouped by task: each arriving response sees the
-        // earlier responses of the same task.
-        for t in 0..data.n_tasks() as u32 {
-            let mut so_far: Vec<(u32, Label)> = Vec::new();
-            for (w, label) in data.task_responses(TaskId(t)) {
-                incremental.record_response(WorkerId(*w), *label, &so_far);
-                so_far.push((*w, *label));
-            }
+    fn pair_table_streamed_equals_bulk_build(
+        data in mixed_density_matrix(12, 20, 2),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut responses: Vec<Response> = data.iter().collect();
+        shuffle(&mut responses, seed);
+        let mut streamed = PairMap::empty(data.n_workers());
+        let mut accumulated =
+            ResponseMatrix::empty(data.n_workers(), data.n_tasks(), data.arity());
+        for r in &responses {
+            streamed.record_response(r.worker, r.label, accumulated.task_responses(r.task));
+            accumulated.insert(*r).unwrap();
+            prop_assert_eq!(&streamed, &PairMap::from_matrix(&accumulated));
         }
-        for a in 0..data.n_workers() as u32 {
-            for b in (a + 1)..data.n_workers() as u32 {
-                prop_assert_eq!(
-                    batch.get(WorkerId(a), WorkerId(b)),
-                    incremental.get(WorkerId(a), WorkerId(b))
-                );
+        prop_assert_eq!(&streamed, &PairMap::from_matrix(&data));
+    }
+
+    /// Promoting a row to the dense form never changes a lookup: on
+    /// the ingest that promotes, every pair reads exactly what it read
+    /// before plus the response's own contribution (one common task,
+    /// and one agreement on a matching label, for each earlier
+    /// responder of the task), and every neighbour list reads the
+    /// merge scan's.
+    #[test]
+    fn promotion_never_changes_a_lookup(
+        data in mixed_density_matrix(12, 20, 2),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut responses: Vec<Response> = data.iter().collect();
+        shuffle(&mut responses, seed);
+        let m = data.n_workers() as u32;
+        let mut map = PairMap::empty(data.n_workers());
+        let mut accumulated =
+            ResponseMatrix::empty(data.n_workers(), data.n_tasks(), data.arity());
+        for r in &responses {
+            let before = map.clone();
+            let others = accumulated.task_responses(r.task).to_vec();
+            map.record_response(r.worker, r.label, &others);
+            accumulated.insert(*r).unwrap();
+            if map.dense_rows() == before.dense_rows() { continue; }
+            for a in 0..m {
+                for b in 0..m {
+                    if a == b { continue; }
+                    let (a, b) = (WorkerId(a), WorkerId(b));
+                    let mut expect = before.get(a, b);
+                    let peer = if a == r.worker { Some(b) } else if b == r.worker { Some(a) } else { None };
+                    if let Some(&(_, label)) = peer
+                        .and_then(|p| others.iter().find(|&&(w, _)| w == p.0))
+                    {
+                        expect.common_tasks += 1;
+                        expect.agreements += usize::from(label == r.label);
+                    }
+                    prop_assert_eq!(map.get(a, b), expect, "pair ({:?},{:?})", a, b);
+                }
+                let listed: Vec<WorkerId> = map.co_occurring(WorkerId(a)).collect();
+                let expect: Vec<WorkerId> = (0..m)
+                    .map(WorkerId)
+                    .filter(|&b| b.0 != a
+                        && pair_stats(&accumulated, WorkerId(a), b).common_tasks > 0)
+                    .collect();
+                prop_assert_eq!(listed, expect);
             }
         }
     }
@@ -324,7 +419,11 @@ proptest! {
     /// matrix's own adjacency — the invariant every indexed estimator
     /// path rests on.
     #[test]
-    fn overlap_index_matches_merge_scans(data in sparse_matrix(6, 25, 3)) {
+    fn overlap_index_matches_merge_scans(
+        dense in sparse_matrix(6, 25, 3),
+        mixed in mixed_density_matrix(10, 20, 3),
+    ) {
+      for data in [dense, mixed] {
         let index = OverlapIndex::from_matrix(&data);
         prop_assert_eq!(OverlapSource::n_workers(&index), data.n_workers());
         prop_assert_eq!(index.n_tasks(), data.n_tasks());
@@ -353,6 +452,16 @@ proptest! {
         for t in 0..data.n_tasks() as u32 {
             prop_assert_eq!(index.task_responses(TaskId(t)), data.task_responses(TaskId(t)));
         }
+        for a in index.workers() {
+            let mut listed = Vec::new();
+            prop_assert!(index.co_occurring_into(a, &mut listed));
+            let expect: Vec<WorkerId> = index
+                .workers()
+                .filter(|&b| b != a && pair_stats(&data, a, b).common_tasks > 0)
+                .collect();
+            prop_assert_eq!(listed, expect);
+        }
+      }
     }
 
     /// The anchored bitset view answers exactly the naive triple and
@@ -418,9 +527,11 @@ proptest! {
     /// pair/triple/joint-label query identically.
     #[test]
     fn streamed_index_equals_batch_for_any_ingest_order(
-        data in sparse_matrix(6, 25, 3),
+        dense in sparse_matrix(6, 25, 3),
+        mixed in mixed_density_matrix(12, 25, 3),
         seed in 0u64..u64::MAX,
     ) {
+      for data in [dense, mixed] {
         let batch = OverlapIndex::from_matrix(&data);
         let mut responses: Vec<Response> = data.iter().collect();
         shuffle(&mut responses, seed);
@@ -440,6 +551,7 @@ proptest! {
             accumulated.insert(*r).unwrap();
         }
         prop_assert_eq!(&partial, &OverlapIndex::from_matrix(&accumulated));
+      }
     }
 
     /// The maintained anchored views of a [`StreamingIndex`] answer
@@ -634,89 +746,6 @@ proptest! {
         );
     }
 
-    /// The sparse [`PairMap`] is observation-equivalent to the dense
-    /// [`PairCache`] on arbitrary matrices: identical `(common,
-    /// agreements)` for every co-occurring pair, absent pairs reading
-    /// as zero, and the co-occurrence listing exactly the nonzero
-    /// pairs — the invariant that lets the sharded pipeline swap the
-    /// `O(m²)` table for co-occurring-pairs-only state.
-    #[test]
-    fn sparse_pair_map_matches_dense_cache(data in sparse_matrix(7, 25, 3)) {
-        let sparse = PairMap::from_matrix(&data);
-        let dense = PairCache::from_matrix(&data);
-        prop_assert_eq!(sparse.n_workers(), data.n_workers());
-        let m = data.n_workers() as u32;
-        let mut nonzero = 0usize;
-        for a in 0..m {
-            for b in 0..m {
-                if a == b { continue; }
-                let s = sparse.get(WorkerId(a), WorkerId(b));
-                prop_assert_eq!(s, dense.get(WorkerId(a), WorkerId(b)),
-                    "pair ({},{})", a, b);
-                if a < b && s.common_tasks > 0 { nonzero += 1; }
-            }
-            let listed: Vec<u32> =
-                sparse.co_occurring(WorkerId(a)).map(|w| w.0).collect();
-            let expect: Vec<u32> = (0..m)
-                .filter(|&b| b != a
-                    && dense.get(WorkerId(a), WorkerId(b)).common_tasks > 0)
-                .collect();
-            prop_assert_eq!(listed, expect, "worker {}", a);
-        }
-        prop_assert_eq!(sparse.n_pairs(), nonzero);
-    }
-
-    /// Replaying the stream response by response — in a random ingest
-    /// order — leaves the sparse map identical to the batch harvest,
-    /// exactly as the dense cache's differential test guarantees for
-    /// the dense path. Ingest grouping mirrors production: each
-    /// arriving response sees the task's earlier responders.
-    #[test]
-    fn sparse_pair_map_incremental_matches_batch(
-        data in sparse_matrix(6, 20, 2),
-        seed in 0u64..u64::MAX,
-    ) {
-        let batch = PairMap::from_matrix(&data);
-        let mut responses: Vec<Response> = data.iter().collect();
-        shuffle(&mut responses, seed);
-        let mut streamed = PairMap::empty(data.n_workers());
-        let mut accumulated =
-            ResponseMatrix::empty(data.n_workers(), data.n_tasks(), data.arity());
-        for r in &responses {
-            streamed.record_response(r.worker, r.label, accumulated.task_responses(r.task));
-            accumulated.insert(*r).unwrap();
-        }
-        prop_assert_eq!(&streamed, &batch);
-    }
-
-    /// A sparse-backed [`OverlapIndex`] — batch-built or streamed in a
-    /// random order — answers every pair query identically to the
-    /// dense default.
-    #[test]
-    fn sparse_backed_index_matches_dense(
-        data in sparse_matrix(6, 20, 2),
-        seed in 0u64..u64::MAX,
-    ) {
-        let dense = OverlapIndex::from_matrix(&data);
-        let sparse = OverlapIndex::from_matrix_with(&data, PairBackend::Sparse);
-        let mut responses: Vec<Response> = data.iter().collect();
-        shuffle(&mut responses, seed);
-        let mut streamed = OverlapIndex::new_with(
-            data.n_workers(), data.n_tasks(), data.arity(), PairBackend::Sparse);
-        for r in &responses {
-            streamed.record_response(*r).unwrap();
-        }
-        prop_assert_eq!(&streamed, &sparse);
-        let m = data.n_workers() as u32;
-        for a in 0..m {
-            for b in 0..m {
-                if a == b { continue; }
-                let expect = dense.pair(WorkerId(a), WorkerId(b));
-                prop_assert_eq!(sparse.pair(WorkerId(a), WorkerId(b)), expect);
-            }
-        }
-    }
-
     /// The blocked [`PeerGram`] kernel equals per-pair
     /// `triple_common` queries entry for entry — diagonal (pair
     /// overlaps) included — on arbitrary sparse matrices, for every
@@ -856,16 +885,18 @@ proptest! {
     /// The views' slots stay exact through worker-row insert shifts
     /// and re-anchor resets: ingest interleaved with re-anchors up and
     /// down keeps every maintained view equal to a fresh batch build
-    /// at every prefix, on both pair backends. Binary here; the k-ary
+    /// at every prefix, on dense data and on data whose pair rows
+    /// cross the dense threshold mid-stream. Binary here; the k-ary
     /// twin follows.
     #[test]
     fn maintained_slots_survive_interleaved_reanchors(
         data in sparse_matrix(9, 16, 2),
+        mixed in mixed_density_matrix(10, 16, 2),
         seed in 0u64..u64::MAX,
         plan in proptest::collection::vec(0u64..u64::MAX, 1..24),
     ) {
-        for backend in [PairBackend::Dense, PairBackend::Sparse] {
-            check_interleaved_reanchors(&data, backend, seed, &plan)?;
+        for data in [&data, &mixed] {
+            check_interleaved_reanchors(data, seed, &plan)?;
         }
     }
 
@@ -876,9 +907,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         plan in proptest::collection::vec(0u64..u64::MAX, 1..24),
     ) {
-        for backend in [PairBackend::Dense, PairBackend::Sparse] {
-            check_interleaved_reanchors(&data, backend, seed, &plan)?;
-        }
+        check_interleaved_reanchors(&data, seed, &plan)?;
     }
 
     /// Majority vote: the winner's tally is maximal, and unanimous
@@ -959,4 +988,37 @@ fn wide_mask_gram_pins_simd_lanes_to_portable() {
             }
         }
     }
+}
+
+/// The mixed-density inputs above do what they are for: across cases,
+/// most matrices hold pair rows of both forms, and streaming them
+/// promotes rows mid-stream.
+#[test]
+fn mixed_density_inputs_straddle_the_dense_threshold() {
+    let strategy = mixed_density_matrix(12, 20, 2);
+    let mut rng = proptest::rng_for("mixed_density_inputs_straddle_the_dense_threshold");
+    let (mut both_forms, mut promoted_mid_stream) = (0, 0);
+    for _ in 0..64 {
+        let data = strategy.generate(&mut rng);
+        let bulk = PairMap::from_matrix(&data);
+        let dense = bulk.dense_rows();
+        both_forms += usize::from(dense > 0 && dense < data.n_workers());
+        let mut streamed = PairMap::empty(data.n_workers());
+        let mut accumulated = ResponseMatrix::empty(data.n_workers(), data.n_tasks(), 2);
+        let mut seen = 0;
+        for r in data.iter() {
+            streamed.record_response(r.worker, r.label, accumulated.task_responses(r.task));
+            accumulated.insert(r).unwrap();
+            seen = seen.max(streamed.dense_rows());
+        }
+        promoted_mid_stream += usize::from(seen > 0);
+    }
+    assert!(
+        both_forms >= 32,
+        "{both_forms}/64 inputs hold both row forms"
+    );
+    assert!(
+        promoted_mid_stream >= 48,
+        "{promoted_mid_stream}/64 inputs promote a row"
+    );
 }

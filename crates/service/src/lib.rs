@@ -4,8 +4,8 @@
 //! The estimators are fast as library calls; this crate is the
 //! concurrent front that turns them into a *service*. One OS thread
 //! per [`crowd_shard::ShardPlan`] shard owns that shard's
-//! [`crowd_data::StreamingIndex`] (sparse pair backend, rows only for
-//! the shard's closure) and drains a bounded MPSC queue of messages:
+//! [`crowd_data::StreamingIndex`] (rows only for the shard's
+//! closure) and drains a bounded MPSC queue of messages:
 //!
 //! ```text
 //!                    ┌─ bounded queue ─ shard thread 0 ─ StreamingIndex₀

@@ -13,7 +13,7 @@ use crowd_core::{
     Estimator, EstimatorConfig, KaryMWorkerEstimator, KaryWorkerAssessment, KaryWorkerReport,
     MWorkerEstimator, Report, ReportCache, WorkerAssessment, WorkerReport,
 };
-use crowd_data::{DataError, PairBackend, Response, StreamingIndex, WorkerId};
+use crowd_data::{DataError, Response, StreamingIndex, WorkerId};
 use crowd_obs::{EventJournal, EventKind};
 use crowd_shard::{ShardPlan, merge_reports};
 
@@ -255,12 +255,7 @@ impl ShardSeed {
     /// in: empty substrate, dormant views, cold caches.
     fn build(&self) -> ShardWorker {
         ShardWorker {
-            stream: StreamingIndex::new_with(
-                self.n_workers,
-                self.n_tasks,
-                self.arity,
-                PairBackend::Sparse,
-            ),
+            stream: StreamingIndex::new(self.n_workers, self.n_tasks, self.arity),
             lanes: Lanes {
                 binary: Lane::new(&self.estimator),
                 kary: Lane::new(&self.estimator),
@@ -1317,7 +1312,7 @@ pub struct AssessmentService {
 
 impl AssessmentService {
     /// Spawns one shard thread per plan shard, each owning a fresh
-    /// sparse-backed [`StreamingIndex`] over the global
+    /// [`StreamingIndex`] over the global
     /// `plan.n_workers() × n_tasks` id space (rows materialize only
     /// for responses routed to the shard, i.e. its closure).
     pub fn spawn(plan: ShardPlan, n_tasks: usize, arity: u16, config: ServiceConfig) -> Self {

@@ -8,7 +8,7 @@
 //! names the closure of workers whose rows that shard must hold, and
 //! [`merge_reports`] recombines the per-shard reports of either
 //! estimator into one fleet report. The served path (`crowd_service`)
-//! runs one thread per shard, each owning a sparse-backed
+//! runs one thread per shard, each owning a
 //! [`crowd_data::StreamingIndex`] fed only its closure's responses:
 //!
 //! ```text
@@ -56,10 +56,10 @@
 //!
 //! # Why a shard is small
 //!
-//! The shard's pair state rides the sparse [`crowd_data::PairMap`]
-//! (co-occurring pairs only) rather than the dense `O(m²)`
-//! [`crowd_data::PairCache`], and its adjacency rows cover only the
-//! closure. On clustered fleets — the production shape: workers answer
+//! The shard's pair state is a [`crowd_data::PairMap`], whose rows
+//! hold co-occurring pairs only until a row's degree makes the
+//! direct-indexed form cheaper (never an `O(m²)` table), and its
+//! adjacency rows cover only the closure. On clustered fleets — the production shape: workers answer
 //! task neighbourhoods, not the whole corpus — closure size tracks the
 //! anchors' co-occurrence neighbourhood, so per-shard memory is
 //! governed by the data's overlap structure and the shard count, not
@@ -69,7 +69,7 @@
 //!
 //! ```
 //! use crowd_core::{EstimatorConfig, MWorkerEstimator};
-//! use crowd_data::{PairBackend, StreamingIndex};
+//! use crowd_data::StreamingIndex;
 //! use crowd_shard::{ShardPlan, merge_reports};
 //! use crowd_sim::BinaryScenario;
 //!
@@ -82,12 +82,7 @@
 //! let mut parts = Vec::new();
 //! for spec in plan.shards() {
 //!     // Each shard sees only its closure members' responses.
-//!     let mut shard = StreamingIndex::new_with(
-//!         data.n_workers(),
-//!         data.n_tasks(),
-//!         data.arity(),
-//!         PairBackend::Sparse,
-//!     );
+//!     let mut shard = StreamingIndex::new(data.n_workers(), data.n_tasks(), data.arity());
 //!     for r in data.iter().filter(|r| spec.closure.binary_search(&r.worker).is_ok()) {
 //!         shard.record_response(r)?;
 //!     }

@@ -1,13 +1,14 @@
 //! Shard-plan and substrate checks that need no running service: the
-//! planner's closures equal the pairing oracle, and the sparse pair
-//! backend the shards run on reproduces the dense default bit for bit.
+//! planner's closures equal the pairing oracle, and the index's
+//! co-occurrence-listed pairing reproduces the matrix's population
+//! sweep bit for bit.
 //! The closure-exactness cases of the sharded pipeline itself (empty
 //! shards, silent workers, cross-shard peers, clustered plans) run on
 //! the served path in `crates/service/tests/pipeline_equivalence.rs`.
 
 use crowd_core::pairing::reachable_peers;
 use crowd_core::{EstimatorConfig, MWorkerEstimator, WorkerReport};
-use crowd_data::{OverlapIndex, PairBackend, WorkerId};
+use crowd_data::{OverlapIndex, WorkerId};
 use crowd_shard::ShardPlan;
 use crowd_sim::{BinaryScenario, rng};
 
@@ -41,24 +42,19 @@ fn assert_reports_identical(sharded: &WorkerReport, unsharded: &WorkerReport, la
 }
 
 #[test]
-fn sparse_backed_full_index_is_bit_identical_to_dense() {
-    // The opt-in sparse backend on an *unscoped* index: same report,
-    // pairing candidates served by the co-occurrence fast path.
+fn full_index_is_bit_identical_to_matrix_scan() {
+    // An *unscoped* index: pairing candidates come from the pair
+    // table's co-occurrence lists, where the matrix sweeps the
+    // population. Same report either way.
     let inst = BinaryScenario::paper_default(9, 120, 0.6).generate(&mut rng(613));
     let data = inst.responses();
     let est = MWorkerEstimator::new(EstimatorConfig::default());
     let workers: Vec<_> = data.workers().collect();
-    let dense = est
+    let scanned = est.evaluate_workers_on(data, &workers, 0.9).unwrap();
+    let indexed = est
         .evaluate_workers_on(&OverlapIndex::from_matrix(data), &workers, 0.9)
         .unwrap();
-    let sparse = est
-        .evaluate_workers_on(
-            &OverlapIndex::from_matrix_with(data, PairBackend::Sparse),
-            &workers,
-            0.9,
-        )
-        .unwrap();
-    assert_reports_identical(&sparse, &dense, "sparse backend");
+    assert_reports_identical(&indexed, &scanned, "indexed pairing");
 }
 
 #[test]
