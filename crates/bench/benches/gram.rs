@@ -11,17 +11,17 @@
 
 use criterion::{BenchmarkId, Criterion, criterion_group, criterion_main};
 use crowd_data::{
-    AnchoredOverlap, Label, OverlapIndex, OverlapSource, PeerGram, PeerGramScratch,
-    ResponseMatrixBuilder, TaskId, TriplePairGram, WorkerId,
+    AnchoredOverlap, Label, OverlapSource, PeerGram, PeerGramScratch, ResponseMatrixBuilder,
+    StreamingIndex, TaskId, TriplePairGram, WorkerId,
 };
 use std::hint::black_box;
 
 /// Forwards the popcount queries of a bitset view but keeps the
 /// per-pair trait defaults for the gram fills — the pre-PeerGram
 /// reference arm.
-struct PerPair<A>(A);
+struct PerPair<'a, A>(&'a A);
 
-impl<A: AnchoredOverlap> AnchoredOverlap for PerPair<A> {
+impl<A: AnchoredOverlap> AnchoredOverlap for PerPair<'_, A> {
     fn triple_common(&self, a: WorkerId, b: WorkerId) -> usize {
         self.0.triple_common(a, b)
     }
@@ -33,7 +33,7 @@ impl<A: AnchoredOverlap> AnchoredOverlap for PerPair<A> {
 
 /// One anchor of degree `n_tasks` with `peers` peers, each answering
 /// ~70% of the anchor's tasks (deterministic LCG).
-fn anchored_instance(peers: usize, n_tasks: usize) -> (OverlapIndex, Vec<WorkerId>) {
+fn anchored_instance(peers: usize, n_tasks: usize) -> (StreamingIndex, Vec<WorkerId>) {
     let mut b = ResponseMatrixBuilder::new(peers + 1, n_tasks, 2);
     let mut state = 0x9e3779b97f4a7c15u64 ^ (peers as u64) << 32 ^ n_tasks as u64;
     let mut next = move || {
@@ -55,7 +55,7 @@ fn anchored_instance(peers: usize, n_tasks: usize) -> (OverlapIndex, Vec<WorkerI
     }
     let data = b.build().unwrap();
     let ids: Vec<WorkerId> = (1..=peers as u32).map(WorkerId).collect();
-    (OverlapIndex::from_matrix(&data), ids)
+    (StreamingIndex::from_matrix(&data), ids)
 }
 
 fn gram_benches(c: &mut Criterion) {

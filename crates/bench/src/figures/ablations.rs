@@ -205,8 +205,8 @@ pub fn pairing_strategy(options: &RunOptions) -> FigureResult {
     // 10× the matrix-path work for bit-identical numbers).
     let per_rep: Vec<[[Option<f64>; 5]; 2]> = parallel_reps(options, |seed| {
         let data = interleaved_block_instance(seed);
-        let index = crowd_data::OverlapIndex::from_matrix(&data);
-        let workers: Vec<_> = index.workers().collect();
+        let index = crowd_data::StreamingIndex::from_matrix(&data);
+        let workers: Vec<_> = index.index().workers().collect();
         let mut cells = [[None; 5]; 2];
         for (s, (_, strategy)) in strategies.iter().enumerate() {
             let est = MWorkerEstimator::new(EstimatorConfig {
@@ -316,8 +316,8 @@ pub fn degeneracy_policy(options: &RunOptions) -> FigureResult {
         let per_rep: Vec<PolicyCells> = parallel_reps(options, |seed| {
             let mut rng = crowd_sim::rng(seed);
             let inst = scenario.generate(&mut rng);
-            let index = crowd_data::OverlapIndex::from_matrix(inst.responses());
-            let workers: Vec<_> = index.workers().collect();
+            let index = crowd_data::StreamingIndex::from_matrix(inst.responses());
+            let workers: Vec<_> = index.index().workers().collect();
             [0, 1].map(
                 |p| match estimators[p].evaluate_workers_on(&index, &workers, 0.9) {
                     Ok(report) => {
@@ -380,8 +380,8 @@ pub fn kary_m_accuracy(options: &RunOptions) -> FigureResult {
         let per_rep: Vec<Vec<CoverageStats>> = parallel_reps(options, |seed| {
             let mut rng = crowd_sim::rng(seed);
             let inst = scenario.generate(&mut rng);
-            let index = crowd_data::OverlapIndex::from_matrix(inst.responses());
-            let workers: Vec<_> = index.workers().collect();
+            let index = crowd_data::StreamingIndex::from_matrix(inst.responses());
+            let workers: Vec<_> = index.index().workers().collect();
             confidences
                 .iter()
                 .map(|&c| match est.evaluate_workers_on(&index, &workers, c) {

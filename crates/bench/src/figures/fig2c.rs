@@ -8,7 +8,7 @@
 
 use crate::{FigureResult, RunOptions, Series, confidence_grid, parallel_reps, rescale_interval};
 use crowd_core::{EstimatorConfig, MWorkerEstimator};
-use crowd_data::OverlapIndex;
+use crowd_data::StreamingIndex;
 use crowd_sim::{AttemptDesign, BinaryScenario, fig2c_densities};
 
 /// Per-repetition mean interval sizes across the confidence grid, for
@@ -30,8 +30,8 @@ pub fn run(options: &RunOptions) -> FigureResult {
         // One shared index serves both weight policies (the substrates
         // are bit-identical, so this cannot move a point — see
         // `tests/figure_regression.rs`).
-        let index = OverlapIndex::from_matrix(inst.responses());
-        let workers: Vec<_> = index.workers().collect();
+        let index = StreamingIndex::from_matrix(inst.responses());
+        let workers: Vec<_> = index.index().workers().collect();
         let rep_opt = optimized.evaluate_workers_on(&index, &workers, 0.5).ok()?;
         let rep_uni = uniform.evaluate_workers_on(&index, &workers, 0.5).ok()?;
         if rep_opt.assessments.is_empty() || rep_uni.assessments.is_empty() {

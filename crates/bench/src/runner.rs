@@ -6,10 +6,10 @@ use crate::RunOptions;
 /// results in repetition order.
 ///
 /// Seeding is per-repetition (`options.seed + rep`), so the output is
-/// identical regardless of thread count — the property every figure in
-/// EXPERIMENTS.md relies on. Fan-out rides the same deterministic
-/// chunking as the estimators' parallel paths
-/// ([`crowd_core::parallel_index_map`]).
+/// identical regardless of thread count — the property the pinned
+/// figure outputs in `crates/bench/tests/figure_regression.rs` rely
+/// on. Fan-out rides the same deterministic chunking as the
+/// estimators' parallel paths ([`crowd_core::parallel_index_map`]).
 pub fn parallel_reps<T: Send>(options: &RunOptions, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
     crowd_core::parallel_index_map(
         options.reps,

@@ -22,8 +22,9 @@
 //! failures ([`crate::EstimateError`] rows) are cached and re-validated the
 //! same way as successes. A miss calls [`Estimator::evaluate_streamed`],
 //! which runs the estimator's one evaluation body — the code batch
-//! `evaluate_all` runs over an [`crowd_data::OverlapIndex`] — on the
-//! stream. Anything that changes the evaluation
+//! `evaluate_all` runs over a bulk-loaded [`StreamingIndex`] — on the
+//! stream, building each missed anchor's view as it goes (a refresh
+//! pays one view fill per dirty anchor and nothing for clean ones). Anything that changes the evaluation
 //! question rather than the data — a different confidence level —
 //! invalidates wholesale. The service-level property tests
 //! (`crowd_service/tests/incremental_equivalence.rs`) pin cached

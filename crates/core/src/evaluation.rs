@@ -39,7 +39,7 @@ impl WorkerRow for WorkerAssessment {
     }
 }
 
-/// An estimator that evaluates one worker at a time on a maintained
+/// An estimator that evaluates one worker at a time on a
 /// [`StreamingIndex`]: the seam the report cache, the streaming
 /// evaluator and the shard runtime are written against once, for the
 /// binary ([`crate::MWorkerEstimator`]) and k-ary

@@ -4,34 +4,30 @@
 //! a one-time fashion, but they can be easily modified to be
 //! incremental, to keep efficiently updating worker error rates as
 //! more tasks get done." This module is that modification — riding the
-//! same [`crowd_data::OverlapIndex`] substrate the batch path uses,
-//! not a private shadow copy of the data.
+//! same [`StreamingIndex`] substrate the batch path bulk-loads, not a
+//! private shadow copy of the data.
 //!
 //! [`StreamingEvaluator`] holds one long-lived [`StreamingIndex`] and
 //! one [`Estimator`] — [`IncrementalEvaluator`] for binary tasks
 //! (Algorithm A2), [`KaryIncrementalEvaluator`] for k-ary tasks (the
-//! m-worker A3 extension). The substrate is the overlap index plus
-//! maintained, **peer-scoped** per-worker anchored bitset views — each
-//! view holds a mask row only for the ≤ 2l peers the last evaluation's
-//! pairing selected (`O(m·l·n̄/64)` resident across the fleet, not
-//! `O(m²·n̄/64)`), starts empty until its worker is first evaluated,
-//! and lazily re-anchors when the pairing shifts (see
-//! [`crowd_data::streaming`]). Ingesting a response costs
+//! m-worker A3 extension). Ingesting a response costs
 //!
 //! * an `O(log r + r)` sorted insert into the index's worker and task
 //!   adjacency rows (amortized over their geometric growth — see the
 //!   amortization invariant in [`crowd_data::index`]),
 //! * an `O(r_t)` pair-table update (only the pairs the response
 //!   completes are touched),
-//! * `O(r_t)` scope probes / bit flips across the *anchored* views
-//!   (un-anchored views cost nothing),
+//! * an `O(d_w)` dirty stamp,
 //!
-//! so that evaluating any worker at any moment costs **only triple
-//! formation and covariance assembly**: pairing reads the O(1) pair
-//! table, the Lemma 4 / `n₅` cross-triple counts are popcounts on the
-//! maintained views, and k-ary counts tensors are union merges of the
-//! maintained adjacency rows. Nothing is rescanned and no index is
-//! rebuilt.
+//! and nothing per anchored view: evaluating a worker builds its
+//! peer-scoped view from the index when the evaluation asks
+//! (`O(l_w + Σ_{p ∈ peers} l_p)`, into the substrate's one build
+//! scratch — see [`crowd_data::streaming`]). Pairing reads the O(1)
+//! pair table, the Lemma 4 / `n₅` cross-triple counts are popcounts on
+//! that view, and k-ary counts tensors are union merges of the
+//! adjacency rows. Nothing is rescanned and no index is rebuilt; with
+//! [`StreamingEvaluator::evaluate_all_cached`] only dirty workers are
+//! re-evaluated at all.
 //!
 //! # Equivalence guarantee
 //!
@@ -112,8 +108,8 @@ impl<E: Estimator> StreamingEvaluator<E> {
         Self::over(StreamingIndex::new(n_workers, n_tasks, arity), config)
     }
 
-    /// Seeds the evaluator from an existing response matrix (one batch
-    /// index build), after which further responses stream in.
+    /// Seeds the evaluator from an existing response matrix (one bulk
+    /// load), after which further responses stream in.
     pub fn from_matrix(data: &ResponseMatrix, config: EstimatorConfig) -> Self {
         Self::over(StreamingIndex::from_matrix(data), config)
     }
@@ -127,14 +123,14 @@ impl<E: Estimator> StreamingEvaluator<E> {
     }
 
     /// Ingests one response, updating the index's adjacency rows, the
-    /// pair table and the maintained anchored views. Rejects
+    /// pair table and the dirty epochs. Rejects
     /// duplicates, out-of-range ids and out-of-arity labels via
     /// [`crowd_data::DataError`].
     pub fn ingest(&mut self, response: Response) -> crowd_data::Result<()> {
         self.stream.record_response(response)
     }
 
-    /// The maintained overlap index (pair table included).
+    /// The overlap index (pair table included).
     pub fn index(&self) -> &OverlapIndex {
         self.stream.index()
     }
@@ -144,26 +140,11 @@ impl<E: Estimator> StreamingEvaluator<E> {
         self.stream.n_responses()
     }
 
-    /// Bytes resident in per-view state across the maintained anchored
-    /// views — mask words, materialized grams and slot entries —
-    /// bounded by the pairing degree per view, not the worker count or
-    /// the task-id space (see
-    /// [`crowd_data::StreamingIndex::view_mask_bytes`]).
+    /// Bytes resident in the substrate's view build scratch: the
+    /// largest anchored view built so far, never a sum over workers
+    /// (see [`crowd_data::StreamingIndex::view_mask_bytes`]).
     pub fn view_mask_bytes(&self) -> usize {
         self.stream.view_mask_bytes()
-    }
-
-    /// Bytes resident in the maintained views' mask words alone (see
-    /// [`crowd_data::StreamingIndex::view_mask_word_bytes`]).
-    pub fn view_mask_word_bytes(&self) -> usize {
-        self.stream.view_mask_word_bytes()
-    }
-
-    /// Lazy view re-anchors performed so far (see
-    /// [`crowd_data::StreamingIndex::reanchor_count`]); a stable
-    /// pairing stops incurring these.
-    pub fn reanchor_count(&self) -> usize {
-        self.stream.reanchor_count()
     }
 
     /// Evaluates one worker on the data seen so far; bit-identical to

@@ -20,15 +20,16 @@
 //!
 //! Every statistic an estimator reads comes from a
 //! [`crowd_data::OverlapSource`]: merge scans over a
-//! [`crowd_data::ResponseMatrix`] (the naive reference), an
-//! [`crowd_data::OverlapIndex`], or a maintained
-//! [`crowd_data::StreamingIndex`]. The substrate changes only the cost,
+//! [`crowd_data::ResponseMatrix`] (the naive reference) or a
+//! [`crowd_data::StreamingIndex`], the one production substrate that
+//! batch evaluation bulk-loads and the served path streams into. The
+//! substrate changes only the cost,
 //! never an output bit, so each estimator is written once against the
 //! trait. [`MWorkerEstimator`] and [`KaryMWorkerEstimator`] each keep
 //! one private evaluation body behind three entry points:
 //! `evaluate_worker(src, ..)`, `evaluate_workers_on(src, ..)` (one
 //! scratch reused across the worker list) and `evaluate_all(&matrix, ..)`
-//! (one index build, then `evaluate_workers_on`). The
+//! (one bulk load, then `evaluate_workers_on`). The
 //! [`Estimator::evaluate_streamed`] seam the report cache and the shard
 //! runtime use is a call into the same body.
 //! [`KaryEstimator::evaluate`] and [`ThreeWorkerEstimator::triple_estimate`]

@@ -32,21 +32,21 @@ use crate::{
     EstimateError, Estimator, EstimatorConfig, Report, Result, WorkerAssessment, WorkerReport,
 };
 use crowd_data::{
-    AnchoredOverlap, AnchoredScratch, OverlapIndex, OverlapSource, PeerGram, PeerGramScratch,
-    ResponseMatrix, StreamingIndex, WorkerId,
+    AnchoredOverlap, OverlapSource, PeerGram, PeerGramScratch, ResponseMatrix, StreamingIndex,
+    WorkerId,
 };
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, min_variance_weights};
 
-/// Reusable scratch for one evaluation loop: the peer-id buffer, the
-/// anchored view's build storage and the [`PeerGram`] table survive
-/// from one evaluated worker to the next, so a loop over an
-/// [`OverlapIndex`] runs allocation-free once all have reached their
-/// high-water marks. Scratch state never influences outputs.
+/// Reusable scratch for one evaluation loop: the peer-id buffer and
+/// the [`PeerGram`] table survive from one evaluated worker to the
+/// next (the anchored view's mask words live in the substrate's own
+/// build scratch), so a loop runs allocation-free once all have
+/// reached their high-water marks. Scratch state never influences
+/// outputs.
 #[derive(Debug, Default)]
 struct EvalScratch {
     peers: Vec<WorkerId>,
-    anchored: AnchoredScratch,
     gram: PeerGram,
     gram_scratch: PeerGramScratch,
 }
@@ -98,9 +98,8 @@ impl MWorkerEstimator {
     /// agreement rates per triple, `c_ij₁j₂`, and the Lemma 4
     /// cross-triple counts `c_iab` — comes from `src`, so the same code
     /// runs against merge scans over a [`ResponseMatrix`] (the naive
-    /// reference), an [`OverlapIndex`] (O(1) pairs, anchored bitset
-    /// triples) or a [`StreamingIndex`]. Outputs are identical across
-    /// substrates.
+    /// reference) or a [`StreamingIndex`] (O(1) pairs, anchored bitset
+    /// triples). Outputs are identical across substrates.
     pub fn evaluate_worker<S: OverlapSource>(
         &self,
         src: &S,
@@ -132,22 +131,21 @@ impl MWorkerEstimator {
     /// of aborting (sparse real data routinely has a few unevaluable
     /// workers).
     ///
-    /// Builds one [`OverlapIndex`] over the matrix in a single pass and
-    /// evaluates every worker against it, so every downstream
+    /// Bulk-loads the matrix into a [`StreamingIndex`] in a single
+    /// pass and evaluates every worker against it, so every downstream
     /// statistic becomes a table lookup or bitset popcount. Results
     /// are identical to [`MWorkerEstimator::evaluate_workers_on`] over
     /// the matrix itself.
     pub fn evaluate_all(&self, data: &ResponseMatrix, confidence: f64) -> Result<WorkerReport> {
         let workers: Vec<WorkerId> = data.workers().collect();
-        self.evaluate_workers_on(&OverlapIndex::from_matrix(data), &workers, confidence)
+        self.evaluate_workers_on(&StreamingIndex::from_matrix(data), &workers, confidence)
     }
 
     /// The evaluation body behind every entry point: pairing, the
-    /// peer-scoped anchored view (built into `scratch` from the
-    /// selected peer set, so it holds `O(peers)` mask rows — never
-    /// `O(n_workers)`), one [`PeerGram`] pass answering every triple
-    /// count of the evaluation, triple estimation, and the Lemma 4/5
-    /// combination.
+    /// peer-scoped anchored view (built from the selected peer set, so
+    /// it holds `O(peers)` mask rows — never `O(n_workers)`), one
+    /// [`PeerGram`] pass answering every triple count of the
+    /// evaluation, triple estimation, and the Lemma 4/5 combination.
     fn evaluate_in<S: OverlapSource>(
         &self,
         src: &S,
@@ -179,7 +177,6 @@ impl MWorkerEstimator {
         // count, not 2·pairs.
         let EvalScratch {
             peers,
-            anchored,
             gram,
             gram_scratch,
         } = scratch;
@@ -189,8 +186,10 @@ impl MWorkerEstimator {
         peers.dedup();
         // Every `c_{worker,a,b}` this evaluation will ever ask for —
         // the per-triple `c_all` here and the O(T²) Lemma 4 loop below
-        // — in one blocked pass; see `crowd_data::gram`.
-        src.anchored_for_in(worker, peers, anchored)
+        // — in one blocked pass; see `crowd_data::gram`. The view
+        // lives for this statement only (one view at a time per
+        // substrate).
+        src.anchored_for(worker, peers)
             .gram_into(peers, gram, gram_scratch);
         let mut triples: Vec<TripleEstimate> = Vec::with_capacity(pairs.len());
         for (a, b) in pairs {
@@ -513,23 +512,35 @@ mod tests {
         }
     }
 
+    /// One substrate's build scratch and one evaluation scratch,
+    /// driven over the workers busiest-first and then quietest-first,
+    /// give every worker exactly the assessment a fresh substrate
+    /// gives it: reused mask words never leak bits. The k-ary leg is
+    /// the test of the same name in `kary::m_worker`.
     #[test]
     fn scratch_reuse_matches_fresh_views_per_worker() {
-        // Drive one scratch over workers of very different degrees:
-        // reused mask words must never leak bits.
-        let inst = BinaryScenario::paper_default(9, 120, 0.6).generate(&mut rng(67));
-        let index = crowd_data::OverlapIndex::from_matrix(inst.responses());
+        let mut scenario = BinaryScenario::paper_default(9, 160, 0.6);
+        // Degrees from ~90% down to ~20% of the tasks.
+        scenario.design =
+            AttemptDesign::PerWorkerDensity((0..9).map(|w| 0.9 - 0.09 * w as f64).collect());
+        let inst = scenario.generate(&mut rng(67));
+        let data = inst.responses();
+        let shared = StreamingIndex::from_matrix(data);
         let est = estimator();
         let mut scratch = EvalScratch::default();
-        for worker in index.workers() {
-            let fresh = est.evaluate_worker(&index, worker, 0.9);
-            let reused = est.evaluate_in(&index, worker, 0.9, &mut scratch);
+        let mut order: Vec<WorkerId> = data.workers().collect();
+        order.sort_by_key(|&w| std::cmp::Reverse(data.worker_task_count(w)));
+        let quiet_first: Vec<WorkerId> = order.iter().rev().copied().collect();
+        order.extend(quiet_first);
+        for worker in order {
+            let fresh = est.evaluate_worker(&StreamingIndex::from_matrix(data), worker, 0.9);
+            let reused = est.evaluate_in(&shared, worker, 0.9, &mut scratch);
             match (fresh, reused) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.interval, b.interval, "worker {worker:?}");
                     assert_eq!(a.triples_used, b.triples_used);
                 }
-                (Err(_), Err(_)) => {}
+                (Err(a), Err(b)) => assert_eq!(a, b),
                 (a, b) => panic!("outcome mismatch for {worker:?}: {a:?} vs {b:?}"),
             }
         }

@@ -43,8 +43,7 @@ pub fn form_pairs(
 }
 
 /// [`form_pairs`] over any overlap substrate — the pairwise queries hit
-/// whatever the source provides (merge scans, the
-/// [`crowd_data::OverlapIndex`] pair table, or a
+/// whatever the source provides (merge scans, or the pair table of a
 /// [`crowd_data::StreamingIndex`]). The produced
 /// pairs are identical across substrates.
 pub fn form_pairs_on<S: OverlapSource>(

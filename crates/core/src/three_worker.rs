@@ -75,8 +75,8 @@ impl ThreeWorkerEstimator {
     /// Runs steps 1–4 of the method for worker `i` in the triple
     /// `(i, j₁, j₂)`, returning the estimate plus the ingredients
     /// Algorithm A2 aggregates. Works over any overlap substrate
-    /// ([`crowd_data::ResponseMatrix`], [`crowd_data::OverlapIndex`]
-    /// or [`crowd_data::StreamingIndex`]); the estimate is identical
+    /// ([`crowd_data::ResponseMatrix`] or
+    /// [`crowd_data::StreamingIndex`]); the estimate is identical
     /// across substrates, only the statistic-lookup cost differs.
     pub fn triple_estimate<S: OverlapSource>(
         &self,

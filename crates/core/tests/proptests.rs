@@ -7,9 +7,7 @@ use crowd_core::{
     DegeneracyPolicy, EstimatorConfig, KaryMWorkerEstimator, KaryWorkerReport, MWorkerEstimator,
     Report, ThreeWorkerEstimator, WorkerReport, WorkerRow,
 };
-use crowd_data::{
-    Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex, TaskId, WorkerId,
-};
+use crowd_data::{Label, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex, TaskId, WorkerId};
 use crowd_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -142,9 +140,9 @@ fn triples_for(data: &ResponseMatrix, workers: &[WorkerId]) -> Vec<[WorkerId; 3]
 /// Runs `$body` once per overlap substrate of the matrix `$data`, with
 /// `$src` bound to the substrate and `$name` to its label: the matrix
 /// itself (merge scans and a population-sweep pairing scan, the naive
-/// reference), a bulk-built [`OverlapIndex`], and a [`StreamingIndex`]
-/// that ingested the responses one at a time (its pair rows reach
-/// their form through mid-stream promotion).
+/// reference), a [`StreamingIndex`] bulk-loaded from the matrix (the
+/// batch path), and one that ingested the responses one at a time (its
+/// pair rows reach their form through mid-stream promotion).
 macro_rules! for_each_substrate {
     ($data:expr, |$name:ident, $src:ident| $body:block) => {{
         let data: &ResponseMatrix = $data;
@@ -153,7 +151,7 @@ macro_rules! for_each_substrate {
             $body
         }
         {
-            let ($name, $src) = ("index", &OverlapIndex::from_matrix(data));
+            let ($name, $src) = ("loaded index", &StreamingIndex::from_matrix(data));
             $body
         }
         {

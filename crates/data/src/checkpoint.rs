@@ -35,10 +35,9 @@
 //! [`StreamingIndex::restore`] rebuilds them by replaying the rows
 //! through [`StreamingIndex::record_response`] — which also makes the
 //! decoder inherit the full ingest validation (arity, duplicates,
-//! id ranges) for free. Anchored views are *not* serialized: they are
-//! lazy caches that re-anchor deterministically on first use, and a
-//! freshly restored shard re-deriving them is exactly the dormant
-//! state a freshly spawned shard starts in.
+//! id ranges) for free. There is no view state to serialize: anchored
+//! views are built from the index when an evaluation asks, so a
+//! restored substrate serves exactly the views the original would.
 //!
 //! Decoding never panics on hostile bytes: truncation, bad magic,
 //! unknown versions, malformed counts, shapes too large to allocate

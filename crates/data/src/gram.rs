@@ -172,19 +172,10 @@ impl TriplePairGram {
 /// mask-row buffer and the pair-combined mask matrix of the previous
 /// call, so an evaluate-all loop that keeps one scratch per thread
 /// allocates nothing once both have reached their high-water marks.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PeerGramScratch {
     pub(crate) rows: Vec<usize>,
     pub(crate) combined: MaskMatrix,
-}
-
-impl Default for PeerGramScratch {
-    fn default() -> Self {
-        Self {
-            rows: Vec::new(),
-            combined: MaskMatrix::new(0, 1),
-        }
-    }
 }
 
 /// Shared blocked-gram fill for the bitset views: resolves each peer

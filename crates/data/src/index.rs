@@ -35,21 +35,17 @@
 //! peers the pairing selected, so [`OverlapSource::anchored_for`]
 //! scopes the view to a declared peer set: a `PeerMask` remaps each
 //! peer to a dense mask row, the build stamps the anchor's slots into
-//! an epoch-invalidated task→slot scratch (one per builder — a
-//! thread's [`AnchoredScratch`] or a whole streaming substrate, never
-//! one per view) and walks each peer's task row
+//! an epoch-invalidated task→slot map and walks each peer's task row
 //! once (`O(l_anchor + Σ_{p ∈ peers} l_p)`), and the matrix holds
 //! `peers · ⌈l_anchor/64⌉` words — memory tracks the
 //! pairing degree, never the population. Near-population scopes
 //! (> m/2 peers, the paper-default uncapped pairing) are upgraded to
 //! the identity map and the legacy `O(Σ_{t ∈ tasks(anchor)} r_t)`
 //! responder fill, which is cheaper there; both fills produce the same
-//! bits, so the choice is invisible to every query. The evaluate-all
-//! hot path additionally reuses one [`AnchoredScratch`] per thread
-//! ([`OverlapSource::anchored_for_in`]), so consecutive view builds
-//! allocate nothing. Matrices are always pre-sized to the anchor's
-//! exact degree — the mask-word doubling re-layout only ever runs on
-//! the streaming ingest path.
+//! bits, so the choice is invisible to every query. Every view is
+//! built into the one build scratch its [`crate::StreamingIndex`]
+//! owns (mask words and slot map together), so consecutive builds
+//! allocate nothing once the scratch has reached the largest view.
 //!
 //! # Batched Gram kernels
 //!
@@ -64,8 +60,9 @@
 //!
 //! # Streaming appends and the amortization invariant
 //!
-//! The index is also the **streaming** substrate: one long-lived
-//! instance absorbs responses via [`OverlapIndex::record_response`]
+//! The index is also what the **streaming** substrate holds: one
+//! long-lived instance absorbs responses via
+//! [`OverlapIndex::record_response`]
 //! and stays observation-equivalent to `OverlapIndex::from_matrix` on
 //! the accumulated data (the differential property tests in
 //! `crates/data/tests/proptests.rs` enforce exactly this, for every
@@ -91,18 +88,17 @@
 //! its one-pass cost; the only price of streamability is the per-row
 //! capacity slack (bounded by 2× the row length).
 //!
-//! [`OverlapSource`] abstracts over the providers (naive matrix scans,
-//! the full index, the streaming index) so the estimators are written
-//! once and the naive scan path stays available as the correctness
-//! reference for the equivalence tests. It also owns what an
-//! evaluation loop reuses from worker to worker — the anchored view's
-//! build storage ([`OverlapSource::anchored_for_in`]) and the k-ary
-//! counts tensor ([`OverlapSource::fill_counts`]) — so an estimator
-//! has one evaluation body and no per-substrate entry points.
-//! For streaming evaluation with maintained anchored views, see
-//! [`crate::StreamingIndex`].
+//! [`OverlapSource`] abstracts over the two providers — naive matrix
+//! scans and the [`crate::StreamingIndex`] that wraps this index — so
+//! the estimators are written once and the naive scan path stays
+//! available as the correctness reference for the equivalence tests.
+//! It also owns what an evaluation loop reuses from worker to worker
+//! (the k-ary counts tensor, [`OverlapSource::fill_counts`]), so an
+//! estimator has one evaluation body and no per-substrate entry
+//! points. The index itself is plain data: rows plus pair table,
+//! `Eq`, and what checkpoints compare.
 
-use crate::overlap::triple_scan;
+use std::cell::{Ref, RefCell};
 use std::collections::TryReserveError;
 
 use crate::{
@@ -114,15 +110,11 @@ use crate::{
 /// response data set.
 ///
 /// Implemented by [`ResponseMatrix`] (merge scans — the naive
-/// reference), [`OverlapIndex`] (pair-table lookups, CSR scans and anchored
-/// bitset popcounts for triples) and [`crate::StreamingIndex`] (the
-/// index plus maintained anchored views). All return *identical*
-/// counts — only the cost differs — which is what lets each estimator
-/// keep one substrate-generic evaluation body whose output bits do not
-/// depend on the substrate. The two reuse hooks,
-/// [`OverlapSource::anchored_for_in`] and
-/// [`OverlapSource::fill_counts`], let that body carry one scratch
-/// across an evaluation loop on every substrate.
+/// reference) and [`crate::StreamingIndex`] (pair-table lookups, CSR
+/// scans, and anchored bitset popcounts for triples). Both return
+/// *identical* counts — only the cost differs — which is what lets
+/// each estimator keep one substrate-generic evaluation body whose
+/// output bits do not depend on the substrate.
 pub trait OverlapSource {
     /// The anchored triple-overlap view; see [`OverlapSource::anchored`].
     type Anchored<'a>: AnchoredOverlap
@@ -158,26 +150,15 @@ pub trait OverlapSource {
     /// scan-based implementations still answer (they ignore the
     /// scope), but bitset implementations panic. The default simply
     /// forwards to the population-wide [`OverlapSource::anchored`].
+    ///
+    /// **One view at a time.** A [`crate::StreamingIndex`] builds every
+    /// view into the one scratch it owns, and the view borrows that
+    /// scratch, so a second `anchored`/`anchored_for` call on the same
+    /// substrate while an earlier view is alive panics. Callers hold a
+    /// view only inside one statement (`src.anchored_for(..).gram_into(..)`).
     fn anchored_for(&self, anchor: WorkerId, peers: &[WorkerId]) -> Self::Anchored<'_> {
         let _ = peers;
         self.anchored(anchor)
-    }
-
-    /// [`OverlapSource::anchored_for`] built into caller-held
-    /// [`AnchoredScratch`], so a loop that evaluates many workers with
-    /// one scratch re-layouts and allocates nothing once the scratch
-    /// has grown to the largest view it has served. The view answers
-    /// exactly like [`OverlapSource::anchored_for`]. The default
-    /// ignores the scratch; [`OverlapIndex`] builds its bit matrix into
-    /// it.
-    fn anchored_for_in<'s>(
-        &'s self,
-        anchor: WorkerId,
-        peers: &[WorkerId],
-        scratch: &'s mut AnchoredScratch,
-    ) -> Self::Anchored<'s> {
-        let _ = scratch;
-        self.anchored_for(anchor, peers)
     }
 
     /// Re-fills `tensor` with the Algorithm A3 counts tensor of the
@@ -335,7 +316,7 @@ impl OverlapSource for ResponseMatrix {
 /// # Example
 ///
 /// ```
-/// use crowd_data::{Label, OverlapIndex, OverlapSource, ResponseMatrixBuilder, TaskId, WorkerId};
+/// use crowd_data::{Label, OverlapIndex, ResponseMatrixBuilder, TaskId, WorkerId};
 ///
 /// let mut b = ResponseMatrixBuilder::new(3, 4, 2);
 /// for t in 0..4u32 {
@@ -346,9 +327,9 @@ impl OverlapSource for ResponseMatrix {
 /// let data = b.build()?;
 ///
 /// let index = OverlapIndex::from_matrix(&data);
-/// assert_eq!(index.pair(WorkerId(0), WorkerId(1)).common_tasks, 4);
-/// assert_eq!(index.pair(WorkerId(0), WorkerId(1)).agreements, 2);
-/// assert_eq!(index.triple(WorkerId(0), WorkerId(1), WorkerId(2)).common_tasks, 1);
+/// assert_eq!(index.pairs().get(WorkerId(0), WorkerId(1)).common_tasks, 4);
+/// assert_eq!(index.pairs().get(WorkerId(0), WorkerId(1)).agreements, 2);
+/// assert_eq!(index.worker_responses(WorkerId(2)), &[(1, Label(1))]);
 /// # Ok::<(), crowd_data::DataError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -453,14 +434,6 @@ impl OverlapIndex {
     /// responders. Rejects out-of-range ids, out-of-arity labels and
     /// duplicate `(worker, task)` responses via [`crate::DataError`].
     pub fn record_response(&mut self, response: Response) -> crate::Result<()> {
-        self.insert_response(response).map(|_| ())
-    }
-
-    /// [`OverlapIndex::record_response`], returning the position the
-    /// response took in its worker's row — a maintained streaming view
-    /// keeps its slots parallel to that row and inserts at the same
-    /// place.
-    pub(crate) fn insert_response(&mut self, response: Response) -> crate::Result<usize> {
         let Response {
             worker,
             task,
@@ -512,7 +485,7 @@ impl OverlapIndex {
         self.worker_rows[worker.index()].insert(w_pos, (task.0, label));
         self.task_rows[task.index()].insert(t_pos, (worker.0, label));
         self.n_responses += 1;
-        Ok(w_pos)
+        Ok(())
     }
 
     /// Number of workers covered.
@@ -627,56 +600,6 @@ impl OverlapIndex {
     }
 }
 
-impl OverlapSource for OverlapIndex {
-    type Anchored<'a> = BitsetAnchored<'a>;
-
-    fn n_workers(&self) -> usize {
-        self.n_workers
-    }
-
-    fn arity(&self) -> u16 {
-        self.arity
-    }
-
-    fn pair(&self, a: WorkerId, b: WorkerId) -> PairStats {
-        self.pairs.get(a, b)
-    }
-
-    fn triple(&self, a: WorkerId, b: WorkerId, c: WorkerId) -> TripleStats {
-        triple_scan(
-            self.worker_responses(a),
-            self.worker_responses(b),
-            self.worker_responses(c),
-        )
-    }
-
-    fn anchored(&self, anchor: WorkerId) -> BitsetAnchored<'_> {
-        BitsetAnchored::build(self, anchor)
-    }
-
-    fn anchored_for(&self, anchor: WorkerId, peers: &[WorkerId]) -> BitsetAnchored<'_> {
-        BitsetAnchored::build_scoped(self, anchor, peers)
-    }
-
-    fn anchored_for_in<'s>(
-        &'s self,
-        anchor: WorkerId,
-        peers: &[WorkerId],
-        scratch: &'s mut AnchoredScratch,
-    ) -> BitsetAnchored<'s> {
-        BitsetAnchored::build_in(self, anchor, peers, scratch)
-    }
-
-    fn fill_counts(&self, tensor: &mut CountsTensor, w1: WorkerId, w2: WorkerId, w3: WorkerId) {
-        tensor.fill_from_index(self, w1, w2, w3);
-    }
-
-    fn co_occurring_into(&self, worker: WorkerId, out: &mut Vec<WorkerId>) -> bool {
-        out.extend(self.pairs.co_occurring(worker));
-        true
-    }
-}
-
 /// The peer → mask-row remap layer under [`MaskMatrix`].
 ///
 /// Anchored views only ever answer queries about the peers their
@@ -701,27 +624,22 @@ impl PeerMask {
     }
 
     /// A scoped map for the given peers (sorted and deduplicated; the
-    /// caller's order and duplicates are irrelevant to the view).
-    pub(crate) fn scoped(peers: &[WorkerId]) -> Self {
+    /// caller's order and duplicates are irrelevant to the view),
+    /// upgraded to the identity map when the peer set covers more than
+    /// half the population. Near-population scopes gain nothing from
+    /// remapping — the per-peer build costs more than the legacy
+    /// per-task responder fill and the memory saving is < 2× — so the
+    /// paper-default (uncapped) pairing keeps its original build cost
+    /// to the cycle, while genuinely small scopes (the fleet-capped
+    /// case) get `O(peers)` rows.
+    pub(crate) fn scoped_for(peers: &[WorkerId], n_workers: usize) -> Self {
         let mut ids: Vec<u32> = peers.iter().map(|w| w.0).collect();
         ids.sort_unstable();
         ids.dedup();
-        Self::Peers(ids)
-    }
-
-    /// [`PeerMask::scoped`], upgraded to the identity map when the
-    /// peer set covers more than half the population. Near-population
-    /// scopes gain nothing from remapping — the per-peer merge build
-    /// costs more than the legacy per-task responder fill and the
-    /// memory saving is < 2× — so the paper-default (uncapped) pairing
-    /// keeps its original build cost to the cycle, while genuinely
-    /// small scopes (the fleet-capped case) get `O(peers)` rows.
-    pub(crate) fn scoped_for(peers: &[WorkerId], n_workers: usize) -> Self {
-        let mask = Self::scoped(peers);
-        if mask.rows() * 2 > n_workers {
+        if ids.len() * 2 > n_workers {
             Self::Population(n_workers)
         } else {
-            mask
+            Self::Peers(ids)
         }
     }
 
@@ -733,29 +651,15 @@ impl PeerMask {
         }
     }
 
-    /// Heap bytes held by the map: the scoped peer list (the identity
-    /// map holds none).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        match self {
-            Self::Population(_) => 0,
-            Self::Peers(ids) => ids.capacity() * std::mem::size_of::<u32>(),
-        }
-    }
-
-    /// The mask row of `worker`, if it is in scope.
-    #[inline]
-    pub(crate) fn row(&self, worker: u32) -> Option<usize> {
-        match self {
-            Self::Population(m) => ((worker as usize) < *m).then_some(worker as usize),
-            Self::Peers(ids) => ids.binary_search(&worker).ok(),
-        }
-    }
-
     /// The mask row of `worker`; panics (contract violation) when the
     /// worker is outside the declared peer scope.
     #[inline]
     pub(crate) fn row_of(&self, worker: WorkerId) -> usize {
-        self.row(worker.0).unwrap_or_else(|| {
+        let row = match self {
+            Self::Population(m) => (worker.index() < *m).then_some(worker.index()),
+            Self::Peers(ids) => ids.binary_search(&worker.0).ok(),
+        };
+        row.unwrap_or_else(|| {
             panic!("worker {worker:?} is outside this anchored view's peer scope")
         })
     }
@@ -768,37 +672,8 @@ impl PeerMask {
             Self::Peers(ids) => ids[row],
         }
     }
-
-    /// Whether every worker addressable through `other` is also
-    /// addressable through `self` — the lazy re-anchoring test of the
-    /// maintained streaming views.
-    pub(crate) fn covers(&self, other: &PeerMask) -> bool {
-        match (self, other) {
-            (Self::Population(m), Self::Population(n)) => m >= n,
-            (Self::Population(m), Self::Peers(ids)) => {
-                ids.last().is_none_or(|&max| (max as usize) < *m)
-            }
-            (Self::Peers(_), Self::Population(n)) => *n == 0,
-            (Self::Peers(have), Self::Peers(want)) => {
-                // Both sorted: one linear sweep.
-                let mut it = have.iter();
-                want.iter().all(|w| it.any(|h| h == w))
-            }
-        }
-    }
 }
 
-/// The `rows × words` anchored bit matrix and its popcount kernels,
-/// shared by the batch [`BitsetAnchored`] view and the maintained
-/// [`crate::AnchoredView`]: one implementation of the queries
-/// underpins the streamed-vs-batch bit-identity guarantee, so the two
-/// views cannot drift apart.
-///
-/// The anchor's attempted tasks occupy bit slots `0..anchor_tasks`;
-/// row `r` records which of those tasks the worker a [`PeerMask`]
-/// assigns to `r` attempted. Every query is slot-permutation-invariant
-/// (popcounts), which is what lets the streaming view assign slots in
-/// ingest order while the batch view assigns them in task order.
 /// Row-block size of the blocked Gram kernel
 /// ([`MaskMatrix::gram_rows_into`]): pairs are visited 4×4 rows at a
 /// time so a block of rows is re-intersected while still L1-resident
@@ -811,11 +686,17 @@ pub(crate) const GRAM_BLOCK: usize = 4;
 /// lane resolved **once per kernel invocation**: on x86-64 hosts with
 /// AVX-512 `VPOPCNTDQ` the counts come from the hardware per-lane
 /// popcount routine ([`and_popcount_avx512`]), on AVX2-only hosts
-/// from the vectorized nibble-LUT routine ([`and_popcount_avx2`]),
+/// from the vectorized nibble-LUT routine ([`and_popcount_avx2`], or
+/// [`and_popcount_avx2_harley_seal`] for masks of ≥ 64 words),
 /// everywhere else from the portable word loop. Every lane computes
 /// the same integers — the dispatch is invisible to every output
 /// bit — and detection is hoisted out of the pair loop so the hot
 /// path pays one predictable branch per pair.
+///
+/// On a host that reports `avx512vpopcntdq` (the Xeon VMs this
+/// workspace is benchmarked on do), the AVX-512 lane is the production
+/// lane: the two AVX2 lanes then run only when
+/// `popcount_lanes_are_bit_identical` forces them.
 #[derive(Clone, Copy)]
 pub(crate) struct AndPopcount {
     #[cfg(target_arch = "x86_64")]
@@ -1111,10 +992,16 @@ fn and_popcount_avx2_harley_seal(a: &[u64], b: &[u64]) -> u32 {
     total as u32
 }
 
-#[derive(Debug, Clone)]
+/// The `rows × words` anchored bit matrix and its popcount kernels
+/// behind [`BitsetAnchored`] (and, as combined rows, the k-ary `n₅`
+/// kernel).
+///
+/// The anchor's attempted tasks occupy bit slots `0..anchor_tasks` in
+/// task order; row `r` records which of those tasks the worker a
+/// [`PeerMask`] assigns to `r` attempted. Every query is a popcount.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct MaskMatrix {
-    n_rows: usize,
-    /// Words allocated per row.
+    /// Words per row.
     words: usize,
     /// Slots in use (= tasks the anchor attempted).
     anchor_tasks: usize,
@@ -1123,68 +1010,27 @@ pub(crate) struct MaskMatrix {
 }
 
 impl MaskMatrix {
-    pub(crate) fn new(n_rows: usize, words: usize) -> Self {
-        let words = words.max(1);
-        Self {
-            n_rows,
-            words,
-            anchor_tasks: 0,
-            masks: vec![0u64; n_rows * words],
-        }
-    }
-
     /// Re-shapes the matrix in place for a fresh build — `n_rows`
-    /// zeroed rows of `words` words with `slots` slots pre-claimed —
-    /// reusing the existing word allocation when it is large enough.
-    /// This is the scratch-reuse and pre-sizing entry point: callers
-    /// that know the anchor's degree up front (the batch and re-anchor
-    /// builds) pass `words = degree.div_ceil(64)` and `slots = degree`,
-    /// so no [`MaskMatrix::push_slot`] doubling re-layout ever runs.
+    /// zeroed rows of `words` words with `slots` slots claimed —
+    /// reusing the existing word allocation when it is large enough
+    /// and growing it to exactly the new size when it is not, so the
+    /// allocation is always the largest shape built so far.
     pub(crate) fn reset(&mut self, n_rows: usize, words: usize, slots: usize) {
         let words = words.max(1);
-        debug_assert!(slots <= words * 64, "pre-claimed slots exceed capacity");
-        self.n_rows = n_rows;
+        debug_assert!(slots <= words * 64, "claimed slots exceed capacity");
         self.words = words;
         self.anchor_tasks = slots;
         self.masks.clear();
+        self.masks.reserve_exact(n_rows * words);
         self.masks.resize(n_rows * words, 0);
     }
 
-    /// Bytes resident in the bit matrix (the per-view memory the
-    /// peer-scoped refactor shrinks from `O(n_workers)` to `O(peers)`
-    /// rows). Reports the allocation's *capacity*, not its in-use
-    /// length — a [`MaskMatrix::reset`] keeps slack for reuse, and
-    /// pretending that slack is free would overstate any measured
-    /// memory reduction.
+    /// Bytes resident in the bit matrix. Reports the allocation's
+    /// *capacity*, not its in-use length — a [`MaskMatrix::reset`]
+    /// keeps slack for reuse, and pretending that slack is free would
+    /// overstate any measured memory reduction.
     pub(crate) fn mask_bytes(&self) -> usize {
         self.masks.capacity() * std::mem::size_of::<u64>()
-    }
-
-    /// Releases the reuse slack so the allocation matches the in-use
-    /// rows — for long-lived matrices (the maintained streaming views)
-    /// after a downsizing re-anchor; scratch matrices keep their slack
-    /// on purpose.
-    pub(crate) fn shrink(&mut self) {
-        self.masks.shrink_to_fit();
-    }
-
-    /// Claims the next slot, doubling the per-row word capacity (one
-    /// `O(n_rows · words)` re-layout per doubling, amortized away)
-    /// when the slot budget is exhausted.
-    pub(crate) fn push_slot(&mut self) -> u32 {
-        if self.anchor_tasks == self.words * 64 {
-            let new_words = self.words * 2;
-            let mut masks = vec![0u64; self.n_rows * new_words];
-            for w in 0..self.n_rows {
-                masks[w * new_words..w * new_words + self.words]
-                    .copy_from_slice(&self.masks[w * self.words..(w + 1) * self.words]);
-            }
-            self.words = new_words;
-            self.masks = masks;
-        }
-        let slot = self.anchor_tasks as u32;
-        self.anchor_tasks += 1;
-        slot
     }
 
     /// Marks `row` as having attempted the anchor task in `slot`.
@@ -1232,13 +1078,6 @@ impl MaskMatrix {
     #[inline]
     pub(crate) fn anchor_slots(&self) -> usize {
         self.anchor_tasks
-    }
-
-    /// Whether `row` has the bit for `slot` set.
-    #[inline]
-    pub(crate) fn bit(&self, row: usize, slot: u32) -> bool {
-        let (word, bit) = (slot as usize / 64, slot as usize % 64);
-        self.masks[row * self.words + word] >> bit & 1 == 1
     }
 
     /// Fills row `row` with the AND of rows `a` and `b` of `src` —
@@ -1345,36 +1184,15 @@ impl MaskMatrix {
     }
 }
 
-/// Where a [`BitsetAnchored`] view keeps its bit matrix: owned (the
-/// one-off build paths) or borrowed from a caller-held
-/// [`AnchoredScratch`] (the evaluate-all hot path, which reuses one
-/// allocation across every worker of a thread's chunk).
-#[derive(Debug)]
-enum MaskStore<'a> {
-    Owned(MaskMatrix),
-    Scratch(&'a mut MaskMatrix),
-}
-
-impl MaskStore<'_> {
-    #[inline]
-    fn get(&self) -> &MaskMatrix {
-        match self {
-            Self::Owned(m) => m,
-            Self::Scratch(m) => m,
-        }
-    }
-}
-
 /// An epoch-stamped `task → slot` map: `begin` invalidates every
 /// entry in O(1) (a new epoch), so repeated peer-scoped builds never
 /// pay an O(n) clear. Backing the anchored build with O(1) slot
 /// lookups is what makes the peer fill `O(l_anchor + Σ_p l_p)` —
 /// each peer row is walked once, no per-peer merge against the
-/// anchor's row. One map serves every build of its owner (a thread's
-/// [`AnchoredScratch`], or a whole [`crate::StreamingIndex`]), so its
-/// `O(n)` words are paid once per owner, never once per view.
+/// anchor's row. It lives in the substrate's one [`BuildScratch`], so
+/// its `O(n)` words are paid once per substrate, never once per view.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SlotStamps {
+struct SlotStamps {
     epoch: u64,
     stamp: Vec<u64>,
     slot: Vec<u32>,
@@ -1397,23 +1215,44 @@ impl SlotStamps {
         self.slot[task as usize] = slot;
     }
 
+    /// The mask word and bit of `task`'s slot, or word 0 and no bit
+    /// when the anchor did not attempt `task`. Branch-free: whether a
+    /// peer's response hits the anchor's tasks is close to a coin
+    /// flip, and on a 2000-worker community fleet (density 0.35) the
+    /// branching form made the peer fill about twice as slow.
     #[inline]
-    fn get(&self, task: u32) -> Option<u32> {
-        (self.stamp[task as usize] == self.epoch).then(|| self.slot[task as usize])
+    fn word_bit(&self, task: u32) -> (usize, u64) {
+        let hit = self.stamp[task as usize] == self.epoch;
+        let slot = self.slot[task as usize] as usize;
+        (
+            if hit { slot / 64 } else { 0 },
+            u64::from(hit) << (slot % 64),
+        )
     }
 }
 
-/// Reusable build storage for [`OverlapSource::anchored_for_in`]:
-/// holds the mask words and the slot stamps of the previous view
-/// so consecutive anchored builds (one per evaluated worker) allocate
-/// nothing once both have reached their high-water marks.
-#[derive(Debug, Default)]
-pub struct AnchoredScratch {
-    matrix: Option<MaskMatrix>,
+/// The one build scratch of a [`crate::StreamingIndex`]: the mask
+/// words every [`BitsetAnchored`] view of that substrate is filled
+/// into and borrows, plus the slot map the fill stamps. Consecutive
+/// builds reuse both, so an evaluation loop allocates nothing once
+/// the scratch has reached its largest view.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BuildScratch {
+    matrix: MaskMatrix,
     stamps: SlotStamps,
 }
 
-/// Anchored triple overlaps by bitset intersection.
+impl BuildScratch {
+    /// Bytes resident in the mask words: the largest view built so
+    /// far, exactly sized (see [`MaskMatrix::reset`]).
+    pub(crate) fn mask_bytes(&self) -> usize {
+        self.matrix.mask_bytes()
+    }
+}
+
+/// Anchored triple overlaps by bitset intersection: a short-lived view
+/// built when an evaluation asks for it, borrowing the one build
+/// scratch its [`crate::StreamingIndex`] owns.
 ///
 /// The anchor's attempted tasks define bit positions `0..s` (task
 /// order). A `PeerMask` maps each in-scope worker to a mask row
@@ -1424,67 +1263,90 @@ pub struct AnchoredScratch {
 /// Population-wide views ([`OverlapSource::anchored`]) fill their `m`
 /// rows in one pass over the anchor's tasks' responder lists —
 /// `O(Σ_{t ∈ tasks(anchor)} r_t)` build work and `m · ⌈s/64⌉` words.
-/// Peer-scoped views ([`OverlapSource::anchored_for`]) instead merge
-/// each peer's task row against the anchor's —
-/// `O(Σ_{p ∈ peers} (l_anchor + l_p))` build work and only
+/// Peer-scoped views ([`OverlapSource::anchored_for`]) instead stamp
+/// the anchor's slots and walk each peer's task row once —
+/// `O(l_anchor + Σ_{p ∈ peers} l_p)` build work and only
 /// `peers · ⌈s/64⌉` words, so view memory tracks the pairing degree,
 /// never the population.
 #[derive(Debug)]
 pub struct BitsetAnchored<'a> {
-    store: MaskStore<'a>,
+    matrix: Ref<'a, MaskMatrix>,
     peers: PeerMask,
 }
 
-/// The one anchored-view fill, behind the batch builds and the
-/// streaming re-anchor alike — one implementation of the bit layout,
-/// so the streamed-vs-batch bit-identity guarantee cannot drift
-/// between copies. Re-shapes `matrix` (pre-sized to the anchor's exact
-/// degree, so no doubling re-layout ever runs) and sets its bits for
-/// the scope. Slots are the anchor's tasks in task order. Identity
-/// scopes use the legacy per-task responder fill
-/// (`O(Σ_{t ∈ tasks(anchor)} r_t)`, O(1) row mapping); peer scopes
-/// stamp the anchor's slots into `stamps` and walk each peer's task
-/// row once with O(1) slot lookups (`O(l_anchor + Σ_{p ∈ peers} l_p)`
-/// — no per-peer merge against the anchor's row). Both fills produce
-/// the same bits for every in-scope worker.
-pub(crate) fn fill_anchored(
-    index: &OverlapIndex,
-    anchor: WorkerId,
-    peers: &PeerMask,
-    matrix: &mut MaskMatrix,
-    stamps: &mut SlotStamps,
-) {
-    let anchor_row = index.worker_responses(anchor);
-    matrix.reset(
-        peers.rows(),
-        anchor_row.len().div_ceil(64),
-        anchor_row.len(),
-    );
-    match peers {
-        PeerMask::Population(_) => {
-            for (slot, &(task, _)) in anchor_row.iter().enumerate() {
-                for &(w, _) in index.task_responses(TaskId(task)) {
-                    matrix.set_bit(w as usize, slot as u32);
+impl<'a> BitsetAnchored<'a> {
+    /// Fills `scratch` with `anchor`'s view over `peers` and returns
+    /// the view borrowing it. The matrix is sized to the anchor's
+    /// exact degree and its slots are the anchor's tasks in task
+    /// order. Identity scopes use the per-task responder fill (O(1)
+    /// row mapping); peer scopes stamp the anchor's slots and walk
+    /// each peer's task row once with O(1) slot lookups. Both fills
+    /// produce the same bits for every in-scope worker.
+    ///
+    /// # Panics
+    /// Panics if an earlier view borrowing `scratch` is still alive
+    /// (see [`OverlapSource::anchored_for`]).
+    pub(crate) fn build(
+        index: &OverlapIndex,
+        anchor: WorkerId,
+        peers: PeerMask,
+        scratch: &'a RefCell<BuildScratch>,
+    ) -> Self {
+        {
+            let mut scratch = scratch.try_borrow_mut().expect(
+                "an anchored view of this substrate is still alive: views are built one at a time",
+            );
+            let BuildScratch { matrix, stamps } = &mut *scratch;
+            let anchor_row = index.worker_responses(anchor);
+            matrix.reset(
+                peers.rows(),
+                anchor_row.len().div_ceil(64),
+                anchor_row.len(),
+            );
+            match &peers {
+                PeerMask::Population(_) => {
+                    for (slot, &(task, _)) in anchor_row.iter().enumerate() {
+                        for &(w, _) in index.task_responses(TaskId(task)) {
+                            matrix.set_bit(w as usize, slot as u32);
+                        }
+                    }
                 }
-            }
-        }
-        PeerMask::Peers(_) => {
-            stamps.begin(index.n_tasks());
-            for (slot, &(task, _)) in anchor_row.iter().enumerate() {
-                stamps.set(task, slot as u32);
-            }
-            for row in 0..peers.rows() {
-                // One bounds check and row-offset multiply per peer,
-                // not per response — this loop touches every response
-                // of every peer, the dominant term of the fill.
-                let words = matrix.row_mut(row);
-                for &(task, _) in index.worker_responses(WorkerId(peers.worker_of(row))) {
-                    if let Some(slot) = stamps.get(task) {
-                        words[slot as usize / 64] |= 1u64 << (slot as usize % 64);
+                PeerMask::Peers(_) => {
+                    stamps.begin(index.n_tasks());
+                    for (slot, &(task, _)) in anchor_row.iter().enumerate() {
+                        stamps.set(task, slot as u32);
+                    }
+                    for row in 0..peers.rows() {
+                        // One bounds check and row-offset multiply per
+                        // peer, not per response — this loop touches
+                        // every response of every peer, the dominant
+                        // term of the fill.
+                        let words = matrix.row_mut(row);
+                        for &(task, _) in index.worker_responses(WorkerId(peers.worker_of(row))) {
+                            let (word, bit) = stamps.word_bit(task);
+                            words[word] |= bit;
+                        }
                     }
                 }
             }
         }
+        BitsetAnchored {
+            matrix: Ref::map(scratch.borrow(), |s| &s.matrix),
+            peers,
+        }
+    }
+
+    /// `c_{anchor,a}`: tasks shared by the anchor and one worker.
+    pub fn pair_common(&self, a: WorkerId) -> usize {
+        self.matrix.pair_common(self.peers.row_of(a))
+    }
+
+    /// Bytes of this view's mask rows — `peers · ⌈s/64⌉` words for
+    /// scoped views, `n_workers · ⌈s/64⌉` for population views. The
+    /// scratch it borrows may hold more: it keeps the largest view
+    /// built so far.
+    pub fn mask_bytes(&self) -> usize {
+        self.matrix.masks.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -1492,11 +1354,7 @@ pub(crate) fn fill_anchored(
 /// multi-way intersection popcount — through a stack buffer for the
 /// estimator-sized queries (the k-ary `n₅` loop asks about 4 workers,
 /// `O(l²)` times per evaluation), so the hot path allocates nothing.
-pub(crate) fn common_among_mapped(
-    matrix: &MaskMatrix,
-    peers: &PeerMask,
-    others: &[WorkerId],
-) -> usize {
+fn common_among_mapped(matrix: &MaskMatrix, peers: &PeerMask, others: &[WorkerId]) -> usize {
     let mut buf = [0usize; 8];
     if others.len() <= buf.len() {
         for (slot, &w) in buf.iter_mut().zip(others) {
@@ -1509,87 +1367,18 @@ pub(crate) fn common_among_mapped(
     }
 }
 
-impl<'a> BitsetAnchored<'a> {
-    /// One-shot build owning its matrix (population or peer scope).
-    /// The matrix is shrunk to its in-use rows: unlike a scratch
-    /// build, there is no next build to reuse the slack for.
-    fn build_owned(index: &OverlapIndex, anchor: WorkerId, peers: PeerMask) -> BitsetAnchored<'a> {
-        let mut matrix = MaskMatrix::new(0, 1);
-        fill_anchored(
-            index,
-            anchor,
-            &peers,
-            &mut matrix,
-            &mut SlotStamps::default(),
-        );
-        matrix.shrink();
-        BitsetAnchored {
-            store: MaskStore::Owned(matrix),
-            peers,
-        }
-    }
-
-    /// Population-wide build: a row per worker.
-    fn build(index: &OverlapIndex, anchor: WorkerId) -> BitsetAnchored<'a> {
-        Self::build_owned(index, anchor, PeerMask::population(index.n_workers()))
-    }
-
-    /// Peer-scoped build owning its matrix.
-    fn build_scoped(
-        index: &OverlapIndex,
-        anchor: WorkerId,
-        peer_ids: &[WorkerId],
-    ) -> BitsetAnchored<'a> {
-        Self::build_owned(
-            index,
-            anchor,
-            PeerMask::scoped_for(peer_ids, index.n_workers()),
-        )
-    }
-
-    /// Peer-scoped build into `scratch`'s reusable words vector and
-    /// slot stamps.
-    fn build_in(
-        index: &OverlapIndex,
-        anchor: WorkerId,
-        peer_ids: &[WorkerId],
-        scratch: &'a mut AnchoredScratch,
-    ) -> BitsetAnchored<'a> {
-        let peers = PeerMask::scoped_for(peer_ids, index.n_workers());
-        let matrix = scratch.matrix.get_or_insert_with(|| MaskMatrix::new(0, 1));
-        fill_anchored(index, anchor, &peers, matrix, &mut scratch.stamps);
-        BitsetAnchored {
-            store: MaskStore::Scratch(matrix),
-            peers,
-        }
-    }
-
-    /// `c_{anchor,a}`: tasks shared by the anchor and one worker.
-    pub fn pair_common(&self, a: WorkerId) -> usize {
-        self.store.get().pair_common(self.peers.row_of(a))
-    }
-
-    /// Bytes resident in the view's bit matrix — `peers · ⌈s/64⌉`
-    /// words for scoped views, `n_workers · ⌈s/64⌉` for population
-    /// views. The scaling benchmark's bytes-per-view measurement.
-    pub fn mask_bytes(&self) -> usize {
-        self.store.get().mask_bytes()
-    }
-}
-
 impl AnchoredOverlap for BitsetAnchored<'_> {
     fn triple_common(&self, a: WorkerId, b: WorkerId) -> usize {
-        self.store
-            .get()
+        self.matrix
             .triple_common(self.peers.row_of(a), self.peers.row_of(b))
     }
 
     fn common_among(&self, others: &[WorkerId]) -> usize {
-        common_among_mapped(self.store.get(), &self.peers, others)
+        common_among_mapped(&self.matrix, &self.peers, others)
     }
 
     fn gram_into(&self, peers: &[WorkerId], gram: &mut PeerGram, scratch: &mut PeerGramScratch) {
-        crate::gram::gram_into_mapped(self.store.get(), &self.peers, peers, gram, scratch);
+        crate::gram::gram_into_mapped(&self.matrix, &self.peers, peers, gram, scratch);
     }
 
     fn pair_gram_into(
@@ -1598,14 +1387,17 @@ impl AnchoredOverlap for BitsetAnchored<'_> {
         gram: &mut TriplePairGram,
         scratch: &mut PeerGramScratch,
     ) {
-        crate::gram::pair_gram_into_mapped(self.store.get(), &self.peers, pairs, gram, scratch);
+        crate::gram::pair_gram_into_mapped(&self.matrix, &self.peers, pairs, gram, scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ResponseMatrixBuilder, pair_stats, triple_joint_labels_optional, triple_overlap};
+    use crate::{
+        ResponseMatrixBuilder, StreamingIndex, pair_stats, triple_joint_labels_optional,
+        triple_overlap,
+    };
 
     /// A deterministic sparse matrix exercising uneven attempt sets.
     fn sample(m: usize, n: usize, arity: u16, seed: u64) -> ResponseMatrix {
@@ -1694,7 +1486,8 @@ mod tests {
     #[test]
     fn index_matches_merge_scans() {
         let data = sample(7, 40, 3, 99);
-        let index = OverlapIndex::from_matrix(&data);
+        let stream = StreamingIndex::from_matrix(&data);
+        let index = stream.index();
         assert_eq!(index.n_workers(), 7);
         assert_eq!(index.n_tasks(), 40);
         assert_eq!(index.n_responses(), data.n_responses());
@@ -1706,12 +1499,12 @@ mod tests {
             );
             for b in (a + 1)..7u32 {
                 assert_eq!(
-                    index.pair(WorkerId(a), WorkerId(b)),
+                    index.pairs().get(WorkerId(a), WorkerId(b)),
                     pair_stats(&data, WorkerId(a), WorkerId(b)),
                 );
                 for c in (b + 1)..7u32 {
                     assert_eq!(
-                        index.triple(WorkerId(a), WorkerId(b), WorkerId(c)),
+                        stream.triple(WorkerId(a), WorkerId(b), WorkerId(c)),
                         triple_overlap(&data, WorkerId(a), WorkerId(b), WorkerId(c)),
                     );
                 }
@@ -1728,9 +1521,9 @@ mod tests {
     #[test]
     fn anchored_bitsets_match_scans() {
         let data = sample(8, 60, 2, 4242);
-        let index = OverlapIndex::from_matrix(&data);
+        let stream = StreamingIndex::from_matrix(&data);
         for anchor in 0..8u32 {
-            let fast = index.anchored(WorkerId(anchor));
+            let fast = stream.anchored(WorkerId(anchor));
             let slow = data.anchored(WorkerId(anchor));
             for a in 0..8u32 {
                 assert_eq!(
@@ -1761,9 +1554,13 @@ mod tests {
     #[test]
     fn peer_scoped_views_match_population_views() {
         let data = sample(9, 70, 2, 2026);
-        let index = OverlapIndex::from_matrix(&data);
+        // Two substrates: each serves one live view at a time.
+        let (population, scoped_src) = (
+            StreamingIndex::from_matrix(&data),
+            StreamingIndex::from_matrix(&data),
+        );
         for anchor in 0..9u32 {
-            let full = index.anchored(WorkerId(anchor));
+            let full = population.anchored(WorkerId(anchor));
             // An arbitrary, unsorted, duplicated peer list.
             let peers = [
                 WorkerId((anchor + 3) % 9),
@@ -1771,7 +1568,7 @@ mod tests {
                 WorkerId((anchor + 6) % 9),
                 WorkerId((anchor + 1) % 9),
             ];
-            let scoped = index.anchored_for(WorkerId(anchor), &peers);
+            let scoped = scoped_src.anchored_for(WorkerId(anchor), &peers);
             for &a in &peers {
                 assert_eq!(scoped.pair_common(a), full.pair_common(a));
                 for &b in &peers {
@@ -1796,31 +1593,50 @@ mod tests {
         }
     }
 
+    /// One substrate's build scratch, reused across anchors of very
+    /// different degree — busiest first, then quietest first — never
+    /// leaks bits from a larger earlier build: every view equals the
+    /// same view built on a fresh substrate.
     #[test]
-    fn scratch_builds_match_owned_builds_across_anchors() {
-        let data = sample(8, 90, 3, 515);
-        let index = OverlapIndex::from_matrix(&data);
-        let mut scratch = AnchoredScratch::default();
-        // Re-using one scratch across anchors of very different degree
-        // must never leak stale bits from a previous, larger build.
-        for anchor in [0u32, 5, 1, 7, 2] {
+    fn reused_scratch_matches_fresh_builds_across_anchors() {
+        // Worker w answers each task with probability (w + 1) / 9, so
+        // degrees climb from ~10% to ~90% of the 150 tasks.
+        let mut b = ResponseMatrixBuilder::new(8, 150, 3);
+        let mut state = 515u64;
+        for w in 0..8u32 {
+            for t in 0..150u32 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if (state >> 33) % 9 <= w as u64 {
+                    b.push(WorkerId(w), TaskId(t), Label((t % 3) as u16))
+                        .unwrap();
+                }
+            }
+        }
+        let data = b.build().unwrap();
+        let shared = StreamingIndex::from_matrix(&data);
+        let mut anchors: Vec<u32> = (0..8).rev().collect();
+        anchors.extend(0..8);
+        for anchor in anchors {
             let peers: Vec<WorkerId> = (0..8)
                 .filter(|&w| w != anchor && w % 2 == anchor % 2)
                 .map(WorkerId)
                 .collect();
-            let owned = index.anchored_for(WorkerId(anchor), &peers);
-            let reused = index.anchored_for_in(WorkerId(anchor), &peers, &mut scratch);
+            let fresh_src = StreamingIndex::from_matrix(&data);
+            let fresh = fresh_src.anchored_for(WorkerId(anchor), &peers);
+            let reused = shared.anchored_for(WorkerId(anchor), &peers);
             for &a in &peers {
-                assert_eq!(reused.pair_common(a), owned.pair_common(a));
+                assert_eq!(reused.pair_common(a), fresh.pair_common(a));
                 for &b in &peers {
                     assert_eq!(
                         reused.triple_common(a, b),
-                        owned.triple_common(a, b),
+                        fresh.triple_common(a, b),
                         "anchor {anchor}, pair ({a:?},{b:?})"
                     );
                 }
             }
-            assert_eq!(reused.common_among(&peers), owned.common_among(&peers));
+            assert_eq!(reused.common_among(&peers), fresh.common_among(&peers));
         }
     }
 
@@ -1828,30 +1644,30 @@ mod tests {
     #[should_panic(expected = "peer scope")]
     fn peer_scoped_view_rejects_out_of_scope_queries() {
         let data = sample(5, 30, 2, 8);
-        let index = OverlapIndex::from_matrix(&data);
-        let view = index.anchored_for(WorkerId(0), &[WorkerId(1), WorkerId(2)]);
+        let stream = StreamingIndex::from_matrix(&data);
+        let view = stream.anchored_for(WorkerId(0), &[WorkerId(1), WorkerId(2)]);
         let _ = view.triple_common(WorkerId(1), WorkerId(4));
     }
 
+    /// A substrate serves one view at a time: asking for a second
+    /// while the first still borrows the scratch is a loud contract
+    /// violation, not a silently overwritten view.
     #[test]
-    fn peer_mask_covers_is_a_subset_test() {
-        let all = PeerMask::population(6);
-        let some = PeerMask::scoped(&[WorkerId(1), WorkerId(4)]);
-        let more = PeerMask::scoped(&[WorkerId(1), WorkerId(3), WorkerId(4)]);
-        let none = PeerMask::scoped(&[]);
-        assert!(all.covers(&some) && all.covers(&all) && all.covers(&none));
-        assert!(more.covers(&some) && more.covers(&none));
-        assert!(!some.covers(&more) && !some.covers(&all));
-        assert!(some.covers(&some));
-        assert!(!PeerMask::population(4).covers(&PeerMask::scoped(&[WorkerId(5)])));
+    #[should_panic(expected = "still alive")]
+    fn a_second_live_view_panics() {
+        let data = sample(5, 30, 2, 8);
+        let stream = StreamingIndex::from_matrix(&data);
+        let first = stream.anchored(WorkerId(0));
+        let _second = stream.anchored(WorkerId(1));
+        drop(first);
     }
 
     #[test]
     fn common_among_matches_naive_filter() {
         let data = sample(6, 50, 2, 7);
-        let index = OverlapIndex::from_matrix(&data);
+        let stream = StreamingIndex::from_matrix(&data);
         let anchor = WorkerId(0);
-        let fast = index.anchored(anchor);
+        let fast = stream.anchored(anchor);
         let slow = data.anchored(anchor);
         let others = [WorkerId(1), WorkerId(2), WorkerId(4), WorkerId(5)];
         assert_eq!(fast.common_among(&others), slow.common_among(&others));
@@ -1943,17 +1759,17 @@ mod tests {
         b.push(WorkerId(1), TaskId(0), Label(0)).unwrap();
         b.push(WorkerId(0), TaskId(7), Label(1)).unwrap();
         let data = b.build().unwrap();
-        let index = OverlapIndex::from_matrix(&data);
-        assert_eq!(index.pair(WorkerId(0), WorkerId(1)).common_tasks, 1);
-        assert_eq!(index.pair(WorkerId(0), WorkerId(2)).common_tasks, 0);
-        assert!(index.worker_responses(WorkerId(2)).is_empty());
+        let stream = StreamingIndex::from_matrix(&data);
+        assert_eq!(stream.pair(WorkerId(0), WorkerId(1)).common_tasks, 1);
+        assert_eq!(stream.pair(WorkerId(0), WorkerId(2)).common_tasks, 0);
+        assert!(stream.index().worker_responses(WorkerId(2)).is_empty());
         assert_eq!(
-            index
+            stream
                 .triple(WorkerId(0), WorkerId(1), WorkerId(2))
                 .common_tasks,
             0
         );
-        let view = index.anchored(WorkerId(2));
+        let view = stream.anchored(WorkerId(2));
         assert_eq!(view.triple_common(WorkerId(0), WorkerId(1)), 0);
     }
 }

@@ -35,7 +35,7 @@ pub use counts::{AttemptPattern, CountsTensor};
 pub use gold::GoldStandard;
 pub use gram::{PeerGram, PeerGramScratch, TriplePairGram};
 pub use ids::{TaskId, WorkerId};
-pub use index::{AnchoredOverlap, AnchoredScratch, BitsetAnchored, OverlapIndex, OverlapSource};
+pub use index::{AnchoredOverlap, BitsetAnchored, OverlapIndex, OverlapSource};
 pub use label::Label;
 pub use majority::{MajorityOutcome, disagreement_rates, majority_vote};
 pub use matrix::{Response, ResponseMatrix, ResponseMatrixBuilder};
@@ -46,7 +46,7 @@ pub use overlap::{
 pub use pairmap::PairMap;
 #[doc(hidden)]
 pub use streaming::PairBackend;
-pub use streaming::{AnchoredView, StreamingIndex, ViewRef};
+pub use streaming::StreamingIndex;
 
 /// Errors produced by data-model operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,10 +3,10 @@
 //! with brute-force recomputation on arbitrary sparse matrices.
 
 use crowd_data::{
-    AnchoredOverlap, AnchoredScratch, AttemptPattern, CountsTensor, Label, OverlapIndex,
-    OverlapSource, PairMap, PeerGram, PeerGramScratch, Response, ResponseMatrix,
-    ResponseMatrixBuilder, StreamingIndex, TaskId, TriplePairGram, WorkerId, majority_vote,
-    pair_stats, triple_joint_labels, triple_joint_labels_optional, triple_overlap,
+    AnchoredOverlap, AttemptPattern, CountsTensor, Label, OverlapIndex, OverlapSource, PairMap,
+    PeerGram, PeerGramScratch, Response, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex,
+    TaskId, TriplePairGram, WorkerId, majority_vote, pair_stats, triple_joint_labels,
+    triple_joint_labels_optional, triple_overlap,
 };
 use proptest::prelude::*;
 
@@ -91,20 +91,17 @@ fn brute_pair(data: &ResponseMatrix, a: WorkerId, b: WorkerId) -> (usize, usize)
     (common, agree)
 }
 
-/// One run of the maintained-slot interleaving property (see
-/// `maintained_slots_survive_interleaved_reanchors` below): replays `data`
-/// in a shuffled order into a substrate, and after every
-/// ingest takes one `plan` step on one worker's view — a population
-/// re-anchor up (`view()`), a plan-chosen peer set through
-/// `anchored_for` (re-anchoring up when the set is not covered, down
-/// when the held scope is > 4× larger), a gram materialization, or
-/// nothing. Then every view asked for so far must answer exactly what
-/// a fresh batch `anchored_for` build of the same prefix answers, with
-/// no re-anchor during the check.
-fn check_interleaved_reanchors(
+/// One run of the stream-vs-load view property (see
+/// `streamed_views_match_loaded_views_at_prefixes` below): replays
+/// `data` in a shuffled order into one substrate and, at a third, two
+/// thirds and all of the stream, builds every worker's view — its
+/// `mask`-chosen peer scope and the population scope — on that
+/// substrate and on a fresh bulk load of the same prefix. The two must
+/// answer every query identically, grams included.
+fn check_stream_views_match_loads(
     data: &ResponseMatrix,
     order_seed: u64,
-    plan: &[u64],
+    mask: u64,
 ) -> Result<(), TestCaseError> {
     let (m, n, arity) = (data.n_workers(), data.n_tasks(), data.arity());
     let all: Vec<WorkerId> = (0..m as u32).map(WorkerId).collect();
@@ -112,102 +109,67 @@ fn check_interleaved_reanchors(
     shuffle(&mut responses, order_seed);
     let mut stream = StreamingIndex::new(m, n, arity);
     let mut accumulated = ResponseMatrix::empty(m, n, arity);
-    // The peer set each view was last asked for (`None` = dormant),
-    // and whether its maintained gram was materialized since its last
-    // re-anchor.
-    let mut scopes: Vec<Option<Vec<WorkerId>>> = vec![None; m];
-    let mut grams = vec![false; m];
+    let prefixes = [
+        responses.len() / 3,
+        responses.len() * 2 / 3,
+        responses.len(),
+    ];
     for (i, r) in responses.iter().enumerate() {
         stream.record_response(*r).unwrap();
         accumulated.insert(*r).unwrap();
-        let step = plan[i % plan.len()];
-        let w = (step % m as u64) as usize;
-        let anchor = WorkerId(w as u32);
-        let before = stream.reanchor_count();
-        match (step >> 8) % 4 {
-            0 => {
-                let _ = stream.view(anchor);
-                scopes[w] = Some(all.clone());
-            }
-            1 => {
-                let peers: Vec<WorkerId> = all
-                    .iter()
-                    .copied()
-                    .filter(|p| p.index() != w && (step >> (16 + p.index())) & 1 == 1)
-                    .collect();
-                let _ = stream.anchored_for(anchor, &peers);
-                scopes[w] = Some(peers);
-            }
-            2 => {
-                if let Some(peers) = &scopes[w] {
-                    let _ = stream.anchored_for(anchor, peers).gram(peers);
-                    grams[w] = true;
-                }
-            }
-            _ => {}
+        let at = i + 1;
+        if !prefixes.contains(&at) {
+            continue;
         }
-        if stream.reanchor_count() != before {
-            grams[w] = false;
-        }
-
-        let batch = OverlapIndex::from_matrix(&accumulated);
-        let settled = stream.reanchor_count();
-        for (w, peers) in scopes.iter().enumerate() {
-            let Some(peers) = peers else { continue };
-            let anchor = WorkerId(w as u32);
-            let view = stream.anchored_for(anchor, peers);
-            let fresh = batch.anchored_for(anchor, peers);
-            let at = i + 1;
-            prop_assert_eq!(
-                view.common_among(&[]),
-                fresh.common_among(&[]),
-                "prefix {} anchor {} slot count",
-                at,
-                w
-            );
-            prop_assert_eq!(
-                view.common_among(peers),
-                fresh.common_among(peers),
-                "prefix {} anchor {} common_among",
-                at,
-                w
-            );
-            for &a in peers {
+        let loaded = StreamingIndex::from_matrix(&accumulated);
+        prop_assert_eq!(stream.index(), loaded.index());
+        for &anchor in &all {
+            let scoped: Vec<WorkerId> = all
+                .iter()
+                .copied()
+                .filter(|&p| p != anchor && (mask >> (p.index() % 64)) & 1 == 1)
+                .collect();
+            for peers in [&scoped, &all] {
+                let view = stream.anchored_for(anchor, peers);
+                let fresh = loaded.anchored_for(anchor, peers);
                 prop_assert_eq!(
-                    view.pair_common(a),
-                    fresh.pair_common(a),
-                    "prefix {} anchor {} peer {:?}",
+                    view.common_among(&[]),
+                    accumulated.worker_task_count(anchor),
+                    "prefix {} anchor {:?} slot count",
                     at,
-                    w,
-                    a
+                    anchor
                 );
-                for &b in peers {
+                prop_assert_eq!(
+                    view.common_among(peers),
+                    fresh.common_among(peers),
+                    "prefix {} anchor {:?} common_among",
+                    at,
+                    anchor
+                );
+                for &a in peers {
                     prop_assert_eq!(
-                        view.triple_common(a, b),
-                        fresh.triple_common(a, b),
-                        "prefix {} anchor {} pair ({:?},{:?})",
+                        view.pair_common(a),
+                        fresh.pair_common(a),
+                        "prefix {} anchor {:?} peer {:?}",
                         at,
-                        w,
-                        a,
-                        b
+                        anchor,
+                        a
                     );
+                    for &b in peers {
+                        prop_assert_eq!(
+                            view.triple_common(a, b),
+                            fresh.triple_common(a, b),
+                            "prefix {} anchor {:?} pair ({:?},{:?})",
+                            at,
+                            anchor,
+                            a,
+                            b
+                        );
+                    }
                 }
-            }
-            if grams[w] {
-                prop_assert_eq!(
-                    view.gram(peers),
-                    fresh.gram(peers),
-                    "prefix {} anchor {} gram",
-                    at,
-                    w
-                );
+                prop_assert_eq!(view.gram(peers), fresh.gram(peers));
             }
         }
-        prop_assert_eq!(
-            stream.reanchor_count(),
-            settled,
-            "checks must not re-anchor"
-        );
     }
     Ok(())
 }
@@ -424,8 +386,9 @@ proptest! {
         mixed in mixed_density_matrix(10, 20, 3),
     ) {
       for data in [dense, mixed] {
-        let index = OverlapIndex::from_matrix(&data);
-        prop_assert_eq!(OverlapSource::n_workers(&index), data.n_workers());
+        let stream = StreamingIndex::from_matrix(&data);
+        let index = stream.index();
+        prop_assert_eq!(stream.n_workers(), data.n_workers());
         prop_assert_eq!(index.n_tasks(), data.n_tasks());
         prop_assert_eq!(index.n_responses(), data.n_responses());
         let m = data.n_workers() as u32;
@@ -437,13 +400,13 @@ proptest! {
             for b in 0..m {
                 if a == b { continue; }
                 prop_assert_eq!(
-                    index.pair(WorkerId(a), WorkerId(b)),
+                    stream.pair(WorkerId(a), WorkerId(b)),
                     pair_stats(&data, WorkerId(a), WorkerId(b))
                 );
                 for c in 0..m {
                     if c == a || c == b { continue; }
                     prop_assert_eq!(
-                        index.triple(WorkerId(a), WorkerId(b), WorkerId(c)),
+                        stream.triple(WorkerId(a), WorkerId(b), WorkerId(c)),
                         triple_overlap(&data, WorkerId(a), WorkerId(b), WorkerId(c))
                     );
                 }
@@ -454,7 +417,7 @@ proptest! {
         }
         for a in index.workers() {
             let mut listed = Vec::new();
-            prop_assert!(index.co_occurring_into(a, &mut listed));
+            prop_assert!(stream.co_occurring_into(a, &mut listed));
             let expect: Vec<WorkerId> = index
                 .workers()
                 .filter(|&b| b != a && pair_stats(&data, a, b).common_tasks > 0)
@@ -468,10 +431,10 @@ proptest! {
     /// shared-task queries, for every anchor.
     #[test]
     fn anchored_view_matches_naive_queries(data in sparse_matrix(6, 30, 2)) {
-        let index = OverlapIndex::from_matrix(&data);
+        let stream = StreamingIndex::from_matrix(&data);
         let m = data.n_workers() as u32;
         for anchor in 0..m {
-            let fast = index.anchored(WorkerId(anchor));
+            let fast = stream.anchored(WorkerId(anchor));
             let slow = data.anchored(WorkerId(anchor));
             let peers: Vec<WorkerId> =
                 (0..m).filter(|&w| w != anchor).map(WorkerId).collect();
@@ -503,17 +466,16 @@ proptest! {
     #[test]
     fn indexed_joint_labels_and_tensor_match(data in sparse_matrix(5, 25, 3)) {
         if data.n_workers() < 3 { return Ok(()); }
-        let index = OverlapIndex::from_matrix(&data);
+        let stream = StreamingIndex::from_matrix(&data);
         let (a, b, c) = (WorkerId(0), WorkerId(1), WorkerId(2));
         prop_assert_eq!(
-            index.triple_joint_labels_optional(a, b, c),
+            stream.index().triple_joint_labels_optional(a, b, c),
             triple_joint_labels_optional(&data, a, b, c)
         );
         let expect = CountsTensor::from_matrix(&data, a, b, c);
         let mut tensor = CountsTensor::zeros(2);
-        index.fill_counts(&mut tensor, a, b, c);
+        stream.fill_counts(&mut tensor, a, b, c);
         prop_assert_eq!(&tensor, &expect);
-        let stream = StreamingIndex::from_matrix(&data);
         stream.fill_counts(&mut tensor, c, a, b);
         stream.fill_counts(&mut tensor, a, b, c);
         prop_assert_eq!(&tensor, &expect);
@@ -554,100 +516,68 @@ proptest! {
       }
     }
 
-    /// The maintained anchored views of a [`StreamingIndex`] answer
-    /// exactly what a fresh batch-built anchored view answers, for
-    /// every anchor, at an arbitrary mid-stream point — slot order may
-    /// differ (ingest order vs. task order) but every popcount query
-    /// is permutation-invariant.
+    /// The views a streamed substrate builds answer exactly what the
+    /// views of a fresh bulk load of the same prefix answer — at three
+    /// prefixes of an arbitrary ingest order, for every anchor, under
+    /// an arbitrary peer scope and the population scope, on dense data
+    /// and on data whose pair rows cross the dense threshold
+    /// mid-stream. Binary here; the k-ary twin follows.
     #[test]
-    fn streaming_views_match_batch_views_mid_stream(
-        data in sparse_matrix(5, 20, 2),
+    fn streamed_views_match_loaded_views_at_prefixes(
+        data in sparse_matrix(7, 20, 2),
+        mixed in mixed_density_matrix(10, 16, 2),
         seed in 0u64..u64::MAX,
+        mask in 0u64..u64::MAX,
     ) {
-        let mut responses: Vec<Response> = data.iter().collect();
-        shuffle(&mut responses, seed);
-        let cut = responses.len() * 2 / 3;
-        let mut stream = StreamingIndex::new(data.n_workers(), data.n_tasks(), data.arity());
-        let mut accumulated = ResponseMatrix::empty(
-            data.n_workers(), data.n_tasks(), data.arity());
-        for r in &responses[..cut] {
-            stream.record_response(*r).unwrap();
-            accumulated.insert(*r).unwrap();
-        }
-        let batch = OverlapIndex::from_matrix(&accumulated);
-        prop_assert_eq!(stream.index(), &batch);
-        let m = data.n_workers() as u32;
-        for anchor in 0..m {
-            let maintained = stream.view(WorkerId(anchor));
-            let fresh = batch.anchored(WorkerId(anchor));
-            prop_assert_eq!(
-                maintained.common_among(&[]),
-                accumulated.worker_task_count(WorkerId(anchor))
-            );
-            for a in 0..m {
-                prop_assert_eq!(
-                    maintained.pair_common(WorkerId(a)),
-                    fresh.pair_common(WorkerId(a)),
-                    "anchor {} worker {}", anchor, a
-                );
-                for b in 0..m {
-                    prop_assert_eq!(
-                        maintained.triple_common(WorkerId(a), WorkerId(b)),
-                        fresh.triple_common(WorkerId(a), WorkerId(b)),
-                        "anchor {} pair ({},{})", anchor, a, b
-                    );
-                }
-            }
-            let peers: Vec<WorkerId> =
-                (0..m).filter(|&w| w != anchor).map(WorkerId).collect();
-            prop_assert_eq!(
-                maintained.common_among(&peers),
-                fresh.common_among(&peers)
-            );
+        for data in [&data, &mixed] {
+            check_stream_views_match_loads(data, seed, mask)?;
         }
     }
 
+    /// The k-ary twin of the property above: label arity must be
+    /// invisible to the attempt-set masks.
+    #[test]
+    fn streamed_views_match_loaded_views_at_prefixes_kary(
+        data in sparse_matrix(6, 20, 3),
+        seed in 0u64..u64::MAX,
+        mask in 0u64..u64::MAX,
+    ) {
+        check_stream_views_match_loads(&data, seed, mask)?;
+    }
+
     /// Peer-scoped anchored views are **bit-identical** to the
-    /// full-population [`OverlapIndex`] view on every in-scope query —
-    /// `pair_common`, `triple_common` and `common_among` — for random
-    /// instances and arbitrary peer subsets, with the scratch-reusing
-    /// build agreeing too. Binary here; the k-ary (arity 3) twin below
-    /// exercises the same guarantee on multi-label data.
+    /// full-population view on every in-scope query — `pair_common`,
+    /// `triple_common` and `common_among` — for random instances and
+    /// arbitrary peer subsets. Binary here; the k-ary (arity 3) twin
+    /// below exercises the same guarantee on multi-label data.
     #[test]
     fn peer_scoped_batch_views_match_population_views(
         data in sparse_matrix(7, 25, 2),
         mask in 0u64..u64::MAX,
     ) {
-        let index = OverlapIndex::from_matrix(&data);
+        // Two substrates, one live view each.
+        let (population, scoped_src) =
+            (StreamingIndex::from_matrix(&data), StreamingIndex::from_matrix(&data));
         let m = data.n_workers() as u32;
-        let mut scratch = AnchoredScratch::default();
         for anchor in 0..m {
             // An arbitrary subset of the other workers, from the mask.
             let peers: Vec<WorkerId> = (0..m)
                 .filter(|&w| w != anchor && (mask >> (w % 64)) & 1 == 1)
                 .map(WorkerId)
                 .collect();
-            let full = index.anchored(WorkerId(anchor));
-            let scoped = index.anchored_for(WorkerId(anchor), &peers);
-            let reused = index.anchored_for_in(WorkerId(anchor), &peers, &mut scratch);
+            let full = population.anchored(WorkerId(anchor));
+            let scoped = scoped_src.anchored_for(WorkerId(anchor), &peers);
             for &a in &peers {
                 prop_assert_eq!(scoped.pair_common(a), full.pair_common(a));
-                prop_assert_eq!(reused.pair_common(a), full.pair_common(a));
                 for &b in &peers {
                     prop_assert_eq!(
                         scoped.triple_common(a, b),
                         full.triple_common(a, b),
                         "anchor {} pair ({:?},{:?})", anchor, a, b
                     );
-                    prop_assert_eq!(
-                        reused.triple_common(a, b),
-                        full.triple_common(a, b),
-                        "scratch anchor {} pair ({:?},{:?})", anchor, a, b
-                    );
                 }
             }
             prop_assert_eq!(scoped.common_among(&peers), full.common_among(&peers));
-            prop_assert_eq!(reused.common_among(&peers), full.common_among(&peers));
             prop_assert_eq!(
                 scoped.common_among(&[]),
                 data.worker_task_count(WorkerId(anchor))
@@ -662,15 +592,16 @@ proptest! {
         data in sparse_matrix(6, 20, 3),
         mask in 0u64..u64::MAX,
     ) {
-        let index = OverlapIndex::from_matrix(&data);
+        let (population, scoped_src) =
+            (StreamingIndex::from_matrix(&data), StreamingIndex::from_matrix(&data));
         let m = data.n_workers() as u32;
         for anchor in 0..m {
             let peers: Vec<WorkerId> = (0..m)
                 .filter(|&w| w != anchor && (mask >> (w % 64)) & 1 == 1)
                 .map(WorkerId)
                 .collect();
-            let full = index.anchored(WorkerId(anchor));
-            let scoped = index.anchored_for(WorkerId(anchor), &peers);
+            let full = population.anchored(WorkerId(anchor));
+            let scoped = scoped_src.anchored_for(WorkerId(anchor), &peers);
             for &a in &peers {
                 for &b in &peers {
                     prop_assert_eq!(scoped.triple_common(a, b), full.triple_common(a, b));
@@ -678,72 +609,6 @@ proptest! {
             }
             prop_assert_eq!(scoped.common_among(&peers), full.common_among(&peers));
         }
-    }
-
-    /// Streaming: a peer-scoped maintained view anchored mid-stream
-    /// and then maintained through the rest of an arbitrary ingest
-    /// order answers every in-scope query exactly like a fresh batch
-    /// build of the final data — with no further re-anchoring (the
-    /// rebuild counter pins the "maintained, not rebuilt" claim).
-    #[test]
-    fn peer_scoped_streaming_views_stay_exact_across_ingest(
-        data in sparse_matrix(6, 20, 3),
-        seed in 0u64..u64::MAX,
-        mask in 0u64..u64::MAX,
-    ) {
-        let mut responses: Vec<Response> = data.iter().collect();
-        shuffle(&mut responses, seed);
-        let cut = responses.len() / 2;
-        let mut stream = StreamingIndex::new(data.n_workers(), data.n_tasks(), data.arity());
-        for r in &responses[..cut] {
-            stream.record_response(*r).unwrap();
-        }
-        let m = data.n_workers() as u32;
-        let scopes: Vec<Vec<WorkerId>> = (0..m)
-            .map(|anchor| {
-                (0..m)
-                    .filter(|&w| w != anchor && (mask >> (w % 64)) & 1 == 1)
-                    .map(WorkerId)
-                    .collect()
-            })
-            .collect();
-        // Anchor every view mid-stream with its arbitrary peer scope.
-        for anchor in 0..m {
-            let _ = stream.anchored_for(WorkerId(anchor), &scopes[anchor as usize]);
-        }
-        let anchors_done = stream.reanchor_count();
-        for r in &responses[cut..] {
-            stream.record_response(*r).unwrap();
-        }
-        let batch = OverlapIndex::from_matrix(&data);
-        for anchor in 0..m {
-            let peers = &scopes[anchor as usize];
-            let view = stream.anchored_for(WorkerId(anchor), peers);
-            let fresh = batch.anchored(WorkerId(anchor));
-            for &a in peers {
-                prop_assert_eq!(
-                    view.pair_common(a),
-                    fresh.pair_common(a),
-                    "anchor {} peer {:?}", anchor, a
-                );
-                for &b in peers {
-                    prop_assert_eq!(
-                        view.triple_common(a, b),
-                        fresh.triple_common(a, b),
-                        "anchor {} pair ({:?},{:?})", anchor, a, b
-                    );
-                }
-            }
-            prop_assert_eq!(view.common_among(peers), fresh.common_among(peers));
-            prop_assert_eq!(
-                view.common_among(&[]),
-                data.worker_task_count(WorkerId(anchor))
-            );
-        }
-        prop_assert_eq!(
-            stream.reanchor_count(), anchors_done,
-            "covered scopes must be maintained, never rebuilt"
-        );
     }
 
     /// The blocked [`PeerGram`] kernel equals per-pair
@@ -756,7 +621,7 @@ proptest! {
     /// 3-ary strategy covers both.
     #[test]
     fn blocked_gram_matches_per_pair_queries(data in sparse_matrix(6, 40, 3)) {
-        let index = OverlapIndex::from_matrix(&data);
+        let index = StreamingIndex::from_matrix(&data);
         let m = data.n_workers() as u32;
         let mut gram = PeerGram::default();
         let mut scratch = PeerGramScratch::default();
@@ -802,7 +667,7 @@ proptest! {
     fn blocked_pair_gram_matches_common_among(data in sparse_matrix(7, 35, 3)) {
         let m = data.n_workers() as u32;
         if m < 5 { return Ok(()); }
-        let index = OverlapIndex::from_matrix(&data);
+        let index = StreamingIndex::from_matrix(&data);
         let anchor = WorkerId(0);
         let peers: Vec<WorkerId> = (1..m).map(WorkerId).collect();
         let pairs: Vec<(WorkerId, WorkerId)> = peers.chunks(2)
@@ -832,10 +697,10 @@ proptest! {
         }
     }
 
-    /// The streaming view's **maintained** gram — materialized once,
-    /// then patched bit by bit across further ingests in a random
-    /// order — equals a fresh blocked build from the accumulated
-    /// index at every prefix, without re-anchoring.
+    /// The gram of a view built on a streamed substrate — before and
+    /// after further ingests in a random order — equals the gram of a
+    /// fresh bulk load of the same prefix, and sub-scope grams read
+    /// the same counts.
     #[test]
     fn streaming_gram_after_ingest_matches_fresh(
         data in sparse_matrix(6, 30, 2),
@@ -848,31 +713,26 @@ proptest! {
         let cut = responses.len() / 2;
 
         let mut stream = StreamingIndex::new(data.n_workers(), data.n_tasks(), 2);
+        let mut accumulated = ResponseMatrix::empty(data.n_workers(), data.n_tasks(), 2);
         for r in &responses[..cut] {
             stream.record_response(*r).unwrap();
+            accumulated.insert(*r).unwrap();
         }
         let anchor = WorkerId(0);
         let peers: Vec<WorkerId> = (1..m).map(WorkerId).collect();
-        // Materialize the maintained gram on the prefix...
         let before = stream.anchored_for(anchor, &peers).gram(&peers);
         prop_assert_eq!(
             &before,
-            &stream.index().anchored_for(anchor, &peers).gram(&peers)
+            &StreamingIndex::from_matrix(&accumulated).anchored_for(anchor, &peers).gram(&peers)
         );
-        let reanchors = stream.reanchor_count();
-        // ...ingest the rest (patching, never rebuilding)...
         for r in &responses[cut..] {
             stream.record_response(*r).unwrap();
         }
-        // ...and the patched gram must equal a fresh blocked build
-        // from the accumulated index, with zero re-anchors.
         let after = stream.anchored_for(anchor, &peers).gram(&peers);
         prop_assert_eq!(
             &after,
-            &stream.index().anchored_for(anchor, &peers).gram(&peers)
+            &StreamingIndex::from_matrix(&data).anchored_for(anchor, &peers).gram(&peers)
         );
-        prop_assert_eq!(stream.reanchor_count(), reanchors, "covered scope rebuilt");
-        // Sub-scope extractions read the same maintained table.
         let sub = [WorkerId(1), WorkerId(3)];
         let sub_gram = stream.anchored_for(anchor, &sub).gram(&sub);
         for &a in &sub {
@@ -880,34 +740,6 @@ proptest! {
                 prop_assert_eq!(sub_gram.get(a, b), after.get(a, b));
             }
         }
-    }
-
-    /// The views' slots stay exact through worker-row insert shifts
-    /// and re-anchor resets: ingest interleaved with re-anchors up and
-    /// down keeps every maintained view equal to a fresh batch build
-    /// at every prefix, on dense data and on data whose pair rows
-    /// cross the dense threshold mid-stream. Binary here; the k-ary
-    /// twin follows.
-    #[test]
-    fn maintained_slots_survive_interleaved_reanchors(
-        data in sparse_matrix(9, 16, 2),
-        mixed in mixed_density_matrix(10, 16, 2),
-        seed in 0u64..u64::MAX,
-        plan in proptest::collection::vec(0u64..u64::MAX, 1..24),
-    ) {
-        for data in [&data, &mixed] {
-            check_interleaved_reanchors(data, seed, &plan)?;
-        }
-    }
-
-    /// The k-ary twin of the interleaving property above.
-    #[test]
-    fn maintained_slots_survive_interleaved_reanchors_kary(
-        data in sparse_matrix(8, 14, 3),
-        seed in 0u64..u64::MAX,
-        plan in proptest::collection::vec(0u64..u64::MAX, 1..24),
-    ) {
-        check_interleaved_reanchors(&data, seed, &plan)?;
     }
 
     /// Majority vote: the winner's tally is maximal, and unanimous
@@ -965,7 +797,7 @@ fn wide_mask_gram_pins_simd_lanes_to_portable() {
             }
         }
         let data = b.build().expect("generated cells are unique");
-        let index = OverlapIndex::from_matrix(&data);
+        let index = StreamingIndex::from_matrix(&data);
         let mut gram = PeerGram::default();
         let mut scratch = PeerGramScratch::default();
         for anchor in 0..m as u32 {

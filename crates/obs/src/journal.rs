@@ -22,7 +22,7 @@
 //! wait to a hot path. Drops are counted ([`EventJournal::dropped`])
 //! and only occur when ≥ capacity events are recorded while one
 //! write is still in flight, which at flight-recorder event rates
-//! (re-anchors, shed batches, slow operations) is effectively never.
+//! (shed batches, slow operations, recoveries) is effectively never.
 //!
 //! # Per-call cost
 //!
@@ -44,10 +44,12 @@ const LABEL_WORDS: usize = MAX_LABEL_BYTES / 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// A streaming anchored view re-anchored (scope change forced a
-    /// rebuild).
+    /// A streaming anchored view re-anchored. The service no longer
+    /// emits it (views are built per evaluation); the code stays
+    /// reserved in the wire vocabulary.
     Reanchor = 0,
     /// A gram table was materialized from scratch instead of patched.
+    /// Not emitted by the service any more; reserved like `Reanchor`.
     GramRebuild = 1,
     /// A report cache was wholesale-invalidated (confidence switch).
     CacheFullRefresh = 2,

@@ -17,7 +17,7 @@
 //!   ([`MetricsRegistry::render_text`]). Registration locks briefly;
 //!   recording through the returned handles never locks.
 //! * [`EventJournal`] — a bounded lock-free flight recorder keeping
-//!   the last N structured [`Event`]s (re-anchor, shed, slow-op, …)
+//!   the last N structured [`Event`]s (shed, slow-op, recovery, …)
 //!   with monotonic timestamps. [`EventJournal::record`] is one
 //!   ticket `fetch_add` + one CAS + a handful of relaxed stores; a
 //!   contended wrap-around drops the event (counted) instead of ever

@@ -14,8 +14,7 @@
 //! * **Shard panics** ([`FaultPlan::panic_for`]) — consumed by the
 //!   shard supervision loop. Where the panic lands is a
 //!   [`CrashPoint`]: mid-batch (half the batch applied, then death),
-//!   at the next drain barrier, or during drain-point evaluation
-//!   right after a view re-anchor.
+//!   at the next drain barrier, or at the next assessment message.
 //! * **Connection drops** ([`FaultPlan::should_drop`]) — consumed by
 //!   the wire server, which severs the connection after applying a
 //!   request but before replying: the ambiguous-outcome window the
@@ -38,10 +37,10 @@ pub enum CrashPoint {
     /// next drain barrier: the caller's drain fails once, recovery
     /// runs, a retried drain succeeds.
     AtDrain,
-    /// Arm the fault at the batch, fire it at the shard's next
-    /// assessment message — after forcing a view re-anchor, so the
-    /// panic interrupts evaluation state mid-mutation.
-    DuringReanchor,
+    /// Arm the fault at the batch, fire it when the shard handles its
+    /// next assessment message, before evaluating: the caller's
+    /// request fails once, recovery runs, a retried request succeeds.
+    AtAssess,
 }
 
 /// A deterministic seeded fault schedule; see the `fault` module docs.

@@ -57,9 +57,9 @@
 //!
 //! | Request                    | Queue traffic        | Shard-side cost |
 //! |----------------------------|----------------------|-----------------|
-//! | `ingest_batch` (size `B`)  | ≤ shards msgs        | `O(log r + r_t)` per response (index insert + pair/view patches) |
-//! | `assess_worker` (binary)   | 1 msg + 1 reply      | cached; pairing + triple pipeline over maintained views (no rescan) |
-//! | `assess_worker_kary`       | 1 msg + 1 reply      | cached; A3 pipelines + `n₅` popcounts on maintained views |
+//! | `ingest_batch` (size `B`)  | ≤ shards msgs        | `O(log r + r_t)` per response (index insert + pair-table update + dirty stamp) |
+//! | `assess_worker` (binary)   | 1 msg + 1 reply      | cached; view fill + pairing + triple pipeline (no rescan) |
+//! | `assess_worker_kary`       | 1 msg + 1 reply      | cached; A3 pipelines + view fill + `n₅` popcounts |
 //! | `assess_workers` (`W` ids) | `W` msgs + `W` replies | cached per worker, home shards evaluate concurrently |
 //! | `snapshot` / `snapshot_kary` (and `_degraded`) | 1 msg + reply per shard | cached anchors-only refresh (`O(|dirty|)` evaluations), merged in canonical order |
 //! | `drain`                    | 1 msg + reply per shard | none (FIFO barrier) |
@@ -77,9 +77,9 @@
 //!
 //! Runtime health is observable, not vibes: per-shard queue-depth
 //! high-water marks, a batch-size histogram, and the streaming
-//! substrate's re-anchor / gram-patch / gram-rebuild diagnostics are
-//! all surfaced through [`ServiceHandle::stats`] (see
-//! [`ServiceStats`]) and in perfbench's per-layer metrics.
+//! substrate's view-build count are all surfaced through
+//! [`ServiceHandle::stats`] (see [`ServiceStats`]) and in perfbench's
+//! per-layer metrics.
 
 mod config;
 mod error;

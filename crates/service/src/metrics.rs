@@ -119,7 +119,7 @@ impl ServiceMetrics {
         .add(self.stats.dropped_responses);
         for s in &self.stats.shards {
             let sh = s.shard;
-            let pairs: [(&str, &str, u64); 10] = [
+            let pairs: [(&str, &str, u64); 8] = [
                 (
                     "crowd_shard_batches_total",
                     "Ingest batches processed.",
@@ -141,19 +141,9 @@ impl ServiceMetrics {
                     s.assess_requests,
                 ),
                 (
-                    "crowd_shard_reanchors_total",
-                    "Lazy view re-anchors.",
+                    "crowd_shard_view_builds_total",
+                    "Anchored views built.",
                     s.reanchors as u64,
-                ),
-                (
-                    "crowd_shard_gram_patches_total",
-                    "In-place gram patches.",
-                    s.gram_patches as u64,
-                ),
-                (
-                    "crowd_shard_gram_rebuilds_total",
-                    "Full gram materializations.",
-                    s.gram_rebuilds as u64,
                 ),
                 (
                     "crowd_shard_cache_hits_total",

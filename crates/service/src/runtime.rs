@@ -28,10 +28,10 @@ use crate::stats::{BatchHistogram, ServiceStats, ShardStats};
 /// timing the batch apply and recording both into the stage
 /// histograms is the *only* per-message ingest-path cost of the
 /// instrumentation switch: a fixed handful of clock reads and relaxed
-/// atomics, independent of fleet and substrate size. Substrate
-/// maintenance is journaled only after evaluation messages (ingest
-/// moves none of those counters), so reports stay bit-identical and
-/// the cost stays flat as the fleet grows.
+/// atomics, independent of fleet and substrate size. Cache refreshes
+/// are journaled only after evaluation messages (ingest never moves
+/// that counter), so reports stay bit-identical and the cost stays
+/// flat as the fleet grows.
 type Envelope = (Option<Instant>, ShardMsg);
 
 /// Shared queue-depth gauge: the handle increments on enqueue, the
@@ -148,15 +148,13 @@ struct ShardWorker {
 }
 
 /// One shard thread's recording side: timers shared (`Arc`) with the
-/// handle so scrapes never cross the shard queue, plus last-seen
-/// substrate maintenance counters for delta-based journaling.
+/// handle so scrapes never cross the shard queue, plus the last-seen
+/// cache-refresh counter for delta-based journaling.
 struct ShardObs {
     timers: Arc<StageTimers>,
     journal: Arc<EventJournal>,
     /// [`ServiceConfig::slow_op_threshold`], in nanoseconds.
     slow_ns: u64,
-    prev_reanchors: usize,
-    prev_rebuilds: usize,
     prev_full_refreshes: u64,
 }
 
@@ -204,7 +202,7 @@ struct RecoveryGuard {
     /// An [`CrashPoint::AtDrain`] fault armed by an earlier batch;
     /// cleared *before* the panic fires so recovery does not loop.
     armed_drain: bool,
-    /// The [`CrashPoint::DuringReanchor`] twin.
+    /// The [`CrashPoint::AtAssess`] twin.
     armed_assess: bool,
 }
 
@@ -252,7 +250,7 @@ struct ShardSeed {
 
 impl ShardSeed {
     /// A fresh worker in the exact state a newly spawned shard starts
-    /// in: empty substrate, dormant views, cold caches.
+    /// in: empty substrate, cold caches.
     fn build(&self) -> ShardWorker {
         ShardWorker {
             stream: StreamingIndex::new(self.n_workers, self.n_tasks, self.arity),
@@ -271,8 +269,6 @@ impl ShardSeed {
                 timers: Arc::clone(timers),
                 journal: Arc::clone(self.journal.as_ref().expect("timers imply journal")),
                 slow_ns: self.slow_ns,
-                prev_reanchors: 0,
-                prev_rebuilds: 0,
                 prev_full_refreshes: 0,
             }),
         }
@@ -403,20 +399,6 @@ impl ShardWorker {
         }
     }
 
-    /// Fires an armed assessment-point crash: forces a view re-anchor
-    /// first so the panic lands mid-evaluation-state-mutation, the
-    /// worst case recovery must handle.
-    fn fire_assess_crash(&mut self, guard: &mut RecoveryGuard) {
-        if !guard.armed_assess {
-            return;
-        }
-        guard.armed_assess = false;
-        if let Some(&anchor) = self.anchors.first() {
-            let _ = self.stream.view(anchor);
-        }
-        panic!("injected fault: crash during drain-point evaluation (re-anchor)");
-    }
-
     fn serve(
         &mut self,
         rx: &Receiver<Envelope>,
@@ -429,10 +411,9 @@ impl ShardWorker {
             if let (Some(obs), Some(t0)) = (&self.obs, enqueued) {
                 obs.timers.queue_wait.record_duration(t0.elapsed());
             }
-            // Ingest moves none of the maintenance counters (it
-            // patches or invalidates grams, never re-anchors or
-            // rebuilds), so only the other messages journal them.
-            let maintains = !matches!(msg, ShardMsg::Ingest(_));
+            // Ingest never refreshes a cache wholesale, so only the
+            // other messages journal the refresh counter.
+            let may_refresh = !matches!(msg, ShardMsg::Ingest(_));
             match msg {
                 ShardMsg::Ingest(batch) => {
                     let t0 = self.obs.as_ref().map(|_| Instant::now());
@@ -462,7 +443,7 @@ impl ShardWorker {
                             );
                         }
                         Some(CrashPoint::AtDrain) => guard.armed_drain = true,
-                        Some(CrashPoint::DuringReanchor) => guard.armed_assess = true,
+                        Some(CrashPoint::AtAssess) => guard.armed_assess = true,
                         None => {}
                     }
                     self.apply_batch(batch);
@@ -472,7 +453,13 @@ impl ShardWorker {
                     self.observe_stage(Stage::BatchApply, t0);
                 }
                 ShardMsg::Assess(job) => {
-                    self.fire_assess_crash(guard);
+                    if guard.armed_assess {
+                        // Like the drain fault: the job's reply sender
+                        // drops with the panic, so this one request
+                        // fails typed and a retry lands after recovery.
+                        guard.armed_assess = false;
+                        panic!("injected fault: crash at assessment");
+                    }
                     let t0 = self.obs.as_ref().map(|_| Instant::now());
                     self.stats.assess_requests += 1;
                     job(&mut self.lanes, &self.stream, &self.anchors);
@@ -500,8 +487,8 @@ impl ShardWorker {
                 #[cfg(test)]
                 ShardMsg::Panic => panic!("injected shard panic (test)"),
             }
-            if maintains {
-                self.journal_maintenance();
+            if may_refresh {
+                self.journal_refreshes();
             }
         }
         // Queue disconnected: the handle dropped its senders
@@ -535,27 +522,13 @@ impl ShardWorker {
         }
     }
 
-    /// Journals substrate maintenance that happened while handling
-    /// the last message, by counter delta: re-anchors, full gram
-    /// rebuilds and wholesale cache refreshes (`a` = how many). Three
-    /// counter loads per non-ingest message when metrics are on;
+    /// Journals the wholesale cache refreshes that happened while
+    /// handling the last message, by counter delta (`a` = how many).
+    /// Two counter loads per non-ingest message when metrics are on;
     /// nothing at all when off.
-    fn journal_maintenance(&mut self) {
+    fn journal_refreshes(&mut self) {
         let Some(obs) = &mut self.obs else { return };
         let shard = self.stats.shard as u32;
-        let reanchors = self.stream.reanchor_count();
-        if reanchors > obs.prev_reanchors {
-            let delta = (reanchors - obs.prev_reanchors) as u64;
-            obs.journal.record(EventKind::Reanchor, shard, delta, 0, "");
-            obs.prev_reanchors = reanchors;
-        }
-        let rebuilds = self.stream.gram_rebuild_count();
-        if rebuilds > obs.prev_rebuilds {
-            let delta = (rebuilds - obs.prev_rebuilds) as u64;
-            obs.journal
-                .record(EventKind::GramRebuild, shard, delta, 0, "");
-            obs.prev_rebuilds = rebuilds;
-        }
         let refreshes = self.lanes.binary.cache.stats().full_refreshes
             + self.lanes.kary.cache.stats().full_refreshes;
         if refreshes > obs.prev_full_refreshes {
@@ -568,9 +541,7 @@ impl ShardWorker {
 
     fn snapshot_stats(&self) -> ShardStats {
         let mut s = self.stats.clone();
-        s.reanchors = self.stream.reanchor_count();
-        s.gram_patches = self.stream.gram_patch_count();
-        s.gram_rebuilds = self.stream.gram_rebuild_count();
+        s.reanchors = self.stream.view_build_count();
         s.queue_high_water = self.depth.high_water();
         let (b, k) = (
             self.lanes.binary.cache.stats(),

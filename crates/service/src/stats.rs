@@ -1,5 +1,5 @@
 //! Runtime counters: queue health, batching shape and the streaming
-//! substrate's maintenance diagnostics, aggregated fleet-wide.
+//! substrate's view-build diagnostic, aggregated fleet-wide.
 
 /// Counters one shard thread maintains and reports (via
 /// [`crate::ServiceHandle::stats`], and finally when it exits).
@@ -18,14 +18,18 @@ pub struct ShardStats {
     pub rejected: u64,
     /// Assessment requests (per-worker and anchor-set) answered.
     pub assess_requests: u64,
-    /// Lazy view re-anchors in the shard's streaming substrate
-    /// ([`crowd_data::StreamingIndex::reanchor_count`]).
+    /// Anchored views built by the shard's streaming substrate
+    /// ([`crowd_data::StreamingIndex::view_build_count`]): one per
+    /// evaluated anchor. The slot keeps its older name so the wire
+    /// stats layout is unchanged.
     pub reanchors: usize,
-    /// In-place gram patch operations
-    /// ([`crowd_data::StreamingIndex::gram_patch_count`]).
+    /// Always 0: views are no longer patched at ingest. Kept only for
+    /// the wire stats layout and the benchmark that reads it.
+    #[doc(hidden)]
     pub gram_patches: usize,
-    /// Full gram materializations
-    /// ([`crowd_data::StreamingIndex::gram_rebuild_count`]).
+    /// Always 0: views are no longer cached between evaluations. Kept
+    /// only for the wire stats layout and the benchmark that reads it.
+    #[doc(hidden)]
     pub gram_rebuilds: usize,
     /// High-water mark of the shard's bounded queue, in messages.
     pub queue_high_water: usize,
@@ -118,17 +122,19 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Fleet total of lazy view re-anchors.
+    /// Fleet total of anchored-view builds (the `reanchors` slot).
     pub fn total_reanchors(&self) -> usize {
         self.shards.iter().map(|s| s.reanchors).sum()
     }
 
-    /// Fleet total of in-place gram patches.
+    /// Always 0; see [`ShardStats`]'s `gram_patches`.
+    #[doc(hidden)]
     pub fn total_gram_patches(&self) -> usize {
         self.shards.iter().map(|s| s.gram_patches).sum()
     }
 
-    /// Fleet total of full gram materializations.
+    /// Always 0; see [`ShardStats`]'s `gram_rebuilds`.
+    #[doc(hidden)]
     pub fn total_gram_rebuilds(&self) -> usize {
         self.shards.iter().map(|s| s.gram_rebuilds).sum()
     }

@@ -3,8 +3,8 @@
 //! under randomized ingest/assess/drain interleavings, shard counts
 //! (1, 2, 8), binary and k-ary — including mid-stream confidence
 //! switches (the wholesale-invalidation path) and streams long enough
-//! that views re-anchor between snapshots, so cached rows survive
-//! substrate maintenance, not just quiet appends.
+//! that pairings shift between snapshots, so cached rows survive
+//! re-pairing, not just quiet appends.
 //!
 //! The reference is a serial, unsharded
 //! [`crowd_core::IncrementalEvaluator`] /
@@ -166,7 +166,7 @@ fn cached_service_is_bit_identical_to_uncached_binary() {
         );
         assert!(
             after.total_reanchors() > 0,
-            "the stream must be long enough to re-anchor views mid-stream"
+            "evaluations must build anchored views (counted in the reanchors slot)"
         );
     }
 }

@@ -211,12 +211,10 @@ fn slow_op_threshold_zero_journals_every_stage() {
     assert!(m.events.windows(2).all(|w| w[0].seq < w[1].seq));
 }
 
-/// The maintenance journal loses no event: with a journal large
-/// enough that nothing wraps, the summed `Reanchor`, `GramRebuild` and
-/// `CacheFullRefresh` deltas equal the `reanchors`, `gram_rebuilds`
-/// and `cache_full_refreshes` counters — which pins the substrate's
-/// O(1) gram-rebuild counter and journaling only after evaluation
-/// messages, binary and k-ary.
+/// The refresh journal loses no event: with a journal large enough
+/// that nothing wraps, the summed `CacheFullRefresh` deltas equal the
+/// `cache_full_refreshes` counters — which pins journaling only after
+/// evaluation messages, binary and k-ary.
 #[test]
 fn journaled_maintenance_matches_the_counters() {
     const CAPACITY: usize = 1 << 14;
@@ -269,23 +267,16 @@ fn journaled_maintenance_matches_the_counters() {
             assert_eq!(m.events_dropped, 0);
             assert!(m.events.len() < CAPACITY, "the journal never wrapped");
             let journaled = |kind| m.events_of(kind).map(|e| e.a).sum::<u64>();
-            let reanchors = m.stats.total_reanchors() as u64;
-            let rebuilds = m.stats.total_gram_rebuilds() as u64;
             let refreshes: u64 = m.stats.shards.iter().map(|s| s.cache_full_refreshes).sum();
             let context = format!("shards={n_shards} kary={is_kary}");
-            assert_eq!(journaled(EventKind::Reanchor), reanchors, "{context}");
-            assert_eq!(journaled(EventKind::GramRebuild), rebuilds, "{context}");
             assert_eq!(
                 journaled(EventKind::CacheFullRefresh),
                 refreshes,
                 "{context}"
             );
-            // The k-ary estimator batches through pair grams, which
-            // views do not cache, so only binary rebuilds scope grams.
             assert!(
-                reanchors > 0 && refreshes > 0 && (is_kary || rebuilds > 0),
-                "the sequence moved every counter ({context}): \
-                 {reanchors} {rebuilds} {refreshes}"
+                refreshes > 0,
+                "the sequence switched confidence levels ({context})"
             );
             svc.shutdown().unwrap();
         }

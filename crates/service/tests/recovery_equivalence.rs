@@ -4,7 +4,7 @@
 //! WAL replay, produce drain-point reports bit-for-bit equal to a
 //! never-crashed twin fed exactly the same batches — across shard
 //! counts (1, 2, 8), crash points (mid-batch, at the drain barrier,
-//! during drain-point evaluation), binary and k-ary — including
+//! at the next assessment), binary and k-ary — including
 //! request-at-a-time ingest, where amortized compaction leaves a log
 //! far longer than the checkpoint interval to replay.
 //!
@@ -12,7 +12,7 @@
 //!
 //! * [`CrashPoint::MidBatch`] is invisible to callers — ingest uses
 //!   the blocking policy, so submissions just wait out the recovery.
-//! * [`CrashPoint::AtDrain`] / [`CrashPoint::DuringReanchor`] fail the
+//! * [`CrashPoint::AtDrain`] / [`CrashPoint::AtAssess`] fail the
 //!   one call whose reply died with the shard
 //!   ([`ServiceError::ShardUnavailable`]); a bounded retry of that
 //!   call lands after recovery and must succeed with correct results.
@@ -322,15 +322,10 @@ fn recovered_reports_match_never_crashed_twin_at_drain() {
 }
 
 #[test]
-fn recovered_reports_match_never_crashed_twin_during_reanchor() {
+fn recovered_reports_match_never_crashed_twin_at_assess() {
     let data = binary_data();
     for n_shards in [1usize, 2, 8] {
-        run_binary(
-            &data,
-            n_shards,
-            CrashPoint::DuringReanchor,
-            301 + n_shards as u64,
-        );
+        run_binary(&data, n_shards, CrashPoint::AtAssess, 301 + n_shards as u64);
     }
 }
 
@@ -341,7 +336,7 @@ fn recovered_kary_reports_match_never_crashed_twin() {
         for crash in [
             CrashPoint::MidBatch,
             CrashPoint::AtDrain,
-            CrashPoint::DuringReanchor,
+            CrashPoint::AtAssess,
         ] {
             run_kary(&data, n_shards, crash, 401 + n_shards as u64);
         }
@@ -355,7 +350,7 @@ fn request_at_a_time_recovery_from_a_long_log_is_bit_identical() {
         for crash in [
             CrashPoint::MidBatch,
             CrashPoint::AtDrain,
-            CrashPoint::DuringReanchor,
+            CrashPoint::AtAssess,
         ] {
             run_request_at_a_time(&data, n_shards, crash, false);
         }
@@ -369,7 +364,7 @@ fn request_at_a_time_kary_recovery_from_a_long_log_is_bit_identical() {
         for crash in [
             CrashPoint::MidBatch,
             CrashPoint::AtDrain,
-            CrashPoint::DuringReanchor,
+            CrashPoint::AtAssess,
         ] {
             run_request_at_a_time(&data, n_shards, crash, true);
         }

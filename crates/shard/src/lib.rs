@@ -120,7 +120,7 @@ mod tests {
     use super::*;
     use crowd_core::{EstimatorConfig, MWorkerEstimator, WorkerReport};
     use crowd_data::{
-        Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId,
+        Label, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex, TaskId, WorkerId,
     };
 
     fn two_neighbourhoods() -> ResponseMatrix {
@@ -144,7 +144,7 @@ mod tests {
     fn merge_is_shard_order_invariant() {
         let data = two_neighbourhoods();
         let plan = ShardPlan::build(&data, 2);
-        let index = OverlapIndex::from_matrix(&data);
+        let index = StreamingIndex::from_matrix(&data);
         let est = MWorkerEstimator::new(EstimatorConfig::default());
         let parts: Vec<WorkerReport> = plan
             .shards()

@@ -8,7 +8,7 @@
 
 use crowd_core::pairing::reachable_peers;
 use crowd_core::{EstimatorConfig, MWorkerEstimator, WorkerReport};
-use crowd_data::{OverlapIndex, WorkerId};
+use crowd_data::{StreamingIndex, WorkerId};
 use crowd_shard::ShardPlan;
 use crowd_sim::{BinaryScenario, rng};
 
@@ -52,7 +52,7 @@ fn full_index_is_bit_identical_to_matrix_scan() {
     let workers: Vec<_> = data.workers().collect();
     let scanned = est.evaluate_workers_on(data, &workers, 0.9).unwrap();
     let indexed = est
-        .evaluate_workers_on(&OverlapIndex::from_matrix(data), &workers, 0.9)
+        .evaluate_workers_on(&StreamingIndex::from_matrix(data), &workers, 0.9)
         .unwrap();
     assert_reports_identical(&indexed, &scanned, "indexed pairing");
 }
@@ -63,7 +63,7 @@ fn plan_closure_covers_reachable_peers() {
     // oracle: anchors ∪ reachable_peers(anchor) over the full index.
     let inst = BinaryScenario::paper_default(10, 80, 0.4).generate(&mut rng(619));
     let data = inst.responses();
-    let index = OverlapIndex::from_matrix(data);
+    let index = StreamingIndex::from_matrix(data);
     for n_shards in [2usize, 3, 5] {
         let plan = ShardPlan::build(data, n_shards);
         for spec in plan.shards() {

@@ -1,7 +1,8 @@
 //! Statistical acceptance tests: the headline claims of the paper,
 //! verified end-to-end at reduced (but still meaningful) repetition
 //! counts. These are the "does the reproduction actually reproduce"
-//! tests; the full-scale numbers live in EXPERIMENTS.md.
+//! tests; the full-scale numbers come from the figure harness
+//! (`cargo run --release -p crowd_bench --bin figures`).
 
 use crowd_assess::core::baselines::OldTechnique;
 use crowd_assess::core::{CoverageStats, KaryEstimator};

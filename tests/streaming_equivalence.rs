@@ -11,7 +11,7 @@
 use crowd_assess::core::{
     EstimateError, IncrementalEvaluator, KaryIncrementalEvaluator, KaryMWorkerEstimator,
 };
-use crowd_assess::data::{OverlapSource, Response, ResponseMatrix, StreamingIndex};
+use crowd_assess::data::{Response, ResponseMatrix, StreamingIndex};
 use crowd_assess::prelude::*;
 use crowd_assess::sim::{BinaryScenario, KaryScenario, rng};
 
@@ -169,18 +169,17 @@ fn kary_streaming_is_bit_identical_to_batch_at_prefixes() {
 
 /// Fleet configuration (capped triples → peer-scoped views): streamed
 /// evaluation still equals batch at every checkpointed prefix, and the
-/// maintained view memory tracks the pairing degree, not the worker
-/// count. Each case names the minimum factor by which resident mask
-/// words must undercut population-scoped views (m mask rows per
-/// view): with a cap of 16 triples a view holds at most 32 peer rows,
-/// so at m = 600 that factor is at least 10. The rest of each view's
-/// state is bounded by the pairing degree and its own task count.
+/// view memory tracks one pairing-degree view, not the worker count:
+/// views are built per evaluation into one substrate-owned scratch, so
+/// after evaluating all `m` anchors the substrate holds no more mask
+/// words than one peer-scoped view of the busiest anchor — with a cap
+/// of `c` triples, `2c` peer rows of its task words.
 #[test]
 fn capped_streaming_is_bit_identical_and_peer_scoped() {
-    // (triple cap, workers, tasks, density, seed, residency floor)
-    for (cap, m, n, density, seed, floor) in [
-        (2usize, 12usize, 100usize, 0.8, 17u64, 2usize),
-        (16, 600, 400, 0.1, 23, 10),
+    // (triple cap, workers, tasks, density, seed)
+    for (cap, m, n, density, seed) in [
+        (2usize, 12usize, 100usize, 0.8, 17u64),
+        (16, 600, 400, 0.1, 23),
     ] {
         let config = EstimatorConfig::fleet(cap);
         let batch_est = MWorkerEstimator::new(config.clone());
@@ -207,29 +206,24 @@ fn capped_streaming_is_bit_identical_and_peer_scoped() {
             }
         }
 
-        let scoped = monitor.view_mask_word_bytes();
-        // Everything else a view holds is sized by its pairing degree
-        // (≤ 2·cap peers: a (2·cap)² gram, the peer list and the patch
-        // buffer) and its own task count (one slot per task, ≤ n, with
-        // at most 2× growth slack) — never by the worker count.
-        let per_view_rest = 4 * (2 * cap) * (2 * cap) + 40 * cap + 8 * n;
+        // 2·cap peers stay below m/2 in both cases, so every view is
+        // peer-scoped rather than promoted to a population view.
+        assert!(4 * cap <= m);
+        let busiest = accumulated
+            .workers()
+            .map(|w| accumulated.worker_task_count(w))
+            .max()
+            .unwrap();
+        let one_view = 2 * cap * busiest.div_ceil(64) * std::mem::size_of::<u64>();
+        let resident = monitor.view_mask_bytes();
         assert!(
-            monitor.view_mask_bytes() <= scoped + m * per_view_rest,
-            "cap {cap}, m = {m}: per-view state beyond the masks must stay within \
-             {per_view_rest}B per view"
-        );
-        let full_view = crowd_assess::data::OverlapIndex::from_matrix(&accumulated)
-            .anchored(WorkerId(0))
-            .mask_bytes();
-        assert!(
-            scoped > 0,
-            "anchored views must be resident after evaluation"
+            resident > 0,
+            "evaluating every anchor must have built views"
         );
         assert!(
-            scoped * floor < full_view * m,
-            "cap {cap}, m = {m}: peer-scoped streaming mask words {scoped}B should undercut \
-             population-wide views ({}B for m views) at least {floor}x",
-            full_view * m
+            resident <= one_view,
+            "cap {cap}, m = {m}: {resident}B of view mask words resident after evaluating \
+             all anchors; one peer-scoped view holds at most {one_view}B"
         );
     }
 }
