@@ -7,9 +7,6 @@
 //!   honest workers.
 //! * [`pruning_threshold`] — Figure 4 fixes the spammer threshold at
 //!   0.4; sweeps it to show the plateau the paper's choice sits on.
-//! * [`derivative_epsilon`] — Algorithm A3 fixes the numeric
-//!   differentiation step at ε = 0.01; sweeps it to show the interval
-//!   sizes are insensitive across two orders of magnitude.
 //! * [`pairing_strategy`] — §III-C1 argues for the overlap-greedy
 //!   pairing; compares it against naive id-order pairing on
 //!   block-structured data where pairing actually matters (on iid
@@ -19,8 +16,10 @@
 //!   Sweeps the spammer fraction and compares coverage and the
 //!   fraction of workers that get evaluated at all.
 //! * [`kary_m_sweep`] — the m-worker k-ary extension: interval size
-//!   vs. crowd size, demonstrating the ρ ≈ 0.9 cross-triple
-//!   correlation ceiling documented in `crowd_core::kary`.
+//!   vs. crowd size. The shrinkage saturates well short of the `√l`
+//!   that independent triples would give, because every triple
+//!   observes the evaluated worker's own responses (see
+//!   [`crowd_core::KaryMWorkerEstimator`]).
 //! * [`kary_m_accuracy`] — coverage calibration of that extension:
 //!   its plug-in cross-triple covariance has no closed form to lean
 //!   on, so this run certifies the combined intervals are honest.
@@ -29,8 +28,7 @@ use crate::{FigureResult, RunOptions, Series, parallel_reps};
 use crowd_core::pairing::PairingStrategy;
 use crowd_core::preprocess::prune_spammers;
 use crowd_core::{
-    CoverageStats, DegeneracyPolicy, EstimatorConfig, KaryEstimator, KaryMWorkerEstimator,
-    MWorkerEstimator,
+    CoverageStats, DegeneracyPolicy, EstimatorConfig, KaryMWorkerEstimator, MWorkerEstimator,
 };
 use crowd_data::{WorkerId, pair_stats};
 use crowd_sim::{BinaryScenario, Collusion, KaryScenario};
@@ -148,36 +146,6 @@ pub fn pruning_threshold(options: &RunOptions) -> FigureResult {
             Series::new("interval accuracy", acc_points),
             Series::new("fraction of workers kept", kept_points),
         ],
-    }
-}
-
-/// Numeric-derivative step sweep for Algorithm A3: mean interval size
-/// at c = 0.8 vs. ε.
-pub fn derivative_epsilon(options: &RunOptions) -> FigureResult {
-    let epsilons = [0.001, 0.003, 0.01, 0.03, 0.1];
-    let workers = [WorkerId(0), WorkerId(1), WorkerId(2)];
-    let scenario = KaryScenario::paper_default(3, 500, 1.0);
-    let mut points = Vec::new();
-    for &eps in &epsilons {
-        let sizes: Vec<Option<f64>> = parallel_reps(options, |seed| {
-            let mut rng = crowd_sim::rng(seed);
-            let inst = scenario.generate(&mut rng);
-            let est = KaryEstimator::new(EstimatorConfig {
-                derivative_epsilon: eps,
-                ..EstimatorConfig::default()
-            });
-            let a = est.evaluate(inst.responses(), workers, 0.8).ok()?;
-            Some(a.mean_interval_size())
-        });
-        let valid: Vec<f64> = sizes.into_iter().flatten().collect();
-        points.push((eps, valid.iter().sum::<f64>() / valid.len().max(1) as f64));
-    }
-    FigureResult {
-        id: "abl_epsilon",
-        title: "Ablation: A3 derivative step ε vs. interval size (arity 3)".into(),
-        x_label: "epsilon".into(),
-        y_label: "Mean interval size".into(),
-        series: vec![Series::new("arity 3, n = 500", points)],
     }
 }
 
@@ -413,9 +381,11 @@ pub fn kary_m_accuracy(options: &RunOptions) -> FigureResult {
 }
 
 /// Crowd-size sweep for the m-worker k-ary extension: mean interval
-/// size at c = 0.8 vs. m. The shrinkage saturates quickly — the
-/// cross-triple correlation of the k-ary pipeline is ρ ≈ 0.9, so extra
-/// triples mostly re-measure the same noise (see `crowd_core::kary`).
+/// size at c = 0.8 vs. m. The shrinkage saturates quickly: disjoint
+/// triples share the evaluated worker's responses, so their estimates
+/// are strongly correlated and extra triples mostly re-measure the same
+/// noise (`kary_interval_size_saturates_with_crowd_size` below asserts
+/// the intervals stay above half their m = 3 size).
 pub fn kary_m_sweep(options: &RunOptions) -> FigureResult {
     let ms = [3usize, 5, 7, 9];
     let mut series = Vec::new();
@@ -594,17 +564,5 @@ mod tests {
                 s.label
             );
         }
-    }
-
-    #[test]
-    fn interval_size_is_insensitive_to_epsilon() {
-        let fig = derivative_epsilon(&RunOptions::quick().with_reps(4));
-        let sizes: Vec<f64> = fig.series[0].points.iter().map(|p| p.1).collect();
-        let max = sizes.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let min = sizes.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(
-            max / min < 1.5,
-            "A3 intervals should be stable across ε (paper fixes 0.01): {sizes:?}"
-        );
     }
 }

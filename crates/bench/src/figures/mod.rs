@@ -93,11 +93,6 @@ pub fn ablation_figures() -> Vec<FigureSpec> {
             run: ablations::pruning_threshold,
         },
         FigureSpec {
-            id: "abl_epsilon",
-            default_reps: 30,
-            run: ablations::derivative_epsilon,
-        },
-        FigureSpec {
             id: "abl_pairing",
             default_reps: 60,
             run: ablations::pairing_strategy,
@@ -158,7 +153,6 @@ mod tests {
             vec![
                 "abl_collusion",
                 "abl_prune",
-                "abl_epsilon",
                 "abl_pairing",
                 "abl_degeneracy",
                 "abl_kary_m",

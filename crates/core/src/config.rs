@@ -55,12 +55,11 @@ pub struct EstimatorConfig {
     /// collapse the interval to a point. Point estimates are never
     /// smoothed.
     pub variance_smoothing: bool,
-    /// Step `ε` of the k-ary numeric differentiation (Algorithm A3
-    /// step 5 fixes "a small ε, say 0.01").
-    pub derivative_epsilon: f64,
-    /// If true, the k-ary numeric differentiation also perturbs counts
-    /// of tasks attempted by only two workers. The paper perturbs only
-    /// the all-three block; the extension is provided as an ablation.
+    /// If true, the k-ary sensitivities (Algorithm A3 step 6) also
+    /// differentiate with respect to counts of tasks attempted by only
+    /// two workers, which then enter Theorem 1's counts covariance. The
+    /// paper perturbs only the all-three block; the extension is
+    /// provided as an ablation.
     pub perturb_partial_counts: bool,
 }
 
@@ -73,7 +72,6 @@ impl Default for EstimatorConfig {
             pairing: PairingStrategy::GreedyByOverlap,
             max_triples: None,
             variance_smoothing: true,
-            derivative_epsilon: 0.01,
             perturb_partial_counts: false,
         }
     }
@@ -122,7 +120,6 @@ mod tests {
         assert_eq!(c.min_pair_overlap, 1);
         assert_eq!(c.max_triples, None, "the paper pairs every peer");
         assert_eq!(c.weight_policy, WeightPolicy::MinimumVariance);
-        assert!((c.derivative_epsilon - 0.01).abs() < 1e-15);
         assert!(!c.perturb_partial_counts);
         assert_eq!(c.degeneracy, DegeneracyPolicy::Error);
     }

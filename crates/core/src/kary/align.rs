@@ -46,18 +46,41 @@ pub fn align_rows_paper(m: &Matrix) -> Matrix {
 /// that row to that column's position. More robust than the in-order
 /// swap when two rows share a dominant column; used as the default.
 pub fn align_rows_greedy(m: &Matrix) -> Matrix {
+    m.permute_rows(&greedy_assignment(m).0)
+}
+
+/// The assignment behind [`align_rows_greedy`]: `perm[pos]` is the row
+/// sent to position `pos`.
+///
+/// `decided` lists, as flat `(winner, loser)` indices into `m`, the
+/// comparisons the assignment turned on: each pick against every other
+/// entry of its row and of its column that was still free when it was
+/// made. Comparisons between entries that share neither a row nor a
+/// column never change a greedy matching, and an entry blocked before
+/// a pick was blocked by an earlier pick that beat it, so while every
+/// listed comparison keeps its sign the permutation stays the same.
+pub(crate) fn greedy_assignment(m: &Matrix) -> (Vec<usize>, Vec<(usize, usize)>) {
     let k = m.rows();
+    let cols = m.cols().min(k);
     let mut entries: Vec<(usize, usize, f64)> = Vec::with_capacity(k * k);
     for r in 0..k {
-        for c in 0..m.cols().min(k) {
+        for c in 0..cols {
             entries.push((r, c, m.get(r, c)));
         }
     }
     entries.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite entries"));
     let mut row_for_pos: Vec<Option<usize>> = vec![None; k];
     let mut row_used = vec![false; k];
+    let mut decided = Vec::new();
+    let flat = |r: usize, c: usize| r * m.cols() + c;
     for (r, c, _) in entries {
         if !row_used[r] && row_for_pos[c].is_none() {
+            for other in (0..cols).filter(|&o| o != c && row_for_pos[o].is_none()) {
+                decided.push((flat(r, c), flat(r, other)));
+            }
+            for other in (0..k).filter(|&o| o != r && !row_used[o]) {
+                decided.push((flat(r, c), flat(other, c)));
+            }
             row_for_pos[c] = Some(r);
             row_used[r] = true;
         }
@@ -69,7 +92,7 @@ pub fn align_rows_greedy(m: &Matrix) -> Matrix {
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|| spare.remove(0)))
         .collect();
-    m.permute_rows(&perm)
+    (perm, decided)
 }
 
 #[cfg(test)]

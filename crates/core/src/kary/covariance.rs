@@ -23,7 +23,12 @@ pub fn counts_covariance(counts: &CountsTensor, entries: &[(usize, usize, usize)
         .iter()
         .map(|&(a, b, c)| AttemptPattern::of(a, b, c))
         .collect();
-    let group_totals: Vec<f64> = patterns.iter().map(|&p| counts.group_total(p)).collect();
+    // One tensor sweep per distinct attempt pattern, not per entry.
+    let mut totals: [Option<f64>; 8] = [None; 8];
+    let group_totals: Vec<f64> = patterns
+        .iter()
+        .map(|&p| *totals[usize::from(p.0)].get_or_insert_with(|| counts.group_total(p)))
+        .collect();
     let values: Vec<f64> = entries
         .iter()
         .map(|&(a, b, c)| counts.get(a, b, c))

@@ -2,7 +2,9 @@
 //! confidence intervals.
 
 use crate::kary::covariance::{counts_covariance, perturbation_entries};
-use crate::kary::prob_estimate::{ProbEstimate, prob_estimate};
+use crate::kary::prob_estimate::{
+    JacobianScratch, ProbEstimate, prob_estimate, prob_estimate_pass,
+};
 use crate::{EstimateError, EstimatorConfig, Result};
 use crowd_data::{CountsTensor, OverlapSource, WorkerId};
 use crowd_linalg::Matrix;
@@ -76,10 +78,10 @@ impl KaryAssessment {
 }
 
 /// Everything Algorithm A3 derives from one counts tensor *before*
-/// Theorem 1 is applied: the point estimates, the numeric gradients of
-/// every `V_i` entry, and the Lemma 9 covariance of the perturbed
-/// counts entries. [`KaryEstimator::evaluate_counts`] consumes it
-/// directly; the m-worker extension
+/// Theorem 1 is applied: the point estimates, the exact forward-mode
+/// gradients of every `V_i` entry, and the Lemma 9 covariance of the
+/// perturbed counts entries. [`KaryEstimator::evaluate_counts`]
+/// consumes it directly; the m-worker extension
 /// ([`crate::kary::KaryMWorkerEstimator`]) reuses it per triple and
 /// adds cross-triple covariances on top.
 #[derive(Debug, Clone)]
@@ -94,73 +96,37 @@ pub(crate) struct TripleDetail {
     pub cov: Matrix,
 }
 
-/// Runs `ProbEstimate`, validates the decomposition, numerically
-/// differentiates the pipeline and assembles the counts covariance
-/// (Algorithm A3 steps 1–6).
+/// Runs `ProbEstimate` once, validates the decomposition, takes the
+/// exact Jacobian of the pipeline with respect to the perturbed counts
+/// entries in one forward-mode pass over the same base point, and
+/// assembles the counts covariance (Algorithm A3 steps 1–6). The
+/// Jacobian pass also declares the triple degenerate when a hard switch
+/// of `ProbEstimate` sits within a small counts step of flipping (see
+/// `BasePass::jacobian`), where Theorem 1's local linearity fails.
 pub(crate) fn triple_detail(
     counts: &CountsTensor,
     config: &EstimatorConfig,
+    scratch: &mut JacobianScratch,
 ) -> Result<TripleDetail> {
     let k = counts.arity();
-    let base = prob_estimate(counts)?;
+    let pass = prob_estimate_pass(counts)?;
 
     // Guard against decompositions that contradict the model —
     // the regime in which the paper reports the method "doesn't
     // work" (WSD at arity 3). Such runs are declared degenerate
     // (and dropped by the experiment harness) rather than emitted
     // as meaningless, enormous intervals.
-    validate_decomposition(&base, k)?;
+    validate_decomposition(&pass.estimate, k)?;
 
-    // Numeric differentiation of ProbEstimate w.r.t. each counts
-    // entry (Algorithm A3 step 6).
+    // Sensitivities of ProbEstimate w.r.t. each counts entry
+    // (Algorithm A3 step 6).
     let entries = perturbation_entries(k, config.perturb_partial_counts);
-    let eps = config.derivative_epsilon;
-    debug_assert!(eps > 0.0, "derivative epsilon must be positive");
-    // gradients[i][r*k + c][e] = ∂V_i[r,c] / ∂counts[entry e].
-    let cells = k * k;
-    let mut gradients: [Vec<Vec<f64>>; 3] = [
-        vec![vec![0.0; entries.len()]; cells],
-        vec![vec![0.0; entries.len()]; cells],
-        vec![vec![0.0; entries.len()]; cells],
-    ];
-    // Theorem 1 needs ProbEstimate to be locally linear. The
-    // pipeline contains hard switches (row alignment, sign fixes,
-    // per-j₃ selection); if one flips between the +ε and −ε
-    // evaluations, the central difference is O(1/ε) garbage. The
-    // forward and backward differences then disagree violently —
-    // a cheap, reliable discontinuity detector since legitimate
-    // curvature over a ±0.01-count step is microscopic.
-    const DERIVATIVE_JUMP_TOL: f64 = 1.0;
-    let mut work = counts.clone();
-    for (e, &(a, b, c)) in entries.iter().enumerate() {
-        work.add(a, b, c, eps);
-        let plus = prob_estimate(&work).map_err(|err| perturb_err(err, (a, b, c), eps))?;
-        work.add(a, b, c, -2.0 * eps);
-        let minus = prob_estimate(&work).map_err(|err| perturb_err(err, (a, b, c), eps))?;
-        work.add(a, b, c, eps);
-        for i in 0..3 {
-            for r in 0..k {
-                for col in 0..k {
-                    let fwd = (plus.v[i].get(r, col) - base.v[i].get(r, col)) / eps;
-                    let bwd = (base.v[i].get(r, col) - minus.v[i].get(r, col)) / eps;
-                    if (fwd - bwd).abs() > DERIVATIVE_JUMP_TOL {
-                        return Err(EstimateError::Degenerate {
-                            what: format!(
-                                "ProbEstimate is discontinuous at counts[{a}][{b}][{c}] \
-                                 (forward/backward derivatives {fwd:.2} vs {bwd:.2})"
-                            ),
-                        });
-                    }
-                    gradients[i][r * k + col][e] = (fwd + bwd) / 2.0;
-                }
-            }
-        }
-    }
+    let gradients = pass.jacobian(&entries, scratch)?;
 
     // Lemma 9 covariances.
     let cov = counts_covariance(counts, &entries);
     Ok(TripleDetail {
-        base,
+        base: pass.estimate,
         entries,
         gradients,
         cov,
@@ -212,7 +178,7 @@ impl KaryEstimator {
             entries: _,
             gradients,
             cov,
-        } = triple_detail(counts, &self.config)?;
+        } = triple_detail(counts, &self.config, &mut JacobianScratch::default())?;
 
         // Theorem 1 on each response-probability entry.
         let cells = k * k;
@@ -369,12 +335,6 @@ fn validate_decomposition(base: &ProbEstimate, k: usize) -> Result<()> {
         }
     }
     Ok(())
-}
-
-fn perturb_err(err: EstimateError, entry: (usize, usize, usize), eps: f64) -> EstimateError {
-    EstimateError::Numerical(format!(
-        "ProbEstimate failed while perturbing counts{entry:?} by ±{eps}: {err}"
-    ))
 }
 
 #[cfg(test)]
@@ -574,6 +534,56 @@ mod tests {
             .evaluate(inst.responses(), workers(), 0.8)
             .unwrap();
         assert!(a.mean_interval_size().is_finite());
+    }
+
+    /// Verdicts of the switch-margin test on pinned instances of its
+    /// calibration census: [`KaryEstimator::evaluate`] on workers 0–2
+    /// of `KaryScenario::paper_default(k, n, d)` generated from
+    /// `rng(seed)`, at c = 0.9. The first ten are instances on which
+    /// the ±ε forward/backward jump detector it replaced fired; the
+    /// last seven are instances on which that detector did not.
+    #[test]
+    fn switch_margin_verdicts_are_pinned_on_census_instances() {
+        // (k, n, d, seed, whether the switch-margin test fires)
+        let pins: [(u16, usize, f64, u64, bool); 17] = [
+            (2, 50, 0.7, 134, true),  // a j₃ slice of exactly one task
+            (3, 100, 1.0, 158, true), // a row sum near zero
+            (3, 300, 1.0, 115, true), // a near-tied alignment comparison
+            (3, 1000, 0.7, 46, true), // a near-tied alignment comparison
+            (4, 100, 0.7, 48, true),  // a tied spectrum that a step splits
+            (4, 1000, 1.0, 51, true), // a row sum near zero
+            (3, 100, 0.7, 117, true), // a fast-turning eigenvector
+            (3, 100, 0.7, 146, true), // a near-crossing eigenvalue pair
+            (3, 50, 1.0, 100, false), // curvature only, below the bound
+            (4, 50, 1.0, 9, false),   // curvature only, below the bound
+            (3, 50, 0.7, 23, true),   // a fast-turning eigenvector
+            (2, 50, 1.0, 0, false),
+            (2, 1000, 0.7, 0, false),
+            (3, 300, 1.0, 1, false),
+            (3, 1000, 1.0, 0, false),
+            (4, 300, 0.7, 3, false),
+            (4, 1000, 1.0, 0, false),
+        ];
+        for (k, n, d, seed, fires) in pins {
+            let inst = KaryScenario::paper_default(k, n, d).generate(&mut rng(seed));
+            match KaryEstimator::default().evaluate(inst.responses(), workers(), 0.9) {
+                Err(EstimateError::Degenerate { what })
+                    if what.starts_with("ProbEstimate ") && what.contains(" within ±") =>
+                {
+                    assert!(fires, "k={k} n={n} d={d} seed={seed}: unexpectedly {what}");
+                }
+                Ok(a) => {
+                    assert!(!fires, "k={k} n={n} d={d} seed={seed}: no switch flagged");
+                    assert!(
+                        a.intervals
+                            .iter()
+                            .flatten()
+                            .all(|ci| ci.half_width.is_finite() && ci.half_width > 0.0)
+                    );
+                }
+                Err(other) => panic!("k={k} n={n} d={d} seed={seed}: {other}"),
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! 1. split the peers of the evaluated worker `w` into disjoint pairs,
 //!    greedily by task overlap ([`crate::pairing`]);
 //! 2. run the full A3 pipeline on each triple `(w, a, b)` with `w` in
-//!    slot 1, keeping the point estimates `V₁ = S^{1/2}P_w`, the numeric
-//!    gradients and the Lemma 9 counts covariance
+//!    slot 1, keeping the point estimates `V₁ = S^{1/2}P_w`, their exact
+//!    forward-mode gradients and the Lemma 9 counts covariance
 //!    ([`super::estimator::triple_detail`]);
 //! 3. for each response-probability entry, combine the per-triple
 //!    estimates with the Lemma 5 minimum-variance weights against a
@@ -65,6 +65,7 @@
 //! worker, because the surviving triples carry the estimate.
 
 use crate::kary::estimator::{TripleDetail, triple_detail};
+use crate::kary::prob_estimate::JacobianScratch;
 use crate::pairing::form_pairs_limited;
 use crate::{CoverageStats, EstimateError, Estimator, EstimatorConfig, Report, Result, WorkerRow};
 use crowd_data::{
@@ -91,6 +92,8 @@ struct KaryEvalScratch {
     /// its blocked kernel (see [`crowd_data::gram`]).
     n5: TriplePairGram,
     gram_scratch: PeerGramScratch,
+    /// The per-triple tangent buffers of the Jacobian pass.
+    jacobian: JacobianScratch,
 }
 
 /// The m-worker k-ary estimator (extension; composes Algorithms A2 and
@@ -312,12 +315,13 @@ impl KaryMWorkerEstimator {
             tensor,
             n5,
             gram_scratch,
+            jacobian,
         } = scratch;
         let mut ctxs: Vec<TripleCtx> = Vec::with_capacity(pairs.len());
         for (a, b) in pairs {
             let counts = tensor.get_or_insert_with(|| CountsTensor::zeros(k));
             src.fill_counts(counts, worker, a, b);
-            match triple_detail(counts, &self.config) {
+            match triple_detail(counts, &self.config, jacobian) {
                 Ok(detail) => {
                     let p_hat = [
                         detail.base.response_probabilities(0),
@@ -896,7 +900,7 @@ mod tests {
         let mut ctxs = Vec::new();
         for (a, b) in pairs {
             let counts = CountsTensor::from_matrix(inst.responses(), WorkerId(0), a, b);
-            let detail = triple_detail(&counts, &cfg).unwrap();
+            let detail = triple_detail(&counts, &cfg, &mut JacobianScratch::default()).unwrap();
             let p_hat = [
                 detail.base.response_probabilities(0),
                 detail.base.response_probabilities(1),

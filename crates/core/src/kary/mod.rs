@@ -12,8 +12,10 @@
 //!   with the row permutation/sign ambiguity resolved by the
 //!   diagonal-dominance assumption `P[j,j] > P[j,j']`;
 //! * confidence intervals come from Theorem 1 with multinomial
-//!   covariances of the counts (Lemma 9) and numerically-differentiated
-//!   sensitivities of the whole `ProbEstimate` pipeline.
+//!   covariances of the counts (Lemma 9) and the exact sensitivities of
+//!   the whole `ProbEstimate` pipeline, taken in one forward-mode pass
+//!   over the base point's intermediates (Magnus, "On differentiating
+//!   eigenvalues and eigenvectors", 1985).
 
 mod align;
 mod covariance;

@@ -6,9 +6,9 @@
 //! any coordinate means "did not attempt" (the paper's null response
 //! `r₀`).
 //!
-//! Entries are stored as `f64` because the k-ary confidence-interval
-//! computation perturbs individual entries by `±ε` to differentiate
-//! `ProbEstimate` numerically (Algorithm A3, step 6).
+//! Entries are stored as `f64`: `ProbEstimate` (Algorithm A3) is a
+//! smooth function of real-valued counts, and its sensitivities
+//! (step 6) are derivatives with respect to individual entries.
 
 use crate::overlap::triple_joint_labels_optional;
 use crate::{ResponseMatrix, WorkerId};
@@ -157,8 +157,8 @@ impl CountsTensor {
         self.data[i] = value;
     }
 
-    /// Adds `delta` to `counts[a][b][c]` (used by the ±ε perturbation
-    /// of the numeric differentiation step).
+    /// Adds `delta` to `counts[a][b][c]` (the fill's per-task
+    /// increment, and a perturbation step for derivative checks).
     #[inline]
     pub fn add(&mut self, a: usize, b: usize, c: usize, delta: f64) {
         let i = self.idx(a, b, c);

@@ -22,7 +22,9 @@ use crowd_linalg::Matrix;
 /// Variance of the linearized `Y = f(X)`: `dᵀ C d`.
 ///
 /// Small negative values (within `tol`) caused by a non-PSD sample
-/// covariance are clamped to zero; anything more negative is an error.
+/// covariance are clamped to zero; anything more negative is an error,
+/// and so is a non-finite form (a NaN or infinite gradient or
+/// covariance entry), which must not pass for a zero variance.
 pub fn delta_variance(gradient: &[f64], covariance: &Matrix) -> Result<f64> {
     if covariance.rows() != gradient.len() || covariance.cols() != gradient.len() {
         return Err(StatsError::DimensionMismatch {
@@ -37,6 +39,9 @@ pub fn delta_variance(gradient: &[f64], covariance: &Matrix) -> Result<f64> {
         }
         let row = covariance.row(i);
         var += di * crowd_linalg::dot(row, gradient);
+    }
+    if !var.is_finite() {
+        return Err(StatsError::NegativeVariance { variance: var });
     }
     // Sample covariances assembled from plug-in estimates are not
     // guaranteed PSD; tolerate slightly negative quadratic forms.
@@ -158,6 +163,30 @@ mod tests {
             delta_variance(&[1.0, -1.0], &bad),
             Err(StatsError::NegativeVariance { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_quadratic_form_is_an_error_not_a_zero_variance() {
+        let nan_gradient = delta_variance(&[f64::NAN, 1.0], &Matrix::identity(2));
+        assert!(
+            matches!(nan_gradient, Err(StatsError::NegativeVariance { variance }) if variance.is_nan()),
+            "{nan_gradient:?}"
+        );
+        let nan_cov = Matrix::from_rows(&[&[1.0, f64::NAN], &[f64::NAN, 1.0]]);
+        assert!(matches!(
+            delta_variance(&[1.0, 1.0], &nan_cov),
+            Err(StatsError::NegativeVariance { .. })
+        ));
+        let inf_gradient = delta_variance(&[f64::INFINITY, 0.0], &Matrix::identity(2));
+        assert!(matches!(
+            inf_gradient,
+            Err(StatsError::NegativeVariance { .. })
+        ));
+        assert!(
+            DeltaMethod::new(Matrix::identity(2))
+                .interval(0.5, &[f64::NAN, 0.0], 0.9)
+                .is_err()
+        );
     }
 
     #[test]

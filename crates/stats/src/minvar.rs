@@ -53,7 +53,7 @@ pub fn min_variance_weights(c: &Matrix, policy: WeightPolicy) -> Result<MinVarWe
     }
     let uniform = vec![1.0 / l as f64; l];
     if policy == WeightPolicy::Uniform || l == 1 {
-        let variance = quadratic_form(c, &uniform);
+        let variance = quadratic_form(c, &uniform)?;
         return Ok(MinVarWeights {
             weights: uniform,
             variance,
@@ -75,15 +75,14 @@ pub fn min_variance_weights(c: &Matrix, policy: WeightPolicy) -> Result<MinVarWe
         Some(b.iter().map(|x| x / sum).collect())
     };
 
-    if let Some(w) = solve(c) {
-        let variance = quadratic_form(c, &w);
-        if variance.is_finite() && variance >= 0.0 {
-            return Ok(MinVarWeights {
-                weights: w,
-                variance,
-                fell_back: false,
-            });
-        }
+    if let Some(w) = solve(c)
+        && let Ok(variance) = quadratic_form(c, &w)
+    {
+        return Ok(MinVarWeights {
+            weights: w,
+            variance,
+            fell_back: false,
+        });
     }
     // Ridge fallback.
     let lambda = 1e-9 * c.max_abs().max(1e-12);
@@ -92,18 +91,18 @@ pub fn min_variance_weights(c: &Matrix, policy: WeightPolicy) -> Result<MinVarWe
         let v = ridged.get(i, i) + lambda;
         ridged.set(i, i, v);
     }
-    if let Some(w) = solve(&ridged) {
-        let variance = quadratic_form(c, &w);
-        if variance.is_finite() && variance >= 0.0 {
-            return Ok(MinVarWeights {
-                weights: w,
-                variance,
-                fell_back: true,
-            });
-        }
+    if let Some(w) = solve(&ridged)
+        && let Ok(variance) = quadratic_form(c, &w)
+    {
+        return Ok(MinVarWeights {
+            weights: w,
+            variance,
+            fell_back: true,
+        });
     }
-    // Uniform fallback: always valid, just wider (paper §III-D3).
-    let variance = quadratic_form(c, &uniform);
+    // Uniform fallback: valid for any finite covariance, just wider
+    // (paper §III-D3).
+    let variance = quadratic_form(c, &uniform)?;
     Ok(MinVarWeights {
         weights: uniform,
         variance,
@@ -111,13 +110,18 @@ pub fn min_variance_weights(c: &Matrix, policy: WeightPolicy) -> Result<MinVarWe
     })
 }
 
-/// `wᵀ C w`, clamped at zero against roundoff.
-fn quadratic_form(c: &Matrix, w: &[f64]) -> f64 {
+/// `wᵀ C w`, clamped at zero against roundoff. A non-finite form (a
+/// NaN or infinite entry) is an error: it must not pass for a zero
+/// variance.
+fn quadratic_form(c: &Matrix, w: &[f64]) -> Result<f64> {
     let mut var = 0.0;
     for (i, &wi) in w.iter().enumerate() {
         var += wi * crowd_linalg::dot(c.row(i), w);
     }
-    var.max(0.0)
+    if !var.is_finite() {
+        return Err(StatsError::NegativeVariance { variance: var });
+    }
+    Ok(var.max(0.0))
 }
 
 #[cfg(test)]
@@ -192,6 +196,20 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_covariance_is_an_error_not_a_zero_variance() {
+        let c = Matrix::from_rows(&[&[1.0, f64::NAN], &[f64::NAN, 2.0]]);
+        for policy in [WeightPolicy::MinimumVariance, WeightPolicy::Uniform] {
+            let out = min_variance_weights(&c, policy);
+            assert!(
+                matches!(out, Err(StatsError::NegativeVariance { variance }) if variance.is_nan()),
+                "{policy:?}: {out:?}"
+            );
+        }
+        let single = min_variance_weights(&Matrix::diagonal(&[f64::NAN]), WeightPolicy::default());
+        assert!(single.is_err(), "{single:?}");
+    }
+
+    #[test]
     fn single_estimate_is_trivial() {
         let c = Matrix::diagonal(&[0.7]);
         let out = min_variance_weights(&c, WeightPolicy::MinimumVariance).unwrap();
@@ -218,7 +236,7 @@ mod tests {
         ];
         for w in &perturbations {
             assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-            assert!(quadratic_form(&c, w) >= opt.variance - 1e-12);
+            assert!(quadratic_form(&c, w).unwrap() >= opt.variance - 1e-12);
         }
     }
 }
