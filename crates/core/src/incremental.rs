@@ -24,8 +24,8 @@
 //! (`O(l_w + Σ_{p ∈ peers} l_p)`, into the substrate's one build
 //! scratch — see [`crowd_data::streaming`]). Pairing reads the O(1)
 //! pair table, the Lemma 4 / `n₅` cross-triple counts are popcounts on
-//! that view, and k-ary counts tensors are union merges of the
-//! adjacency rows. Nothing is rescanned and no index is rebuilt; with
+//! that view, and a k-ary counts tensor is one scatter/gather pass
+//! over the triple's adjacency rows. Nothing is rescanned and no index is rebuilt; with
 //! [`StreamingEvaluator::evaluate_all_cached`] only dirty workers are
 //! re-evaluated at all.
 //!

@@ -1,14 +1,14 @@
 //! Algorithm A3 end-to-end: counts tensor → response-probability
 //! confidence intervals.
 
-use crate::kary::covariance::{counts_covariance, perturbation_entries};
+use crate::kary::covariance::{CountsCovariance, perturbation_entries};
 use crate::kary::prob_estimate::{
     JacobianScratch, ProbEstimate, prob_estimate, prob_estimate_pass,
 };
 use crate::{EstimateError, EstimatorConfig, Result};
 use crowd_data::{CountsTensor, OverlapSource, WorkerId};
 use crowd_linalg::Matrix;
-use crowd_stats::{ConfidenceInterval, DeltaMethod};
+use crowd_stats::ConfidenceInterval;
 
 /// The k-ary estimator (Algorithm A3).
 #[derive(Debug, Clone, Default)]
@@ -80,10 +80,10 @@ impl KaryAssessment {
 /// Everything Algorithm A3 derives from one counts tensor *before*
 /// Theorem 1 is applied: the point estimates, the exact forward-mode
 /// gradients of every `V_i` entry, and the Lemma 9 covariance of the
-/// perturbed counts entries. [`KaryEstimator::evaluate_counts`]
-/// consumes it directly; the m-worker extension
-/// ([`crate::kary::KaryMWorkerEstimator`]) reuses it per triple and
-/// adds cross-triple covariances on top.
+/// perturbed counts entries in compact form.
+/// [`KaryEstimator::evaluate_counts`] consumes it directly; the
+/// m-worker extension ([`crate::kary::KaryMWorkerEstimator`]) reuses
+/// it per triple and adds cross-triple covariances on top.
 #[derive(Debug, Clone)]
 pub(crate) struct TripleDetail {
     /// Point estimates `V₁, V₂, V₃`.
@@ -92,8 +92,8 @@ pub(crate) struct TripleDetail {
     pub entries: Vec<(usize, usize, usize)>,
     /// `gradients[i][r·k + c][e] = ∂V_i[r,c] / ∂counts[entries[e]]`.
     pub gradients: [Vec<Vec<f64>>; 3],
-    /// Lemma 9 covariance matrix of the perturbed counts entries.
-    pub cov: Matrix,
+    /// Lemma 9 covariance of the perturbed counts entries.
+    pub cov: CountsCovariance,
 }
 
 /// Runs `ProbEstimate` once, validates the decomposition, takes the
@@ -124,7 +124,7 @@ pub(crate) fn triple_detail(
     let gradients = pass.jacobian(&entries, scratch)?;
 
     // Lemma 9 covariances.
-    let cov = counts_covariance(counts, &entries);
+    let cov = CountsCovariance::new(counts, &entries);
     Ok(TripleDetail {
         base: pass.estimate,
         entries,
@@ -152,7 +152,8 @@ impl KaryEstimator {
     /// Full Algorithm A3 for the worker triple `(w₁, w₂, w₃)` over any
     /// overlap substrate: the counts tensor comes from
     /// [`OverlapSource::fill_counts`] (a task scan over a
-    /// [`crowd_data::ResponseMatrix`], a CSR union merge over an index).
+    /// [`crowd_data::ResponseMatrix`], a scatter/gather pass over the
+    /// three workers' rows of a [`crowd_data::StreamingIndex`]).
     /// Identical output on every substrate.
     pub fn evaluate<S: OverlapSource>(
         &self,
@@ -182,7 +183,6 @@ impl KaryEstimator {
 
         // Theorem 1 on each response-probability entry.
         let cells = k * k;
-        let dm = DeltaMethod::new(cov);
         let mut intervals: [Vec<ConfidenceInterval>; 3] = [
             Vec::with_capacity(cells),
             Vec::with_capacity(cells),
@@ -204,7 +204,7 @@ impl KaryEstimator {
                 for c in 0..k {
                     // Interval on V_i[r,c], then normalized to P_i[r,c]
                     // by the row mass (A3's final normalization step).
-                    let ci = dm
+                    let ci = cov
                         .interval(base.v[i].get(r, c), &gradients[i][r * k + c], confidence)?
                         .scaled(1.0 / scale);
                     if !ci.half_width.is_finite() {
@@ -231,7 +231,7 @@ impl KaryEstimator {
         // correlation of the counts covariance.
         let mut error_rate: [ConfidenceInterval; 3] =
             [ConfidenceInterval::from_bounds(0.0, 0.0, confidence); 3];
-        let n_entries = dm.dim();
+        let n_entries = cov.len();
         for i in 0..3 {
             let masses = &row_sums[i];
             let t: f64 = masses.iter().map(|m| m * m).sum();
@@ -248,7 +248,7 @@ impl KaryEstimator {
                     }
                 }
             }
-            error_rate[i] = dm.interval(err, &g_err, confidence)?;
+            error_rate[i] = cov.interval(err, &g_err, confidence)?;
             if !error_rate[i].half_width.is_finite() {
                 return Err(EstimateError::Degenerate {
                     what: format!("non-finite error-rate interval for worker slot {i}"),

@@ -73,15 +73,16 @@ use crowd_data::{
     TriplePairGram, WorkerId,
 };
 use crowd_linalg::Matrix;
-use crowd_stats::{ConfidenceInterval, delta_variance, min_variance_weights};
+use crowd_stats::{ConfidenceInterval, min_variance_weights};
 
 /// Reusable scratch for one k-ary evaluation loop — the k-ary
 /// counterpart of the binary estimator's scratch: the peer-id buffer
 /// and the per-triple counts tensor survive from one triple and one
 /// evaluated worker to the next, so the loop re-fills the same
 /// allocations instead of building a fresh `(k+1)³` tensor per triple
-/// (the anchored view's mask words live in the substrate's own build
-/// scratch). Scratch state never influences outputs.
+/// (the anchored view's mask words and the counts fill's task codes
+/// live in the substrate's own build scratch). Scratch state never
+/// influences outputs.
 #[derive(Debug, Default)]
 struct KaryEvalScratch {
     peers: Vec<WorkerId>,
@@ -231,8 +232,9 @@ impl KaryMWorkerEstimator {
     /// every usable triple: pairing and the `n₅` cross-triple counts
     /// read `src`, and each triple's counts tensor comes from
     /// [`OverlapSource::fill_counts`] — a task scan over a
-    /// [`ResponseMatrix`] or CSR union merges over a
-    /// [`StreamingIndex`]. Outputs are identical across substrates.
+    /// [`ResponseMatrix`] or a scatter/gather pass over the triple's
+    /// rows of a [`StreamingIndex`]. Outputs are identical across
+    /// substrates.
     pub fn evaluate_worker<S: OverlapSource>(
         &self,
         src: &S,
@@ -501,7 +503,7 @@ impl Estimator for KaryMWorkerEstimator {
 fn entry_variances(detail: &TripleDetail, k: usize) -> Result<Vec<f64>> {
     let mut var = Vec::with_capacity(k * k);
     for idx in 0..k * k {
-        var.push(delta_variance(&detail.gradients[0][idx], &detail.cov)?);
+        var.push(detail.cov.variance(&detail.gradients[0][idx])?);
     }
     Ok(var)
 }

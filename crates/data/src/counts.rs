@@ -48,6 +48,34 @@ impl AttemptPattern {
     }
 }
 
+/// A task-indexed array of counts-tensor cell codes, all zero between
+/// fills: the scratch [`CountsTensor::fill_from_index`] scatters into
+/// and gathers from. It grows to the index's task count on first use
+/// (4 bytes per task) and is never shrunk.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TaskCodes(Vec<u32>);
+
+impl TaskCodes {
+    /// The codes of tasks `0..n_tasks`, every one zero.
+    fn covering(&mut self, n_tasks: usize) -> &mut [u32] {
+        if self.0.len() < n_tasks {
+            self.0.resize(n_tasks, 0);
+        }
+        &mut self.0
+    }
+}
+
+/// The code weights `[side², side, 1]` of `w₁`, `w₂` and `w₃`, or
+/// `None` when the largest cell index, `side³ − 1`, does not fit a
+/// `u32`.
+fn code_weights(side: usize) -> Option<[u32; 3]> {
+    let side = u32::try_from(side).ok()?;
+    let square = side.checked_mul(side)?;
+    // `side³` itself fits, so every code (at most `side³ − 1`) does.
+    square.checked_mul(side)?;
+    Some([square, side, 1])
+}
+
 /// The counts tensor for one worker triple.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CountsTensor {
@@ -81,31 +109,57 @@ impl CountsTensor {
     }
 
     /// Re-fills the tensor **in place** from an [`crate::OverlapIndex`]
-    /// by a union merge of the triple's CSR rows —
-    /// `O(|w₁| + |w₂| + |w₃|)` instead of a binary search per
-    /// (task, worker) cell — allocating nothing when the arities match
-    /// (an arity change re-shapes the tensor instead, so a reused
-    /// scratch buffer is always safe). This is the indexed substrates'
-    /// [`crate::OverlapSource::fill_counts`]; counts are bit-identical
-    /// to [`CountsTensor::from_matrix`] on the same data.
+    /// in `O(|w₁| + |w₂| + |w₃|)` branch-free steps, independent of the
+    /// task count: a scatter pass adds each row's label code into
+    /// `codes` (weights `side²`, `side` and 1 for `w₁`, `w₂` and `w₃`,
+    /// so a task's code is its cell's flat index), then a gather pass
+    /// over the same rows bumps `cell[code[t]]` and resets `code[t]`.
+    /// A task visited again (it sits in two or three of the rows) then
+    /// reads code 0 and lands in the never-attempted corner, which is
+    /// zeroed at the end. Allocates nothing once `codes` covers the
+    /// index's tasks and the arities match (an arity change re-shapes
+    /// the tensor instead, so a reused scratch buffer is always safe).
+    /// This is the indexed substrate's
+    /// [`crate::OverlapSource::fill_counts`]; counts are integers, so
+    /// the tensor is bit-identical to [`CountsTensor::from_matrix`] on
+    /// the same data.
+    ///
+    /// # Panics
+    /// Panics if the index's arity `k` has `(k+1)³` cells beyond what a
+    /// `u32` code addresses (`k ≥ 1625`; such a tensor would take over
+    /// 32 GiB), before anything is allocated.
     pub(crate) fn fill_from_index(
         &mut self,
         index: &crate::OverlapIndex,
+        codes: &mut TaskCodes,
         w1: WorkerId,
         w2: WorkerId,
         w3: WorkerId,
     ) {
-        if self.arity != index.arity() as usize {
-            *self = Self::zeros(index.arity() as usize);
+        let arity = index.arity() as usize;
+        let weights = code_weights(arity + 1).unwrap_or_else(|| {
+            panic!("a counts tensor of arity {arity} has more cells than a u32 code addresses")
+        });
+        if self.arity != arity {
+            *self = Self::zeros(arity);
         } else {
             self.data.fill(0.0);
         }
-        index.triple_joint_for_each(w1, w2, w3, |(a, b, c)| {
-            let ia = a.map_or(0, |l| l.index() + 1);
-            let ib = b.map_or(0, |l| l.index() + 1);
-            let ic = c.map_or(0, |l| l.index() + 1);
-            self.add(ia, ib, ic, 1.0);
-        });
+        let codes = codes.covering(index.n_tasks());
+        let rows = [w1, w2, w3].map(|w| index.worker_responses(w));
+        for (row, weight) in rows.iter().zip(weights) {
+            for &(task, label) in *row {
+                codes[task as usize] += weight * (u32::from(label.0) + 1);
+            }
+        }
+        for row in rows {
+            for &(task, _) in row {
+                let code = &mut codes[task as usize];
+                self.data[*code as usize] += 1.0;
+                *code = 0;
+            }
+        }
+        self.data[0] = 0.0;
     }
 
     fn from_joint(
@@ -308,6 +362,24 @@ mod tests {
     #[should_panic(expected = "exactly two")]
     fn pair_pattern_validation() {
         CountsTensor::zeros(2).n_exactly_pair(AttemptPattern(0b111));
+    }
+
+    #[test]
+    fn code_weights_stop_where_u32_codes_would_overflow() {
+        assert_eq!(code_weights(3), Some([9, 3, 1]));
+        // 1625³ − 1 < 2³² ≤ 1626³ − 1.
+        assert_eq!(code_weights(1625), Some([1625 * 1625, 1625, 1]));
+        assert_eq!(code_weights(1626), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "more cells than a u32 code addresses")]
+    fn oversized_arity_panics_before_allocating() {
+        use crate::OverlapSource;
+        // Arity 1625: a 1626³-cell tensor, whose codes overflow u32.
+        let stream = crate::StreamingIndex::new(3, 4, 1625);
+        let mut tensor = CountsTensor::zeros(2);
+        stream.fill_counts(&mut tensor, WorkerId(0), WorkerId(1), WorkerId(2));
     }
 
     #[test]

@@ -101,6 +101,7 @@
 use std::cell::{Ref, RefCell};
 use std::collections::TryReserveError;
 
+use crate::counts::TaskCodes;
 use crate::{
     CountsTensor, Label, PairMap, PairStats, PeerGram, PeerGramScratch, Response, ResponseMatrix,
     TaskId, TriplePairGram, TripleStats, WorkerId,
@@ -165,6 +166,10 @@ pub trait OverlapSource {
     /// triple `(w1, w2, w3)`, re-shaping it if its arity differs from
     /// [`OverlapSource::arity`], so one tensor can be reused across
     /// triples and substrates. Counts are identical on every substrate.
+    ///
+    /// A [`crate::StreamingIndex`] fills through the same scratch its
+    /// views borrow, so, as with a second view, calling this while one
+    /// of its anchored views is alive panics.
     fn fill_counts(&self, tensor: &mut CountsTensor, w1: WorkerId, w2: WorkerId, w3: WorkerId);
 
     /// If the substrate tracks co-occurrence explicitly, appends the
@@ -538,65 +543,6 @@ impl OverlapIndex {
     /// All task ids.
     pub fn tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
         (0..self.n_tasks as u32).map(TaskId)
-    }
-
-    /// The joint (possibly absent) labels of three workers on every
-    /// task at least one of them attempted, by a three-way **union**
-    /// merge of the CSR rows — `O(|w₁| + |w₂| + |w₃|)`, versus the
-    /// matrix path's full scan over all `n` tasks with a binary search
-    /// per cell. Ordering and contents match
-    /// [`crate::triple_joint_labels_optional`] exactly.
-    pub fn triple_joint_labels_optional(
-        &self,
-        a: WorkerId,
-        b: WorkerId,
-        c: WorkerId,
-    ) -> Vec<(Option<Label>, Option<Label>, Option<Label>)> {
-        let mut out = Vec::new();
-        self.triple_joint_for_each(a, b, c, |row| out.push(row));
-        out
-    }
-
-    /// Visitor form of [`OverlapIndex::triple_joint_labels_optional`]:
-    /// the same three-way union merge, but each joint row is handed to
-    /// `visit` instead of collected — the allocation-free path the
-    /// reusable k-ary counts-tensor fill runs on
-    /// ([`OverlapSource::fill_counts`] on an index).
-    pub fn triple_joint_for_each(
-        &self,
-        a: WorkerId,
-        b: WorkerId,
-        c: WorkerId,
-        mut visit: impl FnMut((Option<Label>, Option<Label>, Option<Label>)),
-    ) {
-        let (la, lb, lc) = (
-            self.worker_responses(a),
-            self.worker_responses(b),
-            self.worker_responses(c),
-        );
-        let (mut i, mut j, mut k) = (0, 0, 0);
-        loop {
-            let ta = la.get(i).map(|e| e.0);
-            let tb = lb.get(j).map(|e| e.0);
-            let tc = lc.get(k).map(|e| e.0);
-            let Some(t) = [ta, tb, tc].into_iter().flatten().min() else {
-                break;
-            };
-            let mut row = (None, None, None);
-            if ta == Some(t) {
-                row.0 = Some(la[i].1);
-                i += 1;
-            }
-            if tb == Some(t) {
-                row.1 = Some(lb[j].1);
-                j += 1;
-            }
-            if tc == Some(t) {
-                row.2 = Some(lc[k].1);
-                k += 1;
-            }
-            visit(row);
-        }
     }
 }
 
@@ -1233,13 +1179,16 @@ impl SlotStamps {
 
 /// The one build scratch of a [`crate::StreamingIndex`]: the mask
 /// words every [`BitsetAnchored`] view of that substrate is filled
-/// into and borrows, plus the slot map the fill stamps. Consecutive
-/// builds reuse both, so an evaluation loop allocates nothing once
-/// the scratch has reached its largest view.
+/// into and borrows, the slot map the view fill stamps, and the task
+/// codes the k-ary counts fill scatters into
+/// ([`CountsTensor::fill_from_index`]). Consecutive builds and fills
+/// reuse all three, so an evaluation loop allocates nothing once the
+/// scratch has reached its largest view.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BuildScratch {
     matrix: MaskMatrix,
     stamps: SlotStamps,
+    codes: TaskCodes,
 }
 
 impl BuildScratch {
@@ -1247,6 +1196,11 @@ impl BuildScratch {
     /// far, exactly sized (see [`MaskMatrix::reset`]).
     pub(crate) fn mask_bytes(&self) -> usize {
         self.matrix.mask_bytes()
+    }
+
+    /// The all-zero task codes of the counts fill.
+    pub(crate) fn task_codes(&mut self) -> &mut TaskCodes {
+        &mut self.codes
     }
 }
 
@@ -1296,7 +1250,7 @@ impl<'a> BitsetAnchored<'a> {
             let mut scratch = scratch.try_borrow_mut().expect(
                 "an anchored view of this substrate is still alive: views are built one at a time",
             );
-            let BuildScratch { matrix, stamps } = &mut *scratch;
+            let BuildScratch { matrix, stamps, .. } = &mut *scratch;
             let anchor_row = index.worker_responses(anchor);
             matrix.reset(
                 peers.rows(),
@@ -1394,10 +1348,7 @@ impl AnchoredOverlap for BitsetAnchored<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        ResponseMatrixBuilder, StreamingIndex, pair_stats, triple_joint_labels_optional,
-        triple_overlap,
-    };
+    use crate::{ResponseMatrixBuilder, StreamingIndex, pair_stats, triple_overlap};
 
     /// A deterministic sparse matrix exercising uneven attempt sets.
     fn sample(m: usize, n: usize, arity: u16, seed: u64) -> ResponseMatrix {
@@ -1676,21 +1627,6 @@ mod tests {
             data.worker_task_count(anchor),
             "empty peer set means every anchor task qualifies"
         );
-    }
-
-    #[test]
-    fn union_merge_matches_matrix_joint_labels() {
-        let data = sample(5, 30, 4, 314);
-        let index = OverlapIndex::from_matrix(&data);
-        for (a, b, c) in [(0u32, 1, 2), (2, 4, 0), (3, 3, 3)] {
-            if a == b || b == c || a == c {
-                continue;
-            }
-            assert_eq!(
-                index.triple_joint_labels_optional(WorkerId(a), WorkerId(b), WorkerId(c)),
-                triple_joint_labels_optional(&data, WorkerId(a), WorkerId(b), WorkerId(c)),
-            );
-        }
     }
 
     #[test]

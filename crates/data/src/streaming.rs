@@ -30,7 +30,10 @@
 //! Memory: the scratch keeps the largest view built so far — exactly
 //! `rows · ⌈l_anchor/64⌉` mask words, at most `2l` rows for a scoped
 //! build — plus one `n`-entry task→slot stamp map
-//! ([`StreamingIndex::view_mask_bytes`] reports the mask words).
+//! ([`StreamingIndex::view_mask_bytes`] reports the mask words) and,
+//! once a k-ary counts tensor has been filled
+//! ([`OverlapSource::fill_counts`]), one `n`-entry `u32` task-code
+//! array.
 //! Nothing is held per worker, and nothing in the mask words grows
 //! with the task-id space.
 //!
@@ -96,7 +99,8 @@ use std::cell::{Cell, RefCell};
 #[derive(Debug, Clone)]
 pub struct StreamingIndex {
     index: OverlapIndex,
-    /// The one scratch every anchored view is built into and borrows.
+    /// The one scratch every anchored view is built into and borrows,
+    /// and the counts fill scatters into.
     scratch: RefCell<BuildScratch>,
     /// Anchored views built so far (diagnostic).
     view_builds: Cell<usize>,
@@ -324,7 +328,10 @@ impl OverlapSource for StreamingIndex {
     }
 
     fn fill_counts(&self, tensor: &mut CountsTensor, w1: WorkerId, w2: WorkerId, w3: WorkerId) {
-        tensor.fill_from_index(&self.index, w1, w2, w3);
+        let mut scratch = self.scratch.try_borrow_mut().expect(
+            "an anchored view of this substrate is still alive: counts share its build scratch",
+        );
+        tensor.fill_from_index(&self.index, scratch.task_codes(), w1, w2, w3);
     }
 
     fn co_occurring_into(&self, worker: WorkerId, out: &mut Vec<WorkerId>) -> bool {

@@ -6,7 +6,7 @@ use crowd_data::{
     AnchoredOverlap, AttemptPattern, CountsTensor, Label, OverlapIndex, OverlapSource, PairMap,
     PeerGram, PeerGramScratch, Response, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex,
     TaskId, TriplePairGram, WorkerId, majority_vote, pair_stats, triple_joint_labels,
-    triple_joint_labels_optional, triple_overlap,
+    triple_overlap,
 };
 use proptest::prelude::*;
 
@@ -74,6 +74,16 @@ fn mixed_density_matrix(
                 b.build().expect("generated cells are unique")
             })
     })
+}
+
+/// `data` plus one more worker that answers nothing.
+fn with_silent_worker(data: &ResponseMatrix) -> ResponseMatrix {
+    let mut b = ResponseMatrixBuilder::new(data.n_workers() + 1, data.n_tasks(), data.arity());
+    for r in data.iter() {
+        b.push(r.worker, r.task, r.label)
+            .expect("ids stay in range");
+    }
+    b.build().expect("responses stay unique")
 }
 
 /// Brute-force pair statistics straight from `response()` lookups.
@@ -459,26 +469,41 @@ proptest! {
         }
     }
 
-    /// The union-merge joint view and the counts tensors filled by the
-    /// indexed substrates are identical to their matrix-scan
-    /// counterparts, including a fill that re-shapes a tensor of
-    /// another arity and a refill over another triple's counts.
+    /// The counts tensors a `StreamingIndex` fills are identical to
+    /// their matrix-scan counterparts at arities 2–4, for every ordered
+    /// triple of distinct workers — a silent one among them — filled in
+    /// sequence into one reused tensor on one substrate, so a task code
+    /// one fill left behind corrupts a later one. The first fill
+    /// re-shapes a tensor of another arity, and the last follows an
+    /// anchored view built into the same scratch and dropped.
     #[test]
-    fn indexed_joint_labels_and_tensor_match(data in sparse_matrix(5, 25, 3)) {
-        if data.n_workers() < 3 { return Ok(()); }
+    fn indexed_joint_labels_and_tensor_match(
+        data in (2u16..=4).prop_flat_map(|k| sparse_matrix(5, 25, k)),
+    ) {
+        let data = with_silent_worker(&data);
         let stream = StreamingIndex::from_matrix(&data);
-        let (a, b, c) = (WorkerId(0), WorkerId(1), WorkerId(2));
-        prop_assert_eq!(
-            stream.index().triple_joint_labels_optional(a, b, c),
-            triple_joint_labels_optional(&data, a, b, c)
-        );
-        let expect = CountsTensor::from_matrix(&data, a, b, c);
-        let mut tensor = CountsTensor::zeros(2);
-        stream.fill_counts(&mut tensor, a, b, c);
-        prop_assert_eq!(&tensor, &expect);
-        stream.fill_counts(&mut tensor, c, a, b);
-        stream.fill_counts(&mut tensor, a, b, c);
-        prop_assert_eq!(&tensor, &expect);
+        let workers: Vec<WorkerId> = data.workers().collect();
+        let mut tensor = CountsTensor::zeros(if data.arity() == 2 { 3 } else { 2 });
+        for &a in &workers {
+            for &b in &workers {
+                for &c in &workers {
+                    if a == b || b == c || a == c {
+                        continue;
+                    }
+                    stream.fill_counts(&mut tensor, a, b, c);
+                    prop_assert_eq!(
+                        &tensor,
+                        &CountsTensor::from_matrix(&data, a, b, c),
+                        "triple ({:?}, {:?}, {:?})", a, b, c
+                    );
+                }
+            }
+        }
+        let (a, b, c) = (workers[0], workers[1], workers[workers.len() - 1]);
+        let common = stream.anchored_for(a, &[b, c]).triple_common(b, c);
+        prop_assert_eq!(common, data.anchored(a).triple_common(b, c));
+        stream.fill_counts(&mut tensor, b, c, a);
+        prop_assert_eq!(&tensor, &CountsTensor::from_matrix(&data, b, c, a));
     }
 
     /// Differential test of the streaming append path: for random

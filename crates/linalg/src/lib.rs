@@ -48,7 +48,7 @@ pub use jacobi::{SymmetricEigen, symmetric_eigen};
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr_eigen::{Eigen, eigen_decompose};
-pub use vector::{dot, l1_norm, l2_norm, linf_norm, normalize_l2};
+pub use vector::{dot, l2_norm, normalize_l2};
 
 /// Workspace-wide tolerance used when deciding whether a pivot or an
 /// eigenvalue is numerically zero.

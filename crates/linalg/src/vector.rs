@@ -10,22 +10,10 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// L1 norm (sum of absolute values).
-#[inline]
-pub fn l1_norm(v: &[f64]) -> f64 {
-    v.iter().map(|x| x.abs()).sum()
-}
-
 /// Euclidean (L2) norm.
 #[inline]
 pub fn l2_norm(v: &[f64]) -> f64 {
     dot(v, v).sqrt()
-}
-
-/// Maximum absolute value (L∞ norm).
-#[inline]
-pub fn linf_norm(v: &[f64]) -> f64 {
-    v.iter().fold(0.0f64, |m, x| m.max(x.abs()))
 }
 
 /// Normalizes `v` to unit L2 norm in place; leaves the zero vector
@@ -58,10 +46,7 @@ mod tests {
 
     #[test]
     fn norms() {
-        assert_eq!(l1_norm(&[1.0, -2.0, 3.0]), 6.0);
         assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(linf_norm(&[1.0, -7.0, 3.0]), 7.0);
-        assert_eq!(linf_norm(&[]), 0.0);
     }
 
     #[test]

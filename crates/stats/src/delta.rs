@@ -64,56 +64,6 @@ pub fn delta_interval(
     ConfidenceInterval::from_deviation(estimate, var.sqrt(), confidence)
 }
 
-/// Reusable builder for repeated delta-method evaluations that share a
-/// covariance matrix but differ in gradient (e.g. the k-ary algorithm
-/// computes one interval per response-probability entry against a
-/// single counts covariance).
-#[derive(Debug, Clone)]
-pub struct DeltaMethod {
-    covariance: Matrix,
-}
-
-impl DeltaMethod {
-    /// Creates a builder around an input covariance matrix.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square.
-    pub fn new(covariance: Matrix) -> Self {
-        assert!(covariance.is_square(), "covariance matrix must be square");
-        Self { covariance }
-    }
-
-    /// Input dimension.
-    pub fn dim(&self) -> usize {
-        self.covariance.rows()
-    }
-
-    /// Borrow the covariance matrix.
-    pub fn covariance(&self) -> &Matrix {
-        &self.covariance
-    }
-
-    /// Variance of a derived variable with the given gradient.
-    pub fn variance(&self, gradient: &[f64]) -> Result<f64> {
-        delta_variance(gradient, &self.covariance)
-    }
-
-    /// Standard deviation of a derived variable with the given gradient.
-    pub fn deviation(&self, gradient: &[f64]) -> Result<f64> {
-        Ok(self.variance(gradient)?.sqrt())
-    }
-
-    /// Confidence interval for a derived variable.
-    pub fn interval(
-        &self,
-        estimate: f64,
-        gradient: &[f64],
-        confidence: f64,
-    ) -> Result<ConfidenceInterval> {
-        delta_interval(estimate, gradient, &self.covariance, confidence)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,11 +132,7 @@ mod tests {
             inf_gradient,
             Err(StatsError::NegativeVariance { .. })
         ));
-        assert!(
-            DeltaMethod::new(Matrix::identity(2))
-                .interval(0.5, &[f64::NAN, 0.0], 0.9)
-                .is_err()
-        );
+        assert!(delta_interval(0.5, &[f64::NAN, 0.0], &Matrix::identity(2), 0.9).is_err());
     }
 
     #[test]
@@ -195,17 +141,6 @@ mod tests {
         let ci = delta_interval(0.5, &[1.0], &cov, 0.95).unwrap();
         assert_eq!(ci.center, 0.5);
         assert!((ci.half_width - 1.959963984540054 * 0.2).abs() < 1e-8);
-    }
-
-    #[test]
-    fn builder_reuses_covariance() {
-        let dm = DeltaMethod::new(Matrix::identity(2));
-        assert_eq!(dm.dim(), 2);
-        assert!((dm.variance(&[3.0, 4.0]).unwrap() - 25.0).abs() < 1e-12);
-        assert!((dm.deviation(&[3.0, 4.0]).unwrap() - 5.0).abs() < 1e-12);
-        let ci = dm.interval(1.0, &[1.0, 0.0], 0.5).unwrap();
-        assert!((ci.half_width - 0.6744897501960817).abs() < 1e-8);
-        assert_eq!(dm.covariance().rows(), 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod proportion;
 mod summary;
 
 pub use bootstrap::Bootstrap;
-pub use delta::{DeltaMethod, delta_interval, delta_variance};
+pub use delta::{delta_interval, delta_variance};
 pub use erf::{erf, erfc};
 pub use interval::ConfidenceInterval;
 pub use minvar::{MinVarWeights, WeightPolicy, min_variance_weights};
