@@ -6,7 +6,7 @@
 
 use criterion::{BenchmarkId, Criterion, criterion_group, criterion_main};
 use crowd_data::{CountsTensor, WorkerId, pair_stats};
-use crowd_linalg::{Lu, Matrix, gauss_jordan_inverse, symmetric_eigen};
+use crowd_linalg::{Lu, Matrix, symmetric_eigen};
 use crowd_sim::{BinaryScenario, KaryScenario, rng};
 use crowd_stats::{normal_quantile, two_sided_z};
 use std::hint::black_box;
@@ -33,9 +33,6 @@ fn linalg_benches(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("lu_inverse", n), &n, |b, _| {
             b.iter(|| black_box(Lu::decompose(black_box(&a)).unwrap().inverse()));
-        });
-        group.bench_with_input(BenchmarkId::new("gauss_jordan", n), &n, |b, _| {
-            b.iter(|| black_box(gauss_jordan_inverse(black_box(&a))));
         });
         group.bench_with_input(BenchmarkId::new("jacobi_eigen", n), &n, |b, _| {
             b.iter(|| black_box(symmetric_eigen(black_box(&a))));

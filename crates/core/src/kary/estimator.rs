@@ -2,9 +2,7 @@
 //! confidence intervals.
 
 use crate::kary::covariance::{CountsCovariance, perturbation_entries};
-use crate::kary::prob_estimate::{
-    JacobianScratch, ProbEstimate, prob_estimate, prob_estimate_pass,
-};
+use crate::kary::prob_estimate::{JacobianScratch, ProbEstimate, prob_estimate_pass};
 use crate::{EstimateError, EstimatorConfig, Result};
 use crowd_data::{CountsTensor, OverlapSource, WorkerId};
 use crowd_linalg::Matrix;
@@ -142,11 +140,6 @@ impl KaryEstimator {
     /// Borrow the configuration.
     pub fn config(&self) -> &EstimatorConfig {
         &self.config
-    }
-
-    /// Point estimation only (no intervals): the raw `ProbEstimate`.
-    pub fn point_estimate(&self, counts: &CountsTensor) -> Result<ProbEstimate> {
-        prob_estimate(counts)
     }
 
     /// Full Algorithm A3 for the worker triple `(w₁, w₂, w₃)` over any

@@ -593,7 +593,6 @@ fn cross_entry_covariance(n5: f64, p_w: &Matrix, s_hat: &[f64], a1: &Matrix, a2:
 mod tests {
     use super::*;
     use crate::kary::KaryEstimator;
-    use crate::pairing::form_pairs;
     use crowd_data::TaskId;
     use crowd_sim::{AttemptDesign, KaryScenario, rng};
     use crowd_stats::WeightPolicy;
@@ -897,7 +896,7 @@ mod tests {
             .with_workers(5)
             .generate(&mut rng(109));
         let cfg = EstimatorConfig::default();
-        let pairs = form_pairs(inst.responses(), WorkerId(0), cfg.pairing, 1);
+        let pairs = form_pairs_limited(inst.responses(), WorkerId(0), cfg.pairing, 1, None);
         assert_eq!(pairs.len(), 2);
         let mut ctxs = Vec::new();
         for (a, b) in pairs {

@@ -8,7 +8,7 @@
 //! the first remaining candidate that shares at least one task with
 //! both `w` and the head. Unpairable candidates are dropped.
 
-use crowd_data::{OverlapSource, ResponseMatrix, WorkerId, triple_overlap};
+use crowd_data::{OverlapSource, WorkerId};
 
 /// A candidate pair forming a triple with the evaluated worker.
 pub type PeerPair = (WorkerId, WorkerId);
@@ -25,7 +25,10 @@ pub enum PairingStrategy {
 }
 
 /// Splits all workers other than `target` into disjoint pairs for
-/// triple formation.
+/// triple formation, over any overlap substrate — the pairwise queries
+/// hit whatever the source provides (merge scans, or the pair table of
+/// a [`crowd_data::StreamingIndex`]). The produced pairs are identical
+/// across substrates.
 ///
 /// Every returned pair `(a, b)` satisfies: `a` and `b` each share at
 /// least `min_overlap` tasks with `target`, with each other, and the
@@ -33,36 +36,14 @@ pub enum PairingStrategy {
 /// pair — degenerate candidates are silently dropped, mirroring the
 /// paper ("until the list has no more pairs of workers who have a
 /// common task with wi and with each other").
-pub fn form_pairs(
-    data: &ResponseMatrix,
-    target: WorkerId,
-    strategy: PairingStrategy,
-    min_overlap: usize,
-) -> Vec<PeerPair> {
-    form_pairs_on(data, target, strategy, min_overlap)
-}
-
-/// [`form_pairs`] over any overlap substrate — the pairwise queries hit
-/// whatever the source provides (merge scans, or the pair table of a
-/// [`crowd_data::StreamingIndex`]). The produced
-/// pairs are identical across substrates.
-pub fn form_pairs_on<S: OverlapSource>(
-    src: &S,
-    target: WorkerId,
-    strategy: PairingStrategy,
-    min_overlap: usize,
-) -> Vec<PeerPair> {
-    form_pairs_limited(src, target, strategy, min_overlap, None)
-}
-
-/// [`form_pairs_on`] with an optional cap on the number of pairs
-/// formed ([`crate::EstimatorConfig::max_triples`]). The greedy loop
-/// stops as soon as the cap is reached, so with
+///
+/// `max_pairs` optionally caps the number of pairs formed
+/// ([`crate::EstimatorConfig::max_triples`]). The greedy loop stops as
+/// soon as the cap is reached, so with
 /// [`PairingStrategy::GreedyByOverlap`] the kept pairs are exactly the
-/// best-overlapped prefix of the uncapped pairing — the evaluated
-/// worker's peer scope shrinks to `≤ 2·cap` workers without changing
-/// which triples an uncapped run would have ranked first. `None`
-/// reproduces [`form_pairs_on`] bit for bit.
+/// best-overlapped prefix of the uncapped (`None`) pairing — the
+/// evaluated worker's peer scope shrinks to `≤ 2·cap` workers without
+/// changing which triples an uncapped run would have ranked first.
 pub fn form_pairs_limited<S: OverlapSource>(
     src: &S,
     target: WorkerId,
@@ -138,7 +119,7 @@ pub fn form_pairs_limited<S: OverlapSource>(
     pairs
 }
 
-/// Every peer any `form_pairs*` call could possibly involve when
+/// Every peer any [`form_pairs_limited`] call could possibly involve when
 /// evaluating `target`: the workers sharing at least one task with it,
 /// ascending by id. The pairing's candidate filter, greedy partner
 /// scan and covariance assembly never look beyond this set (pairs
@@ -158,32 +139,10 @@ pub fn reachable_peers<S: OverlapSource>(src: &S, target: WorkerId) -> Vec<Worke
         .collect()
 }
 
-/// The distinct peers a pairing selected, sorted by id — the peer
-/// scope the estimators hand to
-/// [`crowd_data::OverlapSource::anchored_for`] so anchored views
-/// allocate a mask row per *selected peer* instead of per population
-/// member.
-pub fn pairing_peers(pairs: &[PeerPair]) -> Vec<WorkerId> {
-    let mut peers: Vec<WorkerId> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-    peers.sort_unstable();
-    peers.dedup();
-    peers
-}
-
-/// Diagnostic: total triple overlap mass of a pairing (the sum over
-/// pairs of `c_{target,a,b}`). Used by tests and the pairing ablation
-/// bench to verify the greedy strategy picks well-covered triples.
-pub fn pairing_quality(data: &ResponseMatrix, target: WorkerId, pairs: &[PeerPair]) -> usize {
-    pairs
-        .iter()
-        .map(|&(a, b)| triple_overlap(data, target, a, b).common_tasks)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd_data::{Label, ResponseMatrixBuilder, TaskId};
+    use crowd_data::{Label, ResponseMatrix, ResponseMatrixBuilder, TaskId};
 
     /// 5 workers. Worker 0 is the target, attempting tasks 0..40.
     /// Worker 1 overlaps on 40 tasks, worker 2 on 30, worker 3 on 20,
@@ -199,10 +158,16 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The uncapped overlap-greedy pairing.
+    fn greedy(data: &ResponseMatrix, target: WorkerId, min_overlap: usize) -> Vec<PeerPair> {
+        let strategy = PairingStrategy::GreedyByOverlap;
+        form_pairs_limited(data, target, strategy, min_overlap, None)
+    }
+
     #[test]
     fn greedy_pairs_best_overlaps_first() {
         let data = staggered();
-        let pairs = form_pairs(&data, WorkerId(0), PairingStrategy::GreedyByOverlap, 1);
+        let pairs = greedy(&data, WorkerId(0), 1);
         // Worker 4 shares nothing with worker 0 and is excluded;
         // the three remaining candidates form one pair (1,2) and drop 3.
         assert_eq!(pairs, vec![(WorkerId(1), WorkerId(2))]);
@@ -211,7 +176,7 @@ mod tests {
     #[test]
     fn sequential_pairs_in_id_order() {
         let data = staggered();
-        let pairs = form_pairs(&data, WorkerId(0), PairingStrategy::Sequential, 1);
+        let pairs = form_pairs_limited(&data, WorkerId(0), PairingStrategy::Sequential, 1, None);
         assert_eq!(pairs, vec![(WorkerId(1), WorkerId(2))]);
     }
 
@@ -225,7 +190,7 @@ mod tests {
             }
         }
         let data = b.build().unwrap();
-        let pairs = form_pairs(&data, WorkerId(3), PairingStrategy::GreedyByOverlap, 1);
+        let pairs = greedy(&data, WorkerId(3), 1);
         assert_eq!(pairs.len(), 3);
         let mut seen = std::collections::HashSet::new();
         for &(a, b) in &pairs {
@@ -245,7 +210,7 @@ mod tests {
             }
         }
         let data = b.build().unwrap();
-        let pairs = form_pairs(&data, WorkerId(0), PairingStrategy::GreedyByOverlap, 1);
+        let pairs = greedy(&data, WorkerId(0), 1);
         assert_eq!(pairs.len(), 2, "5 peers → 2 pairs + 1 leftover");
     }
 
@@ -253,15 +218,8 @@ mod tests {
     fn min_overlap_filters_pairs() {
         let data = staggered();
         // Requiring 35 common tasks leaves only worker 1 — no pair.
-        let pairs = form_pairs(&data, WorkerId(0), PairingStrategy::GreedyByOverlap, 35);
+        let pairs = greedy(&data, WorkerId(0), 35);
         assert!(pairs.is_empty());
-    }
-
-    #[test]
-    fn quality_metric_counts_triple_overlap() {
-        let data = staggered();
-        let q = pairing_quality(&data, WorkerId(0), &[(WorkerId(1), WorkerId(2))]);
-        assert_eq!(q, 30); // tasks 10..40 shared by 0, 1 and 2
     }
 
     #[test]
@@ -275,7 +233,7 @@ mod tests {
             }
         }
         let data = b.build().unwrap();
-        let full = form_pairs(&data, WorkerId(0), PairingStrategy::GreedyByOverlap, 1);
+        let full = greedy(&data, WorkerId(0), 1);
         assert!(full.len() >= 3);
         for cap in 0..=full.len() + 1 {
             let capped = form_pairs_limited(
@@ -287,30 +245,6 @@ mod tests {
             );
             assert_eq!(capped, full[..cap.min(full.len())].to_vec(), "cap {cap}");
         }
-        assert_eq!(
-            form_pairs_limited(
-                &data,
-                WorkerId(0),
-                PairingStrategy::GreedyByOverlap,
-                1,
-                None
-            ),
-            full
-        );
-    }
-
-    #[test]
-    fn pairing_peers_flattens_sorted_and_deduplicated() {
-        let pairs = [
-            (WorkerId(5), WorkerId(2)),
-            (WorkerId(7), WorkerId(1)),
-            (WorkerId(3), WorkerId(6)),
-        ];
-        assert_eq!(
-            pairing_peers(&pairs),
-            [1, 2, 3, 5, 6, 7].map(WorkerId).to_vec()
-        );
-        assert!(pairing_peers(&[]).is_empty());
     }
 
     #[test]
@@ -320,6 +254,6 @@ mod tests {
         b.push(WorkerId(1), TaskId(1), Label(0)).unwrap();
         b.push(WorkerId(2), TaskId(2), Label(0)).unwrap();
         let data = b.build().unwrap();
-        assert!(form_pairs(&data, WorkerId(0), PairingStrategy::GreedyByOverlap, 1).is_empty());
+        assert!(greedy(&data, WorkerId(0), 1).is_empty());
     }
 }

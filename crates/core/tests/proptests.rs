@@ -4,11 +4,12 @@ use crowd_core::agreement::{Triangle, agreement_from_errors};
 use crowd_core::kary::KaryEstimator;
 use crowd_core::kary::{align_rows_greedy, fix_row_signs, population_counts, prob_estimate};
 use crowd_core::{
-    DegeneracyPolicy, EstimatorConfig, KaryMWorkerEstimator, KaryWorkerReport, MWorkerEstimator,
-    Report, ThreeWorkerEstimator, WorkerReport, WorkerRow,
+    DegeneracyPolicy, EstimatorConfig, KaryMWorkerEstimator, MWorkerEstimator, Report,
+    ThreeWorkerEstimator, WorkerRow,
 };
 use crowd_data::{Label, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex, TaskId, WorkerId};
 use crowd_linalg::Matrix;
+use crowd_oracle::report_difference;
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary sparse binary response matrix with enough
@@ -32,68 +33,6 @@ fn assessable_matrix() -> impl Strategy<Value = ResponseMatrix> {
             },
         )
     })
-}
-
-/// Bit-exact equality of two assessment reports (identical workers,
-/// intervals down to the f64 bit pattern, and failure sets).
-fn assert_reports_bit_identical(a: &WorkerReport, b: &WorkerReport) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.assessments.len(), b.assessments.len());
-    prop_assert_eq!(a.failures.len(), b.failures.len());
-    for (x, y) in a.assessments.iter().zip(&b.assessments) {
-        prop_assert_eq!(x.worker, y.worker);
-        prop_assert_eq!(x.triples_used, y.triples_used);
-        prop_assert_eq!(x.weights_fell_back, y.weights_fell_back);
-        prop_assert_eq!(
-            x.interval.center.to_bits(),
-            y.interval.center.to_bits(),
-            "center diverged for {:?}: {} vs {}",
-            x.worker,
-            x.interval.center,
-            y.interval.center
-        );
-        prop_assert_eq!(
-            x.interval.half_width.to_bits(),
-            y.interval.half_width.to_bits(),
-            "half width diverged for {:?}: {} vs {}",
-            x.worker,
-            x.interval.half_width,
-            y.interval.half_width
-        );
-    }
-    for (x, y) in a.failures.iter().zip(&b.failures) {
-        prop_assert_eq!(x.0, y.0);
-    }
-    Ok(())
-}
-
-/// [`assert_reports_bit_identical`] for k-ary reports: every interval
-/// of every assessed worker, and the failure rows with their reasons.
-fn assert_kary_reports_bit_identical(
-    a: &KaryWorkerReport,
-    b: &KaryWorkerReport,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.assessments.len(), b.assessments.len());
-    prop_assert_eq!(a.failures.len(), b.failures.len());
-    for (x, y) in a.assessments.iter().zip(&b.assessments) {
-        prop_assert_eq!(x.worker, y.worker);
-        prop_assert_eq!(x.triples_used, y.triples_used);
-        prop_assert_eq!(x.weights_fell_back, y.weights_fell_back);
-        prop_assert_eq!(x.intervals.len(), y.intervals.len());
-        for (p, q) in x.intervals.iter().zip(&y.intervals) {
-            prop_assert_eq!(p.center.to_bits(), q.center.to_bits(), "{:?}", x.worker);
-            prop_assert_eq!(
-                p.half_width.to_bits(),
-                q.half_width.to_bits(),
-                "{:?}",
-                x.worker
-            );
-        }
-    }
-    for (x, y) in a.failures.iter().zip(&b.failures) {
-        prop_assert_eq!(x.0, y.0);
-        prop_assert_eq!(&x.1, &y.1);
-    }
-    Ok(())
 }
 
 /// Strategy: one sort key per worker id of [`assessable_matrix`]; see
@@ -319,8 +258,8 @@ proptest! {
             .collect();
         for_each_substrate!(&data, |substrate, src| {
             let report = est.evaluate_workers_on(src, &workers, 0.9).expect("enough workers");
-            assert_reports_bit_identical(&report, &expect)
-                .map_err(|e| TestCaseError::fail(format!("{substrate}: {e:?}")))?;
+            let diff = report_difference(&report, &expect);
+            prop_assert!(diff.is_none(), "{}: {:?}", substrate, diff);
             for (&[w, a, b], want) in triples.iter().zip(&oracle) {
                 let got = format!("{:?}", three.triple_estimate(src, w, a, b));
                 prop_assert_eq!(&got, want, "{}: triple ({:?}, {:?}, {:?})", substrate, w, a, b);
@@ -349,8 +288,8 @@ proptest! {
             .collect();
         for_each_substrate!(&data, |substrate, src| {
             let report = est.evaluate_workers_on(src, &workers, 0.9).expect("enough workers");
-            assert_kary_reports_bit_identical(&report, &expect)
-                .map_err(|e| TestCaseError::fail(format!("{substrate}: {e:?}")))?;
+            let diff = report_difference(&report, &expect);
+            prop_assert!(diff.is_none(), "{}: {:?}", substrate, diff);
             for (&t, want) in triples.iter().zip(&oracle) {
                 let got = format!("{:?}", a3.evaluate(src, t, 0.9));
                 prop_assert_eq!(&got, want, "{}: triple {:?}", substrate, t);

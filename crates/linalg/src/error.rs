@@ -30,20 +30,11 @@ pub enum LinalgError {
         /// Pivot index where elimination broke down.
         pivot: usize,
     },
-    /// Cholesky applied to a matrix that is not positive definite.
-    NotPositiveDefinite {
-        /// Index of the leading minor that failed.
-        minor: usize,
-    },
-    /// The QR eigenvalue iteration failed to converge.
+    /// The Jacobi eigenvalue iteration failed to converge.
     NoConvergence {
         /// Number of sweeps/iterations attempted before giving up.
         iterations: usize,
     },
-    /// The real-Schur iteration encountered a complex eigenvalue pair;
-    /// the crowd-assessment moment matrices have real spectra so this
-    /// indicates severely degenerate input.
-    ComplexEigenvalues,
 }
 
 impl fmt::Display for LinalgError {
@@ -64,19 +55,10 @@ impl fmt::Display for LinalgError {
             Self::Singular { pivot } => {
                 write!(f, "matrix is singular (zero pivot at index {pivot})")
             }
-            Self::NotPositiveDefinite { minor } => {
-                write!(f, "matrix is not positive definite (leading minor {minor})")
-            }
             Self::NoConvergence { iterations } => {
                 write!(
                     f,
                     "eigen iteration failed to converge after {iterations} iterations"
-                )
-            }
-            Self::ComplexEigenvalues => {
-                write!(
-                    f,
-                    "matrix has complex eigenvalues; a real spectrum was required"
                 )
             }
         }
@@ -103,15 +85,8 @@ mod tests {
         assert!(e.to_string().contains("singular"));
         let e = LinalgError::NotSquare { rows: 2, cols: 1 };
         assert!(e.to_string().contains("square"));
-        let e = LinalgError::NotPositiveDefinite { minor: 3 };
-        assert!(e.to_string().contains("positive definite"));
         let e = LinalgError::NoConvergence { iterations: 9 };
         assert!(e.to_string().contains("9"));
-        assert!(
-            LinalgError::ComplexEigenvalues
-                .to_string()
-                .contains("complex")
-        );
     }
 
     #[test]

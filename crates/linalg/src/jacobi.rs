@@ -41,8 +41,8 @@ impl SymmetricEigen {
 /// Jacobi method.
 ///
 /// Only the requirement that `a` is square is enforced; mild asymmetry
-/// is tolerated by operating on the symmetrized part. Callers that care
-/// should check [`Matrix::asymmetry`] first.
+/// is tolerated by operating on the symmetrized part. The k-ary
+/// estimator passes [`Matrix::symmetrize`]d moment products.
 pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {

@@ -1,22 +1,19 @@
 //! Dense linear algebra substrate for the `crowd-assess` workspace.
 //!
-//! The crowd-assessment algorithms of Joglekar et al. (ICDE 2015) need a
-//! small but complete dense-matrix toolkit:
+//! The crowd-assessment algorithms of Joglekar et al. (ICDE 2015) need
+//! two dense kernels:
 //!
 //! * matrix inversion for the minimum-variance weight computation
 //!   (Lemma 5: `A = C⁻¹𝟙 / ‖C⁻¹𝟙‖₁`),
-//! * eigendecomposition of the near-symmetric moment products
+//! * eigendecomposition of the symmetrized moment products
 //!   `R₁₂R₃₂⁻¹R₃₁` (Lemma 7) and of the conditional moment matrices
-//!   (Algorithm A3, step 6.c),
-//! * Cholesky factorization for covariance sanity checks and for
-//!   sampling correlated noise in tests.
+//!   (Algorithm A3, step 6.c).
 //!
 //! The matrices involved are tiny (`k ≤ 8` for task arity, `l ≤ m/2`
 //! triples), so the implementations favour robustness and clarity over
-//! blocked performance: LU with partial pivoting, Gauss-Jordan (kept
-//! because the paper cites it for the complexity bound), cyclic Jacobi
-//! for symmetric eigenproblems and a Hessenberg + shifted-QR solver for
-//! general real matrices.
+//! blocked performance: LU with partial pivoting (the `O(l³)` inverse
+//! the paper's complexity bound assumes) and cyclic Jacobi for the
+//! symmetric eigenproblems.
 //!
 //! Everything is `f64`; no external dependencies.
 //!
@@ -32,23 +29,17 @@
 //! assert!(id.get(0, 1).abs() < 1e-12);
 //! ```
 
-mod cholesky;
 mod error;
-mod gauss_jordan;
 mod jacobi;
 mod lu;
 mod matrix;
-mod qr_eigen;
 mod vector;
 
-pub use cholesky::{Cholesky, is_positive_definite_with_ridge};
 pub use error::LinalgError;
-pub use gauss_jordan::gauss_jordan_inverse;
 pub use jacobi::{SymmetricEigen, symmetric_eigen};
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr_eigen::{Eigen, eigen_decompose};
-pub use vector::{dot, l2_norm, normalize_l2};
+pub use vector::dot;
 
 /// Workspace-wide tolerance used when deciding whether a pivot or an
 /// eigenvalue is numerically zero.

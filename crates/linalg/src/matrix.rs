@@ -2,7 +2,6 @@
 
 use crate::{LinalgError, Result};
 use std::fmt;
-use std::ops::{Add, Mul, Neg, Sub};
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -24,15 +23,6 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates a `rows × cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
         }
     }
 
@@ -195,11 +185,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the row-major backing vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the main diagonal as a vector.
     pub fn diag(&self) -> Vec<f64> {
         (0..self.rows.min(self.cols))
@@ -303,25 +288,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise difference. Panics on shape mismatch.
-    pub fn sub_matrix(&self, rhs: &Self) -> Self {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "sub shape mismatch"
-        );
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
-    }
-
     /// Symmetrizes the matrix: `(A + Aᵀ)/2`.
     ///
     /// The sample moment products of Algorithm A3 are symmetric in
@@ -347,23 +313,6 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute asymmetry `max |A_ij − A_ji|`; zero for exactly
-    /// symmetric matrices.
-    pub fn asymmetry(&self) -> f64 {
-        let mut worst = 0.0f64;
-        for i in 0..self.rows {
-            for j in 0..i {
-                worst = worst.max((self.get(i, j) - self.get(j, i)).abs());
-            }
-        }
-        worst
-    }
-
-    /// True if every pairwise mirrored pair differs by at most `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        self.is_square() && self.asymmetry() <= tol
-    }
-
     /// Swaps rows `a` and `b` in place.
     pub fn swap_rows(&mut self, a: usize, b: usize) {
         assert!(a < self.rows && b < self.rows, "row swap out of bounds");
@@ -373,17 +322,6 @@ impl Matrix {
         let (lo, hi) = (a.min(b), a.max(b));
         let (top, bottom) = self.data.split_at_mut(hi * self.cols);
         top[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut bottom[..self.cols]);
-    }
-
-    /// Swaps columns `a` and `b` in place.
-    pub fn swap_cols(&mut self, a: usize, b: usize) {
-        assert!(a < self.cols && b < self.cols, "column swap out of bounds");
-        if a == b {
-            return;
-        }
-        for r in 0..self.rows {
-            self.data.swap(r * self.cols + a, r * self.cols + b);
-        }
     }
 
     /// Returns a new matrix whose rows are permuted so that output row
@@ -443,41 +381,6 @@ impl fmt::Debug for Matrix {
             writeln!(f, "]")?;
         }
         write!(f, "]")
-    }
-}
-
-impl Add for &Matrix {
-    type Output = Matrix;
-    fn add(self, rhs: &Matrix) -> Matrix {
-        self.add_matrix(rhs)
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        self.sub_matrix(rhs)
-    }
-}
-
-impl Mul for &Matrix {
-    type Output = Matrix;
-    fn mul(self, rhs: &Matrix) -> Matrix {
-        self.matmul(rhs)
-    }
-}
-
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-    fn mul(self, rhs: f64) -> Matrix {
-        self.scale(rhs)
-    }
-}
-
-impl Neg for &Matrix {
-    type Output = Matrix;
-    fn neg(self) -> Matrix {
-        self.scale(-1.0)
     }
 }
 
@@ -558,33 +461,29 @@ mod tests {
     fn elementwise_ops() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[4.0, 3.0], &[2.0, 1.0]]);
-        assert!((&a + &b).approx_eq(&Matrix::filled(2, 2, 5.0), 0.0));
-        assert!((&a - &a).approx_eq(&Matrix::zeros(2, 2), 0.0));
-        assert!((&a * 2.0).approx_eq(&Matrix::from_rows(&[&[2.0, 4.0], &[6.0, 8.0]]), 0.0));
-        assert!((-&a).approx_eq(&a.scale(-1.0), 0.0));
+        let five = Matrix::from_rows(&[&[5.0, 5.0], &[5.0, 5.0]]);
+        assert!(a.add_matrix(&b).approx_eq(&five, 0.0));
+        let doubled = Matrix::from_rows(&[&[2.0, 4.0], &[6.0, 8.0]]);
+        assert!(a.scale(2.0).approx_eq(&doubled, 0.0));
     }
 
     #[test]
-    fn symmetrize_and_asymmetry() {
+    fn symmetrize_averages_the_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]);
-        assert!((a.asymmetry() - 2.0).abs() < 1e-15);
         let s = a.symmetrize().unwrap();
-        assert!(s.is_symmetric(0.0));
         assert_eq!(s.get(0, 1), 1.0);
+        assert_eq!(s.get(1, 0), 1.0);
         assert!(sample().symmetrize().is_err());
     }
 
     #[test]
-    fn swap_rows_and_cols() {
+    fn swap_rows_in_place() {
         let mut m = sample();
         m.swap_rows(0, 1);
         assert_eq!(m.row(0), &[4.0, 5.0, 6.0]);
-        m.swap_cols(0, 2);
-        assert_eq!(m.row(0), &[6.0, 5.0, 4.0]);
         // Swapping with self is a no-op.
         let before = m.clone();
         m.swap_rows(1, 1);
-        m.swap_cols(0, 0);
         assert!(m.approx_eq(&before, 0.0));
     }
 

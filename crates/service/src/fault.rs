@@ -9,7 +9,7 @@
 //! to a never-crashed twin: both sides see the same deterministic
 //! workload, only one sees the faults.
 //!
-//! Three fault families:
+//! Two fault families:
 //!
 //! * **Shard panics** ([`FaultPlan::panic_for`]) — consumed by the
 //!   shard supervision loop. Where the panic lands is a
@@ -19,11 +19,6 @@
 //!   the wire server, which severs the connection after applying a
 //!   request but before replying: the ambiguous-outcome window the
 //!   retrying client's sequence-id dedup exists for.
-//! * **Delayed replies** ([`FaultPlan::reply_delay`]) — a fixed
-//!   server-side stall before every reply write, for timeout-path
-//!   testing.
-
-use std::time::Duration;
 
 /// Where an injected shard panic lands; see [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,7 +54,6 @@ pub struct FaultPlan {
     /// Explicit (connection ordinal, 1-based frame ordinal) drop
     /// sites.
     drop_at: Vec<(u64, u64)>,
-    reply_delay: Option<Duration>,
 }
 
 /// `splitmix64` — the same tiny deterministic mixer the workspace's
@@ -128,12 +122,6 @@ impl FaultPlan {
         self
     }
 
-    /// Stalls every server reply by `delay`.
-    pub fn with_reply_delay(mut self, delay: Duration) -> Self {
-        self.reply_delay = Some(delay);
-        self
-    }
-
     /// Whether (and where) shard `shard` panics while handling its
     /// `batch`-th ingest batch (1-based, monotone across recoveries).
     pub fn panic_for(&self, shard: usize, batch: u64) -> Option<CrashPoint> {
@@ -147,11 +135,6 @@ impl FaultPlan {
     pub fn should_drop(&self, conn: u64, frame: u64) -> bool {
         self.drop_at.contains(&(conn, frame))
             || decide(self.seed, 0x44524f50, conn, frame, self.drop_rate)
-    }
-
-    /// The configured reply stall, if any.
-    pub fn reply_delay(&self) -> Option<Duration> {
-        self.reply_delay
     }
 }
 

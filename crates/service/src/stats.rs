@@ -170,11 +170,6 @@ impl ServiceStats {
         self.shards.iter().map(|s| s.checkpoints).sum()
     }
 
-    /// Fleet total of WAL responses replayed during recoveries.
-    pub fn total_wal_replayed(&self) -> u64 {
-        self.shards.iter().map(|s| s.wal_replayed).sum()
-    }
-
     /// The deepest any shard queue ever got, in messages.
     pub fn max_queue_high_water(&self) -> usize {
         self.shards

@@ -15,47 +15,14 @@
 //! counts, failure taxonomy) at every comparison, while its cache
 //! counters prove the fast path actually ran.
 
-use crowd_core::{Estimator, EstimatorConfig, KaryWorkerReport, StreamingEvaluator, WorkerReport};
+use crowd_core::{Estimator, EstimatorConfig, StreamingEvaluator, WorkerReport};
 use crowd_core::{KaryMWorkerEstimator, MWorkerEstimator};
 use crowd_data::{Response, ResponseMatrix, WorkerId};
+use crowd_oracle::{report_difference, row_difference};
 use crowd_service::{AssessmentService, ServiceConfig, ServiceError};
 use crowd_shard::ShardPlan;
 use crowd_sim::{ArrivalSchedule, BinaryScenario, KaryScenario, rng};
 use rand::RngExt;
-
-fn reports_identical(a: &WorkerReport, b: &WorkerReport) -> bool {
-    a.assessments.len() == b.assessments.len()
-        && a.failures.len() == b.failures.len()
-        && a.assessments.iter().zip(&b.assessments).all(|(x, y)| {
-            x.worker == y.worker
-                && x.triples_used == y.triples_used
-                && x.weights_fell_back == y.weights_fell_back
-                && x.interval.center.to_bits() == y.interval.center.to_bits()
-                && x.interval.half_width.to_bits() == y.interval.half_width.to_bits()
-        })
-        && a.failures
-            .iter()
-            .zip(&b.failures)
-            .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
-}
-
-fn kary_reports_identical(a: &KaryWorkerReport, b: &KaryWorkerReport) -> bool {
-    a.assessments.len() == b.assessments.len()
-        && a.failures.len() == b.failures.len()
-        && a.assessments.iter().zip(&b.assessments).all(|(x, y)| {
-            x.worker == y.worker
-                && x.triples_used == y.triples_used
-                && x.intervals.len() == y.intervals.len()
-                && x.intervals.iter().zip(&y.intervals).all(|(p, q)| {
-                    p.center.to_bits() == q.center.to_bits()
-                        && p.half_width.to_bits() == q.half_width.to_bits()
-                })
-        })
-        && a.failures
-            .iter()
-            .zip(&b.failures)
-            .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
-}
 
 /// Spawns the cached service and its serial uncached reference.
 fn spawn_pair<E: Estimator>(
@@ -108,37 +75,26 @@ fn cached_service_is_bit_identical_to_uncached_binary() {
                 // path and still agree bit for bit.
                 let a = cached.snapshot(confidence).unwrap();
                 let b = full.evaluate_all(confidence).unwrap();
-                assert!(reports_identical(&a, &b), "pre-switch divergence");
+                assert_eq!(report_difference(&a, &b), None, "pre-switch divergence");
                 confidence = 0.95;
             }
             if dice.random::<f64>() < 0.35 {
                 let a = cached.snapshot(confidence).unwrap();
                 let b = full.evaluate_all(confidence).unwrap();
-                assert!(
-                    reports_identical(&a, &b),
+                assert_eq!(
+                    report_difference(&a, &b),
+                    None,
                     "drain-point divergence: shards={n_shards} batch={i}"
                 );
             }
             if dice.random::<f64>() < 0.3 {
                 let w = WorkerId(dice.random::<u32>() % data.n_workers() as u32);
-                match (
-                    cached.assess_worker(w, confidence),
-                    full.evaluate_worker(w, confidence)
-                        .map_err(ServiceError::Estimate),
-                ) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.interval.center.to_bits(), b.interval.center.to_bits());
-                        assert_eq!(
-                            a.interval.half_width.to_bits(),
-                            b.interval.half_width.to_bits()
-                        );
-                        assert_eq!(a.triples_used, b.triples_used);
-                    }
-                    (Err(ServiceError::Estimate(a)), Err(ServiceError::Estimate(b))) => {
-                        assert_eq!(a, b)
-                    }
-                    (a, b) => panic!("outcome mismatch for {w:?}: {a:?} vs {b:?}"),
-                }
+                let served = match cached.assess_worker(w, confidence) {
+                    Err(ServiceError::Estimate(e)) => Err(e),
+                    other => Ok(other.expect("only estimator failures")),
+                };
+                let diff = row_difference(&served, &full.evaluate_worker(w, confidence));
+                assert_eq!(diff, None, "worker {w:?}");
             }
         }
         // Final drain point, then a quiet repeat: no ingest between
@@ -146,13 +102,14 @@ fn cached_service_is_bit_identical_to_uncached_binary() {
         // cache — identical bits, zero new misses.
         let a = cached.snapshot(confidence).unwrap();
         let b = full.evaluate_all(confidence).unwrap();
-        assert!(
-            reports_identical(&a, &b),
+        assert_eq!(
+            report_difference(&a, &b),
+            None,
             "final divergence shards={n_shards}"
         );
         let before = cached.stats().unwrap();
         let a2 = cached.snapshot(confidence).unwrap();
-        assert!(reports_identical(&a2, &b), "quiet-drain divergence");
+        assert_eq!(report_difference(&a2, &b), None, "quiet-drain divergence");
         let after = cached.stats().unwrap();
         assert_eq!(
             after.total_cache_misses(),
@@ -189,8 +146,9 @@ fn cached_service_is_bit_identical_to_uncached_kary() {
             if i + 1 == mid {
                 let a = cached.snapshot_kary(confidence).unwrap();
                 let b = full.evaluate_all(confidence).unwrap();
-                assert!(
-                    kary_reports_identical(&a, &b),
+                assert_eq!(
+                    report_difference(&a, &b),
+                    None,
                     "pre-switch k-ary divergence"
                 );
                 confidence = 0.95;
@@ -198,36 +156,27 @@ fn cached_service_is_bit_identical_to_uncached_kary() {
             if dice.random::<f64>() < 0.35 {
                 let a = cached.snapshot_kary(confidence).unwrap();
                 let b = full.evaluate_all(confidence).unwrap();
-                assert!(
-                    kary_reports_identical(&a, &b),
+                assert_eq!(
+                    report_difference(&a, &b),
+                    None,
                     "k-ary drain-point divergence: shards={n_shards} batch={i}"
                 );
             }
             if dice.random::<f64>() < 0.3 {
                 let w = WorkerId(dice.random::<u32>() % data.n_workers() as u32);
-                match (
-                    cached.assess_worker_kary(w, confidence),
-                    full.evaluate_worker(w, confidence)
-                        .map_err(ServiceError::Estimate),
-                ) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.triples_used, b.triples_used);
-                        for (p, q) in a.intervals.iter().zip(&b.intervals) {
-                            assert_eq!(p.center.to_bits(), q.center.to_bits());
-                            assert_eq!(p.half_width.to_bits(), q.half_width.to_bits());
-                        }
-                    }
-                    (Err(ServiceError::Estimate(a)), Err(ServiceError::Estimate(b))) => {
-                        assert_eq!(a, b)
-                    }
-                    (a, b) => panic!("k-ary outcome mismatch for {w:?}: {a:?} vs {b:?}"),
-                }
+                let served = match cached.assess_worker_kary(w, confidence) {
+                    Err(ServiceError::Estimate(e)) => Err(e),
+                    other => Ok(other.expect("only estimator failures")),
+                };
+                let diff = row_difference(&served, &full.evaluate_worker(w, confidence));
+                assert_eq!(diff, None, "k-ary worker {w:?}");
             }
         }
         let a = cached.snapshot_kary(confidence).unwrap();
         let b = full.evaluate_all(confidence).unwrap();
-        assert!(
-            kary_reports_identical(&a, &b),
+        assert_eq!(
+            report_difference(&a, &b),
+            None,
             "final k-ary divergence shards={n_shards}"
         );
         let stats = cached.stats().unwrap();
@@ -254,7 +203,7 @@ fn explicit_worker_sets_share_cache_rows_with_snapshots() {
     }
     let a = cached.snapshot(0.9).unwrap();
     let b = full.evaluate_all(0.9).unwrap();
-    assert!(reports_identical(&a, &b));
+    assert_eq!(report_difference(&a, &b), None);
     let before = cached.stats().unwrap();
     let set: Vec<WorkerId> = (0..data.n_workers() as u32)
         .step_by(2)
@@ -265,7 +214,7 @@ fn explicit_worker_sets_share_cache_rows_with_snapshots() {
     for &w in &set {
         b.push(w, full.evaluate_worker(w, 0.9));
     }
-    assert!(reports_identical(&a, &b));
+    assert_eq!(report_difference(&a, &b), None);
     let after = cached.stats().unwrap();
     assert_eq!(
         after.total_cache_misses(),

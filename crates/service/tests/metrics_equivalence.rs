@@ -9,47 +9,13 @@
 //! drain points, binary and k-ary — while the instrumented twin's
 //! stage histograms prove the timers actually ran.
 
-use crowd_core::{KaryWorkerReport, WorkerReport};
 use crowd_data::{Response, ResponseMatrix, WorkerId};
 use crowd_obs::EventKind;
-use crowd_service::{AssessmentService, ServiceConfig};
+use crowd_oracle::{report_difference, row_difference};
+use crowd_service::{AssessmentService, ServiceConfig, ServiceError};
 use crowd_shard::ShardPlan;
 use crowd_sim::{ArrivalSchedule, BinaryScenario, KaryScenario, rng};
 use rand::RngExt;
-
-fn reports_identical(a: &WorkerReport, b: &WorkerReport) -> bool {
-    a.assessments.len() == b.assessments.len()
-        && a.failures.len() == b.failures.len()
-        && a.assessments.iter().zip(&b.assessments).all(|(x, y)| {
-            x.worker == y.worker
-                && x.triples_used == y.triples_used
-                && x.weights_fell_back == y.weights_fell_back
-                && x.interval.center.to_bits() == y.interval.center.to_bits()
-                && x.interval.half_width.to_bits() == y.interval.half_width.to_bits()
-        })
-        && a.failures
-            .iter()
-            .zip(&b.failures)
-            .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
-}
-
-fn kary_reports_identical(a: &KaryWorkerReport, b: &KaryWorkerReport) -> bool {
-    a.assessments.len() == b.assessments.len()
-        && a.failures.len() == b.failures.len()
-        && a.assessments.iter().zip(&b.assessments).all(|(x, y)| {
-            x.worker == y.worker
-                && x.triples_used == y.triples_used
-                && x.intervals.len() == y.intervals.len()
-                && x.intervals.iter().zip(&y.intervals).all(|(p, q)| {
-                    p.center.to_bits() == q.center.to_bits()
-                        && p.half_width.to_bits() == q.half_width.to_bits()
-                })
-        })
-        && a.failures
-            .iter()
-            .zip(&b.failures)
-            .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
-}
 
 /// Spawns the instrumented service and its metrics-disabled twin over
 /// the same shard plan.
@@ -88,29 +54,25 @@ fn instrumented_service_is_bit_identical_binary() {
             if dice.random::<f64>() < 0.35 {
                 let a = on.snapshot(0.9).unwrap();
                 let b = off.snapshot(0.9).unwrap();
-                assert!(
-                    reports_identical(&a, &b),
+                assert_eq!(
+                    report_difference(&a, &b),
+                    None,
                     "drain-point divergence: shards={n_shards} batch={i}"
                 );
             }
             if dice.random::<f64>() < 0.3 {
                 let w = WorkerId(dice.random_range(0..12) as u32);
-                let a = on.assess_worker(w, 0.9);
-                let b = off.assess_worker(w, 0.9);
-                match (a, b) {
-                    (Ok(x), Ok(y)) => assert!(
-                        x.interval.center.to_bits() == y.interval.center.to_bits()
-                            && x.interval.half_width.to_bits() == y.interval.half_width.to_bits()
-                            && x.triples_used == y.triples_used
-                    ),
-                    (Err(_), Err(_)) => {}
-                    other => panic!("Ok/Err divergence: {other:?}"),
-                }
+                let outcome = |svc: &AssessmentService| match svc.assess_worker(w, 0.9) {
+                    Err(ServiceError::Estimate(e)) => Err(e),
+                    other => Ok(other.expect("only estimator failures")),
+                };
+                let diff = row_difference(&outcome(&on), &outcome(&off));
+                assert_eq!(diff, None, "worker {w:?}");
             }
         }
         let a = on.snapshot(0.9).unwrap();
         let b = off.snapshot(0.9).unwrap();
-        assert!(reports_identical(&a, &b), "final divergence");
+        assert_eq!(report_difference(&a, &b), None, "final divergence");
 
         // The twins' counter stats agree too; only the stage timers
         // and journal differ.
@@ -166,15 +128,16 @@ fn instrumented_service_is_bit_identical_kary() {
             if dice.random::<f64>() < 0.4 {
                 let a = on.snapshot_kary(0.9).unwrap();
                 let b = off.snapshot_kary(0.9).unwrap();
-                assert!(
-                    kary_reports_identical(&a, &b),
+                assert_eq!(
+                    report_difference(&a, &b),
+                    None,
                     "k-ary drain-point divergence: shards={n_shards} batch={i}"
                 );
             }
         }
         let a = on.snapshot_kary(0.95).unwrap();
         let b = off.snapshot_kary(0.95).unwrap();
-        assert!(kary_reports_identical(&a, &b), "k-ary final divergence");
+        assert_eq!(report_difference(&a, &b), None, "k-ary final divergence");
         on.shutdown().unwrap();
         off.shutdown().unwrap();
     }

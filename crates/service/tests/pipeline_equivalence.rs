@@ -18,48 +18,15 @@
 
 use crowd_core::{
     EstimatorConfig, IncrementalEvaluator, KaryIncrementalEvaluator, KaryMWorkerEstimator,
-    KaryWorkerReport, MWorkerEstimator, WorkerReport,
+    MWorkerEstimator,
 };
 use crowd_data::{Label, Response, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId};
+use crowd_oracle::{report_difference, row_difference};
 use crowd_service::{AssessmentService, ServiceConfig, ServiceError};
 use crowd_shard::ShardPlan;
 use crowd_sim::{ArrivalSchedule, BinaryScenario, KaryScenario, rng};
 
 const CONFIDENCE: f64 = 0.9;
-
-fn reports_identical(a: &WorkerReport, b: &WorkerReport) -> bool {
-    a.assessments.len() == b.assessments.len()
-        && a.failures.len() == b.failures.len()
-        && a.assessments.iter().zip(&b.assessments).all(|(x, y)| {
-            x.worker == y.worker
-                && x.triples_used == y.triples_used
-                && x.weights_fell_back == y.weights_fell_back
-                && x.interval.center.to_bits() == y.interval.center.to_bits()
-                && x.interval.half_width.to_bits() == y.interval.half_width.to_bits()
-        })
-        && a.failures
-            .iter()
-            .zip(&b.failures)
-            .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
-}
-
-fn kary_reports_identical(a: &KaryWorkerReport, b: &KaryWorkerReport) -> bool {
-    a.assessments.len() == b.assessments.len()
-        && a.failures.len() == b.failures.len()
-        && a.assessments.iter().zip(&b.assessments).all(|(x, y)| {
-            x.worker == y.worker
-                && x.triples_used == y.triples_used
-                && x.intervals.len() == y.intervals.len()
-                && x.intervals.iter().zip(&y.intervals).all(|(p, q)| {
-                    p.center.to_bits() == q.center.to_bits()
-                        && p.half_width.to_bits() == q.half_width.to_bits()
-                })
-        })
-        && a.failures
-            .iter()
-            .zip(&b.failures)
-            .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
-}
 
 /// A service on `plan` whose shards evaluate with `estimator`.
 fn spawn_service(
@@ -107,43 +74,37 @@ fn run_binary_differential(
             // prefix.
             let snap = service.snapshot(CONFIDENCE).unwrap();
             let reference = serial.evaluate_all(CONFIDENCE).unwrap();
-            assert!(
-                reports_identical(&snap, &reference),
+            assert_eq!(
+                report_difference(&snap, &reference),
+                None,
                 "mid-stream divergence: shards={n_shards} batch={batch} seed={seed}"
             );
             // Per-worker requests agree with the serial per-worker
             // path, including the failure taxonomy.
             for w in (0..data.n_workers() as u32).step_by(3) {
                 let worker = WorkerId(w);
-                match (
-                    service.assess_worker(worker, CONFIDENCE),
-                    serial.evaluate_worker(worker, CONFIDENCE),
-                ) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.interval.center.to_bits(), b.interval.center.to_bits());
-                        assert_eq!(
-                            a.interval.half_width.to_bits(),
-                            b.interval.half_width.to_bits()
-                        );
-                        assert_eq!(a.triples_used, b.triples_used);
-                    }
-                    (Err(ServiceError::Estimate(a)), Err(b)) => assert_eq!(a, b),
-                    (a, b) => panic!("outcome mismatch for {worker:?}: {a:?} vs {b:?}"),
-                }
+                let served = match service.assess_worker(worker, CONFIDENCE) {
+                    Err(ServiceError::Estimate(e)) => Err(e),
+                    other => Ok(other.expect("only estimator failures")),
+                };
+                let diff = row_difference(&served, &serial.evaluate_worker(worker, CONFIDENCE));
+                assert_eq!(diff, None, "worker {worker:?}");
             }
         }
     }
     let snap = service.snapshot(CONFIDENCE).unwrap();
     let reference = serial.evaluate_all(CONFIDENCE).unwrap();
-    assert!(
-        reports_identical(&snap, &reference),
+    assert_eq!(
+        report_difference(&snap, &reference),
+        None,
         "final divergence: shards={n_shards} batch={batch} seed={seed}"
     );
     let batch_report = MWorkerEstimator::new(estimator.clone())
         .evaluate_all(data, CONFIDENCE)
         .unwrap();
-    assert!(
-        reports_identical(&snap, &batch_report),
+    assert_eq!(
+        report_difference(&snap, &batch_report),
+        None,
         "final divergence from batch evaluate_all: shards={n_shards} batch={batch} seed={seed}"
     );
     service
@@ -176,37 +137,33 @@ fn run_kary_differential(
         if i + 1 == mid {
             let snap = service.snapshot_kary(CONFIDENCE).unwrap();
             let reference = serial.evaluate_all(CONFIDENCE).unwrap();
-            assert!(
-                kary_reports_identical(&snap, &reference),
+            assert_eq!(
+                report_difference(&snap, &reference),
+                None,
                 "mid-stream k-ary divergence: shards={n_shards} batch={batch}"
             );
             let worker = WorkerId(1);
-            match (
-                service.assess_worker_kary(worker, CONFIDENCE),
-                serial.evaluate_worker(worker, CONFIDENCE),
-            ) {
-                (Ok(a), Ok(b)) => {
-                    for (p, q) in a.intervals.iter().zip(&b.intervals) {
-                        assert_eq!(p.center.to_bits(), q.center.to_bits());
-                        assert_eq!(p.half_width.to_bits(), q.half_width.to_bits());
-                    }
-                }
-                (Err(ServiceError::Estimate(a)), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("k-ary outcome mismatch: {a:?} vs {b:?}"),
-            }
+            let served = match service.assess_worker_kary(worker, CONFIDENCE) {
+                Err(ServiceError::Estimate(e)) => Err(e),
+                other => Ok(other.expect("only estimator failures")),
+            };
+            let diff = row_difference(&served, &serial.evaluate_worker(worker, CONFIDENCE));
+            assert_eq!(diff, None, "k-ary worker {worker:?}");
         }
     }
     let snap = service.snapshot_kary(CONFIDENCE).unwrap();
     let reference = serial.evaluate_all(CONFIDENCE).unwrap();
-    assert!(
-        kary_reports_identical(&snap, &reference),
+    assert_eq!(
+        report_difference(&snap, &reference),
+        None,
         "final k-ary divergence: shards={n_shards} batch={batch}"
     );
     let batch_report = KaryMWorkerEstimator::new(estimator.clone())
         .evaluate_all(data, CONFIDENCE)
         .unwrap();
-    assert!(
-        kary_reports_identical(&snap, &batch_report),
+    assert_eq!(
+        report_difference(&snap, &batch_report),
+        None,
         "final k-ary divergence from batch evaluate_all: shards={n_shards} batch={batch}"
     );
 }
@@ -294,7 +251,7 @@ fn ingest_continues_after_drain() {
     }
     let snap = service.snapshot(CONFIDENCE).unwrap();
     let reference = serial.evaluate_all(CONFIDENCE).unwrap();
-    assert!(reports_identical(&snap, &reference));
+    assert_eq!(report_difference(&snap, &reference), None);
 }
 
 #[test]
@@ -320,7 +277,7 @@ fn empty_shards_route_and_snapshot_cleanly() {
     }
     let snap = service.snapshot(CONFIDENCE).unwrap();
     let reference = serial.evaluate_all(CONFIDENCE).unwrap();
-    assert!(reports_identical(&snap, &reference));
+    assert_eq!(report_difference(&snap, &reference), None);
     let stats = service.stats().unwrap();
     for shard in &stats.shards {
         let spec = &service.plan().shards()[shard.shard];
@@ -383,7 +340,7 @@ fn invalid_requests_surface_the_data_taxonomy() {
     }
     let snap = service.snapshot(CONFIDENCE).unwrap();
     let reference = serial.evaluate_all(CONFIDENCE).unwrap();
-    assert!(reports_identical(&snap, &reference));
+    assert_eq!(report_difference(&snap, &reference), None);
 }
 
 #[test]

@@ -19,47 +19,13 @@
 
 use std::sync::Arc;
 
-use crowd_core::{KaryWorkerReport, WorkerReport};
-use crowd_data::{Response, ResponseMatrix, WorkerId};
+use crowd_data::{Response, ResponseMatrix};
+use crowd_oracle::{report_difference, row_difference};
 use crowd_service::{AssessmentService, CrashPoint, FaultPlan, ServiceConfig, ServiceError};
 use crowd_shard::ShardPlan;
 use crowd_sim::{ArrivalSchedule, BinaryScenario, KaryScenario, rng};
 
 const CONFIDENCE: f64 = 0.9;
-
-fn reports_identical(a: &WorkerReport, b: &WorkerReport) -> bool {
-    a.assessments.len() == b.assessments.len()
-        && a.failures.len() == b.failures.len()
-        && a.assessments.iter().zip(&b.assessments).all(|(x, y)| {
-            x.worker == y.worker
-                && x.triples_used == y.triples_used
-                && x.weights_fell_back == y.weights_fell_back
-                && x.interval.center.to_bits() == y.interval.center.to_bits()
-                && x.interval.half_width.to_bits() == y.interval.half_width.to_bits()
-        })
-        && a.failures
-            .iter()
-            .zip(&b.failures)
-            .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
-}
-
-fn kary_reports_identical(a: &KaryWorkerReport, b: &KaryWorkerReport) -> bool {
-    a.assessments.len() == b.assessments.len()
-        && a.failures.len() == b.failures.len()
-        && a.assessments.iter().zip(&b.assessments).all(|(x, y)| {
-            x.worker == y.worker
-                && x.triples_used == y.triples_used
-                && x.intervals.len() == y.intervals.len()
-                && x.intervals.iter().zip(&y.intervals).all(|(p, q)| {
-                    p.center.to_bits() == q.center.to_bits()
-                        && p.half_width.to_bits() == q.half_width.to_bits()
-                })
-        })
-        && a.failures
-            .iter()
-            .zip(&b.failures)
-            .all(|(x, y)| x.0 == y.0 && x.1 == y.1)
-}
 
 /// Calls `f`, retrying (bounded) the typed one-call failure an armed
 /// crash point inflicts on the in-flight request. Anything else is a
@@ -112,8 +78,9 @@ fn run_binary(data: &ResponseMatrix, n_shards: usize, crash: CrashPoint, seed: u
             with_crash_retry(|| faulted.drain());
             let a = with_crash_retry(|| faulted.snapshot(CONFIDENCE));
             let b = twin.snapshot(CONFIDENCE).unwrap();
-            assert!(
-                reports_identical(&a, &b),
+            assert_eq!(
+                report_difference(&a, &b),
+                None,
                 "mid-stream snapshot diverged ({n_shards} shards, {crash:?})"
             );
         }
@@ -121,8 +88,9 @@ fn run_binary(data: &ResponseMatrix, n_shards: usize, crash: CrashPoint, seed: u
     with_crash_retry(|| faulted.drain());
     let a = with_crash_retry(|| faulted.snapshot(CONFIDENCE));
     let b = twin.snapshot(CONFIDENCE).unwrap();
-    assert!(
-        reports_identical(&a, &b),
+    assert_eq!(
+        report_difference(&a, &b),
+        None,
         "final snapshot diverged ({n_shards} shards, {crash:?})"
     );
     let stats = with_crash_retry(|| faulted.stats());
@@ -178,8 +146,9 @@ fn run_kary(data: &ResponseMatrix, n_shards: usize, crash: CrashPoint, seed: u64
     with_crash_retry(|| faulted.drain());
     let a = with_crash_retry(|| faulted.snapshot_kary(CONFIDENCE));
     let b = twin.snapshot_kary(CONFIDENCE).unwrap();
-    assert!(
-        kary_reports_identical(&a, &b),
+    assert_eq!(
+        report_difference(&a, &b),
+        None,
         "k-ary snapshot diverged ({n_shards} shards, {crash:?})"
     );
     assert!(with_crash_retry(|| faulted.stats()).total_recoveries() >= 1);
@@ -187,26 +156,12 @@ fn run_kary(data: &ResponseMatrix, n_shards: usize, crash: CrashPoint, seed: u64
     twin.shutdown().unwrap();
 }
 
-/// One worker's assessment as comparable bits (or the estimation
-/// error it failed with), retrying the one call an armed crash point
-/// fails.
-fn probe(svc: &AssessmentService, worker: WorkerId, kary: bool) -> Result<Vec<u64>, String> {
-    with_crash_retry(|| {
-        let bits = if kary {
-            svc.assess_worker_kary(worker, CONFIDENCE).map(|a| {
-                a.intervals
-                    .iter()
-                    .flat_map(|i| [i.center.to_bits(), i.half_width.to_bits()])
-                    .collect()
-            })
-        } else {
-            svc.assess_worker(worker, CONFIDENCE)
-                .map(|a| vec![a.interval.center.to_bits(), a.interval.half_width.to_bits()])
-        };
-        match bits {
-            Err(ServiceError::Estimate(e)) => Ok(Err(format!("{e:?}"))),
-            other => other.map(Ok),
-        }
+/// One worker's outcome (its row, or the estimation error it failed
+/// with), retrying the one call an armed crash point fails.
+fn probe<A>(assess: impl Fn() -> Result<A, ServiceError>) -> crowd_core::Result<A> {
+    with_crash_retry(|| match assess() {
+        Err(ServiceError::Estimate(e)) => Ok(Err(e)),
+        other => other.map(Ok),
     })
 }
 
@@ -248,25 +203,25 @@ fn run_request_at_a_time(data: &ResponseMatrix, n_shards: usize, crash: CrashPoi
             continue;
         }
         with_crash_retry(|| faulted.drain());
-        assert_eq!(
-            probe(&faulted, anchor, kary),
-            probe(&twin, anchor, kary),
-            "assessment after {seen} responses diverged ({context})"
-        );
+        let diff = if kary {
+            let a = probe(|| faulted.assess_worker_kary(anchor, CONFIDENCE));
+            row_difference(&a, &probe(|| twin.assess_worker_kary(anchor, CONFIDENCE)))
+        } else {
+            let a = probe(|| faulted.assess_worker(anchor, CONFIDENCE));
+            row_difference(&a, &probe(|| twin.assess_worker(anchor, CONFIDENCE)))
+        };
+        assert_eq!(diff, None, "assessment after {seen} responses ({context})");
         if seen != responses.len() {
             continue;
         }
-        let identical = if kary {
+        let diff = if kary {
             let a = with_crash_retry(|| faulted.snapshot_kary(CONFIDENCE));
-            kary_reports_identical(&a, &twin.snapshot_kary(CONFIDENCE).unwrap())
+            report_difference(&a, &twin.snapshot_kary(CONFIDENCE).unwrap())
         } else {
             let a = with_crash_retry(|| faulted.snapshot(CONFIDENCE));
-            reports_identical(&a, &twin.snapshot(CONFIDENCE).unwrap())
+            report_difference(&a, &twin.snapshot(CONFIDENCE).unwrap())
         };
-        assert!(
-            identical,
-            "snapshot after {seen} responses diverged ({context})"
-        );
+        assert_eq!(diff, None, "snapshot after {seen} responses ({context})");
     }
     let stats = with_crash_retry(|| faulted.stats());
     let shard0 = &stats.shards[0];
@@ -400,7 +355,7 @@ fn repeated_random_crashes_stay_bit_identical() {
     with_crash_retry(|| faulted.drain());
     let a = with_crash_retry(|| faulted.snapshot(CONFIDENCE));
     let b = twin.snapshot(CONFIDENCE).unwrap();
-    assert!(reports_identical(&a, &b));
+    assert_eq!(report_difference(&a, &b), None);
     let recoveries = with_crash_retry(|| faulted.stats()).total_recoveries();
     assert!(
         recoveries >= 2,

@@ -7,39 +7,11 @@
 //! the served path in `crates/service/tests/pipeline_equivalence.rs`.
 
 use crowd_core::pairing::reachable_peers;
-use crowd_core::{EstimatorConfig, MWorkerEstimator, WorkerReport};
+use crowd_core::{EstimatorConfig, MWorkerEstimator};
 use crowd_data::{StreamingIndex, WorkerId};
+use crowd_oracle::report_difference;
 use crowd_shard::ShardPlan;
 use crowd_sim::{BinaryScenario, rng};
-
-/// Bit-exact binary-report comparison.
-fn assert_reports_identical(sharded: &WorkerReport, unsharded: &WorkerReport, label: &str) {
-    assert_eq!(
-        sharded.assessments.len(),
-        unsharded.assessments.len(),
-        "{label}: assessment count"
-    );
-    for (s, u) in sharded.assessments.iter().zip(&unsharded.assessments) {
-        assert_eq!(s.worker, u.worker, "{label}");
-        assert_eq!(
-            s.interval.center.to_bits(),
-            u.interval.center.to_bits(),
-            "{label}: center of {:?}",
-            s.worker
-        );
-        assert_eq!(
-            s.interval.half_width.to_bits(),
-            u.interval.half_width.to_bits(),
-            "{label}: width of {:?}",
-            s.worker
-        );
-        assert_eq!(s.triples_used, u.triples_used, "{label}: {:?}", s.worker);
-        assert_eq!(s.weights_fell_back, u.weights_fell_back, "{label}");
-    }
-    let s_fail: Vec<WorkerId> = sharded.failures.iter().map(|f| f.0).collect();
-    let u_fail: Vec<WorkerId> = unsharded.failures.iter().map(|f| f.0).collect();
-    assert_eq!(s_fail, u_fail, "{label}: failure rows");
-}
 
 #[test]
 fn full_index_is_bit_identical_to_matrix_scan() {
@@ -54,7 +26,8 @@ fn full_index_is_bit_identical_to_matrix_scan() {
     let indexed = est
         .evaluate_workers_on(&StreamingIndex::from_matrix(data), &workers, 0.9)
         .unwrap();
-    assert_reports_identical(&indexed, &scanned, "indexed pairing");
+    let diff = report_difference(&indexed, &scanned);
+    assert_eq!(diff, None, "indexed pairing");
 }
 
 #[test]

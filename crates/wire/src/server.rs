@@ -75,12 +75,10 @@ pub struct WireConfig {
     /// re-sends at most its pipeline window, so the default (64)
     /// comfortably covers it.
     pub dedup_window: usize,
-    /// Deterministic server-side fault injection
-    /// ([`FaultPlan::should_drop`] severs a connection after the
-    /// request is applied but before the reply;
-    /// [`FaultPlan::reply_delay`] stalls every reply). `None` (the
-    /// default) injects nothing; tests share plans with the service
-    /// config.
+    /// Deterministic server-side fault injection:
+    /// [`FaultPlan::should_drop`] severs a connection after the
+    /// request is applied but before the reply. `None` (the default)
+    /// injects nothing; tests share plans with the service config.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
@@ -266,12 +264,6 @@ impl WireServer {
         self.local_addr
     }
 
-    /// True once the server has begun closing (a `Shutdown` request
-    /// arrived or [`WireServer::close`] was called).
-    pub fn is_closing(&self) -> bool {
-        self.closing.load(Ordering::SeqCst)
-    }
-
     /// Stops accepting, waits for live connections to finish their
     /// in-flight request, and joins every server thread. Does **not**
     /// shut the assessment service down — the service outlives its
@@ -430,18 +422,14 @@ fn serve_connection(
                         if let Some(t) = timers {
                             t.record(opcode, WireStage::Handle, t0);
                         }
-                        if let Some(fault) = config.fault.as_deref() {
-                            // The ambiguous-outcome window: the request
-                            // has been fully applied, the client will
-                            // never hear about it. Exactly what the
-                            // retrying client's sequence-id dedup must
-                            // survive.
-                            if fault.should_drop(conn_id, frame_ordinal) {
-                                return Ok(());
-                            }
-                            if let Some(delay) = fault.reply_delay() {
-                                std::thread::sleep(delay);
-                            }
+                        // The ambiguous-outcome window: the request has
+                        // been fully applied, the client will never hear
+                        // about it. Exactly what the retrying client's
+                        // sequence-id dedup must survive.
+                        if let Some(fault) = config.fault.as_deref()
+                            && fault.should_drop(conn_id, frame_ordinal)
+                        {
+                            return Ok(());
                         }
                         let t0 = timers.map(|_| Instant::now());
                         send_reply(&mut writer, &reply)?;

@@ -8,8 +8,8 @@
 //!
 //! This umbrella crate re-exports the workspace's public API:
 //!
-//! * [`linalg`] — dense matrix substrate (LU, Cholesky, Jacobi/QR
-//!   eigendecomposition),
+//! * [`linalg`] — dense matrix substrate (the LU inverse and Jacobi
+//!   symmetric eigendecomposition),
 //! * [`stats`] — normal distribution, delta method (the paper's
 //!   Theorem 1), minimum-variance weights (Lemma 5),
 //! * [`data`] — sparse response matrices, overlap statistics, counts

@@ -14,6 +14,7 @@ use crowd_assess::core::{
 use crowd_assess::data::{Response, ResponseMatrix, StreamingIndex};
 use crowd_assess::prelude::*;
 use crowd_assess::sim::{BinaryScenario, KaryScenario, rng};
+use crowd_oracle::report_difference;
 
 /// Deterministic Fisher-Yates shuffle with its own LCG so every
 /// failure reproduces from the printed seed.
@@ -24,40 +25,6 @@ fn shuffle(items: &mut [Response], mut seed: u64) {
             .wrapping_add(1442695040888963407);
         let j = ((seed >> 33) as usize) % (i + 1);
         items.swap(i, j);
-    }
-}
-
-fn assert_reports_bit_identical(batch: &WorkerReport, streaming: &WorkerReport, context: &str) {
-    assert_eq!(
-        batch.assessments.len(),
-        streaming.assessments.len(),
-        "{context}: assessment count"
-    );
-    for (b, s) in batch.assessments.iter().zip(&streaming.assessments) {
-        assert_eq!(b.worker, s.worker, "{context}");
-        assert_eq!(
-            b.interval.center.to_bits(),
-            s.interval.center.to_bits(),
-            "{context}: center for {:?}",
-            b.worker
-        );
-        assert_eq!(
-            b.interval.half_width.to_bits(),
-            s.interval.half_width.to_bits(),
-            "{context}: half-width for {:?}",
-            b.worker
-        );
-        assert_eq!(b.triples_used, s.triples_used, "{context}");
-        assert_eq!(b.weights_fell_back, s.weights_fell_back, "{context}");
-    }
-    assert_eq!(
-        batch.failures.len(),
-        streaming.failures.len(),
-        "{context}: failure count"
-    );
-    for (b, s) in batch.failures.iter().zip(&streaming.failures) {
-        assert_eq!(b.0, s.0, "{context}: failed worker");
-        assert_eq!(b.1, s.1, "{context}: failure reason for {:?}", b.0);
     }
 }
 
@@ -83,11 +50,8 @@ fn binary_streaming_is_bit_identical_to_batch_at_every_prefix() {
             }
             let batch = batch_est.evaluate_all(&accumulated, 0.9).unwrap();
             let streaming = monitor.evaluate_all(0.9).unwrap();
-            assert_reports_bit_identical(
-                &batch,
-                &streaming,
-                &format!("seed {seed}, prefix {}", i + 1),
-            );
+            let diff = report_difference(&batch, &streaming);
+            assert_eq!(diff, None, "seed {seed}, prefix {}", i + 1);
         }
     }
 }
@@ -118,7 +82,7 @@ fn seeded_plus_streamed_equals_fully_streamed() {
     assert_eq!(seeded.index(), streamed.index());
     let a = seeded.evaluate_all(0.9).unwrap();
     let b = streamed.evaluate_all(0.9).unwrap();
-    assert_reports_bit_identical(&a, &b, "seeded vs streamed");
+    assert_eq!(report_difference(&a, &b), None, "seeded vs streamed");
 }
 
 /// k-ary pipeline: the streaming evaluator's per-entry intervals and
@@ -145,25 +109,8 @@ fn kary_streaming_is_bit_identical_to_batch_at_prefixes() {
         }
         let batch = batch_est.evaluate_all(&accumulated, 0.9).unwrap();
         let streaming = monitor.evaluate_all(0.9).unwrap();
-        let context = format!("k-ary prefix {}", i + 1);
-        assert_eq!(
-            batch.assessments.len(),
-            streaming.assessments.len(),
-            "{context}"
-        );
-        for (b, s) in batch.assessments.iter().zip(&streaming.assessments) {
-            assert_eq!(b.worker, s.worker, "{context}");
-            assert_eq!(b.triples_used, s.triples_used, "{context}");
-            for (x, y) in b.intervals.iter().zip(&s.intervals) {
-                assert_eq!(x.center.to_bits(), y.center.to_bits(), "{context}");
-                assert_eq!(x.half_width.to_bits(), y.half_width.to_bits(), "{context}");
-            }
-        }
-        assert_eq!(batch.failures.len(), streaming.failures.len(), "{context}");
-        for (b, s) in batch.failures.iter().zip(&streaming.failures) {
-            assert_eq!(b.0, s.0, "{context}");
-            assert_eq!(b.1, s.1, "{context}");
-        }
+        let diff = report_difference(&batch, &streaming);
+        assert_eq!(diff, None, "k-ary prefix {}", i + 1);
     }
 }
 
@@ -199,8 +146,8 @@ fn capped_streaming_is_bit_identical_and_peer_scoped() {
             }
             let batch = batch_est.evaluate_all(&accumulated, 0.9).unwrap();
             let streaming = monitor.evaluate_all(0.9).unwrap();
-            let context = format!("cap {cap}, m = {m}, prefix {}", i + 1);
-            assert_reports_bit_identical(&batch, &streaming, &context);
+            let diff = report_difference(&batch, &streaming);
+            assert_eq!(diff, None, "cap {cap}, m = {m}, prefix {}", i + 1);
             for a in &streaming.assessments {
                 assert!(a.triples_used <= cap);
             }
