@@ -32,14 +32,15 @@
 //! Closure discovery is one pass over the task adjacency
 //! (`O(Σ_t r_t²)` — the same order as building any pair table): each
 //! task's responder list marks, for every responder's home shard, all
-//! co-responders. Clustering additionally harvests the weighted
-//! co-occurrence edges (same pass order) and runs a lazy-heap greedy
-//! growth, `O(E log E)` in the edge count. The planner is a *central*
+//! co-responders. Clustering additionally counts the weighted
+//! co-occurrence edges worker by worker (same order, into one `O(m)`
+//! scratch row rather than a list of every co-responding pair) and
+//! runs a lazy-heap greedy growth, `O(E log E)` in the edge count. The planner is a *central*
 //! step — it reads the full data once, cheaply; what sharding removes
 //! is the need for any single **evaluation** process to hold
 //! fleet-wide state.
 
-use crowd_data::{ResponseMatrix, WorkerId};
+use crowd_data::{ResponseMatrix, TaskId, WorkerId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -115,30 +116,7 @@ impl ShardPlan {
         let m = data.n_workers();
         let n_shards = n_shards.max(1);
 
-        // Weighted co-occurrence adjacency, harvested per task and
-        // deduplicated by sorting: weight(a, b) = shared-task count.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for task in data.tasks() {
-            let responders = data.task_responses(task);
-            for (i, &(a, _)) in responders.iter().enumerate() {
-                for &(b, _) in &responders[i + 1..] {
-                    edges.push((a, b));
-                }
-            }
-        }
-        edges.sort_unstable();
-        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); m];
-        let mut run = 0usize;
-        while run < edges.len() {
-            let (a, b) = edges[run];
-            let mut weight = 0u32;
-            while run < edges.len() && edges[run] == (a, b) {
-                weight += 1;
-                run += 1;
-            }
-            adj[a as usize].push((b, weight));
-            adj[b as usize].push((a, weight));
-        }
+        let adj = co_occurrence(data);
 
         // Seed order: total co-occurrence weight descending, id
         // ascending — the strongest hub of each remaining component
@@ -332,10 +310,44 @@ impl ShardPlan {
     }
 }
 
+/// The weighted co-occurrence graph: row `a` lists every `(b, weight)`
+/// with `weight` = the number of tasks workers `a` and `b` share,
+/// ascending in `b`. Counted one worker at a time into a dense scratch
+/// row over the later co-responders of its tasks, so memory stays
+/// `O(m + edges)` rather than one entry per co-responding task pair.
+fn co_occurrence(data: &ResponseMatrix) -> Vec<Vec<(u32, u32)>> {
+    let m = data.n_workers();
+    let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); m];
+    let mut shared = vec![0u32; m];
+    let mut peers: Vec<u32> = Vec::new();
+    for a in 0..m as u32 {
+        for &(task, _) in data.worker_responses(WorkerId(a)) {
+            let responders = data.task_responses(TaskId(task));
+            let later = responders.partition_point(|&(w, _)| w <= a);
+            for &(b, _) in &responders[later..] {
+                if shared[b as usize] == 0 {
+                    peers.push(b);
+                }
+                shared[b as usize] += 1;
+            }
+        }
+        // Rows fill in ascending id order: `b`'s row receives `a`
+        // before any of its own later peers.
+        peers.sort_unstable();
+        for &b in &peers {
+            let weight = std::mem::take(&mut shared[b as usize]);
+            adj[a as usize].push((b, weight));
+            adj[b as usize].push((a, weight));
+        }
+        peers.clear();
+    }
+    adj
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd_data::{Label, ResponseMatrixBuilder, TaskId};
+    use crowd_data::{Label, ResponseMatrixBuilder};
 
     /// Two disjoint task neighbourhoods: workers 0–2 on tasks 0–9,
     /// workers 3–5 on tasks 10–19. Worker 6 is silent.
@@ -531,5 +543,33 @@ mod tests {
             sizes.iter().all(|&s| s <= 8),
             "no shard may exceed the ⌈m/n⌉ target: {sizes:?}"
         );
+    }
+
+    #[test]
+    fn co_occurrence_counts_shared_tasks_in_id_order() {
+        // Uneven overlaps: worker w answers task t unless (w·t + w) % 4
+        // is 0, so pair weights differ and some rows are sparse.
+        let (m, n) = (9u32, 15u32);
+        let answers = |w: u32, t: u32| !(w * t + w).is_multiple_of(4);
+        let mut b = ResponseMatrixBuilder::new(m as usize, n as usize, 2);
+        for w in 0..m {
+            for t in (0..n).filter(|&t| answers(w, t)) {
+                b.push(WorkerId(w), TaskId(t), Label(0)).unwrap();
+            }
+        }
+        let adj = co_occurrence(&b.build().unwrap());
+        for a in 0..m {
+            let expect: Vec<(u32, u32)> = (0..m)
+                .filter(|&b| b != a)
+                .map(|b| {
+                    (
+                        b,
+                        (0..n).filter(|&t| answers(a, t) && answers(b, t)).count() as u32,
+                    )
+                })
+                .filter(|&(_, weight)| weight > 0)
+                .collect();
+            assert_eq!(adj[a as usize], expect, "row {a}");
+        }
     }
 }
