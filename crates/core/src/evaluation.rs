@@ -108,7 +108,11 @@ impl<A> Report<A> {
                 need: 3,
             });
         }
+        let workers = workers.into_iter();
         let mut report = Self::default();
+        // Most workers evaluate, so sizing the assessments from the
+        // worker count spares a fleet report its doubling copies.
+        report.assessments.reserve(workers.size_hint().0);
         for worker in workers {
             report.push(worker, eval(worker));
         }
@@ -131,7 +135,11 @@ impl<A: WorkerRow> Report<A> {
     /// coverage (a contract violation) degrades to deterministic
     /// output rather than nondeterminism.
     pub fn merge(parts: impl IntoIterator<Item = Self>) -> Self {
-        let mut merged = Self::default();
+        let parts: Vec<Self> = parts.into_iter().collect();
+        let mut merged = Self {
+            assessments: Vec::with_capacity(parts.iter().map(|p| p.assessments.len()).sum()),
+            failures: Vec::with_capacity(parts.iter().map(|p| p.failures.len()).sum()),
+        };
         for part in parts {
             merged.assessments.extend(part.assessments);
             merged.failures.extend(part.failures);

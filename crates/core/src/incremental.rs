@@ -200,68 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_batch_estimator_exactly() {
-        let inst = BinaryScenario::paper_default(7, 120, 0.8).generate(&mut rng(401));
-        let ev = streamed(&inst);
-        assert_eq!(
-            ev.index(),
-            &crowd_data::OverlapIndex::from_matrix(inst.responses())
-        );
-
-        let batch = MWorkerEstimator::new(EstimatorConfig::default())
-            .evaluate_all(inst.responses(), 0.9)
-            .unwrap();
-        let streaming = ev.evaluate_all(0.9).unwrap();
-        assert_eq!(batch.assessments.len(), streaming.assessments.len());
-        for (b, s) in batch.assessments.iter().zip(&streaming.assessments) {
-            assert_eq!(b.worker, s.worker);
-            assert_eq!(
-                b.interval, s.interval,
-                "streamed substrate diverged for {:?}",
-                b.worker
-            );
-            assert_eq!(b.triples_used, s.triples_used);
-        }
-    }
-
-    #[test]
-    fn cached_evaluate_all_matches_uncached_across_a_stream() {
-        let inst = BinaryScenario::paper_default(6, 80, 0.8).generate(&mut rng(431));
-        let data = inst.responses();
-        let mut ev = IncrementalEvaluator::new(6, 80, 2, EstimatorConfig::default());
-        for (i, r) in data.iter().enumerate() {
-            ev.ingest(r).unwrap();
-            if i % 41 == 0 || i + 1 == data.n_responses() {
-                let cached = ev.evaluate_all_cached(0.9).unwrap();
-                let full = ev.evaluate_all(0.9).unwrap();
-                assert_eq!(cached.assessments, full.assessments, "at response {i}");
-                assert_eq!(cached.failures, full.failures);
-            }
-        }
-        // Quiet re-drain: everything served from cache.
-        let misses = ev.cache_stats().misses;
-        ev.evaluate_all_cached(0.9).unwrap();
-        assert_eq!(ev.cache_stats().misses, misses);
-        assert_eq!(ev.cache_stats().last_dirty, 0);
-    }
-
-    #[test]
-    fn seeding_from_matrix_equals_streaming() {
-        let inst = BinaryScenario::paper_default(5, 60, 0.9).generate(&mut rng(403));
-        let seeded =
-            IncrementalEvaluator::from_matrix(inst.responses(), EstimatorConfig::default());
-        let streamed = streamed(&inst);
-        assert_eq!(seeded.index(), streamed.index());
-        assert_eq!(seeded.n_responses(), streamed.n_responses());
-        let a = seeded.evaluate_all(0.9).unwrap();
-        let b = streamed.evaluate_all(0.9).unwrap();
-        assert_eq!(a.assessments.len(), b.assessments.len());
-        for (x, y) in a.assessments.iter().zip(&b.assessments) {
-            assert_eq!(x.interval, y.interval);
-        }
-    }
-
-    #[test]
     fn intervals_tighten_as_evidence_accumulates() {
         // Stream task by task; the target worker's interval must
         // shrink (weakly) as more tasks arrive.
@@ -379,30 +317,5 @@ mod tests {
             Err(DataError::LabelOutOfRange { label: 2, arity: 2 })
         ));
         assert_eq!(ev.n_responses(), 1);
-    }
-
-    #[test]
-    fn kary_streaming_matches_batch() {
-        use crowd_sim::KaryScenario;
-        let inst = KaryScenario::paper_default(2, 150, 0.9)
-            .with_workers(5)
-            .generate(&mut rng(419));
-        let mut ev = KaryIncrementalEvaluator::new(5, 150, 2, EstimatorConfig::default());
-        for r in inst.responses().iter() {
-            ev.ingest(r).unwrap();
-        }
-        let batch = KaryMWorkerEstimator::new(EstimatorConfig::default())
-            .evaluate_all(inst.responses(), 0.9)
-            .unwrap();
-        let streaming = ev.evaluate_all(0.9).unwrap();
-        assert_eq!(batch.assessments.len(), streaming.assessments.len());
-        for (b, s) in batch.assessments.iter().zip(&streaming.assessments) {
-            assert_eq!(b.worker, s.worker);
-            assert_eq!(b.triples_used, s.triples_used);
-            for (x, y) in b.intervals.iter().zip(&s.intervals) {
-                assert_eq!(x.center.to_bits(), y.center.to_bits());
-                assert_eq!(x.half_width.to_bits(), y.half_width.to_bits());
-            }
-        }
     }
 }

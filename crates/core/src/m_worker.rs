@@ -469,49 +469,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn max_triples_caps_every_path_identically() {
-        let inst = BinaryScenario::paper_default(13, 150, 0.8).generate(&mut rng(61));
-        let data = inst.responses();
-        let capped = MWorkerEstimator::new(EstimatorConfig::fleet(2));
-
-        let serial = capped.evaluate_all(data, 0.9).unwrap();
-        assert!(!serial.assessments.is_empty());
-        for a in &serial.assessments {
-            assert!(
-                a.triples_used <= 2,
-                "worker {:?} used {}",
-                a.worker,
-                a.triples_used
-            );
-        }
-        // The uncapped estimator really does use more triples here, so
-        // the cap is doing work.
-        let full = estimator().evaluate_all(data, 0.9).unwrap();
-        assert!(full.assessments.iter().any(|a| a.triples_used > 2));
-
-        // Naive scans and the indexed path agree bit for bit under
-        // the cap.
-        let workers: Vec<WorkerId> = data.workers().collect();
-        let naive = capped.evaluate_workers_on(data, &workers, 0.9).unwrap();
-        assert_eq!(serial.assessments.len(), naive.assessments.len());
-        for (s, n) in serial.assessments.iter().zip(&naive.assessments) {
-            assert_eq!(s.worker, n.worker);
-            assert_eq!(s.interval, n.interval, "naive vs indexed under cap");
-            assert_eq!(s.triples_used, n.triples_used);
-        }
-
-        // A cap above the available pairing degree is a no-op.
-        let big = MWorkerEstimator::new(EstimatorConfig::fleet(64))
-            .evaluate_all(data, 0.9)
-            .unwrap();
-        assert_eq!(big.assessments.len(), full.assessments.len());
-        for (b, f) in big.assessments.iter().zip(&full.assessments) {
-            assert_eq!(b.interval, f.interval);
-            assert_eq!(b.triples_used, f.triples_used);
-        }
-    }
-
     /// One substrate's build scratch and one evaluation scratch,
     /// driven over the workers busiest-first and then quietest-first,
     /// give every worker exactly the assessment a fresh substrate

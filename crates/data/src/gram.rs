@@ -17,9 +17,10 @@
 //! popcounts land on the diagonal for free. The covariance assembly
 //! then reads `O(T²)` table entries instead of issuing `O(T²)` kernel
 //! calls: `O(T²·n̄/64)` repeated popcount work becomes one
-//! `O(l²·n̄/64)` blocked pass plus `O(T²)` lookups, and the blocked
-//! inner loop is the seam a future SIMD (`portable_simd` / AVX2) lane
-//! drops into.
+//! `O(l²·n̄/64)` blocked pass plus `O(T²)` lookups. The kernel is
+//! safe code compiled twice, portably and under `avx2,popcnt`; x86-64
+//! hosts with both features run the second build, whose wide-mask
+//! loop LLVM vectorizes into a `vpshufb` nibble-table popcount.
 //!
 //! [`TriplePairGram`] is the same idea for the k-ary cross-triple
 //! `n₅` counts: each triple's two peer masks are AND-combined into one

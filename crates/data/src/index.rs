@@ -623,320 +623,8 @@ impl PeerMask {
 /// Row-block size of the blocked Gram kernel
 /// ([`MaskMatrix::gram_rows_into`]): pairs are visited 4×4 rows at a
 /// time so a block of rows is re-intersected while still L1-resident
-/// (8 rows × ⌈n̄/64⌉ words comfortably fit); widening the block is the
-/// first knob to turn once a wider SIMD lane makes the kernel
-/// memory-bound.
+/// (8 rows × ⌈n̄/64⌉ words comfortably fit).
 pub(crate) const GRAM_BLOCK: usize = 4;
-
-/// The AND+popcount inner product of the Gram kernels, with the SIMD
-/// lane resolved **once per kernel invocation**: on x86-64 hosts with
-/// AVX-512 `VPOPCNTDQ` the counts come from the hardware per-lane
-/// popcount routine ([`and_popcount_avx512`]), on AVX2-only hosts
-/// from the vectorized nibble-LUT routine ([`and_popcount_avx2`], or
-/// [`and_popcount_avx2_harley_seal`] for masks of ≥ 64 words),
-/// everywhere else from the portable word loop. Every lane computes
-/// the same integers — the dispatch is invisible to every output
-/// bit — and detection is hoisted out of the pair loop so the hot
-/// path pays one predictable branch per pair.
-///
-/// On a host that reports `avx512vpopcntdq` (the Xeon VMs this
-/// workspace is benchmarked on do), the AVX-512 lane is the production
-/// lane: the two AVX2 lanes then run only when
-/// `popcount_lanes_are_bit_identical` forces them.
-#[derive(Clone, Copy)]
-pub(crate) struct AndPopcount {
-    #[cfg(target_arch = "x86_64")]
-    avx512: bool,
-    #[cfg(target_arch = "x86_64")]
-    avx2: bool,
-}
-
-impl AndPopcount {
-    /// Resolves the fastest available lane for this host.
-    #[inline]
-    pub(crate) fn detect() -> Self {
-        Self {
-            // `avx512f` guards the 512-bit register file and
-            // arithmetic, `avx512vpopcntdq` the per-lane popcount the
-            // kernel is built around; both ship together on Ice
-            // Lake+ / Zen 4+ but are distinct CPUID bits.
-            #[cfg(target_arch = "x86_64")]
-            avx512: std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512vpopcntdq"),
-            #[cfg(target_arch = "x86_64")]
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
-        }
-    }
-
-    /// The portable reference lane, kept callable on every host so the
-    /// property tests can pin the vector lanes against it.
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn portable() -> Self {
-        Self {
-            #[cfg(target_arch = "x86_64")]
-            avx512: false,
-            #[cfg(target_arch = "x86_64")]
-            avx2: false,
-        }
-    }
-
-    /// `popcount(a & b)` over two equal-length word slices. Masks
-    /// under 8 words stay on the inlined scalar loop — a
-    /// `#[target_feature]` function cannot be inlined into its
-    /// caller, and for a handful of words the call itself would cost
-    /// more than it saves.
-    #[inline]
-    pub(crate) fn count(self, a: &[u64], b: &[u64]) -> u32 {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if self.avx512 && a.len() >= 8 {
-                // SAFETY: `detect` verified AVX-512F + VPOPCNTDQ
-                // support on this host.
-                return unsafe { and_popcount_avx512(a, b) };
-            }
-            if self.avx2 && a.len() >= 8 {
-                if a.len() >= 64 {
-                    // Wide masks amortize the Harley–Seal CSA tree: one
-                    // shuffle-LUT popcount per 16 vectors instead of
-                    // per vector lifts the port-5 bound (see
-                    // [`and_popcount_avx2_harley_seal`]).
-                    // SAFETY: `detect` verified AVX2 support.
-                    return unsafe { and_popcount_avx2_harley_seal(a, b) };
-                }
-                // SAFETY: `detect` verified AVX2 support on this host.
-                return unsafe { and_popcount_avx2(a, b) };
-            }
-        }
-        a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
-    }
-}
-
-/// Vectorized AND+popcount on the AVX-512 `VPOPCNTDQ` lane: 8 mask
-/// words per step — one 512-bit AND, one hardware per-lane popcount
-/// (`vpopcntq`), one lane-wise accumulate. No shuffle-LUT dance at
-/// all, so the port-5 pressure that bounds the AVX2 nibble kernel on
-/// Intel cores disappears; two independent accumulator chains (16
-/// words per iteration) keep the popcount unit fed.
-///
-/// # Safety
-/// The caller must ensure the host supports AVX-512F and
-/// AVX-512VPOPCNTDQ.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-fn and_popcount_avx512(a: &[u64], b: &[u64]) -> u32 {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let chunks = n / 8;
-    let mut acc0 = _mm512_setzero_si512();
-    let mut acc1 = _mm512_setzero_si512();
-    let pairs = chunks / 2;
-    for i in 0..pairs {
-        // SAFETY: `16 * i + 15 < n` for every `i < pairs`, so all four
-        // 64-byte loads are in bounds; `loadu` has no alignment
-        // requirement.
-        let (v0, v1) = unsafe {
-            let p = a.as_ptr().add(16 * i);
-            let q = b.as_ptr().add(16 * i);
-            (
-                _mm512_and_si512(_mm512_loadu_si512(p.cast()), _mm512_loadu_si512(q.cast())),
-                _mm512_and_si512(
-                    _mm512_loadu_si512(p.add(8).cast()),
-                    _mm512_loadu_si512(q.add(8).cast()),
-                ),
-            )
-        };
-        acc0 = _mm512_add_epi64(acc0, _mm512_popcnt_epi64(v0));
-        acc1 = _mm512_add_epi64(acc1, _mm512_popcnt_epi64(v1));
-    }
-    if chunks % 2 == 1 {
-        // SAFETY: the last full 8-word chunk starts at `8 * (chunks - 1)`.
-        let v = unsafe {
-            let p = a.as_ptr().add(8 * (chunks - 1));
-            let q = b.as_ptr().add(8 * (chunks - 1));
-            _mm512_and_si512(_mm512_loadu_si512(p.cast()), _mm512_loadu_si512(q.cast()))
-        };
-        acc0 = _mm512_add_epi64(acc0, _mm512_popcnt_epi64(v));
-    }
-    let mut total = _mm512_reduce_add_epi64(_mm512_add_epi64(acc0, acc1)) as u64;
-    let mut i = chunks * 8;
-    while i < n {
-        total += (a[i] & b[i]).count_ones() as u64;
-        i += 1;
-    }
-    total as u32
-}
-
-/// Vectorized AND+popcount (Mula's `vpshufb` nibble-LUT algorithm):
-/// 4 mask words per step — each 32-byte block is split into nibbles,
-/// both halves are table-looked-up in one shuffle each, and
-/// `vpsadbw` folds the byte counts into four running u64 lanes. The
-/// body is written directly in intrinsics because rustc does not
-/// inline ordinary (non-`target_feature`) code into a
-/// `#[target_feature]` function, so iterator-based formulations
-/// compile to outlined calls instead of vector code.
-///
-/// # Safety
-/// The caller must ensure the host supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn and_popcount_avx2(a: &[u64], b: &[u64]) -> u32 {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let chunks = n / 4;
-    #[rustfmt::skip]
-    let lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-    );
-    let low = _mm256_set1_epi8(0x0f);
-    let zero = _mm256_setzero_si256();
-    // Two independent accumulator chains (8 words per iteration) keep
-    // the shuffle ports fed instead of serializing on one vpaddq.
-    let mut acc0 = zero;
-    let mut acc1 = zero;
-    let nibble_count = |v| {
-        let lo = _mm256_and_si256(v, low);
-        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), low);
-        _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi))
-    };
-    let pairs = chunks / 2;
-    for i in 0..pairs {
-        // SAFETY: `8 * i + 7 < n` for every `i < pairs`, so all four
-        // 32-byte loads are in bounds; `loadu` has no alignment
-        // requirement.
-        let (v0, v1) = unsafe {
-            let p = a.as_ptr().add(8 * i);
-            let q = b.as_ptr().add(8 * i);
-            (
-                _mm256_and_si256(_mm256_loadu_si256(p.cast()), _mm256_loadu_si256(q.cast())),
-                _mm256_and_si256(
-                    _mm256_loadu_si256(p.add(4).cast()),
-                    _mm256_loadu_si256(q.add(4).cast()),
-                ),
-            )
-        };
-        acc0 = _mm256_add_epi64(acc0, _mm256_sad_epu8(nibble_count(v0), zero));
-        acc1 = _mm256_add_epi64(acc1, _mm256_sad_epu8(nibble_count(v1), zero));
-    }
-    if chunks % 2 == 1 {
-        // SAFETY: the last full 4-word chunk starts at `4 * (chunks - 1)`.
-        let v = unsafe {
-            let p = a.as_ptr().add(4 * (chunks - 1));
-            let q = b.as_ptr().add(4 * (chunks - 1));
-            _mm256_and_si256(_mm256_loadu_si256(p.cast()), _mm256_loadu_si256(q.cast()))
-        };
-        acc0 = _mm256_add_epi64(acc0, _mm256_sad_epu8(nibble_count(v), zero));
-    }
-    let mut lanes = [0u64; 4];
-    // SAFETY: `lanes` is 32 bytes of writable memory; `storeu` has no
-    // alignment requirement.
-    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), _mm256_add_epi64(acc0, acc1)) };
-    let mut total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    let mut i = chunks * 4;
-    while i < n {
-        total += (a[i] & b[i]).count_ones() as u64;
-        i += 1;
-    }
-    total as u32
-}
-
-/// Harley–Seal AND+popcount for wide masks on AVX2: 64 words (16
-/// 256-bit vectors) per block are compressed through a carry-save
-/// adder tree, so the shuffle-LUT popcount runs **once per block** on
-/// the `sixteens` output instead of once per vector. The CSA tree is
-/// pure AND/OR/XOR — instructions every vector ALU port executes — so
-/// the port-5 `vpshufb` bound of the plain nibble kernel
-/// ([`and_popcount_avx2`]) lifts on AVX2-only Intel cores, where port
-/// 5 is the single shuffle port. Counts are reconstructed exactly as
-/// `16·pop(sixteens) + 8·pop(eights) + 4·pop(fours) + 2·pop(twos) +
-/// pop(ones)`; the sub-block tail delegates to the nibble kernel, so
-/// every length produces the same integers as the portable loop.
-///
-/// # Safety
-/// The caller must ensure the host supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn and_popcount_avx2_harley_seal(a: &[u64], b: &[u64]) -> u32 {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let blocks = n / 64;
-    #[rustfmt::skip]
-    let lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-    );
-    let low = _mm256_set1_epi8(0x0f);
-    let zero = _mm256_setzero_si256();
-    let nibble_count = |v| {
-        let lo = _mm256_and_si256(v, low);
-        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), low);
-        _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi))
-    };
-    // Carry-save adder: bit-parallel full add of three lanes into a
-    // (carry, sum) pair — `h` carries weight 2, `l` weight 1.
-    let csa = |x, y, z| {
-        let u = _mm256_xor_si256(x, y);
-        (
-            _mm256_or_si256(_mm256_and_si256(x, y), _mm256_and_si256(u, z)),
-            _mm256_xor_si256(u, z),
-        )
-    };
-    let mut ones = zero;
-    let mut twos = zero;
-    let mut fours = zero;
-    let mut eights = zero;
-    // u64-lane accumulator of popcounts over the per-block `sixteens`.
-    let mut acc = zero;
-    for blk in 0..blocks {
-        // SAFETY: `64 * blk + 63 < n` for every `blk < blocks`, so all
-        // 32-byte loads below are in bounds; `loadu` has no alignment
-        // requirement.
-        let d = |j: usize| unsafe {
-            let p = a.as_ptr().add(64 * blk + 4 * j);
-            let q = b.as_ptr().add(64 * blk + 4 * j);
-            _mm256_and_si256(_mm256_loadu_si256(p.cast()), _mm256_loadu_si256(q.cast()))
-        };
-        let (twos_a, o) = csa(ones, d(0), d(1));
-        let (twos_b, o) = csa(o, d(2), d(3));
-        let (fours_a, t) = csa(twos, twos_a, twos_b);
-        let (twos_a, o) = csa(o, d(4), d(5));
-        let (twos_b, o) = csa(o, d(6), d(7));
-        let (fours_b, t) = csa(t, twos_a, twos_b);
-        let (eights_a, f) = csa(fours, fours_a, fours_b);
-        let (twos_a, o) = csa(o, d(8), d(9));
-        let (twos_b, o) = csa(o, d(10), d(11));
-        let (fours_a, t) = csa(t, twos_a, twos_b);
-        let (twos_a, o) = csa(o, d(12), d(13));
-        let (twos_b, o) = csa(o, d(14), d(15));
-        let (fours_b, t) = csa(t, twos_a, twos_b);
-        let (eights_b, f) = csa(f, fours_a, fours_b);
-        let (sixteens, e) = csa(eights, eights_a, eights_b);
-        ones = o;
-        twos = t;
-        fours = f;
-        eights = e;
-        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(nibble_count(sixteens), zero));
-    }
-    let hsum = |v| {
-        let mut lanes = [0u64; 4];
-        // SAFETY: `lanes` is 32 bytes of writable memory; `storeu` has
-        // no alignment requirement.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v) };
-        lanes[0] + lanes[1] + lanes[2] + lanes[3]
-    };
-    let pop = |v| hsum(_mm256_sad_epu8(nibble_count(v), zero));
-    let mut total = 16 * hsum(acc) + 8 * pop(eights) + 4 * pop(fours) + 2 * pop(twos) + pop(ones);
-    if !n.is_multiple_of(64) {
-        // Same target-feature context, so the nibble kernel is a plain
-        // (inlinable) call here — no re-dispatch, no `unsafe`.
-        total += and_popcount_avx2(&a[64 * blocks..], &b[64 * blocks..]) as u64;
-    }
-    total as u32
-}
 
 /// The `rows × words` anchored bit matrix and its popcount kernels
 /// behind [`BitsetAnchored`] (and, as combined rows, the k-ary `n₅`
@@ -1050,26 +738,53 @@ impl MaskMatrix {
     /// [`GRAM_BLOCK`] × [`GRAM_BLOCK`] rows at a time, so one block of
     /// mask rows stays L1-resident while it is intersected against
     /// the opposite block — a per-pair [`MaskMatrix::triple_common`]
-    /// loop instead re-streams every row once per opposite peer. The
-    /// per-pair AND+popcount goes through [`AndPopcount`]: masks of
-    /// 1–4 words run monomorphized fully-unrolled loops (the `match`
-    /// below), wider masks an inlined scalar zip, and on x86-64 hosts
-    /// masks of ≥ 8 words call the runtime-dispatched vectorized
-    /// leaves — [`and_popcount_avx512`] where `VPOPCNTDQ` is
-    /// available, [`and_popcount_avx2`] otherwise; `portable_simd`
-    /// can drop into the same seam once stable. Every lane computes
-    /// the same integers, so the dispatch is invisible to every
-    /// output bit. Only the upper triangle of blocks is computed;
-    /// entries are mirrored on write-back.
+    /// loop instead re-streams every row once per opposite peer. Only
+    /// the upper triangle of blocks is computed; entries are mirrored
+    /// on write-back.
+    ///
+    /// There is one kernel, written in safe code, compiled twice: the
+    /// portable build, and a build under `avx2,popcnt` that this
+    /// function picks once per call on x86-64 hosts reporting both
+    /// features. Under those features LLVM turns the wide-mask
+    /// `count_ones` loop into the `vpshufb` nibble-table popcount and
+    /// the short-mask cases into hardware `popcnt`; both builds compute
+    /// the same integers, so the choice is invisible to every output
+    /// bit.
     pub(crate) fn gram_rows_into(&self, rows: &[usize], out: &mut Vec<u32>) {
         let d = rows.len();
         out.clear();
         out.resize(d * d, 0);
-        // Monomorphize the 1–4-word cases: a fleet-capped anchor's
-        // mask is often a word or two, and there the generic path's
-        // per-pair slice setup and loop control cost more than the
-        // popcounts themselves. `W = 0` keeps the dynamic loop (and
-        // the AVX2 lane) for wide masks.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("popcnt")
+        {
+            // SAFETY: the only requirement of a `#[target_feature]`
+            // function is that the host supports its features, and
+            // both were detected just above.
+            #[allow(unsafe_code)]
+            unsafe {
+                self.gram_rows_avx2(rows, out)
+            };
+            return;
+        }
+        self.gram_rows_portable(rows, out);
+    }
+
+    /// [`MaskMatrix::gram_rows_portable`] and its inlined kernels,
+    /// compiled with AVX2 and `popcnt` enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,popcnt")]
+    fn gram_rows_avx2(&self, rows: &[usize], out: &mut [u32]) {
+        self.gram_rows_portable(rows, out);
+    }
+
+    /// Picks the kernel for this matrix's row width. Monomorphize the
+    /// 1–4-word cases: a fleet-capped anchor's mask is often a word or
+    /// two, and there the generic path's per-pair slice setup and loop
+    /// control cost more than the popcounts themselves. `W = 0` keeps
+    /// the dynamic loop for wide masks.
+    #[inline(always)]
+    fn gram_rows_portable(&self, rows: &[usize], out: &mut [u32]) {
         match self.words {
             1 => self.gram_rows_kernel::<1>(rows, out),
             2 => self.gram_rows_kernel::<2>(rows, out),
@@ -1079,10 +794,12 @@ impl MaskMatrix {
         }
     }
 
+    /// `#[inline(always)]` so the body is compiled again inside
+    /// [`MaskMatrix::gram_rows_avx2`] under that function's features.
+    #[inline(always)]
     fn gram_rows_kernel<const W: usize>(&self, rows: &[usize], out: &mut [u32]) {
         const B: usize = GRAM_BLOCK;
         let d = rows.len();
-        let pop = AndPopcount::detect();
         for i0 in (0..d).step_by(B) {
             let ih = (i0 + B).min(d);
             for j0 in (i0..d).step_by(B) {
@@ -1102,7 +819,10 @@ impl MaskMatrix {
                             }
                             acc
                         } else {
-                            pop.count(left, right)
+                            left.iter()
+                                .zip(right)
+                                .map(|(x, y)| (x & y).count_ones())
+                                .sum()
                         };
                         out[gi * d + gj] = c;
                         out[gj * d + gi] = c;
@@ -1375,15 +1095,15 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Every popcount lane — portable, AVX2, AVX-512 `VPOPCNTDQ` —
-    /// computes the same integers, across lengths straddling each
-    /// dispatch boundary (scalar < 8 words, single vector chunks, odd
-    /// tails, two-chain bodies) and across degenerate all-zero /
-    /// all-one masks. Vector lanes are forced explicitly where the
-    /// host supports them, so a dispatch bug cannot hide behind
-    /// detection.
+    /// The dispatched Gram kernel (the `avx2,popcnt` build on hosts
+    /// that report both features) and the portable build fill equal
+    /// tables, and both equal per-pair `triple_common` queries. Word
+    /// counts straddle the unrolled 1–4-word cases, the vector widths
+    /// of the wide-mask loop and its ragged tails; row contents are
+    /// random, all-ones and all-zero; row counts straddle
+    /// [`GRAM_BLOCK`].
     #[test]
-    fn popcount_lanes_are_bit_identical() {
+    fn gram_kernel_builds_are_bit_identical() {
         let mut state = 0xD6E8_FEB8_6659_FD93u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1391,43 +1111,46 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let detected = AndPopcount::detect();
-        let portable = AndPopcount::portable();
-        // Lengths straddle every dispatch boundary: scalar (< 8), the
-        // nibble kernel (8..64) and the Harley–Seal blocks (≥ 64) with
-        // 0/partial/odd tails — 64 exact, 65 one-word tail, 127 a full
-        // nibble-kernel tail, 128/192 multi-block, 129/257 block+word.
-        for len in [
-            0usize, 1, 3, 7, 8, 9, 15, 16, 17, 24, 31, 33, 63, 64, 65, 96, 101, 127, 128, 129, 192,
-            257,
+        let row_counts = [
+            1,
+            GRAM_BLOCK - 1,
+            GRAM_BLOCK,
+            GRAM_BLOCK + 1,
+            2 * GRAM_BLOCK + 1,
+        ];
+        for words in [
+            1usize, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 33, 63, 64, 65, 127, 128, 129, 257,
         ] {
-            let mut cases: Vec<(Vec<u64>, Vec<u64>)> = vec![
-                (
-                    (0..len).map(|_| next()).collect(),
-                    (0..len).map(|_| next()).collect(),
-                ),
-                (vec![u64::MAX; len], vec![u64::MAX; len]),
-                (vec![0u64; len], (0..len).map(|_| next()).collect()),
-            ];
-            for (a, b) in cases.drain(..) {
-                let reference: u32 = a.iter().zip(&b).map(|(x, y)| (x & y).count_ones()).sum();
-                assert_eq!(portable.count(&a, &b), reference, "portable, len {len}");
-                assert_eq!(detected.count(&a, &b), reference, "detected, len {len}");
-                #[cfg(target_arch = "x86_64")]
-                {
-                    if detected.avx512 {
-                        let forced = AndPopcount {
-                            avx512: true,
-                            avx2: false,
+            for &n_rows in &row_counts {
+                let mut matrix = MaskMatrix::default();
+                // Rows cycle through random, all-ones and all-zero
+                // words.
+                let n_matrix_rows = n_rows + 2;
+                matrix.reset(n_matrix_rows, words, words * 64);
+                for r in 0..n_matrix_rows {
+                    for w in matrix.row_mut(r) {
+                        *w = match r % 3 {
+                            0 => next(),
+                            1 => u64::MAX,
+                            _ => 0,
                         };
-                        assert_eq!(forced.count(&a, &b), reference, "avx512, len {len}");
                     }
-                    if detected.avx2 {
-                        let forced = AndPopcount {
-                            avx512: false,
-                            avx2: true,
-                        };
-                        assert_eq!(forced.count(&a, &b), reference, "avx2, len {len}");
+                }
+                // Out of order, skipping a row, so the kernel reads
+                // rows through the index list rather than in place.
+                let rows: Vec<usize> = (0..n_rows).rev().map(|r| r + 1).collect();
+                let mut dispatched = Vec::new();
+                matrix.gram_rows_into(&rows, &mut dispatched);
+                let mut portable = vec![0u32; n_rows * n_rows];
+                matrix.gram_rows_portable(&rows, &mut portable);
+                assert_eq!(dispatched, portable, "{words} words, {n_rows} rows");
+                for (i, &a) in rows.iter().enumerate() {
+                    for (j, &b) in rows.iter().enumerate() {
+                        assert_eq!(
+                            portable[i * n_rows + j] as usize,
+                            matrix.triple_common(a, b),
+                            "{words} words, {n_rows} rows, entry ({i}, {j})"
+                        );
                     }
                 }
             }

@@ -1,19 +1,28 @@
 //! Crowd data model for the `crowd-assess` workspace.
 //!
-//! The central type is [`ResponseMatrix`]: a sparse worker × task
+//! The input type is [`ResponseMatrix`]: a sparse worker × task
 //! matrix of k-ary labels. "Sparse" is essential — the paper's whole
 //! point is handling **non-regular** data where not every worker
-//! attempts every task. On top of it this crate provides exactly the
+//! attempts every task. The production substrate the estimators read
+//! is [`StreamingIndex`] ([`streaming`]): it absorbs responses one at
+//! a time (or bulk-loads a matrix) and serves every statistic below
+//! from per-worker rows, the pair table and bitset views built when an
+//! evaluation asks. On top of them this crate provides exactly the
 //! sufficient statistics the algorithms consume:
 //!
 //! * pairwise overlap counts `c_ij` and agreement rates `q̂_ij`
-//!   ([`overlap`]),
-//! * triple overlap counts `c_ijk` ([`overlap`]),
+//!   ([`overlap`] as scans of the matrix, [`pairmap`] as the streaming
+//!   pair table),
+//! * triple overlap counts `c_ijk` ([`overlap`]), and in bulk the
+//!   Lemma 4 peer Gram and the k-ary `n₅` cross-triple table of one
+//!   anchored view ([`gram`]),
 //! * the `(k+1)³` counts tensor of Algorithm A3 with its
 //!   attempt-pattern groups ([`counts`]),
 //! * gold-standard bookkeeping and empirical error rates / confusion
 //!   matrices ([`gold`]),
 //! * majority-vote aggregation ([`majority`]),
+//! * versioned, checksummed binary checkpoints of a
+//!   [`StreamingIndex`] for crash recovery ([`checkpoint`]),
 //! * a dependency-free CSV reader/writer ([`csv`]).
 
 pub mod checkpoint;

@@ -791,18 +791,25 @@ proptest! {
     }
 }
 
-/// Wide-mask lane pinning: with enough tasks that each bitset row
-/// spans well past one SIMD step (600 tasks → ten 64-bit words, past
-/// both the 8-word AVX-512 step and the 4-word AVX2 step, with a
-/// ragged tail), the blocked gram built through the runtime-dispatched
-/// `AndPopcount` kernel must equal per-pair `triple_common` queries
-/// answered by the portable scalar path on the naive scan substrate.
-/// Deterministic (seeded LCG) rather than a proptest case so the
-/// wide matrices stay cheap in debug builds.
+/// Wide masks: the anchor's tasks span well past the unrolled 1–4-word
+/// cases of the Gram kernel (600 tasks at ~70% fill → about 420 anchor
+/// tasks, 7 words; 2000 tasks at ~90% → about 1800, 29 words, the
+/// `dense-kary` shape), so the dynamic-width loop runs, with a ragged
+/// last word. Both blocked tables built on the streaming substrate
+/// must equal per-entry queries on the naive scan substrate: the
+/// Lemma 4 gram against `triple_common`, and the pair-combined k-ary
+/// `n₅` table against `common_among` over every pair of distinct
+/// peers. Deterministic (seeded LCG) rather than a proptest case so
+/// the wide matrices stay cheap in debug builds.
 #[test]
-fn wide_mask_gram_pins_simd_lanes_to_portable() {
-    for seed in [3u64, 77, 991] {
-        let (m, n) = (8usize, 600usize);
+fn wide_mask_grams_match_scan_substrate() {
+    for (seed, n, fill_tenths) in [
+        (3u64, 600usize, 7),
+        (77, 600, 7),
+        (991, 600, 7),
+        (5, 2000, 9),
+    ] {
+        let m = 8usize;
         let mut state = seed;
         let mut next = move || {
             state = state
@@ -813,9 +820,9 @@ fn wide_mask_gram_pins_simd_lanes_to_portable() {
         let mut b = ResponseMatrixBuilder::new(m, n, 3);
         for w in 0..m as u32 {
             for t in 0..n as u32 {
-                // ~70% fill keeps the AND'd masks dense enough that a
-                // dropped SIMD step would change many entries.
-                if next() % 10 < 7 {
+                // Dense fill keeps the AND'd masks full enough that a
+                // dropped or doubled word would change many entries.
+                if next() % 10 < fill_tenths {
                     b.push(WorkerId(w), TaskId(t), Label((next() % 3) as u16))
                         .expect("generated ids are valid");
                 }
@@ -824,15 +831,21 @@ fn wide_mask_gram_pins_simd_lanes_to_portable() {
         let data = b.build().expect("generated cells are unique");
         let index = StreamingIndex::from_matrix(&data);
         let mut gram = PeerGram::default();
+        let mut n5 = TriplePairGram::default();
         let mut scratch = PeerGramScratch::default();
         for anchor in 0..m as u32 {
             let peers: Vec<WorkerId> = (0..m as u32)
                 .filter(|&w| w != anchor)
                 .map(WorkerId)
                 .collect();
-            index
-                .anchored_for(WorkerId(anchor), &peers)
-                .gram_into(&peers, &mut gram, &mut scratch);
+            let pairs: Vec<(WorkerId, WorkerId)> = peers
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &a)| peers[i + 1..].iter().map(move |&b| (a, b)))
+                .collect();
+            let view = index.anchored_for(WorkerId(anchor), &peers);
+            view.gram_into(&peers, &mut gram, &mut scratch);
+            view.pair_gram_into(&pairs, &mut n5, &mut scratch);
             let slow = data.anchored(WorkerId(anchor));
             for &a in &peers {
                 for &b in &peers {
@@ -840,6 +853,15 @@ fn wide_mask_gram_pins_simd_lanes_to_portable() {
                         gram.get(a, b),
                         slow.triple_common(a, b),
                         "seed {seed} anchor {anchor} pair ({a:?},{b:?})"
+                    );
+                }
+            }
+            for (t1, &(a1, b1)) in pairs.iter().enumerate() {
+                for (t2, &(a2, b2)) in pairs.iter().enumerate() {
+                    assert_eq!(
+                        n5.get(t1, t2),
+                        slow.common_among(&[a1, b1, a2, b2]),
+                        "seed {seed} anchor {anchor} triples {t1} and {t2}"
                     );
                 }
             }

@@ -396,6 +396,12 @@ pub fn encode_reply(reply: &Reply) -> (u8, Vec<u8>) {
             (opcode::OK_ASSESSMENT, p)
         }
         Reply::Report(r) => {
+            // Sized from the row counts up front: a fleet snapshot runs
+            // to hundreds of KiB, and growing it by doubling would copy
+            // it several times and leave freed buffers resident.
+            p.reserve(
+                8 + r.assessments.len() * ASSESSMENT_BYTES + r.failures.len() * FAILURE_BYTES,
+            );
             put_u32(&mut p, r.assessments.len() as u32);
             for a in &r.assessments {
                 put_assessment(&mut p, a);
@@ -510,6 +516,15 @@ pub fn decode_reply(op: u8, payload: &[u8]) -> Result<Reply, WireError> {
     c.finish()?;
     Ok(reply)
 }
+
+/// Encoded bytes of one [`put_assessment`] row: worker id, three
+/// interval floats, triples used, fallback flag.
+const ASSESSMENT_BYTES: usize = 4 + 3 * 8 + 8 + 1;
+
+/// Encoded bytes of one report failure with the widest fixed-size
+/// error (`InsufficientOverlap`): worker id, error tag, two worker ids,
+/// two counts. Only errors that carry a message can run longer.
+const FAILURE_BYTES: usize = 4 + 1 + 2 * 4 + 2 * 8;
 
 fn put_assessment(p: &mut Vec<u8>, a: &WorkerAssessment) {
     put_u32(p, a.worker.0);
