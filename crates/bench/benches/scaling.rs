@@ -6,7 +6,10 @@
 //!
 //! plus the design-choice ablations DESIGN.md calls out: Lemma 5
 //! optimal vs. uniform weights, greedy vs. sequential pairing, and the
-//! new technique vs. the KDD'13 baseline vs. Dawid-Skene EM.
+//! new technique vs. the KDD'13 baseline vs. Dawid-Skene EM — and one
+//! full fleet-capped A2 pass over a streaming substrate on two
+//! community fleets (`a2_community_fleet`), the per-anchor evaluation
+//! a served refresh pays for every dirty anchor.
 
 #![allow(missing_docs)] // criterion_main! generates an undocumented main
 
@@ -14,8 +17,9 @@ use criterion::{BenchmarkId, Criterion, criterion_group, criterion_main};
 use crowd_core::baselines::{DawidSkene, OldTechnique};
 use crowd_core::pairing::PairingStrategy;
 use crowd_core::{EstimatorConfig, KaryEstimator, MWorkerEstimator, ThreeWorkerEstimator};
-use crowd_data::WorkerId;
+use crowd_data::{Label, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex, TaskId, WorkerId};
 use crowd_sim::{BinaryScenario, KaryScenario, rng};
+use rand::RngExt;
 use std::hint::black_box;
 
 fn a1_scaling_in_n(c: &mut Criterion) {
@@ -41,6 +45,52 @@ fn a2_scaling_in_m(c: &mut Criterion) {
             b.iter(|| {
                 black_box(est.evaluate_worker(black_box(inst.responses()), WorkerId(0), 0.9))
             });
+        });
+    }
+    group.finish();
+}
+
+/// A community fleet: `communities` × 50 workers, each community
+/// answering its own `tasks_per` binary tasks at `density`, with error
+/// rates uniform in [0.05, 0.20] against a random truth — the shape of
+/// `perfbench`'s fleets.
+fn community_fleet(communities: usize, tasks_per: usize, density: f64) -> ResponseMatrix {
+    const COMMUNITY: usize = 50;
+    let (m, n) = (communities * COMMUNITY, communities * tasks_per);
+    let mut r = rng(10);
+    let error_rates: Vec<f64> = (0..m).map(|_| 0.05 + 0.15 * r.random::<f64>()).collect();
+    let mut b = ResponseMatrixBuilder::new(m, n, 2);
+    for t in 0..n {
+        let truth = u16::from(r.random::<bool>());
+        let first = t / tasks_per * COMMUNITY;
+        for w in first..first + COMMUNITY {
+            if r.random::<f64>() < density {
+                let flip = u16::from(r.random::<f64>() < error_rates[w]);
+                b.push(WorkerId(w as u32), TaskId(t as u32), Label(truth ^ flip))
+                    .expect("generated ids are in range");
+            }
+        }
+    }
+    b.build().expect("generated cells are unique")
+}
+
+fn a2_community_fleet(c: &mut Criterion) {
+    // One `fleet(16)` pass over every worker of a bulk-loaded
+    // streaming substrate: pairing, view and gram, the peer pair
+    // table, triple estimates and Lemma 4/5 — `trickle`'s fleet, and a
+    // 10⁴-worker fleet at `burst`'s density floor.
+    let mut group = c.benchmark_group("a2_community_fleet");
+    group.sample_size(10);
+    let est = MWorkerEstimator::new(EstimatorConfig::fleet(16));
+    for (label, communities, tasks_per, density) in [
+        ("trickle_40x50_t80_d0.35", 40, 80, 0.35),
+        ("floor_200x50_t50_d0.15", 200, 50, 0.15),
+    ] {
+        let fleet = community_fleet(communities, tasks_per, density);
+        let index = StreamingIndex::from_matrix(&fleet);
+        let workers: Vec<WorkerId> = fleet.workers().collect();
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(est.evaluate_workers_on(&index, black_box(&workers), 0.9)));
         });
     }
     group.finish();
@@ -223,6 +273,7 @@ criterion_group!(
     benches,
     a1_scaling_in_n,
     a2_scaling_in_m,
+    a2_community_fleet,
     a3_scaling_in_k,
     kary_m_worker_scaling,
     bootstrap_vs_delta,

@@ -198,13 +198,6 @@ impl MapAggregator {
         Self { confusions, prior }
     }
 
-    /// Overrides the label prior.
-    pub fn with_prior(mut self, prior: Vec<f64>) -> Self {
-        assert_eq!(prior.len(), self.prior.len(), "prior arity mismatch");
-        self.prior = prior;
-        self
-    }
-
     /// The posterior distribution over true labels for one task.
     /// Errors if no *evaluated* worker answered it.
     pub fn posterior(&self, data: &ResponseMatrix, task: TaskId) -> Result<Vec<f64>> {
@@ -492,8 +485,7 @@ mod tests {
         b.push(WorkerId(0), TaskId(0), Label(0)).unwrap();
         let data = b.build().unwrap();
         let p = crowd_linalg::Matrix::from_rows(&[&[0.6, 0.4], &[0.4, 0.6]]);
-        let skewed = MapAggregator::from_matrices(vec![Some(p.clone())], vec![0.5, 0.5])
-            .with_prior(vec![0.1, 0.9]);
+        let skewed = MapAggregator::from_matrices(vec![Some(p.clone())], vec![0.1, 0.9]);
         let ans = skewed.aggregate(&data, TaskId(0)).unwrap();
         assert_eq!(
             ans.label,

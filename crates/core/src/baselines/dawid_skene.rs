@@ -65,20 +65,6 @@ impl DawidSkeneResult {
             })
             .collect()
     }
-
-    /// Maximum a-posteriori label per task.
-    pub fn map_labels(&self) -> Vec<usize> {
-        self.posteriors
-            .iter()
-            .map(|post| {
-                post.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite posterior"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty posterior")
-            })
-            .collect()
-    }
 }
 
 impl DawidSkene {
@@ -238,7 +224,18 @@ mod tests {
     fn map_labels_beat_any_single_worker() {
         let inst = BinaryScenario::paper_default(7, 300, 1.0).generate(&mut rng(107));
         let result = DawidSkene::default().run(inst.responses()).unwrap();
-        let labels = result.map_labels();
+        // The maximum a-posteriori label per task.
+        let labels: Vec<usize> = result
+            .posteriors
+            .iter()
+            .map(|post| {
+                post.iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite posterior"))
+                    .map(|(i, _)| i)
+                    .expect("non-empty posterior")
+            })
+            .collect();
         let correct = labels
             .iter()
             .enumerate()

@@ -32,23 +32,26 @@ use crate::{
     EstimateError, Estimator, EstimatorConfig, Report, Result, WorkerAssessment, WorkerReport,
 };
 use crowd_data::{
-    AnchoredOverlap, OverlapSource, PeerGram, PeerGramScratch, ResponseMatrix, StreamingIndex,
-    WorkerId,
+    AnchoredOverlap, OverlapSource, PeerGram, PeerGramScratch, PeerPairs, ResponseMatrix,
+    StreamingIndex, WorkerId,
 };
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, min_variance_weights};
 
-/// Reusable scratch for one evaluation loop: the peer-id buffer and
-/// the [`PeerGram`] table survive from one evaluated worker to the
-/// next (the anchored view's mask words live in the substrate's own
-/// build scratch), so a loop runs allocation-free once all have
+/// Reusable scratch for one evaluation loop: the candidate and
+/// peer-id buffers and the [`PeerGram`] and [`PeerPairs`] tables
+/// survive from one evaluated worker to the next (the anchored view's
+/// mask words and the pair fill's column map live in the substrate's
+/// own build scratch), so a loop runs allocation-free once all have
 /// reached their high-water marks. Scratch state never influences
 /// outputs.
 #[derive(Debug, Default)]
 struct EvalScratch {
+    candidates: Vec<crate::pairing::Candidate>,
     peers: Vec<WorkerId>,
     gram: PeerGram,
     gram_scratch: PeerGramScratch,
+    pair_table: PeerPairs,
 }
 
 /// The m-worker estimator (Algorithm A2).
@@ -96,10 +99,11 @@ impl MWorkerEstimator {
     /// Algorithm A2 for one worker over any overlap substrate. Every
     /// statistic the pipeline touches — candidate overlaps, the three
     /// agreement rates per triple, `c_ij₁j₂`, and the Lemma 4
-    /// cross-triple counts `c_iab` — comes from `src`, so the same code
-    /// runs against merge scans over a [`ResponseMatrix`] (the naive
-    /// reference) or a [`StreamingIndex`] (O(1) pairs, anchored bitset
-    /// triples). Outputs are identical across substrates.
+    /// cross-triple counts `c_iab` and agreement rates `q_ab` — comes
+    /// from `src`, so the same code runs against merge scans over a
+    /// [`ResponseMatrix`] (the naive reference) or a [`StreamingIndex`]
+    /// (pair-row walks, anchored bitset triples). Outputs are identical
+    /// across substrates.
     pub fn evaluate_worker<S: OverlapSource>(
         &self,
         src: &S,
@@ -145,7 +149,9 @@ impl MWorkerEstimator {
     /// peer-scoped anchored view (built from the selected peer set, so
     /// it holds `O(peers)` mask rows — never `O(n_workers)`), one
     /// [`PeerGram`] pass answering every triple count of the
-    /// evaluation, triple estimation, and the Lemma 4/5 combination.
+    /// evaluation, one [`PeerPairs`] fill answering every peer–peer
+    /// pair statistic, triple estimation, and the Lemma 4/5
+    /// combination.
     fn evaluate_in<S: OverlapSource>(
         &self,
         src: &S,
@@ -159,12 +165,22 @@ impl MWorkerEstimator {
                 need: 3,
             });
         }
-        let pairs = crate::pairing::form_pairs_limited(
+        let EvalScratch {
+            candidates,
+            peers,
+            gram,
+            gram_scratch,
+            pair_table,
+        } = scratch;
+        // Each pair carries both peers' statistics against `worker`,
+        // screened off its pair row.
+        let pairs = crate::pairing::form_pairs_in(
             src,
             worker,
             self.config.pairing,
             self.config.min_pair_overlap,
             self.config.max_triples,
+            candidates,
         );
         if pairs.is_empty() {
             return Err(EstimateError::NoUsableTriples { worker });
@@ -173,15 +189,10 @@ impl MWorkerEstimator {
         // evaluation: `c_{worker,a,b}` for the triple estimates and for
         // the Lemma 4 covariance assembly below only ever pair up
         // workers the pairing selected. Sorted and deduplicated, so
-        // the view's mask and the gram are sized by the distinct-peer
-        // count, not 2·pairs.
-        let EvalScratch {
-            peers,
-            gram,
-            gram_scratch,
-        } = scratch;
+        // the view's mask and both tables are sized by the
+        // distinct-peer count, not 2·pairs.
         peers.clear();
-        peers.extend(pairs.iter().flat_map(|&(a, b)| [a, b]));
+        peers.extend(pairs.iter().flat_map(|&((a, _), (b, _))| [a, b]));
         peers.sort_unstable();
         peers.dedup();
         // Every `c_{worker,a,b}` this evaluation will ever ask for —
@@ -191,14 +202,25 @@ impl MWorkerEstimator {
         // substrate).
         src.anchored_for(worker, peers)
             .gram_into(peers, gram, gram_scratch);
+        // Every peer–peer pair statistic, likewise: one walk of each
+        // peer's pair row. Same keys as the gram, so one row index
+        // addresses both tables.
+        src.peer_pairs_into(peers, pair_table);
         let mut triples: Vec<TripleEstimate> = Vec::with_capacity(pairs.len());
+        let mut rows: Vec<(usize, usize)> = Vec::with_capacity(pairs.len());
         for (a, b) in pairs {
-            let c_all = gram.get(a, b);
-            match self
-                .three
-                .triple_estimate_with_c_all(src, worker, a, b, c_all)
-            {
-                Ok(t) => triples.push(t),
+            let (row_a, row_b) = (gram.row_of(a.0), gram.row_of(b.0));
+            match self.three.triple_estimate_from(
+                worker,
+                a,
+                b,
+                pair_table.at(row_a, row_b),
+                gram.at(row_a, row_b),
+            ) {
+                Ok(t) => {
+                    triples.push(t);
+                    rows.push((row_a, row_b));
+                }
                 // A degenerate or under-overlapped triple is dropped;
                 // the remaining triples still yield a valid (wider)
                 // interval.
@@ -222,7 +244,7 @@ impl MWorkerEstimator {
             });
         }
 
-        let cov = self.triple_covariance(src, gram, &triples);
+        let cov = self.triple_covariance(gram, pair_table, &triples, &rows);
         let weights = min_variance_weights(&cov, self.config.weight_policy)?;
         let p_hat: f64 = weights
             .weights
@@ -256,23 +278,19 @@ impl MWorkerEstimator {
     /// of the per-triple estimates clamped into the admissible
     /// `[0, 1/2]`.
     ///
-    /// The `c_iab` counts — the `O(l²)` hot spot of this assembly —
-    /// are O(1) reads of the evaluation's [`PeerGram`] (computed in
-    /// one blocked popcount pass up front); the agreement rates `q_ab`
-    /// come from the pair table.
-    fn triple_covariance<S: OverlapSource>(
+    /// The `c_iab` counts and the agreement rates `q_ab` — the `O(l²)`
+    /// hot spot of this assembly — are O(1) reads of the evaluation's
+    /// [`PeerGram`] (one blocked popcount pass up front) and
+    /// [`PeerPairs`] (one walk of each peer's pair row), at the rows
+    /// `rows[k]` of triple `k`'s peers, resolved once.
+    fn triple_covariance(
         &self,
-        src: &S,
         gram: &PeerGram,
+        pair_table: &PeerPairs,
         triples: &[TripleEstimate],
+        rows: &[(usize, usize)],
     ) -> Matrix {
         let l = triples.len();
-        // Resolve each triple's peers to gram rows once; the O(l²)
-        // loop below then reads the table directly.
-        let rows: Vec<(usize, usize)> = triples
-            .iter()
-            .map(|t| (gram.row_of(t.peers.0), gram.row_of(t.peers.1)))
-            .collect();
         let p_i = {
             let mean = triples.iter().map(|t| t.p_hat).sum::<f64>() / l as f64;
             mean.clamp(0.0, 0.5)
@@ -289,20 +307,20 @@ impl MWorkerEstimator {
                 let t2 = &triples[k2];
                 let mut sum = 0.0;
                 let peers1 = [
-                    (t1.peers.0, rows[k1].0, t1.gradient[0], t1.overlaps.c_i_j1),
-                    (t1.peers.1, rows[k1].1, t1.gradient[1], t1.overlaps.c_i_j2),
+                    (rows[k1].0, t1.gradient[0], t1.overlaps.c_i_j1),
+                    (rows[k1].1, t1.gradient[1], t1.overlaps.c_i_j2),
                 ];
                 let peers2 = [
-                    (t2.peers.0, rows[k2].0, t2.gradient[0], t2.overlaps.c_i_j1),
-                    (t2.peers.1, rows[k2].1, t2.gradient[1], t2.overlaps.c_i_j2),
+                    (rows[k2].0, t2.gradient[0], t2.overlaps.c_i_j1),
+                    (rows[k2].1, t2.gradient[1], t2.overlaps.c_i_j2),
                 ];
-                for &(a, row_a, d_a, c_ia) in &peers1 {
-                    for &(b, row_b, d_b, c_ib) in &peers2 {
+                for &(row_a, d_a, c_ia) in &peers1 {
+                    for &(row_b, d_b, c_ib) in &peers2 {
                         let c_iab = gram.at(row_a, row_b);
                         if c_iab == 0 {
                             continue;
                         }
-                        let s_ab = src.pair(a, b);
+                        let s_ab = pair_table.at(row_a, row_b);
                         // c_iab > 0 implies a and b share tasks.
                         let q_ab = s_ab
                             .agreement_rate()

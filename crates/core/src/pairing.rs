@@ -7,11 +7,25 @@
 //! (descending), repeatedly take the head of the list and pair it with
 //! the first remaining candidate that shares at least one task with
 //! both `w` and the head. Unpairable candidates are dropped.
+//!
+//! The candidate screen reads `w`'s pair row in one walk
+//! ([`OverlapSource::pair_row_into`]): on an indexed substrate that is
+//! one sequential pass over the row with no per-candidate lookup, and
+//! the screened candidates keep their statistics with `w`, which the
+//! m-worker estimator's triple estimates then read instead of asking
+//! the substrate again. Substrates without rows (the matrix scans) are
+//! swept with one [`OverlapSource::pair`] query per worker.
 
-use crowd_data::{OverlapSource, WorkerId};
+use std::cmp::Reverse;
+
+use crowd_data::{OverlapSource, PairStats, WorkerId};
 
 /// A candidate pair forming a triple with the evaluated worker.
 pub type PeerPair = (WorkerId, WorkerId);
+
+/// A screened candidate: a peer and its pair statistics with the
+/// evaluated worker.
+pub(crate) type Candidate = (WorkerId, PairStats);
 
 /// Strategy for splitting peers into pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,10 +39,10 @@ pub enum PairingStrategy {
 }
 
 /// Splits all workers other than `target` into disjoint pairs for
-/// triple formation, over any overlap substrate — the pairwise queries
-/// hit whatever the source provides (merge scans, or the pair table of
-/// a [`crowd_data::StreamingIndex`]). The produced pairs are identical
-/// across substrates.
+/// triple formation, over any overlap substrate — the candidate screen
+/// walks the target's pair row where the substrate keeps one, and
+/// sweeps the population with [`OverlapSource::pair`] queries where it
+/// does not. The produced pairs are identical across substrates.
 ///
 /// Every returned pair `(a, b)` satisfies: `a` and `b` each share at
 /// least `min_overlap` tasks with `target`, with each other, and the
@@ -51,92 +65,95 @@ pub fn form_pairs_limited<S: OverlapSource>(
     min_overlap: usize,
     max_pairs: Option<usize>,
 ) -> Vec<PeerPair> {
+    form_pairs_in(
+        src,
+        target,
+        strategy,
+        min_overlap,
+        max_pairs,
+        &mut Vec::new(),
+    )
+    .into_iter()
+    .map(|((a, _), (b, _))| (a, b))
+    .collect()
+}
+
+/// [`form_pairs_limited`], screening into the reusable `candidates`
+/// buffer and returning each pair with both peers' statistics against
+/// `target`.
+pub(crate) fn form_pairs_in<S: OverlapSource>(
+    src: &S,
+    target: WorkerId,
+    strategy: PairingStrategy,
+    min_overlap: usize,
+    max_pairs: Option<usize>,
+    candidates: &mut Vec<Candidate>,
+) -> Vec<(Candidate, Candidate)> {
     let min_overlap = min_overlap.max(1);
     let max_pairs = max_pairs.unwrap_or(usize::MAX);
+    candidates.clear();
     if max_pairs == 0 {
         return Vec::new();
     }
-    let overlap = |a: WorkerId, b: WorkerId| -> usize { src.pair(a, b).common_tasks };
-    // Candidates: everyone sharing enough tasks with the target.
-    // Substrates that track co-occurrence (the indexes' pair table)
-    // hand over the peer list directly — `O(d_target)` on a sparse
-    // pair row instead of an `O(m)` population sweep, with the same
-    // candidates in the same (id) order since absent pairs have zero
-    // overlap.
-    fn screen<S: OverlapSource>(
-        src: &S,
-        target: WorkerId,
-        min_overlap: usize,
-        ids: impl Iterator<Item = WorkerId>,
-    ) -> Vec<(WorkerId, usize)> {
-        ids.filter(|&w| w != target)
-            .map(|w| (w, src.pair(target, w).common_tasks))
-            .filter(|&(_, c)| c >= min_overlap)
-            .collect()
-    }
-    let mut co = Vec::new();
-    let mut candidates = if src.co_occurring_into(target, &mut co) {
-        screen(src, target, min_overlap, co.into_iter())
-    } else {
-        screen(
-            src,
-            target,
-            min_overlap,
-            (0..src.n_workers() as u32).map(WorkerId),
-        )
-    };
-
+    // Candidates: everyone sharing enough tasks with the target, in id
+    // order — the row lists exactly the positive-overlap workers.
+    pair_row(src, target, candidates);
+    candidates.retain(|(_, s)| s.common_tasks >= min_overlap);
     match strategy {
+        // Descending by overlap with the target; ties by id for
+        // determinism. Ids are unique, so the key is a total order.
         PairingStrategy::GreedyByOverlap => {
-            // Descending by overlap with the target; ties by id for
-            // determinism.
-            candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            candidates.sort_unstable_by_key(|&(w, s)| (Reverse(s.common_tasks), w));
         }
-        PairingStrategy::Sequential => {
-            candidates.sort_by_key(|&(w, _)| w);
-        }
+        // The row is already in id order.
+        PairingStrategy::Sequential => {}
     }
 
     let mut pairs = Vec::new();
-    let mut remaining: Vec<WorkerId> = candidates.into_iter().map(|(w, _)| w).collect();
-    while remaining.len() >= 2 && pairs.len() < max_pairs {
-        let head = remaining.remove(0);
+    while candidates.len() >= 2 && pairs.len() < max_pairs {
+        let head = candidates.remove(0);
         // First partner sharing enough tasks with the head (its overlap
         // with the target was already checked on entry to the list).
-        let partner_pos = remaining
+        let partner_pos = candidates
             .iter()
-            .position(|&w| overlap(head, w) >= min_overlap);
-        match partner_pos {
-            Some(pos) => {
-                let partner = remaining.remove(pos);
-                pairs.push((head, partner));
-            }
-            None => {
-                // Head is unpairable; drop it and continue.
-            }
+            .position(|&(w, _)| src.pair(head.0, w).common_tasks >= min_overlap);
+        if let Some(pos) = partner_pos {
+            pairs.push((head, candidates.remove(pos)));
         }
+        // Otherwise the head is unpairable; it is dropped.
     }
     pairs
 }
 
+/// Appends `target`'s pair row to `out`: `(peer, stats)` for every
+/// worker sharing a task with it, ascending by id — one row walk on an
+/// indexed substrate, a population sweep of [`OverlapSource::pair`]
+/// queries otherwise.
+fn pair_row<S: OverlapSource>(src: &S, target: WorkerId, out: &mut Vec<Candidate>) {
+    if !src.pair_row_into(target, out) {
+        out.extend(
+            (0..src.n_workers() as u32)
+                .map(WorkerId)
+                .filter(|&w| w != target)
+                .map(|w| (w, src.pair(target, w)))
+                .filter(|(_, s)| s.common_tasks > 0),
+        );
+    }
+}
+
 /// Every peer any [`form_pairs_limited`] call could possibly involve when
 /// evaluating `target`: the workers sharing at least one task with it,
-/// ascending by id. The pairing's candidate filter, greedy partner
-/// scan and covariance assembly never look beyond this set (pairs
-/// with zero overlap are rejected on entry), so a substrate holding
-/// full rows for `target` ∪ `reachable_peers(target)` reproduces the
-/// full-fleet pairing **bit for bit** — the closed peer set the
-/// sharding planner (`crowd_shard::ShardPlan`) builds per shard.
+/// ascending by id — `target`'s pair row. The pairing's candidate
+/// filter, greedy partner scan and covariance assembly never look
+/// beyond this set (pairs with zero overlap are rejected on entry), so
+/// a substrate holding full rows for `target` ∪
+/// `reachable_peers(target)` reproduces the full-fleet pairing **bit
+/// for bit** — the closed peer set the sharding planner
+/// (`crowd_shard::ShardPlan`) builds per shard.
 pub fn reachable_peers<S: OverlapSource>(src: &S, target: WorkerId) -> Vec<WorkerId> {
-    let mut co = Vec::new();
-    if src.co_occurring_into(target, &mut co) {
-        co.retain(|&w| w != target);
-        return co;
-    }
-    (0..src.n_workers() as u32)
-        .map(WorkerId)
-        .filter(|&w| w != target && src.pair(target, w).common_tasks > 0)
-        .collect()
+    let mut row = Vec::new();
+    pair_row(src, target, &mut row);
+    row.into_iter().map(|(w, _)| w).collect()
 }
 
 #[cfg(test)]

@@ -55,6 +55,13 @@ pub struct TripleEstimate {
     pub peer_p: (f64, f64),
 }
 
+/// The workers of a triple must be distinct.
+fn assert_distinct(worker: WorkerId, peer1: WorkerId, peer2: WorkerId) {
+    assert_ne!(worker, peer1, "triple workers must be distinct");
+    assert_ne!(worker, peer2, "triple workers must be distinct");
+    assert_ne!(peer1, peer2, "triple workers must be distinct");
+}
+
 /// The 3-worker estimator (Algorithm A1, regular or non-regular data).
 #[derive(Debug, Clone, Default)]
 pub struct ThreeWorkerEstimator {
@@ -85,28 +92,36 @@ impl ThreeWorkerEstimator {
         peer1: WorkerId,
         peer2: WorkerId,
     ) -> Result<TripleEstimate> {
+        assert_distinct(worker, peer1, peer2);
         let c_all = src.triple(worker, peer1, peer2).common_tasks;
-        self.triple_estimate_with_c_all(src, worker, peer1, peer2, c_all)
+        self.triple_estimate_from(
+            worker,
+            (peer1, src.pair(worker, peer1)),
+            (peer2, src.pair(worker, peer2)),
+            src.pair(peer1, peer2),
+            c_all,
+        )
     }
 
-    /// The triple pipeline with `c_ij₁j₂` supplied by the caller —
-    /// Algorithm A2 evaluates many triples anchored on one worker and
-    /// gets these counts from a bitset view instead of merge scans.
-    pub(crate) fn triple_estimate_with_c_all<S: OverlapSource>(
+    /// The triple pipeline from the triple's statistics: each peer
+    /// with its pair statistics against `worker`, the peers' own pair
+    /// statistics `s_12`, and `c_ij₁j₂`. Algorithm A2 evaluates many
+    /// triples anchored on one worker and reads these from the
+    /// anchor's pair row, its peer pair table and its peer gram instead
+    /// of asking the substrate per triple.
+    pub(crate) fn triple_estimate_from(
         &self,
-        src: &S,
         worker: WorkerId,
-        peer1: WorkerId,
-        peer2: WorkerId,
+        (peer1, s_i1): (WorkerId, PairStats),
+        (peer2, s_i2): (WorkerId, PairStats),
+        s_12: PairStats,
         c_all: usize,
     ) -> Result<TripleEstimate> {
-        assert_ne!(worker, peer1, "triple workers must be distinct");
-        assert_ne!(worker, peer2, "triple workers must be distinct");
-        assert_ne!(peer1, peer2, "triple workers must be distinct");
+        assert_distinct(worker, peer1, peer2);
 
-        let s_i1 = self.checked_pair(src, worker, peer1)?;
-        let s_i2 = self.checked_pair(src, worker, peer2)?;
-        let s_12 = self.checked_pair(src, peer1, peer2)?;
+        let s_i1 = self.checked_pair(worker, peer1, s_i1)?;
+        let s_i2 = self.checked_pair(worker, peer2, s_i2)?;
+        let s_12 = self.checked_pair(peer1, peer2, s_12)?;
 
         let raw = Triangle {
             q_ij: s_i1.agreement_rate().expect("overlap checked"),
@@ -196,13 +211,9 @@ impl ThreeWorkerEstimator {
         ])
     }
 
-    fn checked_pair<S: OverlapSource>(
-        &self,
-        src: &S,
-        a: WorkerId,
-        b: WorkerId,
-    ) -> Result<PairStats> {
-        let s = src.pair(a, b);
+    /// `s`, the statistics of the pair `(a, b)`, if they clear the
+    /// minimum overlap.
+    fn checked_pair(&self, a: WorkerId, b: WorkerId, s: PairStats) -> Result<PairStats> {
         let need = self.config.min_pair_overlap.max(1);
         if s.common_tasks < need {
             return Err(EstimateError::InsufficientOverlap {

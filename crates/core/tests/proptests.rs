@@ -35,6 +35,38 @@ fn assessable_matrix() -> impl Strategy<Value = ResponseMatrix> {
     })
 }
 
+/// Strategy: a community-structured binary matrix, the served fleet's
+/// shape in miniature: 2–4 communities of 4–7 workers, each answering
+/// its own block of 15–30 tasks at a per-worker density of 45–95%,
+/// with per-worker error rates of 5–30% against a random truth. With
+/// two communities every pair row is dense (`3·d ≥ m`); with more they
+/// are sparse, so the indexed substrates' sparse-row pair fill and
+/// row-walk screen run, which [`assessable_matrix`]'s all-dense shapes
+/// never reach.
+fn community_matrix() -> impl Strategy<Value = ResponseMatrix> {
+    (2usize..=4, 4usize..=7, 15usize..=30).prop_flat_map(|(c, s, per)| {
+        let (m, n) = (c * s, c * per);
+        (
+            proptest::collection::vec((45u32..95, 5u32..30), m),
+            proptest::collection::vec(0u16..2, n),
+            proptest::collection::vec((0u32..100, 0u32..100), m * n),
+        )
+            .prop_map(move |(workers, truth, cells)| {
+                let mut b = ResponseMatrixBuilder::new(m, n, 2);
+                for (i, &(attempt, err)) in cells.iter().enumerate() {
+                    let (w, t) = (i / n, i % n);
+                    let (density, error) = workers[w];
+                    if w / s == t / per && attempt < density {
+                        let label = truth[t] ^ u16::from(err < error);
+                        b.push(WorkerId(w as u32), TaskId(t as u32), Label(label))
+                            .expect("generated ids are valid");
+                    }
+                }
+                b.build().expect("generated cells are unique")
+            })
+    })
+}
+
 /// Strategy: one sort key per worker id of [`assessable_matrix`]; see
 /// [`shuffled_subset`].
 fn worker_keys() -> impl Strategy<Value = Vec<u32>> {
@@ -104,6 +136,57 @@ macro_rules! for_each_substrate {
             $body
         }
     }};
+}
+
+/// The binary estimator's one entry, `evaluate_workers_on`, gives on
+/// every substrate the rows the matrix scan gives (and `evaluate_all`
+/// agrees), bit for bit, over a shuffled worker subset: one scratch is
+/// reused across workers in non-id order, so a leak between
+/// evaluations shows. `ThreeWorkerEstimator::triple_estimate` agrees
+/// across the same substrates.
+fn check_indexed_equals_naive(
+    data: &ResponseMatrix,
+    keys: &[u32],
+    config: EstimatorConfig,
+) -> Result<(), TestCaseError> {
+    let est = MWorkerEstimator::new(config.clone());
+    let three = ThreeWorkerEstimator::new(config);
+    let workers = shuffled_subset(data, keys);
+    let all: Vec<WorkerId> = data.workers().collect();
+    let scanned = est
+        .evaluate_workers_on(data, &all, 0.9)
+        .expect("enough workers");
+    let diff = report_difference(
+        &est.evaluate_all(data, 0.9).expect("enough workers"),
+        &scanned,
+    );
+    prop_assert!(diff.is_none(), "evaluate_all: {:?}", diff);
+    let expect = rows_for(&scanned, &workers);
+    let triples = triples_for(data, &workers);
+    let oracle: Vec<String> = triples
+        .iter()
+        .map(|&[w, a, b]| format!("{:?}", three.triple_estimate(data, w, a, b)))
+        .collect();
+    for_each_substrate!(data, |substrate, src| {
+        let report = est
+            .evaluate_workers_on(src, &workers, 0.9)
+            .expect("enough workers");
+        let diff = report_difference(&report, &expect);
+        prop_assert!(diff.is_none(), "{}: {:?}", substrate, diff);
+        for (&[w, a, b], want) in triples.iter().zip(&oracle) {
+            let got = format!("{:?}", three.triple_estimate(src, w, a, b));
+            prop_assert_eq!(
+                &got,
+                want,
+                "{}: triple ({:?}, {:?}, {:?})",
+                substrate,
+                w,
+                a,
+                b
+            );
+        }
+    });
+    Ok(())
 }
 
 /// Strategy: a random diagonally dominant row-stochastic k×k matrix.
@@ -239,32 +322,32 @@ proptest! {
         prop_assert!(g.iter().all(|d| d.is_finite()));
     }
 
-    /// The binary estimator's one entry, `evaluate_workers_on`, gives
-    /// on every substrate the rows `evaluate_all` gives, bit for bit,
-    /// over a shuffled worker subset: one scratch is reused across
-    /// workers in non-id order, so a leak between evaluations shows.
-    /// `ThreeWorkerEstimator::triple_estimate` agrees across the same
-    /// substrates.
+    /// [`check_indexed_equals_naive`] on small, dense matrices under
+    /// the default configuration.
     #[test]
     fn indexed_evaluate_all_equals_naive(data in assessable_matrix(), keys in worker_keys()) {
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let three = ThreeWorkerEstimator::new(EstimatorConfig::default());
-        let workers = shuffled_subset(&data, &keys);
-        let expect = rows_for(&est.evaluate_all(&data, 0.9).expect("enough workers"), &workers);
-        let triples = triples_for(&data, &workers);
-        let oracle: Vec<String> = triples
-            .iter()
-            .map(|&[w, a, b]| format!("{:?}", three.triple_estimate(&data, w, a, b)))
-            .collect();
-        for_each_substrate!(&data, |substrate, src| {
-            let report = est.evaluate_workers_on(src, &workers, 0.9).expect("enough workers");
-            let diff = report_difference(&report, &expect);
-            prop_assert!(diff.is_none(), "{}: {:?}", substrate, diff);
-            for (&[w, a, b], want) in triples.iter().zip(&oracle) {
-                let got = format!("{:?}", three.triple_estimate(src, w, a, b));
-                prop_assert_eq!(&got, want, "{}: triple ({:?}, {:?}, {:?})", substrate, w, a, b);
-            }
-        });
+        check_indexed_equals_naive(&data, &keys, EstimatorConfig::default())?;
+    }
+
+    /// [`check_indexed_equals_naive`] on community-structured
+    /// matrices, whose pair rows are sparse as well as dense, under the
+    /// default configuration, a fleet cap of 2–6 triples, and a minimum
+    /// pair overlap of 1, 2 or 4.
+    #[test]
+    fn indexed_evaluate_all_equals_naive_on_communities(
+        data in community_matrix(),
+        keys in proptest::collection::vec(0u32..1000, 28),
+        cap in 2usize..=6,
+        overlap in 0usize..3,
+    ) {
+        check_indexed_equals_naive(&data, &keys, EstimatorConfig::default())?;
+        check_indexed_equals_naive(&data, &keys, EstimatorConfig::fleet(cap))?;
+        let min_pair_overlap = [1, 2, 4][overlap];
+        check_indexed_equals_naive(
+            &data,
+            &keys,
+            EstimatorConfig { min_pair_overlap, ..EstimatorConfig::default() },
+        )?;
     }
 
     /// The k-ary twin: `evaluate_workers_on` equals the `evaluate_all`

@@ -262,17 +262,6 @@ impl CountsTensor {
             .map(|(_, _, _, v)| v)
             .sum()
     }
-
-    /// The number of tasks both `w₁` and `w₂` attempted (regardless of
-    /// `w₃`) — the denominator `n₁₂₃ + n₁₂` of A3 step 2.
-    pub fn n_pair_at_least(&self, pair: AttemptPattern) -> f64 {
-        assert_eq!(
-            pair.worker_count(),
-            2,
-            "pair pattern must have exactly two workers"
-        );
-        self.n_exactly_pair(pair) + self.n_all_three()
-    }
 }
 
 #[cfg(test)]
@@ -325,7 +314,6 @@ mod tests {
         assert_eq!(t.n_exactly_pair(AttemptPattern(0b011)), 1.0); // w1,w2 only: t1
         assert_eq!(t.n_exactly_pair(AttemptPattern(0b110)), 1.0); // w2,w3 only: t4
         assert_eq!(t.n_exactly_pair(AttemptPattern(0b101)), 0.0); // w1,w3 only
-        assert_eq!(t.n_pair_at_least(AttemptPattern(0b011)), 3.0);
         assert_eq!(t.group_total(AttemptPattern(0b001)), 1.0); // w1 only: t2
         assert_eq!(t.group_total(AttemptPattern(0b000)), 0.0);
     }

@@ -1,5 +1,7 @@
-//! The [`PeerGram`] kernel — batched triple-overlap counts for the
-//! Lemma 4 / Lemma 9 covariance assemblies.
+//! The per-evaluation tables of the m-worker estimators: [`PeerGram`]
+//! (batched triple-overlap counts for the Lemma 4 / Lemma 9 covariance
+//! assemblies) and [`PeerPairs`] (the pair statistics among the same
+//! peers).
 //!
 //! The m-worker estimators' covariance hot loop asks one anchored view
 //! for `c_{anchor,a,b}` over every pair `(a, b)` drawn from the ≤ 2l
@@ -22,6 +24,15 @@
 //! hosts with both features run the second build, whose wide-mask
 //! loop LLVM vectorizes into a `vpshufb` nibble-table popcount.
 //!
+//! `PeerPairs` applies the same move to the pair table: the same
+//! evaluation reads `(c_ab, a_ab)` for every peer pair of a triple and
+//! for the four cross pairs of every pair of triples, and a
+//! [`crate::PairMap`] lookup is a binary search over a sparse row. The
+//! indexed fill ([`crate::OverlapSource::peer_pairs_into`]) instead walks each
+//! selected peer's pair row once and scatters every entry through a
+//! worker → column map; entries for workers outside the peer set land
+//! in one spare sink column, so the scatter stores unconditionally.
+//!
 //! [`TriplePairGram`] is the same idea for the k-ary cross-triple
 //! `n₅` counts: each triple's two peer masks are AND-combined into one
 //! derived row (one pass), and the T×T table of 4-way intersections
@@ -32,18 +43,20 @@
 //! Entry points live on [`crate::AnchoredOverlap`]:
 //! [`gram`](crate::AnchoredOverlap::gram) /
 //! [`gram_into`](crate::AnchoredOverlap::gram_into) (scratch-reusing)
-//! and [`pair_gram_into`](crate::AnchoredOverlap::pair_gram_into).
+//! and [`pair_gram_into`](crate::AnchoredOverlap::pair_gram_into), and
+//! on [`crate::OverlapSource::peer_pairs_into`] for the pair table.
 //! The trait defaults compute every entry by per-pair
 //! [`triple_common`](crate::AnchoredOverlap::triple_common) /
-//! [`common_among`](crate::AnchoredOverlap::common_among) queries —
-//! the pre-gram reference path, still what the naive scan substrate
-//! runs — and the bitset views override them with the blocked kernels.
-//! Both produce identical integer counts, so every float downstream
-//! is bit-identical across paths (the property tests in
+//! [`common_among`](crate::AnchoredOverlap::common_among) /
+//! [`pair`](crate::OverlapSource::pair) queries —
+//! the reference path, still what the naive scan substrate
+//! runs — and the indexed substrate overrides them with the batched
+//! fills. Both produce identical integer counts, so every float
+//! downstream is bit-identical across paths (the property tests in
 //! `crates/data/tests/proptests.rs` pin this).
 
-use crate::WorkerId;
 use crate::index::{MaskMatrix, PeerMask};
+use crate::{PairStats, WorkerId};
 
 /// The peers×peers symmetric matrix of anchored triple-overlap counts
 /// `g[a][b] = c_{anchor,a,b}`, with the per-row popcounts
@@ -67,10 +80,7 @@ impl PeerGram {
     /// caller order and duplicates are irrelevant) and zeroes the
     /// table, reusing both allocations.
     pub(crate) fn reset(&mut self, ids: &[WorkerId]) {
-        self.peers.clear();
-        self.peers.extend(ids.iter().map(|w| w.0));
-        self.peers.sort_unstable();
-        self.peers.dedup();
+        rekey(&mut self.peers, ids);
         self.dim = self.peers.len();
         self.counts.clear();
         self.counts.resize(self.dim * self.dim, 0);
@@ -92,9 +102,7 @@ impl PeerGram {
     /// worker is not in the gram's peer set.
     #[inline]
     pub fn row_of(&self, worker: WorkerId) -> usize {
-        self.peers
-            .binary_search(&worker.0)
-            .unwrap_or_else(|_| panic!("worker {worker:?} is outside this gram's peer set"))
+        row_in(&self.peers, worker, "gram")
     }
 
     /// `c_{anchor,a,b}` by table read (rows pre-resolved).
@@ -123,6 +131,149 @@ impl PeerGram {
 
     pub(crate) fn counts_mut(&mut self) -> &mut Vec<u32> {
         &mut self.counts
+    }
+}
+
+/// Re-keys a peer table to `ids`, sorted and deduplicated.
+fn rekey(keys: &mut Vec<u32>, ids: &[WorkerId]) {
+    keys.clear();
+    keys.extend(ids.iter().map(|w| w.0));
+    keys.sort_unstable();
+    keys.dedup();
+}
+
+/// The row of `worker` among sorted `keys`; panics (contract
+/// violation) when the worker is not a key.
+#[inline]
+fn row_in(keys: &[u32], worker: WorkerId, table: &str) -> usize {
+    keys.binary_search(&worker.0)
+        .unwrap_or_else(|_| panic!("worker {worker:?} is outside this {table}'s peer set"))
+}
+
+/// The peers×peers symmetric table of pair statistics `(c_ab, a_ab)`
+/// of one evaluation — [`PeerGram`]'s twin over the pair table (see
+/// the [module docs](self)).
+///
+/// Keyed exactly like [`PeerGram`] (sorted, deduplicated peer ids, the
+/// same row order), so a row resolved once through either table
+/// addresses both. The diagonal reads zero. Each row carries one spare
+/// sink column after the last peer: the indexed fill writes non-peer
+/// entries into it and zeroes it when the row is done, and nothing
+/// reads it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PeerPairs {
+    /// Sorted, deduplicated peer ids; `peers[r]` owns row/column `r`.
+    peers: Vec<u32>,
+    /// `dim × (dim + 1)` row-major `(common, agreements)`; column
+    /// `dim` of every row is the sink.
+    cells: Vec<(u32, u32)>,
+}
+
+impl PeerPairs {
+    /// Re-keys the table to `ids` (sorted and deduplicated internally)
+    /// and zeroes it, reusing both allocations.
+    pub(crate) fn reset(&mut self, ids: &[WorkerId]) {
+        rekey(&mut self.peers, ids);
+        let dim = self.peers.len();
+        self.cells.clear();
+        self.cells.resize(dim * (dim + 1), (0, 0));
+    }
+
+    /// Number of distinct peers.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.peers.len()
+    }
+
+    /// The peer id owning row `row`.
+    #[inline]
+    pub fn peer(&self, row: usize) -> WorkerId {
+        WorkerId(self.peers[row])
+    }
+
+    /// The row of `worker`; panics (contract violation) when the
+    /// worker is not in the table's peer set.
+    #[inline]
+    pub fn row_of(&self, worker: WorkerId) -> usize {
+        row_in(&self.peers, worker, "pair table")
+    }
+
+    /// The statistics of the peers at rows `a` and `b` (rows
+    /// pre-resolved).
+    #[inline]
+    pub fn at(&self, a: usize, b: usize) -> PairStats {
+        let (common, agree) = self.cells[a * (self.peers.len() + 1) + b];
+        PairStats {
+            common_tasks: common as usize,
+            agreements: agree as usize,
+        }
+    }
+
+    /// The statistics of a peer pair by id.
+    #[inline]
+    pub fn get(&self, a: WorkerId, b: WorkerId) -> PairStats {
+        self.at(self.row_of(a), self.row_of(b))
+    }
+
+    pub(crate) fn set_symmetric(&mut self, a: usize, b: usize, s: PairStats) {
+        let stride = self.peers.len() + 1;
+        // Stored as `u32`, like the pair table's own counts.
+        let count = |n: usize| u32::try_from(n).expect("pair count exceeds u32");
+        let cell = (count(s.common_tasks), count(s.agreements));
+        self.cells[a * stride + b] = cell;
+        self.cells[b * stride + a] = cell;
+    }
+
+    /// The peer keys and the rows in key order, each `dim + 1` cells
+    /// long (the last is the sink) — what the indexed fill scatters
+    /// into.
+    pub(crate) fn keys_and_rows_mut(
+        &mut self,
+    ) -> (&[u32], std::slice::ChunksExactMut<'_, (u32, u32)>) {
+        let stride = self.peers.len() + 1;
+        (&self.peers, self.cells.chunks_exact_mut(stride))
+    }
+}
+
+/// The worker → column map of the indexed [`PeerPairs`] fill. Every
+/// worker outside the current peer set maps to `u32::MAX`, so a lookup
+/// clamped to the sink column is branch-free. A fill assigns its peers'
+/// columns and releases them afterwards, `O(peers)` each way; the map
+/// lives in the substrate's one build scratch, sized once to the
+/// worker count, and is never cleared.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PeerColumns {
+    col: Vec<u32>,
+}
+
+impl PeerColumns {
+    /// Maps `keys[c]` to column `c` in a map covering `n_workers`.
+    pub(crate) fn assign(&mut self, n_workers: usize, keys: &[u32]) {
+        if self.col.len() < n_workers {
+            self.col.resize(n_workers, u32::MAX);
+        }
+        for (c, &p) in keys.iter().enumerate() {
+            self.col[p as usize] = c as u32;
+        }
+    }
+
+    /// Returns `keys` to the unmapped state.
+    pub(crate) fn release(&mut self, keys: &[u32]) {
+        for &p in keys {
+            self.col[p as usize] = u32::MAX;
+        }
+    }
+
+    /// The column of `worker`, or `sink` when it is not a peer.
+    #[inline]
+    pub(crate) fn col(&self, worker: u32, sink: usize) -> usize {
+        (self.col[worker as usize] as usize).min(sink)
+    }
+
+    /// Whether no worker is mapped (every assign was released).
+    #[cfg(test)]
+    pub(crate) fn is_clear(&self) -> bool {
+        self.col.iter().all(|&c| c == u32::MAX)
     }
 }
 
@@ -252,6 +403,37 @@ mod tests {
         let mut g = PeerGram::default();
         g.reset(&[WorkerId(1)]);
         let _ = g.get(WorkerId(1), WorkerId(3));
+    }
+
+    #[test]
+    fn peer_pairs_share_the_gram_keys_and_mirror() {
+        let ids = [WorkerId(5), WorkerId(2), WorkerId(5), WorkerId(9)];
+        let mut g = PeerGram::default();
+        g.reset(&ids);
+        let mut t = PeerPairs::default();
+        t.reset(&ids);
+        assert_eq!(t.dim(), g.dim());
+        for r in 0..t.dim() {
+            assert_eq!(t.peer(r), g.peer(r));
+        }
+        let s = PairStats {
+            common_tasks: 7,
+            agreements: 4,
+        };
+        t.set_symmetric(0, 2, s);
+        assert_eq!(t.get(WorkerId(2), WorkerId(9)), s);
+        assert_eq!(t.get(WorkerId(9), WorkerId(2)), s);
+        assert_eq!(t.at(1, 1).common_tasks, 0, "the diagonal reads zero");
+        t.reset(&[WorkerId(2), WorkerId(9)]);
+        assert_eq!(t.at(0, 1).common_tasks, 0, "reset must zero stale counts");
+    }
+
+    #[test]
+    #[should_panic(expected = "pair table's peer set")]
+    fn peer_pairs_reject_unknown_workers() {
+        let mut t = PeerPairs::default();
+        t.reset(&[WorkerId(1), WorkerId(2)]);
+        let _ = t.get(WorkerId(1), WorkerId(3));
     }
 
     #[test]

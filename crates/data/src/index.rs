@@ -102,17 +102,19 @@ use std::cell::{Ref, RefCell};
 use std::collections::TryReserveError;
 
 use crate::counts::TaskCodes;
+use crate::gram::PeerColumns;
 use crate::{
-    CountsTensor, Label, PairMap, PairStats, PeerGram, PeerGramScratch, Response, ResponseMatrix,
-    TaskId, TriplePairGram, TripleStats, WorkerId,
+    CountsTensor, Label, PairMap, PairStats, PeerGram, PeerGramScratch, PeerPairs, Response,
+    ResponseMatrix, TaskId, TriplePairGram, TripleStats, WorkerId,
 };
 
 /// A provider of pairwise and triple overlap statistics over one
 /// response data set.
 ///
 /// Implemented by [`ResponseMatrix`] (merge scans — the naive
-/// reference) and [`crate::StreamingIndex`] (pair-table lookups, CSR
-/// scans, and anchored bitset popcounts for triples). Both return
+/// reference) and [`crate::StreamingIndex`] (pair-row walks and
+/// pair-table lookups, CSR scans, and anchored bitset popcounts for
+/// triples). Both return
 /// *identical* counts — only the cost differs — which is what lets
 /// each estimator keep one substrate-generic evaluation body whose
 /// output bits do not depend on the substrate.
@@ -172,20 +174,45 @@ pub trait OverlapSource {
     /// of its anchored views is alive panics.
     fn fill_counts(&self, tensor: &mut CountsTensor, w1: WorkerId, w2: WorkerId, w3: WorkerId);
 
-    /// If the substrate tracks co-occurrence explicitly, appends the
-    /// workers sharing at least one task with `worker` to `out`
-    /// (ascending by id, `worker` itself excluded) and returns `true`;
-    /// otherwise returns `false` and leaves `out` untouched — callers
-    /// must then scan the whole population. This is the pairing
-    /// candidate scan's fast path: the index's pair table lists a
-    /// worker's peers directly (`O(d_w)` on a sparse row) instead of
-    /// `O(m)` lookups, and because workers absent
-    /// from the list have zero overlap by construction, consumers that
-    /// filter on a minimum overlap see the **same candidate set in the
-    /// same order** either way.
-    fn co_occurring_into(&self, worker: WorkerId, out: &mut Vec<WorkerId>) -> bool {
+    /// If the substrate tracks co-occurrence explicitly, appends
+    /// `worker`'s pair row to `out` — `(peer, stats)` for every worker
+    /// sharing at least one task with it, ascending by id, `worker`
+    /// itself excluded — and returns `true`; otherwise returns `false`
+    /// and leaves `out` untouched, and callers must sweep the whole
+    /// population. This is the pairing screen's fast path: the index
+    /// walks the worker's pair row once (`O(d_w)` on a sparse row)
+    /// instead of `O(m)` lookups, and because workers absent from the
+    /// row have zero overlap by construction, consumers that filter on
+    /// a minimum overlap see the **same candidates with the same
+    /// statistics in the same order** either way.
+    fn pair_row_into(&self, worker: WorkerId, out: &mut Vec<(WorkerId, PairStats)>) -> bool {
         let _ = (worker, out);
         false
+    }
+
+    /// Fills `table` with the pair statistics of every pair among
+    /// `peers` (order and duplicates are irrelevant; the table sorts
+    /// and deduplicates, keyed exactly like a [`PeerGram`] over the same
+    /// peers). After this call [`PeerPairs::at`] answers every
+    /// [`OverlapSource::pair`] query about distinct in-set peers by
+    /// table read — the pair statistics of the m-worker estimators'
+    /// triple estimates and Lemma 4 covariance assembly.
+    ///
+    /// The default issues one [`OverlapSource::pair`] query per
+    /// unordered pair — the reference path; a [`crate::StreamingIndex`]
+    /// walks each peer's pair row once instead (see [`crate::gram`]).
+    /// Counts are identical either way. That walk maps workers to
+    /// columns through the build scratch its views borrow, so, as with
+    /// [`OverlapSource::fill_counts`], calling this while one of its
+    /// anchored views is alive panics.
+    fn peer_pairs_into(&self, peers: &[WorkerId], table: &mut PeerPairs) {
+        table.reset(peers);
+        for i in 0..table.dim() {
+            for j in (i + 1)..table.dim() {
+                let s = self.pair(table.peer(i), table.peer(j));
+                table.set_symmetric(i, j, s);
+            }
+        }
     }
 }
 
@@ -899,16 +926,19 @@ impl SlotStamps {
 
 /// The one build scratch of a [`crate::StreamingIndex`]: the mask
 /// words every [`BitsetAnchored`] view of that substrate is filled
-/// into and borrows, the slot map the view fill stamps, and the task
+/// into and borrows, the slot map the view fill stamps, the task
 /// codes the k-ary counts fill scatters into
-/// ([`CountsTensor::fill_from_index`]). Consecutive builds and fills
-/// reuse all three, so an evaluation loop allocates nothing once the
-/// scratch has reached its largest view.
+/// ([`CountsTensor::fill_from_index`]), and the worker → column map of
+/// the [`PeerPairs`] fill. Consecutive builds and fills reuse all
+/// four, so an evaluation loop allocates nothing once the scratch has
+/// reached its largest view, and no evaluation pays for a map over
+/// the whole population.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BuildScratch {
     matrix: MaskMatrix,
     stamps: SlotStamps,
     codes: TaskCodes,
+    columns: PeerColumns,
 }
 
 impl BuildScratch {
@@ -921,6 +951,11 @@ impl BuildScratch {
     /// The all-zero task codes of the counts fill.
     pub(crate) fn task_codes(&mut self) -> &mut TaskCodes {
         &mut self.codes
+    }
+
+    /// The all-unmapped worker → column map of the pair-table fill.
+    pub(crate) fn peer_columns(&mut self) -> &mut PeerColumns {
+        &mut self.columns
     }
 }
 

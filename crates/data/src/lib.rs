@@ -12,7 +12,8 @@
 //!
 //! * pairwise overlap counts `c_ij` and agreement rates `q̂_ij`
 //!   ([`overlap`] as scans of the matrix, [`pairmap`] as the streaming
-//!   pair table),
+//!   pair table, and in bulk the peer pair table of one evaluation,
+//!   [`PeerPairs`]),
 //! * triple overlap counts `c_ijk` ([`overlap`]), and in bulk the
 //!   Lemma 4 peer Gram and the k-ary `n₅` cross-triple table of one
 //!   anchored view ([`gram`]),
@@ -42,7 +43,7 @@ pub mod streaming;
 pub use checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError};
 pub use counts::{AttemptPattern, CountsTensor};
 pub use gold::GoldStandard;
-pub use gram::{PeerGram, PeerGramScratch, TriplePairGram};
+pub use gram::{PeerGram, PeerGramScratch, PeerPairs, TriplePairGram};
 pub use ids::{TaskId, WorkerId};
 pub use index::{AnchoredOverlap, BitsetAnchored, OverlapIndex, OverlapSource};
 pub use label::Label;

@@ -29,22 +29,28 @@
 //! keeps [`crate::OverlapIndex`]'s `Eq` and bit-identical checkpoint
 //! round-trips.
 //!
-//! Both directions of a pair are stored, so either endpoint can
-//! enumerate its peers: [`PairMap::co_occurring`] is the pairing
-//! candidate scan's and the streaming dirty tracker's neighbour list —
-//! `O(d)` on a sparse row and `O(m) ≤ O(3d)` on a dense one. Memory is
+//! Both directions of a pair are stored, so either endpoint can walk
+//! its row. [`PairMap::row`] is that walk: `(peer, stats)` for the
+//! co-occurring peers in ascending id order, `O(d)` on a sparse row and
+//! `O(m) ≤ O(3d)` on a dense one. It is the pairing screen's candidate
+//! list, the streaming dirty tracker's neighbour list, and — scattered
+//! through a worker → column map, one walk per selected peer — the
+//! fill of an evaluation's [`crate::PeerPairs`] table, so the
+//! estimators' hot loops search no row. `get` is left for one-off
+//! lookups. Memory is
 //! `O(Σ_w min(d_w, m))`: it tracks the co-occurrence structure, which
 //! is what lets a shard's [`StreamingIndex`](crate::StreamingIndex),
 //! holding only its closure's rows, keep pair state proportional to
 //! *its* rows.
 //!
 //! The differential property tests in `crates/data/tests/proptests.rs`
-//! pin every lookup and neighbour list to the `pair_stats` merge scan
-//! and the bulk build to streamed ingest in random orders, on shapes
-//! whose rows sit on both sides of the threshold and cross it
+//! pin every lookup, row walk and peer-table fill to the `pair_stats`
+//! merge scan and the bulk build to streamed ingest in random orders,
+//! on shapes whose rows sit on both sides of the threshold and cross it
 //! mid-stream.
 
-use crate::{Label, PairStats, ResponseMatrix, TaskId, WorkerId};
+use crate::gram::PeerColumns;
+use crate::{Label, PairStats, PeerPairs, ResponseMatrix, TaskId, WorkerId};
 
 /// One peer entry of a sparse row: `(peer, common, agreements)`, kept
 /// sorted by peer id.
@@ -58,6 +64,15 @@ enum Row {
     /// `(common, agreements)` per worker id (`m` cells; the row's own
     /// cell stays zero).
     Dense(Vec<(u32, u32)>),
+}
+
+/// The public form of one stored `(common, agreements)` cell.
+#[inline]
+fn stats((common, agree): (u32, u32)) -> PairStats {
+    PairStats {
+        common_tasks: common as usize,
+        agreements: agree as usize,
+    }
 }
 
 /// Whether a row of co-occurrence degree `degree` in an `m`-worker
@@ -154,7 +169,7 @@ impl PairMap {
     /// Number of distinct co-occurring (unordered) pairs stored.
     pub fn n_pairs(&self) -> usize {
         (0..self.rows.len() as u32)
-            .map(|w| self.co_occurring(WorkerId(w)).count())
+            .map(|w| self.row(WorkerId(w)).count())
             .sum::<usize>()
             / 2
     }
@@ -168,34 +183,75 @@ impl PairMap {
             .count()
     }
 
-    /// Bytes resident in the rows (capacity, not length — slack from
-    /// growth is real memory).
-    pub fn table_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<Row>()
-            + self
-                .rows
-                .iter()
-                .map(|r| match r {
-                    Row::Sparse(e) => e.capacity() * std::mem::size_of::<PairEntry>(),
-                    Row::Dense(c) => c.capacity() * std::mem::size_of::<(u32, u32)>(),
-                })
-                .sum::<usize>()
-    }
-
-    /// The workers sharing at least one task with `worker`, ascending
-    /// by id — the pairing candidate scan's fast path.
-    pub fn co_occurring(&self, worker: WorkerId) -> impl Iterator<Item = WorkerId> + '_ {
+    /// `worker`'s row: `(peer, stats)` for every worker sharing at
+    /// least one task with it, ascending by peer id (`worker` itself
+    /// never appears). One sequential pass over the row — `O(d)` on a
+    /// sparse row, `O(m) ≤ O(3d)` on a dense one, skipping its zero
+    /// cells.
+    pub fn row(&self, worker: WorkerId) -> impl Iterator<Item = (WorkerId, PairStats)> + '_ {
         let (sparse, dense): (&[PairEntry], &[(u32, u32)]) = match &self.rows[worker.index()] {
             Row::Sparse(entries) => (entries, &[]),
             Row::Dense(cells) => (&[], cells),
         };
-        sparse.iter().map(|&(p, _, _)| WorkerId(p)).chain(
-            dense
-                .iter()
-                .enumerate()
-                .filter(|(_, cell)| cell.0 > 0)
-                .map(|(p, _)| WorkerId(p as u32)),
-        )
+        sparse
+            .iter()
+            .map(|&(p, common, agree)| (WorkerId(p), stats((common, agree))))
+            .chain(
+                dense
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, cell)| cell.0 > 0)
+                    .map(|(p, &cell)| (WorkerId(p as u32), stats(cell))),
+            )
+    }
+
+    /// Fills `table` with the statistics of every pair among `peers`
+    /// (sorted and deduplicated by the table): each peer's row is
+    /// walked once. A sparse row's entries are scattered through
+    /// `columns`, unconditionally — entries for non-peers land in the
+    /// table's sink column, which is zeroed again after each row — and
+    /// a dense row is read at the peer columns directly: `O(d_p)`
+    /// stores per sparse row, `O(peers)` per dense row, and no search.
+    /// `columns` is left as it was found.
+    ///
+    /// # Panics
+    /// Panics if a peer id is not below [`PairMap::n_workers`].
+    pub(crate) fn peer_pairs_into(
+        &self,
+        peers: &[WorkerId],
+        table: &mut PeerPairs,
+        columns: &mut PeerColumns,
+    ) {
+        table.reset(peers);
+        let (keys, rows) = table.keys_and_rows_mut();
+        // Checked before any column is assigned, so a panic cannot
+        // leave the map half-assigned. Keys are sorted.
+        if let Some(&last) = keys.last() {
+            assert!(
+                (last as usize) < self.rows.len(),
+                "peer {last} out of range for {} workers",
+                self.rows.len()
+            );
+        }
+        let sink = keys.len();
+        columns.assign(self.rows.len(), keys);
+        for (&p, out) in keys.iter().zip(rows) {
+            match &self.rows[p as usize] {
+                Row::Sparse(entries) => {
+                    for &(q, common, agree) in entries {
+                        out[columns.col(q, sink)] = (common, agree);
+                    }
+                }
+                Row::Dense(cells) => {
+                    for (cell, &q) in out.iter_mut().zip(keys) {
+                        *cell = cells[q as usize];
+                    }
+                }
+            }
+            // Tables compare equal whatever the fill path.
+            out[sink] = (0, 0);
+        }
+        columns.release(keys);
     }
 
     /// The stored statistics for a pair; pairs that never co-occurred
@@ -207,17 +263,13 @@ impl PairMap {
     /// [`PairMap::n_workers`], in every build profile.
     pub fn get(&self, a: WorkerId, b: WorkerId) -> PairStats {
         crate::overlap::check_pair(a, b, self.rows.len());
-        let (common, agree) = match &self.rows[a.index()] {
+        stats(match &self.rows[a.index()] {
             Row::Dense(cells) => cells[b.index()],
             Row::Sparse(entries) => match entries.binary_search_by_key(&b.0, |&(p, _, _)| p) {
                 Ok(pos) => (entries[pos].1, entries[pos].2),
                 Err(_) => (0, 0),
             },
-        };
-        PairStats {
-            common_tasks: common as usize,
-            agreements: agree as usize,
-        }
+        })
     }
 
     /// Adds one `(common, agreement)` observation to both directions
@@ -339,18 +391,75 @@ mod tests {
         }
     }
 
+    /// The expected row walk of `a`: the merge scan against every
+    /// positive-overlap peer, ascending.
+    fn scanned_row(data: &ResponseMatrix, a: u32) -> Vec<(WorkerId, PairStats)> {
+        (0..data.n_workers() as u32)
+            .filter(|&b| b != a)
+            .map(|b| (WorkerId(b), pair_stats(data, WorkerId(a), WorkerId(b))))
+            .filter(|(_, s)| s.common_tasks > 0)
+            .collect()
+    }
+
     #[test]
-    fn co_occurring_lists_exactly_the_nonzero_pairs() {
+    fn row_walk_lists_exactly_the_nonzero_pairs() {
         let data = sample();
         let map = PairMap::from_matrix(&data);
         for a in 0..5u32 {
-            let listed: Vec<u32> = map.co_occurring(WorkerId(a)).map(|w| w.0).collect();
-            let expect: Vec<u32> = (0..5u32)
-                .filter(|&b| b != a && pair_stats(&data, WorkerId(a), WorkerId(b)).common_tasks > 0)
-                .collect();
-            assert_eq!(listed, expect, "worker {a}");
+            let listed: Vec<_> = map.row(WorkerId(a)).collect();
+            assert_eq!(listed, scanned_row(&data, a), "worker {a}");
         }
-        assert_eq!(map.co_occurring(WorkerId(4)).count(), 0);
+        assert_eq!(map.row(WorkerId(4)).count(), 0);
+        // Dense rows skip their zero cells.
+        let star = hub(6);
+        let dense = PairMap::from_matrix(&star);
+        assert!(matches!(dense.rows[0], Row::Dense(_)));
+        for a in 0..12u32 {
+            let listed: Vec<_> = dense.row(WorkerId(a)).collect();
+            assert_eq!(listed, scanned_row(&star, a), "worker {a}");
+        }
+    }
+
+    /// Peer-table fills over sparse and dense rows equal per-pair
+    /// lookups, whatever the peer set, and hand the column map back
+    /// clear — so consecutive fills with different peer sets never see
+    /// each other's columns.
+    #[test]
+    fn peer_pair_fills_match_lookups_and_release_the_map() {
+        let data = hub(6);
+        let map = PairMap::from_matrix(&data);
+        let mut table = PeerPairs::default();
+        let mut columns = PeerColumns::default();
+        let sets: [&[u32]; 4] = [&[0, 2, 5, 7], &[3, 1, 3], &[11, 0, 6, 1, 2], &[]];
+        for set in sets {
+            let peers: Vec<WorkerId> = set.iter().map(|&w| WorkerId(w)).collect();
+            map.peer_pairs_into(&peers, &mut table, &mut columns);
+            assert!(columns.is_clear(), "peers {set:?}");
+            for &a in &peers {
+                for &b in &peers {
+                    let want = if a == b {
+                        PairStats {
+                            common_tasks: 0,
+                            agreements: 0,
+                        }
+                    } else {
+                        map.get(a, b)
+                    };
+                    assert_eq!(table.get(a, b), want, "peers {set:?}, pair ({a:?},{b:?})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 12 workers")]
+    fn peer_pair_fill_rejects_out_of_range_peers() {
+        let mut columns = PeerColumns::default();
+        PairMap::from_matrix(&hub(6)).peer_pairs_into(
+            &[WorkerId(1), WorkerId(12)],
+            &mut PeerPairs::default(),
+            &mut columns,
+        );
     }
 
     #[test]
@@ -381,7 +490,7 @@ mod tests {
     }
 
     /// Streaming ingest promotes the hub's row mid-stream; every
-    /// lookup and neighbour list reads the same just before and just
+    /// lookup and row walk reads the same just before and just
     /// after the promotion, and the final table equals the bulk build.
     #[test]
     fn promotion_mid_stream_changes_no_lookup() {
@@ -406,14 +515,8 @@ mod tests {
                             );
                         }
                     }
-                    let listed: Vec<_> = map.co_occurring(WorkerId(a)).collect();
-                    let expect: Vec<_> = (0..12u32)
-                        .map(WorkerId)
-                        .filter(|&b| {
-                            b.0 != a && pair_stats(&so_far, WorkerId(a), b).common_tasks > 0
-                        })
-                        .collect();
-                    assert_eq!(listed, expect);
+                    let listed: Vec<_> = map.row(WorkerId(a)).collect();
+                    assert_eq!(listed, scanned_row(&so_far, a));
                 }
             }
         }
@@ -431,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn pair_count_and_bytes_track_the_data() {
+    fn pair_count_tracks_the_data() {
         let data = sample();
         let map = PairMap::from_matrix(&data);
         let nonzero = (0..5u32)
@@ -439,7 +542,6 @@ mod tests {
             .filter(|&(a, b)| pair_stats(&data, WorkerId(a), WorkerId(b)).common_tasks > 0)
             .count();
         assert_eq!(map.n_pairs(), nonzero);
-        assert!(map.table_bytes() > 0);
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //! ([`StreamingIndex::view_mask_bytes`] reports the mask words) and,
 //! once a k-ary counts tensor has been filled
 //! ([`OverlapSource::fill_counts`]), one `n`-entry `u32` task-code
-//! array.
-//! Nothing is held per worker, and nothing in the mask words grows
-//! with the task-id space.
+//! array, and, once a peer pair table has been filled
+//! ([`OverlapSource::peer_pairs_into`]), one `m`-entry `u32` worker →
+//! column map. Nothing is held per evaluated worker, and nothing in
+//! the mask words grows with the task-id space.
 //!
 //! # Ingest epochs and dirty tracking
 //!
@@ -54,17 +55,17 @@
 //! creates are included. Note the set is deliberately wider than the
 //! arriving task's responders: an anchor that never touched the task
 //! can still re-pair when a peer–peer overlap among its candidates
-//! moves. The set is read straight off the worker's
-//! [`crate::PairMap`] row — `O(d_w)` on a sparse row, `O(m) ≤ O(3·d_w)`
-//! on a dense one. This is what makes
+//! moves. The set is one walk of the worker's [`crate::PairMap`] row
+//! ([`crate::PairMap::row`]) — `O(d_w)` on a sparse row,
+//! `O(m) ≤ O(3·d_w)` on a dense one. This is what makes
 //! epoch-gated report caches (`crowd_core`'s `ReportCache`) sound: a
 //! worker whose `dirty_epoch` has not advanced past a cached
 //! evaluation would re-derive bit-identical numbers.
 
 use crate::index::{BuildScratch, OverlapSource, PeerMask};
 use crate::{
-    BitsetAnchored, CountsTensor, OverlapIndex, PairStats, Response, ResponseMatrix, TripleStats,
-    WorkerId,
+    BitsetAnchored, CountsTensor, OverlapIndex, PairStats, PeerPairs, Response, ResponseMatrix,
+    TripleStats, WorkerId,
 };
 use std::cell::{Cell, RefCell};
 
@@ -192,8 +193,8 @@ impl StreamingIndex {
 
     /// Advances the ingest epoch and stamps it on `{w} ∪ cooccur(w)`
     /// — every worker whose assessment inputs the accepted response
-    /// can have moved (see the [module docs](self)). `O(d_w)` off the
-    /// pair-table adjacency; the epoch is taken **after** the index
+    /// can have moved (see the [module docs](self)). One `O(d_w)` walk
+    /// of the worker's pair row; the epoch is taken **after** the index
     /// update so co-occurrences the response itself created are in
     /// the set.
     fn mark_dirty(&mut self, worker: WorkerId) {
@@ -203,8 +204,8 @@ impl StreamingIndex {
         let dirty_at = &mut self.dirty_at;
         self.index
             .pairs()
-            .co_occurring(worker)
-            .for_each(|p| dirty_at[p.index()] = epoch);
+            .row(worker)
+            .for_each(|(p, _)| dirty_at[p.index()] = epoch);
     }
 
     /// Builds `anchor`'s view over `peers` into the scratch.
@@ -334,9 +335,18 @@ impl OverlapSource for StreamingIndex {
         tensor.fill_from_index(&self.index, scratch.task_codes(), w1, w2, w3);
     }
 
-    fn co_occurring_into(&self, worker: WorkerId, out: &mut Vec<WorkerId>) -> bool {
-        out.extend(self.index.pairs().co_occurring(worker));
+    fn pair_row_into(&self, worker: WorkerId, out: &mut Vec<(WorkerId, PairStats)>) -> bool {
+        out.extend(self.index.pairs().row(worker));
         true
+    }
+
+    fn peer_pairs_into(&self, peers: &[WorkerId], table: &mut PeerPairs) {
+        let mut scratch = self.scratch.try_borrow_mut().expect(
+            "an anchored view of this substrate is still alive: the pair fill shares its build scratch",
+        );
+        self.index
+            .pairs()
+            .peer_pairs_into(peers, table, scratch.peer_columns());
     }
 }
 
@@ -594,8 +604,8 @@ mod tests {
     }
 
     /// A matrix seed is one bulk ingest: epoch 1, everyone dirty at
-    /// it, and `co_occurring_into` lists exactly the positive-overlap
-    /// peers.
+    /// it, and `pair_row_into` lists exactly the positive-overlap
+    /// peers with their statistics.
     #[test]
     fn seeded_substrates_start_fully_dirty_with_adjacency() {
         let data = sample(7, 30, 2, 41);
@@ -607,19 +617,21 @@ mod tests {
         stream.dirty_since(1, &mut dirty);
         assert!(dirty.is_empty());
 
-        let mut co = Vec::new();
+        let mut row = Vec::new();
         for a in stream.index().workers() {
-            co.clear();
+            row.clear();
             assert!(
-                stream.co_occurring_into(a, &mut co),
-                "streaming substrates enumerate neighbours"
+                stream.pair_row_into(a, &mut row),
+                "streaming substrates walk pair rows"
             );
-            let expect: Vec<WorkerId> = stream
+            let expect: Vec<(WorkerId, PairStats)> = stream
                 .index()
                 .workers()
-                .filter(|&b| b != a && stream.pair(a, b).common_tasks > 0)
+                .filter(|&b| b != a)
+                .map(|b| (b, crate::pair_stats(&data, a, b)))
+                .filter(|(_, s)| s.common_tasks > 0)
                 .collect();
-            assert_eq!(co, expect, "anchor {a:?}");
+            assert_eq!(row, expect, "anchor {a:?}");
         }
     }
 

@@ -4,9 +4,9 @@
 
 use crowd_data::{
     AnchoredOverlap, AttemptPattern, CountsTensor, Label, OverlapIndex, OverlapSource, PairMap,
-    PeerGram, PeerGramScratch, Response, ResponseMatrix, ResponseMatrixBuilder, StreamingIndex,
-    TaskId, TriplePairGram, WorkerId, majority_vote, pair_stats, triple_joint_labels,
-    triple_overlap,
+    PairStats, PeerGram, PeerGramScratch, PeerPairs, Response, ResponseMatrix,
+    ResponseMatrixBuilder, StreamingIndex, TaskId, TriplePairGram, WorkerId, majority_vote,
+    pair_stats, triple_joint_labels, triple_overlap,
 };
 use proptest::prelude::*;
 
@@ -74,6 +74,123 @@ fn mixed_density_matrix(
                 b.build().expect("generated cells are unique")
             })
     })
+}
+
+/// Strategy: a community-structured response matrix, the fleet shape
+/// in miniature. `c` communities of `s` workers each answer their own
+/// block of tasks at a per-worker density, and up to two bridge
+/// workers answer across every block. With few communities a member's
+/// row is dense (`3·d ≥ m`), with many it is sparse, and a bridge's row
+/// is dense; streamed in a random order, rows cross the threshold
+/// mid-stream.
+fn community_matrix(arity: u16) -> impl Strategy<Value = ResponseMatrix> {
+    (2usize..=5, 3usize..=7, 5usize..=12, 0usize..=2).prop_flat_map(move |(c, s, per, bridges)| {
+        let (m, n) = (c * s + bridges, c * per);
+        (
+            proptest::collection::vec(20u32..90, m),
+            proptest::collection::vec((0u32..100, 0..arity), m * n),
+        )
+            .prop_map(move |(activity, cells)| {
+                let mut b = ResponseMatrixBuilder::new(m, n, arity);
+                for (i, &(roll, label)) in cells.iter().enumerate() {
+                    let (w, t) = (i / n, i % n);
+                    // Members answer their own block; bridges
+                    // (the last ids) answer every block.
+                    let home = w >= c * s || w / s == t / per;
+                    if home && roll < activity[w] {
+                        b.push(WorkerId(w as u32), TaskId(t as u32), Label(label))
+                            .expect("generated ids are valid");
+                    }
+                }
+                b.build().expect("generated cells are unique")
+            })
+    })
+}
+
+/// The merge-scan pair row of `a`: every positive-overlap peer with
+/// its statistics, ascending — what `PairMap::row` and
+/// `OverlapSource::pair_row_into` must list.
+fn scanned_row(data: &ResponseMatrix, a: WorkerId) -> Vec<(WorkerId, PairStats)> {
+    data.workers()
+        .filter(|&b| b != a)
+        .map(|b| (b, pair_stats(data, a, b)))
+        .filter(|(_, s)| s.common_tasks > 0)
+        .collect()
+}
+
+/// `data`'s responses from the workers in `keep` only, in the same
+/// id space — what a shard whose closure is `keep` is fed.
+fn restricted(data: &ResponseMatrix, keep: &[WorkerId]) -> ResponseMatrix {
+    let mut out = ResponseMatrix::empty(data.n_workers(), data.n_tasks(), data.arity());
+    for r in data.iter().filter(|r| keep.contains(&r.worker)) {
+        out.insert(r).expect("responses stay unique");
+    }
+    out
+}
+
+/// The peer sets one fill check runs through, in order on one
+/// substrate: each worker's own pair row (the m-worker estimator's
+/// selected peers are drawn from it), a `mask`-chosen subset, the
+/// whole population, and the empty and one-peer edge cases.
+fn peer_sets(data: &ResponseMatrix, mask: u64) -> Vec<Vec<WorkerId>> {
+    let all: Vec<WorkerId> = data.workers().collect();
+    let mut sets: Vec<Vec<WorkerId>> = all
+        .iter()
+        .map(|&a| scanned_row(data, a).into_iter().map(|(w, _)| w).collect())
+        .collect();
+    sets.push(
+        all.iter()
+            .copied()
+            .filter(|w| (mask >> (w.index() % 64)) & 1 == 1)
+            .collect(),
+    );
+    sets.push(all.clone());
+    sets.push(Vec::new());
+    sets.push(vec![all[all.len() - 1]]);
+    sets
+}
+
+/// The pair-table differential check on one substrate `src` holding
+/// exactly `data`'s responses: every worker's row walk equals the
+/// merge-scan row; every fill over [`peer_sets`], made one after the
+/// other on `src` (so a column map left dirty by one fill would show
+/// in the next), answers `pair_stats` for every distinct peer pair
+/// and equals the per-pair reference fill of the matrix, and a fill
+/// on a fresh bulk load of the same data.
+fn check_pair_rows_and_fills(
+    src: &StreamingIndex,
+    data: &ResponseMatrix,
+    mask: u64,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    for a in data.workers() {
+        let mut row = Vec::new();
+        prop_assert!(src.pair_row_into(a, &mut row));
+        prop_assert_eq!(&row, &scanned_row(data, a), "{}: row of {:?}", label, a);
+        let walked: Vec<_> = src.index().pairs().row(a).collect();
+        prop_assert_eq!(&walked, &row);
+    }
+    let fresh = StreamingIndex::from_matrix(data);
+    let (mut table, mut reference, mut fresh_table) = (
+        PeerPairs::default(),
+        PeerPairs::default(),
+        PeerPairs::default(),
+    );
+    for peers in peer_sets(data, mask) {
+        src.peer_pairs_into(&peers, &mut table);
+        data.peer_pairs_into(&peers, &mut reference);
+        prop_assert_eq!(&table, &reference, "{}: peers {:?}", label, &peers);
+        fresh.peer_pairs_into(&peers, &mut fresh_table);
+        prop_assert_eq!(&table, &fresh_table, "{}: peers {:?}", label, &peers);
+        for &a in &peers {
+            for &b in &peers {
+                if a != b {
+                    prop_assert_eq!(table.get(a, b), pair_stats(data, a, b));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// `data` plus one more worker that answers nothing.
@@ -206,9 +323,9 @@ proptest! {
 
     /// The pair table agrees with the merge scans everywhere, on
     /// rows of both forms: every lookup equals `pair_stats` (absent
-    /// pairs read zero), each worker's neighbour list is exactly its
-    /// positive-overlap peers in id order, and the pair count is the
-    /// number of co-occurring pairs.
+    /// pairs read zero), each worker's row walk lists exactly its
+    /// positive-overlap peers in id order with their statistics, and
+    /// the pair count is the number of co-occurring pairs.
     #[test]
     fn pair_table_matches_scans(
         dense in sparse_matrix(7, 25, 3),
@@ -227,12 +344,8 @@ proptest! {
                         "pair ({},{})", a, b);
                     if a < b && s.common_tasks > 0 { nonzero += 1; }
                 }
-                let listed: Vec<u32> = map.co_occurring(WorkerId(a)).map(|w| w.0).collect();
-                let expect: Vec<u32> = (0..m)
-                    .filter(|&b| b != a
-                        && pair_stats(&data, WorkerId(a), WorkerId(b)).common_tasks > 0)
-                    .collect();
-                prop_assert_eq!(listed, expect, "worker {}", a);
+                let listed: Vec<_> = map.row(WorkerId(a)).collect();
+                prop_assert_eq!(listed, scanned_row(&data, WorkerId(a)), "worker {}", a);
             }
             prop_assert_eq!(map.n_pairs(), nonzero);
         }
@@ -266,8 +379,8 @@ proptest! {
     /// the ingest that promotes, every pair reads exactly what it read
     /// before plus the response's own contribution (one common task,
     /// and one agreement on a matching label, for each earlier
-    /// responder of the task), and every neighbour list reads the
-    /// merge scan's.
+    /// responder of the task), and every row walk reads the merge
+    /// scan's.
     #[test]
     fn promotion_never_changes_a_lookup(
         data in mixed_density_matrix(12, 20, 2),
@@ -299,15 +412,71 @@ proptest! {
                     }
                     prop_assert_eq!(map.get(a, b), expect, "pair ({:?},{:?})", a, b);
                 }
-                let listed: Vec<WorkerId> = map.co_occurring(WorkerId(a)).collect();
-                let expect: Vec<WorkerId> = (0..m)
-                    .map(WorkerId)
-                    .filter(|&b| b.0 != a
-                        && pair_stats(&accumulated, WorkerId(a), b).common_tasks > 0)
-                    .collect();
-                prop_assert_eq!(listed, expect);
+                let listed: Vec<_> = map.row(WorkerId(a)).collect();
+                prop_assert_eq!(listed, scanned_row(&accumulated, WorkerId(a)));
             }
         }
+    }
+
+    /// Row walks and peer pair tables equal the merge scans on
+    /// community-structured and mixed-density shapes, on a bulk load
+    /// and on a substrate streamed in a random order. The streamed one
+    /// is checked at a third, two thirds and all of the stream, so rows
+    /// that cross the dense threshold mid-stream are walked and filled
+    /// on both sides of it.
+    #[test]
+    fn peer_pair_fills_match_merge_scans(
+        community in community_matrix(2),
+        mixed in mixed_density_matrix(12, 16, 3),
+        seed in 0u64..u64::MAX,
+        mask in 0u64..u64::MAX,
+    ) {
+        for data in [community, mixed] {
+            let loaded = StreamingIndex::from_matrix(&data);
+            check_pair_rows_and_fills(&loaded, &data, mask, "loaded")?;
+            let (m, n, arity) = (data.n_workers(), data.n_tasks(), data.arity());
+            let mut responses: Vec<Response> = data.iter().collect();
+            shuffle(&mut responses, seed);
+            let prefixes = [responses.len() / 3, responses.len() * 2 / 3, responses.len()];
+            let mut stream = StreamingIndex::new(m, n, arity);
+            let mut accumulated = ResponseMatrix::empty(m, n, arity);
+            for (i, r) in responses.iter().enumerate() {
+                stream.record_response(*r).unwrap();
+                accumulated.insert(*r).unwrap();
+                if prefixes.contains(&(i + 1)) {
+                    check_pair_rows_and_fills(&stream, &accumulated, mask, "streamed")?;
+                }
+            }
+        }
+    }
+
+    /// A shard-closure substrate — fed only the responses of the
+    /// workers in its closure, as a shard is — has pair rows that list
+    /// only closure workers, and walks and fills exactly what the
+    /// merge scans of the same restricted responses give.
+    #[test]
+    fn shard_closure_pair_fills_match_merge_scans(
+        data in community_matrix(3),
+        mask in 0u64..u64::MAX,
+        seed in 0u64..u64::MAX,
+    ) {
+        let closure: Vec<WorkerId> = data
+            .workers()
+            .filter(|w| (mask >> (w.index() % 64)) & 1 == 1)
+            .collect();
+        let shard_data = restricted(&data, &closure);
+        let mut responses: Vec<Response> = shard_data.iter().collect();
+        shuffle(&mut responses, seed);
+        let mut shard = StreamingIndex::new(data.n_workers(), data.n_tasks(), data.arity());
+        for r in responses {
+            shard.record_response(r).unwrap();
+        }
+        for a in data.workers() {
+            for (p, _) in shard.index().pairs().row(a) {
+                prop_assert!(closure.contains(&p), "row of {:?} lists {:?}", a, p);
+            }
+        }
+        check_pair_rows_and_fills(&shard, &shard_data, mask.rotate_left(17), "closure")?;
     }
 
     /// Triple overlap and joint labels agree; the overlap equals the
@@ -427,12 +596,8 @@ proptest! {
         }
         for a in index.workers() {
             let mut listed = Vec::new();
-            prop_assert!(stream.co_occurring_into(a, &mut listed));
-            let expect: Vec<WorkerId> = index
-                .workers()
-                .filter(|&b| b != a && pair_stats(&data, a, b).common_tasks > 0)
-                .collect();
-            prop_assert_eq!(listed, expect);
+            prop_assert!(stream.pair_row_into(a, &mut listed));
+            prop_assert_eq!(listed, scanned_row(&data, a));
         }
       }
     }
@@ -900,4 +1065,33 @@ fn mixed_density_inputs_straddle_the_dense_threshold() {
         promoted_mid_stream >= 48,
         "{promoted_mid_stream}/64 inputs promote a row"
     );
+}
+
+/// The community inputs above do what they are for: across cases, some
+/// matrices hold only sparse rows, some only dense ones, and most hold
+/// both, and streaming promotes rows mid-stream.
+#[test]
+fn community_inputs_straddle_the_dense_threshold() {
+    let strategy = community_matrix(2);
+    let mut rng = proptest::rng_for("community_inputs_straddle_the_dense_threshold");
+    let (mut all_sparse, mut both_forms, mut promoted) = (0, 0, 0);
+    for _ in 0..64 {
+        let data = strategy.generate(&mut rng);
+        let dense = PairMap::from_matrix(&data).dense_rows();
+        all_sparse += usize::from(dense == 0);
+        both_forms += usize::from(dense > 0 && dense < data.n_workers());
+        let mut streamed = PairMap::empty(data.n_workers());
+        let mut accumulated = ResponseMatrix::empty(data.n_workers(), data.n_tasks(), 2);
+        for r in data.iter() {
+            streamed.record_response(r.worker, r.label, accumulated.task_responses(r.task));
+            accumulated.insert(r).unwrap();
+        }
+        promoted += usize::from(streamed.dense_rows() > 0);
+    }
+    assert!(all_sparse >= 4, "{all_sparse}/64 inputs are all-sparse");
+    assert!(
+        both_forms >= 24,
+        "{both_forms}/64 inputs hold both row forms"
+    );
+    assert!(promoted >= 32, "{promoted}/64 inputs promote a row");
 }

@@ -31,47 +31,3 @@ pub mod wsd;
 
 pub use block::BlockDesign;
 pub use dataset::{Dataset, triples_with_overlap};
-
-/// All six stand-ins with their paper names, for harness iteration.
-pub fn binary_datasets(seed: u64) -> Vec<Dataset> {
-    vec![
-        ic::generate(seed),
-        ent::generate(seed ^ 0x5eed_0001),
-        tem::generate(seed ^ 0x5eed_0002),
-    ]
-}
-
-/// The three k-ary stand-ins of Figure 5(c) with their per-dataset
-/// triple-overlap thresholds `t` from §IV-C.
-pub fn kary_datasets(seed: u64) -> Vec<(Dataset, usize)> {
-    vec![
-        (mooc::generate(seed ^ 0x5eed_0003), 60),
-        (wsd::generate(seed ^ 0x5eed_0004), 100),
-        (ws::generate(seed ^ 0x5eed_0005), 30),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn binary_roster_matches_figure_3() {
-        let sets = binary_datasets(1);
-        let names: Vec<&str> = sets.iter().map(|d| d.name).collect();
-        assert_eq!(names, vec!["IC", "ENT", "TEM"]);
-        for d in &sets {
-            assert_eq!(d.responses.arity(), 2);
-        }
-    }
-
-    #[test]
-    fn kary_roster_matches_figure_5c() {
-        let sets = kary_datasets(1);
-        let names: Vec<(&str, usize)> = sets.iter().map(|(d, t)| (d.name, *t)).collect();
-        assert_eq!(names, vec![("MOOC", 60), ("WSD", 100), ("WS", 30)]);
-        assert_eq!(sets[0].0.responses.arity(), 3);
-        assert_eq!(sets[1].0.responses.arity(), 2);
-        assert_eq!(sets[2].0.responses.arity(), 2);
-    }
-}

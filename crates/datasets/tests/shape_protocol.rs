@@ -18,6 +18,7 @@ fn ic_matches_published_shape() {
     // Paper: 48 binary tasks × 19 workers, regular, then 20% of
     // responses removed for the non-regular experiment.
     for_each_seed(crowd_datasets::ic::generate, |d| {
+        assert_eq!(d.name, "IC");
         assert_eq!(d.responses.n_workers(), 19);
         assert_eq!(d.responses.n_tasks(), 48);
         assert_eq!(d.responses.arity(), 2);
@@ -32,6 +33,7 @@ fn ic_matches_published_shape() {
 fn ent_matches_published_shape_and_plants_spammers() {
     // Paper: 800 binary tasks, 164 workers, ~10 labels per task.
     for_each_seed(crowd_datasets::ent::generate, |d| {
+        assert_eq!(d.name, "ENT");
         assert_eq!(d.responses.n_workers(), 164);
         assert_eq!(d.responses.n_tasks(), 800);
         assert_eq!(d.responses.arity(), 2);
@@ -56,6 +58,7 @@ fn ent_matches_published_shape_and_plants_spammers() {
 fn tem_matches_published_shape() {
     // Paper: 462 binary tasks, 76 workers, sparse.
     for_each_seed(crowd_datasets::tem::generate, |d| {
+        assert_eq!(d.name, "TEM");
         assert_eq!(d.responses.n_workers(), 76);
         assert_eq!(d.responses.n_tasks(), 462);
         assert_eq!(d.responses.arity(), 2);
@@ -72,12 +75,15 @@ fn kary_datasets_have_mapped_arities() {
     // MOOC: 6-ary grades mapped to 3-ary; WSD: 3-ary mapped to binary;
     // WS: 11-ary mapped to binary (§IV-C).
     for_each_seed(crowd_datasets::mooc::generate, |d| {
+        assert_eq!(d.name, "MOOC");
         assert_eq!(d.responses.arity(), 3);
     });
     for_each_seed(crowd_datasets::wsd::generate, |d| {
+        assert_eq!(d.name, "WSD");
         assert_eq!(d.responses.arity(), 2);
     });
     for_each_seed(crowd_datasets::ws::generate, |d| {
+        assert_eq!(d.name, "WS");
         assert_eq!(d.responses.arity(), 2);
     });
 }

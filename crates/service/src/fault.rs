@@ -3,7 +3,8 @@
 //!
 //! A [`FaultPlan`] decides, purely as a function of its seed and the
 //! operation's coordinates (shard + batch ordinal for panics,
-//! connection + frame ordinal for drops), whether a fault fires. The
+//! connection + frame ordinal for drops, which fire at explicit sites
+//! only), whether a fault fires. The
 //! same plan therefore injects the same faults on every run, which is
 //! what lets the differential suites pin recovered state bit-identical
 //! to a never-crashed twin: both sides see the same deterministic
@@ -49,8 +50,6 @@ pub struct FaultPlan {
     /// Explicit (shard, 1-based batch ordinal) panic sites.
     panic_at: Vec<(usize, u64)>,
     crash_point: CrashPoint,
-    /// Per-(connection, frame) drop probability in `[0, 1]`.
-    drop_rate: f64,
     /// Explicit (connection ordinal, 1-based frame ordinal) drop
     /// sites.
     drop_at: Vec<(u64, u64)>,
@@ -108,12 +107,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the per-(connection, frame) drop probability.
-    pub fn with_drop_rate(mut self, rate: f64) -> Self {
-        self.drop_rate = rate;
-        self
-    }
-
     /// Adds an explicit drop site: connection `conn`'s `frame`-th
     /// request frame (both 1-based; connections are numbered in accept
     /// order).
@@ -134,7 +127,6 @@ impl FaultPlan {
     /// `frame`-th request (1-based) instead of replying.
     pub fn should_drop(&self, conn: u64, frame: u64) -> bool {
         self.drop_at.contains(&(conn, frame))
-            || decide(self.seed, 0x44524f50, conn, frame, self.drop_rate)
     }
 }
 
@@ -180,7 +172,7 @@ mod tests {
         let never = FaultPlan::seeded(1);
         assert_eq!(never.panic_for(0, 1), None);
         assert!(!never.should_drop(0, 1));
-        let always = FaultPlan::seeded(1).with_drop_rate(1.0);
-        assert!(always.should_drop(9, 9));
+        let always = FaultPlan::seeded(1).with_panic_rate(1.0);
+        assert_eq!(always.panic_for(9, 9), Some(CrashPoint::MidBatch));
     }
 }

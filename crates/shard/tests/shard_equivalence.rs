@@ -15,9 +15,9 @@ use crowd_sim::{BinaryScenario, rng};
 
 #[test]
 fn full_index_is_bit_identical_to_matrix_scan() {
-    // An *unscoped* index: pairing candidates come from the pair
-    // table's co-occurrence lists, where the matrix sweeps the
-    // population. Same report either way.
+    // An *unscoped* index: pairing candidates come from one walk of
+    // the anchor's pair row, where the matrix sweeps the population.
+    // Same report either way.
     let inst = BinaryScenario::paper_default(9, 120, 0.6).generate(&mut rng(613));
     let data = inst.responses();
     let est = MWorkerEstimator::new(EstimatorConfig::default());

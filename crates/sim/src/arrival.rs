@@ -147,11 +147,6 @@ impl<'a> ArrivalCursor<'a> {
     pub fn remaining(&self) -> usize {
         self.sched.len() - self.next
     }
-
-    /// True once every arrival has been delivered.
-    pub fn is_done(&self) -> bool {
-        self.next == self.sched.len()
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +234,7 @@ mod tests {
         let mut replayed: Vec<Response> = Vec::new();
         let step = sched.duration() / 7.0;
         let mut t = 0.0;
-        while !cur.is_done() {
+        while cur.remaining() > 0 {
             t += step;
             let start = replayed.len();
             replayed.extend_from_slice(cur.due_by(t, usize::MAX));

@@ -41,11 +41,6 @@ impl BinaryInstance {
     pub fn true_error_rate(&self, worker: WorkerId) -> f64 {
         self.workers[worker.index()].error_rate(&[0.5, 0.5])
     }
-
-    /// The worker noise models (for ablation tooling).
-    pub fn worker_models(&self) -> &[WorkerModel] {
-        &self.workers
-    }
 }
 
 /// A sampled k-ary experiment.
@@ -150,7 +145,7 @@ mod tests {
     #[test]
     fn binary_instance_exposes_truth() {
         let inst = BinaryScenario::paper_default(3, 10, 1.0).generate(&mut rng(2));
-        assert_eq!(inst.worker_models().len(), 3);
+        assert_eq!(inst.responses().n_workers(), 3);
         assert_eq!(inst.gold().n_tasks(), 10);
         let p = inst.true_error_rate(WorkerId(0));
         assert!(p > 0.0 && p < 0.5);
