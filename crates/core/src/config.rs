@@ -50,11 +50,6 @@ pub struct EstimatorConfig {
     /// cost independent of the fleet size; see
     /// [`EstimatorConfig::fleet`].
     pub max_triples: Option<usize>,
-    /// Apply half-count (Agresti-style) smoothing of `q̂(1−q̂)` when
-    /// estimating variances, so perfect agreement on few tasks does not
-    /// collapse the interval to a point. Point estimates are never
-    /// smoothed.
-    pub variance_smoothing: bool,
     /// If true, the k-ary sensitivities (Algorithm A3 step 6) also
     /// differentiate with respect to counts of tasks attempted by only
     /// two workers, which then enter Theorem 1's counts covariance. The
@@ -71,7 +66,6 @@ impl Default for EstimatorConfig {
             weight_policy: WeightPolicy::MinimumVariance,
             pairing: PairingStrategy::GreedyByOverlap,
             max_triples: None,
-            variance_smoothing: true,
             perturb_partial_counts: false,
         }
     }

@@ -228,10 +228,12 @@ impl ThreeWorkerEstimator {
 
     /// Lemma 3: the 3×3 covariance matrix of `(Q_ij₁, Q_ij₂, Q_j₁j₂)`.
     ///
-    /// Variances use the (optionally smoothed) empirical agreement
-    /// rates; cross covariances use the plug-in error estimates, with
-    /// `p(1−p)` evaluated after clamping `p` into `[0, 1/2]` (the
-    /// model's admissible range).
+    /// Variances use the empirical agreement rates with half-count
+    /// (Agresti-style) smoothing of `q̂(1−q̂)`, so perfect agreement on
+    /// few tasks does not collapse the interval to a point (point
+    /// estimates are never smoothed). Cross covariances use the
+    /// plug-in error estimates, with `p(1−p)` evaluated after clamping
+    /// `p` into `[0, 1/2]` (the model's admissible range).
     fn agreement_covariance(
         &self,
         triangle: &Triangle,
@@ -243,11 +245,7 @@ impl ThreeWorkerEstimator {
         let (p_i, p_1, p_2) = plugins;
         let var = |s: &PairStats| -> f64 {
             let c = s.common_tasks as f64;
-            let q = if self.config.variance_smoothing {
-                (s.agreements as f64 + 0.5) / (c + 1.0)
-            } else {
-                s.agreements as f64 / c
-            };
+            let q = (s.agreements as f64 + 0.5) / (c + 1.0);
             q * (1.0 - q) / c
         };
         let pq = |p: f64| -> f64 {

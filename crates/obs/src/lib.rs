@@ -1,7 +1,7 @@
 //! `crowd_obs` — dependency-free observability for the crowd
 //! assessment stack.
 //!
-//! Three pieces, all built on `std` atomics with no external crates:
+//! Three pieces, with no external crates:
 //!
 //! * [`LatencyHistogram`] — a log₂-bucketed histogram over `u64`
 //!   values (nanoseconds, batch sizes, …). [`LatencyHistogram::record`]
@@ -12,10 +12,11 @@
 //!   and snapshots [`merge`](HistogramSnapshot::merge) exactly, so
 //!   per-shard recording plus a merge at scrape time equals one
 //!   global histogram.
-//! * [`MetricsRegistry`] — named [`Counter`]s / [`Gauge`]s /
-//!   histograms with a Prometheus text exposition
-//!   ([`MetricsRegistry::render_text`]). Registration locks briefly;
-//!   recording through the returned handles never locks.
+//! * [`Sample`] — one named series of a scrape (a counter, a gauge or
+//!   a histogram snapshot, labels in the name), and [`render_text`],
+//!   the Prometheus text exposition of a list of them. A scrape is
+//!   plain data: whoever holds the numbers builds the samples, and
+//!   the same list renders, compares and crosses a wire.
 //! * [`EventJournal`] — a bounded lock-free flight recorder keeping
 //!   the last N structured [`Event`]s (shed, slow-op, recovery, …)
 //!   with monotonic timestamps. [`EventJournal::record`] is one
@@ -35,14 +36,14 @@
 
 pub mod hist;
 pub mod journal;
-pub mod registry;
+pub mod sample;
 
 pub use hist::{
     BUCKETS, HistogramSnapshot, LatencyHistogram, bucket_index, bucket_lower_bound,
     bucket_upper_bound,
 };
 pub use journal::{Event, EventJournal, EventKind, MAX_LABEL_BYTES, NO_SHARD};
-pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
+pub use sample::{Sample, Value, render_text};
 
 /// Exact nearest-rank percentile over raw samples (sorts `values`
 /// in place with `total_cmp`; NaNs sort last). Returns `0.0` for an

@@ -76,10 +76,13 @@
 //! call.
 //!
 //! Runtime health is observable, not vibes: per-shard queue-depth
-//! high-water marks, a batch-size histogram, and the streaming
-//! substrate's view-build count are all surfaced through
-//! [`ServiceHandle::stats`] (see [`ServiceStats`]) and in perfbench's
-//! per-layer metrics.
+//! high-water marks, a batch-size histogram, the streaming
+//! substrate's view-build count and the stage timings are all named
+//! samples of one scrape ([`ServiceHandle::metrics`], then
+//! [`ServiceMetrics::samples`]), which `crowd_wire` carries by name
+//! and [`ServiceMetrics::render_text`] prints as Prometheus text. The
+//! typed [`ServiceHandle::stats`] view of the same counters stays for
+//! in-process readers such as perfbench.
 
 mod config;
 mod error;

@@ -3,7 +3,7 @@
 //! the query side of the instrumentation the shard threads record
 //! into (see [`crate::ServiceConfig::metrics`]).
 
-use crowd_obs::{Event, EventKind, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
+use crowd_obs::{Event, EventKind, HistogramSnapshot, LatencyHistogram, Sample};
 
 use crate::stats::ServiceStats;
 
@@ -94,32 +94,35 @@ impl ServiceMetrics {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Prometheus text exposition of the whole scrape: every counter
-    /// in [`ServiceStats`] (fleet totals and per-shard series), the
-    /// per-shard stage histograms, the batch-size histogram, and
-    /// journal occupancy. The numbers are exactly the ones in
-    /// `self.stats` / `self.stages` — the exposition is a view, not a
-    /// second measurement.
-    pub fn render_text(&self) -> String {
-        let reg = MetricsRegistry::new();
-        reg.counter(
-            "crowd_submitted_responses_total",
-            "Responses submitted through the handle (before routing fan-out).",
-        )
-        .add(self.stats.submitted);
-        reg.counter(
-            "crowd_dropped_batches_total",
-            "Shard-bound groups shed under backpressure.",
-        )
-        .add(self.stats.dropped_batches);
-        reg.counter(
-            "crowd_dropped_responses_total",
-            "Per-shard response deliveries lost to shedding or rejection.",
-        )
-        .add(self.stats.dropped_responses);
-        for s in &self.stats.shards {
-            let sh = s.shard;
-            let pairs: [(&str, &str, u64); 8] = [
+    /// The whole scrape as named samples: every counter the
+    /// exposition shows from [`ServiceStats`] (fleet totals and
+    /// per-shard series), the batch-size histogram, the per-shard
+    /// stage histograms, and journal occupancy. The numbers are exactly
+    /// the ones in `self.stats` / `self.stages`: the samples are a
+    /// view, not a second measurement. A new metric is one more entry
+    /// here; the wire carries it by name.
+    pub fn samples(&self) -> Vec<Sample> {
+        let st = &self.stats;
+        let mut out = vec![
+            Sample::counter(
+                "crowd_submitted_responses_total",
+                "Responses submitted through the handle (before routing fan-out).",
+                st.submitted,
+            ),
+            Sample::counter(
+                "crowd_dropped_batches_total",
+                "Shard-bound groups shed under backpressure.",
+                st.dropped_batches,
+            ),
+            Sample::counter(
+                "crowd_dropped_responses_total",
+                "Per-shard response deliveries lost to shedding or rejection.",
+                st.dropped_responses,
+            ),
+        ];
+        for s in &st.shards {
+            let shard = |name: &str| format!("{name}{{shard=\"{}\"}}", s.shard);
+            let counters: [(&str, &str, u64); 8] = [
                 (
                     "crowd_shard_batches_total",
                     "Ingest batches processed.",
@@ -161,106 +164,147 @@ impl ServiceMetrics {
                     s.cache_full_refreshes,
                 ),
             ];
-            for (name, help, v) in pairs {
-                reg.counter(&format!("{name}{{shard=\"{sh}\"}}"), help)
-                    .add(v);
+            for (name, help, v) in counters {
+                out.push(Sample::counter(shard(name), help, v));
             }
-            reg.gauge(
-                &format!("crowd_shard_queue_high_water{{shard=\"{sh}\"}}"),
+            out.push(Sample::gauge(
+                shard("crowd_shard_queue_high_water"),
                 "High-water mark of the shard's bounded queue, in messages.",
-            )
-            .set(s.queue_high_water as i64);
+                s.queue_high_water as i64,
+            ));
         }
         // The batch-size histogram shares the log2 bucket rule, so it
-        // widens losslessly into a 64-bucket snapshot for rendering.
+        // widens losslessly into a 64-bucket snapshot.
         let mut batch_buckets = [0u64; crowd_obs::BUCKETS];
-        let counts = self.stats.batch_sizes.counts();
+        let counts = st.batch_sizes.counts();
         batch_buckets[..counts.len()].copy_from_slice(counts);
-        reg.frozen_histogram(
+        out.push(Sample::histogram(
             "crowd_ingest_batch_size",
             "Ingest batch sizes, as submitted by callers.",
-            HistogramSnapshot::from_parts(batch_buckets, self.stats.batch_sizes.total(), 0, 0),
-        );
-        for (sh, st) in self.stages.iter().enumerate() {
+            HistogramSnapshot::from_parts(batch_buckets, st.batch_sizes.total(), 0, 0),
+        ));
+        for (sh, timings) in self.stages.iter().enumerate() {
             let stages: [(&str, &str, &HistogramSnapshot); 3] = [
                 (
                     "crowd_stage_queue_wait_ns",
                     "Enqueue-to-dequeue wait per shard message, ns.",
-                    &st.queue_wait,
+                    &timings.queue_wait,
                 ),
                 (
                     "crowd_stage_batch_apply_ns",
                     "Ingest-group apply time into the streaming substrate, ns.",
-                    &st.batch_apply,
+                    &timings.batch_apply,
                 ),
                 (
                     "crowd_stage_drain_eval_ns",
                     "Drain-point assessment evaluation time, ns.",
-                    &st.drain_eval,
+                    &timings.drain_eval,
                 ),
             ];
             for (name, help, snap) in stages {
-                reg.frozen_histogram(&format!("{name}{{shard=\"{sh}\"}}"), help, snap.clone());
+                out.push(Sample::histogram(
+                    format!("{name}{{shard=\"{sh}\"}}"),
+                    help,
+                    snap.clone(),
+                ));
             }
         }
-        reg.gauge(
+        out.push(Sample::gauge(
             "crowd_journal_events",
             "Flight-recorder events currently retained.",
-        )
-        .set(self.events.len() as i64);
-        reg.counter(
+            self.events.len() as i64,
+        ));
+        out.push(Sample::counter(
             "crowd_journal_dropped_total",
             "Flight-recorder events lost to wrap-around contention.",
-        )
-        .add(self.events_dropped);
-        reg.render_text()
+            self.events_dropped,
+        ));
+        out
+    }
+
+    /// Prometheus text exposition of [`Self::samples`].
+    pub fn render_text(&self) -> String {
+        crowd_obs::render_text(&self.samples())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::ShardStats;
+    use crate::stats::{BatchHistogram, ShardStats};
 
-    #[test]
-    fn render_text_carries_the_stats_numbers() {
-        let timers = StageTimers::default();
-        timers.queue_wait.record(100);
-        timers.queue_wait.record(300);
-        timers.drain_eval.record(1 << 20);
-        let m = ServiceMetrics {
+    /// A two-shard scrape with every counter distinct, non-empty stage
+    /// histograms on both shards, batch sizes and journal counts.
+    fn two_shard_fixture() -> ServiceMetrics {
+        let shard = |shard: usize, k: u64| ShardStats {
+            shard,
+            batches: 4 + k,
+            responses: 170 + k,
+            rejected: k,
+            assess_requests: 9 + k,
+            reanchors: 6 + k as usize,
+            queue_high_water: 3 + k as usize,
+            cache_hits: 30 + k,
+            cache_misses: 12 + k,
+            cache_full_refreshes: 1 + k,
+            recoveries: 2,
+            checkpoints: 5,
+            wal_replayed: 40,
+        };
+        let stages = |k: u64| {
+            let t = StageTimers::default();
+            for v in [100 * k, 300, 4096 + k] {
+                t.queue_wait.record(v);
+            }
+            t.batch_apply.record(1 << (10 + k));
+            t.drain_eval.record(0);
+            t.drain_eval.record(1 << 20);
+            t.snapshot()
+        };
+        let event = |seq: u64| Event {
+            seq,
+            timestamp_ns: 1000 * seq,
+            kind: EventKind::SlowOp,
+            shard: 1,
+            a: 7,
+            b: 0,
+            label: "drain_eval".into(),
+        };
+        ServiceMetrics {
             enabled: true,
             stats: ServiceStats {
-                shards: vec![ShardStats {
-                    shard: 0,
-                    batches: 4,
-                    responses: 17,
-                    cache_hits: 3,
-                    queue_high_water: 2,
-                    ..ShardStats::default()
-                }],
-                submitted: 17,
-                dropped_batches: 0,
-                dropped_responses: 0,
-                batch_sizes: crate::stats::BatchHistogram::from_counts([
-                    1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0,
-                ]),
+                shards: vec![shard(0, 0), shard(1, 1)],
+                submitted: 341,
+                dropped_batches: 2,
+                dropped_responses: 5,
+                batch_sizes: BatchHistogram::from_counts([1, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1]),
             },
-            stages: vec![timers.snapshot()],
-            events: vec![],
-            events_dropped: 0,
-        };
-        let text = m.render_text();
-        assert!(text.contains("crowd_submitted_responses_total 17"));
-        assert!(text.contains("crowd_shard_responses_total{shard=\"0\"} 17"));
-        assert!(text.contains("crowd_shard_batches_total{shard=\"0\"} 4"));
-        assert!(text.contains("crowd_shard_cache_hits_total{shard=\"0\"} 3"));
-        assert!(text.contains("crowd_shard_queue_high_water{shard=\"0\"} 2"));
-        assert!(text.contains("crowd_ingest_batch_size_count 3"));
-        assert!(text.contains("crowd_stage_queue_wait_ns_count{shard=\"0\"} 2"));
-        assert!(text.contains("crowd_stage_queue_wait_ns_sum{shard=\"0\"} 400"));
-        assert!(text.contains("crowd_stage_drain_eval_ns_count{shard=\"0\"} 1"));
-        assert!(text.contains("# TYPE crowd_stage_queue_wait_ns histogram"));
+            stages: vec![stages(0), stages(1)],
+            events: vec![event(0), event(1), event(2)],
+            events_dropped: 4,
+        }
+    }
+
+    #[test]
+    fn exposition_is_byte_identical_to_the_pinned_text() {
+        // Captured from the exposition as rendered before scrapes
+        // became named samples; any change of a name, help string,
+        // header or order shows here.
+        let golden = include_str!("metrics_golden.txt");
+        assert_eq!(two_shard_fixture().render_text(), golden);
+    }
+
+    #[test]
+    fn sample_names_are_unique_within_a_scrape() {
+        let samples = two_shard_fixture().samples();
+        let mut names: Vec<&str> = samples.iter().map(|s| s.name.as_str()).collect();
+        let n = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), n);
+        // 3 fleet counters, 9 series per shard, the batch histogram, 3
+        // stage histograms per shard and 2 journal series.
+        assert_eq!(n, 3 + 2 * 9 + 1 + 2 * 3 + 2);
     }
 
     #[test]

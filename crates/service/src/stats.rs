@@ -20,17 +20,11 @@ pub struct ShardStats {
     pub assess_requests: u64,
     /// Anchored views built by the shard's streaming substrate
     /// ([`crowd_data::StreamingIndex::view_build_count`]): one per
-    /// evaluated anchor. The slot keeps its older name so the wire
-    /// stats layout is unchanged.
+    /// evaluated anchor. The field keeps its older name for the
+    /// benchmark that reads it through
+    /// [`ServiceStats::total_reanchors`]; the scrape calls it
+    /// `crowd_shard_view_builds_total`.
     pub reanchors: usize,
-    /// Always 0: views are no longer patched at ingest. Kept only for
-    /// the wire stats layout and the benchmark that reads it.
-    #[doc(hidden)]
-    pub gram_patches: usize,
-    /// Always 0: views are no longer cached between evaluations. Kept
-    /// only for the wire stats layout and the benchmark that reads it.
-    #[doc(hidden)]
-    pub gram_rebuilds: usize,
     /// High-water mark of the shard's bounded queue, in messages.
     pub queue_high_water: usize,
     /// Report-cache rows served without re-evaluation (binary + k-ary
@@ -127,16 +121,20 @@ impl ServiceStats {
         self.shards.iter().map(|s| s.reanchors).sum()
     }
 
-    /// Always 0; see [`ShardStats`]'s `gram_patches`.
+    /// Always 0: views are no longer patched at ingest. Kept only
+    /// because the benchmark still reads it; it goes with the next
+    /// benchmark change (ROADMAP item 3), and the `perfbench tests`
+    /// CI step builds the benchmark against this surface until then.
     #[doc(hidden)]
     pub fn total_gram_patches(&self) -> usize {
-        self.shards.iter().map(|s| s.gram_patches).sum()
+        0
     }
 
-    /// Always 0; see [`ShardStats`]'s `gram_rebuilds`.
+    /// Always 0: views are no longer cached between evaluations. Kept
+    /// only for the benchmark, like `total_gram_patches`.
     #[doc(hidden)]
     pub fn total_gram_rebuilds(&self) -> usize {
-        self.shards.iter().map(|s| s.gram_rebuilds).sum()
+        0
     }
 
     /// Fleet total of invalid responses rejected (home-shard

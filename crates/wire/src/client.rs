@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use crowd_core::{WorkerAssessment, WorkerReport};
 use crowd_data::{Response, WorkerId};
-use crowd_service::{IngestReceipt, ServiceError, ServiceStats};
+use crowd_service::{IngestReceipt, ServiceError};
 
 use crate::frame::{FrameEvent, FrameReader, MAX_FRAME_LEN, WireError, write_frame};
 use crate::proto::{
@@ -254,18 +254,11 @@ impl WireClient {
         }
     }
 
-    /// Fleet counters. Cost: one round trip.
-    pub fn stats(&mut self) -> Result<ServiceStats, ServiceError> {
-        match self.call(&Request::Stats)? {
-            Reply::Stats(s) => Ok(s),
-            other => Err(unexpected("stats", &other)),
-        }
-    }
-
-    /// Full metrics scrape: the service's stage histograms, journal
-    /// tail and counters, plus the wire server's own per-opcode
-    /// timings. Cost: one round trip; render with
-    /// [`MetricsReport::render_text`] for a Prometheus-style page.
+    /// Full metrics scrape: the service's counters and stage
+    /// histograms as named samples, the wire server's own per-opcode
+    /// timings, and the journal tail. Read one series with
+    /// [`MetricsReport::get`]; render a Prometheus-style page with
+    /// [`MetricsReport::render_text`]. Cost: one round trip.
     pub fn metrics(&mut self) -> Result<MetricsReport, ServiceError> {
         match self.call(&Request::Metrics)? {
             Reply::Metrics(m) => Ok(m),
@@ -273,13 +266,13 @@ impl WireClient {
         }
     }
 
-    /// Shuts the *service* down and returns its final counters; the
+    /// Shuts the *service* down and returns its final scrape; the
     /// server stops accepting afterwards, and other live connections
     /// see [`ServiceError::ShuttingDown`] on further requests.
-    pub fn shutdown(&mut self) -> Result<ServiceStats, ServiceError> {
+    pub fn shutdown(&mut self) -> Result<MetricsReport, ServiceError> {
         match self.call(&Request::Shutdown)? {
-            Reply::Stats(s) => Ok(s),
-            other => Err(unexpected("stats", &other)),
+            Reply::Metrics(m) => Ok(m),
+            other => Err(unexpected("metrics", &other)),
         }
     }
 

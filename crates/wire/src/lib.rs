@@ -34,9 +34,8 @@
 //! | `AssessWorkers` | 1 | home shards of the named workers |
 //! | `Snapshot` | 1 | every shard assesses its workers; FIFO drain point |
 //! | `Drain` | 1 | barrier across all shard queues |
-//! | `Stats` | 1 | counter merge, no estimation |
-//! | `Metrics` | 1 | wait-free histogram/journal snapshots + one `Stats` merge |
-//! | `Shutdown` | 1 | full drain + shard join; server stops accepting |
+//! | `Metrics` | 1 | one counter merge across the shard queues + wait-free histogram/journal snapshots, sent as named samples |
+//! | `Shutdown` | 1 | full drain + shard join + the final `Metrics` scrape; server stops accepting |
 //!
 //! # Failure model
 //!
@@ -58,6 +57,6 @@ pub mod server;
 
 pub use client::{ClientConfig, IngestPipelineError, WireClient};
 pub use frame::{FrameError, FrameEvent, FrameReader, MAX_FRAME_LEN, WireError};
-pub use proto::{MetricsReport, OpcodeTimings, Reply, Request};
+pub use proto::{MetricsReport, Reply, Request};
 pub use retry::{RetryClient, RetryConfig};
 pub use server::{WireConfig, WireServer};

@@ -11,7 +11,6 @@
 //! | `0x03` | `AssessWorkers`  | `count: u32, count × worker: u32, confidence: f64` |
 //! | `0x04` | `Snapshot`       | `confidence: f64` |
 //! | `0x05` | `Drain`          | empty |
-//! | `0x06` | `Stats`          | empty |
 //! | `0x07` | `Shutdown`       | empty |
 //! | `0x08` | `Metrics`        | empty |
 //! | `0x09` | `IngestBatchSeq` | `session: u64, seq: u64,` then the `IngestBatch` grammar |
@@ -19,18 +18,21 @@
 //! | `0x82` | `OkAssessment`   | one assessment (see below) |
 //! | `0x83` | `OkReport`       | `n: u32, n × assessment, k: u32, k × (worker: u32, estimate-error)` |
 //! | `0x84` | `OkUnit`         | empty |
-//! | `0x85` | `OkStats`        | fleet counters (see [`ServiceStats`]) |
-//! | `0x86` | `OkMetrics`      | `enabled: u8, fleet counters, s: u32, s × stage-timings, e: u32, e × event, dropped: u64, o: u32, o × opcode-timings` |
+//! | `0x86` | `OkMetrics`      | `enabled: u8, n: u32, n × sample, e: u32, e × event, dropped: u64` |
 //! | `0xEE` | `Err`            | one tagged [`ServiceError`] |
 //!
-//! A histogram travels as `count: u64, sum: u64, max: u64` followed
-//! by all 64 fixed log₂ bucket counts (`crowd_obs` layout, 536 bytes
-//! flat); stage-timings are three histograms (queue-wait,
-//! batch-apply, drain-eval); an event is `seq: u64, ts_ns: u64,
-//! kind: u8, shard: u32, a: u64, b: u64, label: string`; and
-//! opcode-timings are `opcode: u8` plus three histograms (decode,
-//! handle, reply-write). Histogram counts are bit-exact `u64`s, so a
-//! scraped distribution is byte-identical to the server's.
+//! `Shutdown` is answered with the final scrape (`OkMetrics`). Opcodes
+//! `0x06` and `0x85` are retired: both decoders reject them as
+//! unknown.
+//!
+//! A sample is `name: string, help: string, kind: u8`, then its value:
+//! a counter (kind 0) is `u64`, a gauge (kind 1) `i64` as its bits, and
+//! a histogram (kind 2) is `count: u64, sum: u64, max: u64, b: u32,
+//! b × bucket: u64`, where `b` must equal [`crowd_obs::BUCKETS`]. Names
+//! are unique within one scrape. An event is `seq: u64, ts_ns: u64,
+//! kind: u8, shard: u32, a: u64, b: u64, label: string`. Every value
+//! is a bit-exact integer, so a scraped distribution is byte-identical
+//! to the server's.
 //!
 //! An assessment is `worker: u32, center: f64, half_width: f64,
 //! confidence: f64, triples_used: u64, weights_fell_back: u8`; the
@@ -48,11 +50,10 @@
 
 use crowd_core::{EstimateError, WorkerAssessment, WorkerReport};
 use crowd_data::{DataError, Label, Response, TaskId, WorkerId};
-use crowd_obs::{Event, EventKind, HistogramSnapshot, MetricsRegistry};
-use crowd_service::{
-    BatchHistogram, IngestReceipt, ServiceError, ServiceMetrics, ServiceStats, ShardStats,
-    StageTimings,
-};
+use std::collections::HashSet;
+
+use crowd_obs::{Event, EventKind, HistogramSnapshot, Sample, Value};
+use crowd_service::{IngestReceipt, ServiceError};
 use crowd_stats::{ConfidenceInterval, StatsError};
 
 use crate::frame::{
@@ -72,12 +73,9 @@ pub mod opcode {
     pub const SNAPSHOT: u8 = 0x04;
     /// FIFO drain barrier.
     pub const DRAIN: u8 = 0x05;
-    /// Fleet counters.
-    pub const STATS: u8 = 0x06;
-    /// Graceful service shutdown.
+    /// Graceful service shutdown; answered with the final scrape.
     pub const SHUTDOWN: u8 = 0x07;
-    /// Full metrics scrape (stats + stage histograms + journal +
-    /// server timings).
+    /// Full metrics scrape (named samples + journal).
     pub const METRICS: u8 = 0x08;
     /// Ingest a batch of responses idempotently: the payload leads
     /// with a client session id and a per-session sequence number, and
@@ -93,8 +91,6 @@ pub mod opcode {
     pub const OK_REPORT: u8 = 0x83;
     /// Reply: acknowledged, no body (drain).
     pub const OK_UNIT: u8 = 0x84;
-    /// Reply: fleet counters.
-    pub const OK_STATS: u8 = 0x85;
     /// Reply: a metrics scrape.
     pub const OK_METRICS: u8 = 0x86;
     /// Reply: a [`crowd_service::ServiceError`].
@@ -127,10 +123,8 @@ pub enum Request {
     },
     /// FIFO barrier ([`crowd_service::ServiceHandle::drain`]).
     Drain,
-    /// Fleet counters ([`crowd_service::ServiceHandle::stats`]).
-    Stats,
     /// Graceful shutdown ([`crowd_service::ServiceHandle::shutdown`]);
-    /// the reply carries the final counters, and the server stops
+    /// the reply carries the final scrape, and the server stops
     /// accepting connections afterwards.
     Shutdown,
     /// Full metrics scrape ([`crowd_service::ServiceHandle::metrics`]
@@ -152,58 +146,34 @@ pub enum Request {
     },
 }
 
-/// The wire server's per-opcode handling-stage timings, one entry per
-/// request opcode that has been seen. All values are nanoseconds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OpcodeTimings {
-    /// The request opcode these distributions cover.
-    pub opcode: u8,
-    /// Payload-decode time per frame.
-    pub decode: HistogramSnapshot,
-    /// Dispatch time (the service call) per request.
-    pub handle: HistogramSnapshot,
-    /// Reply encode + socket write time per request.
-    pub write: HistogramSnapshot,
-}
-
-/// A full metrics scrape: the service's metrics plus the wire
-/// server's own per-opcode timings.
+/// A full metrics scrape: the service's samples
+/// ([`crowd_service::ServiceMetrics::samples`]) followed by the wire
+/// server's per-opcode timings
+/// (`crowd_wire_stage_ns{opcode=…,stage=…}`), plus the journal tail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
-    /// The service-side scrape (counters, stage histograms, journal).
-    pub service: ServiceMetrics,
-    /// Per-opcode server timings, ascending by opcode; opcodes the
-    /// server never saw are omitted.
-    pub server: Vec<OpcodeTimings>,
+    /// Whether the fleet was spawned with instrumentation on.
+    pub enabled: bool,
+    /// Every named series, in exposition order.
+    pub samples: Vec<Sample>,
+    /// The flight-recorder tail, oldest first.
+    pub events: Vec<Event>,
+    /// Journal events lost to wrap-around contention.
+    pub events_dropped: u64,
 }
 
 impl MetricsReport {
-    /// Prometheus text exposition of the whole scrape:
-    /// [`ServiceMetrics::render_text`] followed by the server's
-    /// per-opcode timing histograms
-    /// (`crowd_wire_stage_ns{opcode=…,stage=…}`).
+    /// The value of the series named `name` (labels included).
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.samples
+            .iter()
+            .find(|s| s.name == name)
+            .map(|s| &s.value)
+    }
+
+    /// Prometheus text exposition of the whole scrape.
     pub fn render_text(&self) -> String {
-        let mut text = self.service.render_text();
-        let reg = MetricsRegistry::new();
-        for t in &self.server {
-            let stages: [(&str, &HistogramSnapshot); 3] = [
-                ("decode", &t.decode),
-                ("handle", &t.handle),
-                ("write", &t.write),
-            ];
-            for (stage, snap) in stages {
-                reg.frozen_histogram(
-                    &format!(
-                        "crowd_wire_stage_ns{{opcode=\"0x{:02x}\",stage=\"{stage}\"}}",
-                        t.opcode
-                    ),
-                    "Wire server per-opcode frame handling time, ns.",
-                    snap.clone(),
-                );
-            }
-        }
-        text.push_str(&reg.render_text());
-        text
+        crowd_obs::render_text(&self.samples)
     }
 }
 
@@ -218,8 +188,6 @@ pub enum Reply {
     Report(WorkerReport),
     /// Acknowledged; no body.
     Unit,
-    /// Fleet counters.
-    Stats(ServiceStats),
     /// A full metrics scrape.
     Metrics(MetricsReport),
     /// The service (or protocol) failed the request.
@@ -234,7 +202,6 @@ impl Reply {
             Self::Assessment(_) => "assessment",
             Self::Report(_) => "report",
             Self::Unit => "ack",
-            Self::Stats(_) => "stats",
             Self::Metrics(_) => "metrics",
             Self::Err(_) => "error",
         }
@@ -301,7 +268,6 @@ pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
             (opcode::SNAPSHOT, p)
         }
         Request::Drain => (opcode::DRAIN, p),
-        Request::Stats => (opcode::STATS, p),
         Request::Shutdown => (opcode::SHUTDOWN, p),
         Request::Metrics => (opcode::METRICS, p),
         Request::IngestBatchSeq {
@@ -351,7 +317,6 @@ pub fn decode_request(op: u8, payload: &[u8]) -> Result<Request, WireError> {
             confidence: c.f64("snapshot confidence")?,
         },
         opcode::DRAIN => Request::Drain,
-        opcode::STATS => Request::Stats,
         opcode::SHUTDOWN => Request::Shutdown,
         opcode::METRICS => Request::Metrics,
         opcode::INGEST_SEQ => {
@@ -414,29 +379,17 @@ pub fn encode_reply(reply: &Reply) -> (u8, Vec<u8>) {
             (opcode::OK_REPORT, p)
         }
         Reply::Unit => (opcode::OK_UNIT, p),
-        Reply::Stats(s) => {
-            put_service_stats(&mut p, s);
-            (opcode::OK_STATS, p)
-        }
         Reply::Metrics(m) => {
-            put_bool(&mut p, m.service.enabled);
-            put_service_stats(&mut p, &m.service.stats);
-            put_u32(&mut p, m.service.stages.len() as u32);
-            for st in &m.service.stages {
-                put_stage_timings(&mut p, st);
+            put_bool(&mut p, m.enabled);
+            put_u32(&mut p, m.samples.len() as u32);
+            for s in &m.samples {
+                put_sample(&mut p, s);
             }
-            put_u32(&mut p, m.service.events.len() as u32);
-            for e in &m.service.events {
+            put_u32(&mut p, m.events.len() as u32);
+            for e in &m.events {
                 put_event(&mut p, e);
             }
-            put_u64(&mut p, m.service.events_dropped);
-            put_u32(&mut p, m.server.len() as u32);
-            for t in &m.server {
-                p.push(t.opcode);
-                put_histogram(&mut p, &t.decode);
-                put_histogram(&mut p, &t.handle);
-                put_histogram(&mut p, &t.write);
-            }
+            put_u64(&mut p, m.events_dropped);
             (opcode::OK_METRICS, p)
         }
         Reply::Err(e) => {
@@ -474,40 +427,29 @@ pub fn decode_reply(op: u8, payload: &[u8]) -> Result<Reply, WireError> {
             })
         }
         opcode::OK_UNIT => Reply::Unit,
-        opcode::OK_STATS => Reply::Stats(get_service_stats(&mut c)?),
         opcode::OK_METRICS => {
             let enabled = c.bool("metrics enabled flag")?;
-            let stats = get_service_stats(&mut c)?;
-            let s = c.count(3 * HISTOGRAM_WIRE_BYTES, "metrics stage count")?;
-            let mut stages = Vec::with_capacity(s);
-            for _ in 0..s {
-                stages.push(get_stage_timings(&mut c)?);
+            let n = c.count(SAMPLE_MIN_BYTES, "metrics sample count")?;
+            let mut samples = Vec::with_capacity(n);
+            for _ in 0..n {
+                samples.push(get_sample(&mut c)?);
+            }
+            let mut names = HashSet::with_capacity(n);
+            if !samples.iter().all(|s| names.insert(s.name.as_str())) {
+                return Err(WireError::Malformed {
+                    what: "duplicate sample name",
+                });
             }
             let e = c.count(EVENT_MIN_BYTES, "metrics event count")?;
             let mut events = Vec::with_capacity(e);
             for _ in 0..e {
                 events.push(get_event(&mut c)?);
             }
-            let events_dropped = c.u64("metrics events dropped")?;
-            let o = c.count(1 + 3 * HISTOGRAM_WIRE_BYTES, "metrics opcode count")?;
-            let mut server = Vec::with_capacity(o);
-            for _ in 0..o {
-                server.push(OpcodeTimings {
-                    opcode: c.u8("timed opcode")?,
-                    decode: get_histogram(&mut c, "opcode decode histogram")?,
-                    handle: get_histogram(&mut c, "opcode handle histogram")?,
-                    write: get_histogram(&mut c, "opcode write histogram")?,
-                });
-            }
             Reply::Metrics(MetricsReport {
-                service: ServiceMetrics {
-                    enabled,
-                    stats,
-                    stages,
-                    events,
-                    events_dropped,
-                },
-                server,
+                enabled,
+                samples,
+                events,
+                events_dropped: c.u64("metrics events dropped")?,
             })
         }
         opcode::ERR => Reply::Err(get_service_error(&mut c)?),
@@ -548,44 +490,44 @@ fn get_assessment(c: &mut Cursor<'_>) -> Result<WorkerAssessment, WireError> {
     })
 }
 
-fn put_service_stats(p: &mut Vec<u8>, s: &ServiceStats) {
-    put_u32(p, s.shards.len() as u32);
-    for sh in &s.shards {
-        put_shard_stats(p, sh);
-    }
-    put_u64(p, s.submitted);
-    put_u64(p, s.dropped_batches);
-    put_u64(p, s.dropped_responses);
-    for &b in s.batch_sizes.counts() {
-        put_u64(p, b);
+/// Minimum wire size of one sample: empty name and help, kind tag,
+/// one 8-byte counter.
+const SAMPLE_MIN_BYTES: usize = 4 + 4 + 1 + 8;
+
+fn put_sample(p: &mut Vec<u8>, s: &Sample) {
+    put_str(p, &s.name);
+    put_str(p, &s.help);
+    match &s.value {
+        Value::Counter(v) => {
+            p.push(0);
+            put_u64(p, *v);
+        }
+        Value::Gauge(v) => {
+            p.push(1);
+            put_u64(p, *v as u64);
+        }
+        Value::Histogram(h) => {
+            p.push(2);
+            put_histogram(p, h);
+        }
     }
 }
 
-fn get_service_stats(c: &mut Cursor<'_>) -> Result<ServiceStats, WireError> {
-    let n = c.count(15 * 8, "stats shard count")?;
-    let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        shards.push(get_shard_stats(&mut *c)?);
-    }
-    let submitted = c.u64("stats submitted")?;
-    let dropped_batches = c.u64("stats dropped batches")?;
-    let dropped_responses = c.u64("stats dropped responses")?;
-    let mut buckets = [0u64; BatchHistogram::BUCKETS];
-    for b in &mut buckets {
-        *b = c.u64("stats histogram bucket")?;
-    }
-    Ok(ServiceStats {
-        shards,
-        submitted,
-        dropped_batches,
-        dropped_responses,
-        batch_sizes: BatchHistogram::from_counts(buckets),
-    })
+fn get_sample(c: &mut Cursor<'_>) -> Result<Sample, WireError> {
+    let name = c.string("sample name")?;
+    let help = c.string("sample help")?;
+    let value = match c.u8("sample kind tag")? {
+        0 => Value::Counter(c.u64("counter value")?),
+        1 => Value::Gauge(c.u64("gauge value")? as i64),
+        2 => Value::Histogram(Box::new(get_histogram(c)?)),
+        _ => {
+            return Err(WireError::Malformed {
+                what: "sample kind tag",
+            });
+        }
+    };
+    Ok(Sample { name, help, value })
 }
-
-/// Flat wire size of one histogram snapshot: count, sum, max, then
-/// all [`crowd_obs::BUCKETS`] bucket counts, each 8 bytes.
-const HISTOGRAM_WIRE_BYTES: usize = (3 + crowd_obs::BUCKETS) * 8;
 
 /// Minimum wire size of one journal event (empty label).
 const EVENT_MIN_BYTES: usize = 8 + 8 + 1 + 4 + 8 + 8 + 4;
@@ -594,34 +536,26 @@ fn put_histogram(p: &mut Vec<u8>, h: &HistogramSnapshot) {
     put_u64(p, h.count());
     put_u64(p, h.sum());
     put_u64(p, h.max());
+    put_u32(p, h.buckets().len() as u32);
     for &b in h.buckets() {
         put_u64(p, b);
     }
 }
 
-fn get_histogram(c: &mut Cursor<'_>, what: &'static str) -> Result<HistogramSnapshot, WireError> {
-    let count = c.u64(what)?;
-    let sum = c.u64(what)?;
-    let max = c.u64(what)?;
+fn get_histogram(c: &mut Cursor<'_>) -> Result<HistogramSnapshot, WireError> {
+    let count = c.u64("histogram count")?;
+    let sum = c.u64("histogram sum")?;
+    let max = c.u64("histogram max")?;
+    if c.count(8, "histogram bucket count")? != crowd_obs::BUCKETS {
+        return Err(WireError::Malformed {
+            what: "histogram bucket count",
+        });
+    }
     let mut buckets = [0u64; crowd_obs::BUCKETS];
     for b in &mut buckets {
-        *b = c.u64(what)?;
+        *b = c.u64("histogram bucket")?;
     }
     Ok(HistogramSnapshot::from_parts(buckets, count, sum, max))
-}
-
-fn put_stage_timings(p: &mut Vec<u8>, s: &StageTimings) {
-    put_histogram(p, &s.queue_wait);
-    put_histogram(p, &s.batch_apply);
-    put_histogram(p, &s.drain_eval);
-}
-
-fn get_stage_timings(c: &mut Cursor<'_>) -> Result<StageTimings, WireError> {
-    Ok(StageTimings {
-        queue_wait: get_histogram(c, "queue-wait histogram")?,
-        batch_apply: get_histogram(c, "batch-apply histogram")?,
-        drain_eval: get_histogram(c, "drain-eval histogram")?,
-    })
 }
 
 fn put_event(p: &mut Vec<u8>, e: &Event) {
@@ -645,44 +579,6 @@ fn get_event(c: &mut Cursor<'_>) -> Result<Event, WireError> {
         a: c.u64("event a")?,
         b: c.u64("event b")?,
         label: c.string("event label")?,
-    })
-}
-
-fn put_shard_stats(p: &mut Vec<u8>, s: &ShardStats) {
-    put_usize(p, s.shard);
-    put_u64(p, s.batches);
-    put_u64(p, s.responses);
-    put_u64(p, s.rejected);
-    put_u64(p, s.assess_requests);
-    put_usize(p, s.reanchors);
-    put_usize(p, s.gram_patches);
-    put_usize(p, s.gram_rebuilds);
-    put_usize(p, s.queue_high_water);
-    put_u64(p, s.cache_hits);
-    put_u64(p, s.cache_misses);
-    put_u64(p, s.cache_full_refreshes);
-    put_u64(p, s.recoveries);
-    put_u64(p, s.checkpoints);
-    put_u64(p, s.wal_replayed);
-}
-
-fn get_shard_stats(c: &mut Cursor<'_>) -> Result<ShardStats, WireError> {
-    Ok(ShardStats {
-        shard: c.usize("shard id")?,
-        batches: c.u64("shard batches")?,
-        responses: c.u64("shard responses")?,
-        rejected: c.u64("shard rejected")?,
-        assess_requests: c.u64("shard assess requests")?,
-        reanchors: c.usize("shard reanchors")?,
-        gram_patches: c.usize("shard gram patches")?,
-        gram_rebuilds: c.usize("shard gram rebuilds")?,
-        queue_high_water: c.usize("shard queue high-water")?,
-        cache_hits: c.u64("shard cache hits")?,
-        cache_misses: c.u64("shard cache misses")?,
-        cache_full_refreshes: c.u64("shard cache full refreshes")?,
-        recoveries: c.u64("shard recoveries")?,
-        checkpoints: c.u64("shard checkpoints")?,
-        wal_replayed: c.u64("shard wal replayed")?,
     })
 }
 

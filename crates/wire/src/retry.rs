@@ -22,9 +22,9 @@
 //!   retry after an ambiguous timeout or a dropped connection ingests
 //!   each batch *exactly once*, no matter how many attempts the
 //!   transport eats.
-//! * **Reads retry freely.** Snapshots, assessments, drains, stats
-//!   and metrics are idempotent by construction; re-asking is always
-//!   safe.
+//! * **Reads retry freely.** Snapshots, assessments, drains and
+//!   metrics scrapes are idempotent by construction; re-asking is
+//!   always safe.
 //!
 //! The one contract the caller must hold: after
 //! [`RetryClient::ingest_batch`] fails with a transport error (retry
@@ -40,7 +40,7 @@ use std::time::{Duration, SystemTime};
 
 use crowd_core::{WorkerAssessment, WorkerReport};
 use crowd_data::{Response, WorkerId};
-use crowd_service::{IngestReceipt, ServiceError, ServiceStats};
+use crowd_service::{IngestReceipt, ServiceError};
 
 use crate::client::{ClientConfig, WireClient, unexpected};
 use crate::proto::{MetricsReport, Reply, Request, encode_request};
@@ -264,14 +264,6 @@ impl RetryClient {
         }
     }
 
-    /// Fleet counters; retried freely.
-    pub fn stats(&mut self) -> Result<ServiceStats, ServiceError> {
-        match self.call_definitive(&Request::Stats)? {
-            Reply::Stats(s) => Ok(s),
-            other => Err(unexpected("stats", &other)),
-        }
-    }
-
     /// Full metrics scrape; retried freely.
     pub fn metrics(&mut self) -> Result<MetricsReport, ServiceError> {
         match self.call_definitive(&Request::Metrics)? {
@@ -283,14 +275,14 @@ impl RetryClient {
     /// Shuts the service down. **Not retried**: after a transport
     /// failure the server may already be gone, and re-dialing a dead
     /// listener would convert a successful shutdown into an error.
-    pub fn shutdown(&mut self) -> Result<ServiceStats, ServiceError> {
+    pub fn shutdown(&mut self) -> Result<MetricsReport, ServiceError> {
         let conn = self.ensure_conn()?;
         let (op, payload) = encode_request(&Request::Shutdown);
         conn.send_raw(op, &payload)?;
         match conn.recv()? {
-            Reply::Stats(s) => Ok(s),
+            Reply::Metrics(m) => Ok(m),
             Reply::Err(e) => Err(e),
-            other => Err(unexpected("stats", &other)),
+            other => Err(unexpected("metrics", &other)),
         }
     }
 

@@ -14,7 +14,7 @@
 //! The server stops in two ways:
 //!
 //! * a client sends `Shutdown` — the service drains and joins its
-//!   shards, the final stats go back over that connection, and the
+//!   shards, the final scrape goes back over that connection, and the
 //!   server stops accepting; or
 //! * the owner calls [`WireServer::close`] (or drops the server) —
 //!   the server stops accepting without touching the service.
@@ -41,11 +41,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crowd_obs::LatencyHistogram;
+use crowd_obs::{LatencyHistogram, Sample};
 use crowd_service::{FaultPlan, IngestReceipt, ServiceError, ServiceHandle};
 
 use crate::frame::{FrameError, FrameEvent, FrameReader, MAX_FRAME_LEN, write_frame};
-use crate::proto::{MetricsReport, OpcodeTimings, Reply, Request, decode_request, encode_reply};
+use crate::proto::{MetricsReport, Reply, Request, decode_request, encode_reply};
 
 /// Tuning knobs for a [`WireServer`].
 #[derive(Debug, Clone)]
@@ -200,22 +200,26 @@ impl ServerTimers {
         h.record_duration(t0.elapsed());
     }
 
-    /// Snapshot of every opcode with at least one sample, ascending
-    /// by opcode.
-    fn snapshot(&self) -> Vec<OpcodeTimings> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| {
-                op.decode.count() > 0 || op.handle.count() > 0 || op.write.count() > 0
-            })
-            .map(|(i, op)| OpcodeTimings {
-                opcode: i as u8,
-                decode: op.decode.snapshot(),
-                handle: op.handle.snapshot(),
-                write: op.write.snapshot(),
-            })
-            .collect()
+    /// Appends the three stage histograms of every opcode with at
+    /// least one sample, ascending by opcode.
+    fn append_samples(&self, out: &mut Vec<Sample>) {
+        for (i, op) in self.ops.iter().enumerate() {
+            let stages = [
+                ("decode", &op.decode),
+                ("handle", &op.handle),
+                ("write", &op.write),
+            ];
+            if stages.iter().all(|(_, h)| h.count() == 0) {
+                continue;
+            }
+            for (stage, h) in stages {
+                out.push(Sample::histogram(
+                    format!("crowd_wire_stage_ns{{opcode=\"0x{i:02x}\",stage=\"{stage}\"}}"),
+                    "Wire server per-opcode frame handling time, ns.",
+                    h.snapshot(),
+                ));
+            }
+        }
     }
 }
 
@@ -509,17 +513,27 @@ fn dispatch(
             .map(Reply::Report),
         Request::Snapshot { confidence } => handle.snapshot(confidence).map(Reply::Report),
         Request::Drain => handle.drain().map(|()| Reply::Unit),
-        Request::Stats => handle.stats().map(Reply::Stats),
         Request::Shutdown => {
             shut_down = true;
-            handle.shutdown().map(Reply::Stats)
+            handle.shutdown().and_then(|_| scrape(handle, timers))
         }
-        Request::Metrics => handle.metrics().map(|service| {
-            Reply::Metrics(MetricsReport {
-                service,
-                server: timers.map(ServerTimers::snapshot).unwrap_or_default(),
-            })
-        }),
+        Request::Metrics => scrape(handle, timers),
     };
     (reply.unwrap_or_else(Reply::Err), shut_down)
+}
+
+/// The service's scrape with the server's own timings appended. It
+/// keeps working after shutdown, so it also answers `Shutdown`.
+fn scrape(handle: &ServiceHandle, timers: Option<&ServerTimers>) -> Result<Reply, ServiceError> {
+    let m = handle.metrics()?;
+    let mut samples = m.samples();
+    if let Some(t) = timers {
+        t.append_samples(&mut samples);
+    }
+    Ok(Reply::Metrics(MetricsReport {
+        enabled: m.enabled,
+        samples,
+        events: m.events,
+        events_dropped: m.events_dropped,
+    }))
 }

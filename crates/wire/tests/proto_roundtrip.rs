@@ -10,15 +10,12 @@
 
 use crowd_core::{EstimateError, WorkerAssessment, WorkerReport};
 use crowd_data::{DataError, Label, Response, TaskId, WorkerId};
-use crowd_obs::{Event, EventKind, HistogramSnapshot};
-use crowd_service::{
-    BatchHistogram, IngestReceipt, ServiceError, ServiceMetrics, ServiceStats, ShardStats,
-    StageTimings,
-};
+use crowd_obs::{Event, EventKind, HistogramSnapshot, Sample, Value};
+use crowd_service::{IngestReceipt, ServiceError};
 use crowd_stats::{ConfidenceInterval, StatsError};
 use crowd_wire::frame::WireError;
 use crowd_wire::proto::{decode_reply, decode_request, encode_reply, encode_request, opcode};
-use crowd_wire::{MetricsReport, OpcodeTimings, Reply, Request};
+use crowd_wire::{MetricsReport, Reply, Request};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -142,7 +139,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
 
 fn arb_request() -> impl Strategy<Value = Request> {
     (
-        0..9usize,
+        0..8usize,
         proptest::collection::vec(arb_response(), 0..50),
         proptest::collection::vec(0..500u32, 0..20),
         arb_f64(),
@@ -161,9 +158,8 @@ fn arb_request() -> impl Strategy<Value = Request> {
                 },
                 3 => Request::Snapshot { confidence },
                 4 => Request::Drain,
-                5 => Request::Stats,
-                6 => Request::Shutdown,
-                7 => Request::IngestBatchSeq {
+                5 => Request::Shutdown,
+                6 => Request::IngestBatchSeq {
                     session,
                     seq,
                     batch,
@@ -208,45 +204,6 @@ fn arb_report() -> impl Strategy<Value = WorkerReport> {
         })
 }
 
-fn arb_shard_stats() -> impl Strategy<Value = ShardStats> {
-    proptest::collection::vec(0..u64::MAX / 2, 15).prop_map(|v| ShardStats {
-        shard: v[0] as usize % 64,
-        batches: v[1],
-        responses: v[2],
-        rejected: v[3],
-        assess_requests: v[4],
-        reanchors: v[5] as usize,
-        gram_patches: v[6] as usize,
-        gram_rebuilds: v[7] as usize,
-        queue_high_water: v[8] as usize,
-        cache_hits: v[9],
-        cache_misses: v[10],
-        cache_full_refreshes: v[11],
-        recoveries: v[12],
-        checkpoints: v[13],
-        wal_replayed: v[14],
-    })
-}
-
-fn arb_service_stats() -> impl Strategy<Value = ServiceStats> {
-    (
-        proptest::collection::vec(arb_shard_stats(), 0..6),
-        proptest::collection::vec(0..1_000_000u64, 12),
-        (0..1_000_000u64, 0..1_000u64, 0..1_000u64),
-    )
-        .prop_map(|(shards, buckets, (submitted, db, dr))| {
-            let mut counts = [0u64; BatchHistogram::BUCKETS];
-            counts.copy_from_slice(&buckets);
-            ServiceStats {
-                shards,
-                submitted,
-                dropped_batches: db,
-                dropped_responses: dr,
-                batch_sizes: BatchHistogram::from_counts(counts),
-            }
-        })
-}
-
 /// Arbitrary histogram snapshots. The wire carries count/sum/max and
 /// the buckets verbatim, so they need no mutual consistency here —
 /// byte identity is the property, not statistics.
@@ -262,12 +219,29 @@ fn arb_histogram() -> impl Strategy<Value = HistogramSnapshot> {
         })
 }
 
-fn arb_stage_timings() -> impl Strategy<Value = StageTimings> {
-    (arb_histogram(), arb_histogram(), arb_histogram()).prop_map(|(q, ba, de)| StageTimings {
-        queue_wait: q,
-        batch_apply: ba,
-        drain_eval: de,
-    })
+/// Samples of every kind: empty, bare and labelled names; counters
+/// and gauges across their whole range; empty and fully populated
+/// histograms.
+fn arb_sample() -> impl Strategy<Value = Sample> {
+    (
+        (0..3usize, 0..4u32, arb_string()),
+        (0..4usize, 0..u64::MAX),
+        arb_histogram(),
+    )
+        .prop_map(|((name_sel, shard, help), (kind, v), h)| {
+            let name = match name_sel {
+                0 => String::new(),
+                1 => format!("crowd_test_{shard}_total"),
+                _ => format!("crowd_test_ns{{shard=\"{shard}\",stage=\"x\"}}"),
+            };
+            let value = match kind {
+                0 => Value::Counter(v),
+                1 => Value::Gauge(v as i64),
+                2 => Value::Histogram(Box::new(HistogramSnapshot::empty())),
+                _ => Value::Histogram(Box::new(h)),
+            };
+            Sample { name, help, value }
+        })
 }
 
 /// Journal events with every kind tag and multi-byte UTF-8 labels.
@@ -290,46 +264,36 @@ fn arb_event() -> impl Strategy<Value = Event> {
         })
 }
 
+/// Scrapes of up to 12 samples; a repeated name keeps its first
+/// sample, since names are unique within one scrape.
 fn arb_metrics_report() -> impl Strategy<Value = MetricsReport> {
     (
         (any::<bool>(), 0..1_000u64),
-        arb_service_stats(),
-        proptest::collection::vec(arb_stage_timings(), 0..3),
+        proptest::collection::vec(arb_sample(), 0..12),
         proptest::collection::vec(arb_event(), 0..5),
-        proptest::collection::vec((0..16u16, arb_stage_timings()), 0..3),
     )
-        .prop_map(
-            |((enabled, dropped), stats, stages, events, server)| MetricsReport {
-                service: ServiceMetrics {
-                    enabled,
-                    stats,
-                    stages,
-                    events,
-                    events_dropped: dropped,
-                },
-                server: server
-                    .into_iter()
-                    .map(|(op, t)| OpcodeTimings {
-                        opcode: op as u8,
-                        decode: t.queue_wait,
-                        handle: t.batch_apply,
-                        write: t.drain_eval,
-                    })
-                    .collect(),
-            },
-        )
+        .prop_map(|((enabled, dropped), mut samples, events)| {
+            let mut seen = std::collections::HashSet::new();
+            samples.retain(|s| seen.insert(s.name.clone()));
+            MetricsReport {
+                enabled,
+                samples,
+                events,
+                events_dropped: dropped,
+            }
+        })
 }
 
 fn arb_reply() -> impl Strategy<Value = Reply> {
     (
-        0..7usize,
+        0..6usize,
         (0..100_000usize, 0..100usize, 0..100usize),
         arb_assessment(),
-        (arb_report(), arb_service_stats(), arb_service_error()),
+        (arb_report(), arb_service_error()),
         arb_metrics_report(),
     )
         .prop_map(
-            |(sel, (routed, sb, sr), a, (report, stats, err), metrics)| match sel {
+            |(sel, (routed, sb, sr), a, (report, err), metrics)| match sel {
                 0 => Reply::Ingest(IngestReceipt {
                     routed,
                     shed_batches: sb,
@@ -338,8 +302,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                 1 => Reply::Assessment(a),
                 2 => Reply::Report(report),
                 3 => Reply::Unit,
-                4 => Reply::Stats(stats),
-                5 => Reply::Metrics(metrics),
+                4 => Reply::Metrics(metrics),
                 _ => Reply::Err(err),
             },
         )
@@ -408,6 +371,14 @@ proptest! {
         // ones may diagnose it as malformation mid-payload instead.
         prop_assert!(r.is_err(), "oversharing payload decoded: {r:?}");
     }
+
+    #[test]
+    fn trailing_reply_bytes_are_rejected(reply in arb_reply(), extra in 1..16usize) {
+        let (op, mut payload) = encode_reply(&reply);
+        payload.extend(std::iter::repeat_n(0u8, extra));
+        let r = decode_reply(op, &payload);
+        prop_assert!(r.is_err(), "oversharing payload decoded: {r:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -422,6 +393,20 @@ fn unknown_opcodes_are_rejected_by_both_decoders() {
     assert!(matches!(
         decode_reply(0x02, &[]),
         Err(WireError::UnknownOpcode(0x02))
+    ));
+}
+
+#[test]
+fn retired_stats_opcodes_are_unknown() {
+    // 0x06 (`Stats`) and 0x85 (`OkStats`) were folded into the
+    // `Metrics` scrape; neither decoder knows them any more.
+    assert_eq!(
+        decode_request(0x06, &[]),
+        Err(WireError::UnknownOpcode(0x06))
+    );
+    assert!(matches!(
+        decode_reply(0x85, &[0; 64]),
+        Err(WireError::UnknownOpcode(0x85))
     ));
 }
 
@@ -482,35 +467,158 @@ fn metrics_request_is_an_empty_payload() {
     assert_eq!(decode_request(op, &payload), Ok(Request::Metrics));
 }
 
+/// A one-sample scrape with no events.
+fn scrape_of(samples: Vec<Sample>) -> Reply {
+    Reply::Metrics(MetricsReport {
+        enabled: true,
+        samples,
+        events: vec![],
+        events_dropped: 0,
+    })
+}
+
+/// Offset of the first sample's kind tag in a [`scrape_of`] payload:
+/// enabled flag, sample count, then the name and help strings.
+fn first_kind_at(s: &Sample) -> usize {
+    1 + 4 + (4 + s.name.len()) + (4 + s.help.len())
+}
+
+fn malformed(payload: &[u8]) -> Result<Reply, WireError> {
+    decode_reply(opcode::OK_METRICS, payload)
+}
+
+#[test]
+fn unknown_sample_kind_tags_are_typed_errors() {
+    let s = Sample::counter("crowd_x_total", "X.", 3);
+    let (_, mut payload) = encode_reply(&scrape_of(vec![s.clone()]));
+    let at = first_kind_at(&s);
+    assert_eq!(payload[at], 0, "counter kind tag");
+    payload[at] = 3;
+    assert!(matches!(
+        malformed(&payload),
+        Err(WireError::Malformed {
+            what: "sample kind tag"
+        })
+    ));
+}
+
+#[test]
+fn duplicate_sample_names_are_typed_errors() {
+    let a = Sample::counter("crowd_x_total{shard=\"0\"}", "X.", 1);
+    let b = Sample::gauge("crowd_x_total{shard=\"0\"}", "X.", -1);
+    let (_, payload) = encode_reply(&scrape_of(vec![a, b]));
+    assert!(matches!(
+        malformed(&payload),
+        Err(WireError::Malformed {
+            what: "duplicate sample name"
+        })
+    ));
+    // The same base name under distinct labels is fine.
+    let a = Sample::counter("crowd_x_total{shard=\"0\"}", "X.", 1);
+    let b = Sample::counter("crowd_x_total{shard=\"1\"}", "X.", 1);
+    let (_, payload) = encode_reply(&scrape_of(vec![a, b]));
+    assert!(malformed(&payload).is_ok());
+}
+
+#[test]
+fn histogram_bucket_counts_other_than_buckets_are_typed_errors() {
+    let s = Sample::histogram("crowd_x_ns", "X.", HistogramSnapshot::empty());
+    let (_, payload) = encode_reply(&scrape_of(vec![s.clone()]));
+    // Bucket count: after the kind tag, count, sum and max.
+    let at = first_kind_at(&s) + 1 + 3 * 8;
+    assert_eq!(
+        payload[at..at + 4],
+        (crowd_obs::BUCKETS as u32).to_le_bytes()
+    );
+    let patched = |n: u32| {
+        let mut p = payload.clone();
+        p[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        p
+    };
+    // One bucket short or one too many, with the payload long enough
+    // to hold them: the count disagrees with this build's layout.
+    for n in [crowd_obs::BUCKETS as u32 - 1, 1, 0] {
+        assert!(
+            matches!(
+                malformed(&patched(n)),
+                Err(WireError::Malformed {
+                    what: "histogram bucket count"
+                })
+            ),
+            "bucket count {n}"
+        );
+    }
+    let mut longer = patched(crowd_obs::BUCKETS as u32 + 1);
+    longer.extend_from_slice(&[0; 8]);
+    assert!(matches!(
+        malformed(&longer),
+        Err(WireError::Malformed {
+            what: "histogram bucket count"
+        })
+    ));
+}
+
+#[test]
+fn counts_claiming_more_than_the_payload_holds_are_typed_errors() {
+    let s = Sample::histogram("crowd_x_ns", "X.", HistogramSnapshot::empty());
+    let (_, payload) = encode_reply(&scrape_of(vec![s.clone()]));
+    let with = |at: usize, n: u32| {
+        let mut p = payload.clone();
+        p[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        malformed(&p)
+    };
+    assert!(matches!(
+        with(1, u32::MAX),
+        Err(WireError::Malformed {
+            what: "metrics sample count"
+        })
+    ));
+    assert!(matches!(
+        with(first_kind_at(&s) + 1 + 3 * 8, u32::MAX),
+        Err(WireError::Malformed {
+            what: "histogram bucket count"
+        })
+    ));
+    // Event count: just before the trailing dropped-events counter.
+    assert!(matches!(
+        with(payload.len() - 8 - 4, u32::MAX),
+        Err(WireError::Malformed {
+            what: "metrics event count"
+        })
+    ));
+    // A name longer than the payload.
+    assert!(matches!(
+        with(5, u32::MAX),
+        Err(WireError::Malformed {
+            what: "sample name"
+        })
+    ));
+}
+
 #[test]
 fn unknown_event_kind_tags_are_typed_errors() {
     // A metrics reply whose journal carries a kind tag this build
     // does not know must decode to a typed error, not a panic and not
     // a fabricated kind.
     let reply = Reply::Metrics(MetricsReport {
-        service: ServiceMetrics {
-            enabled: true,
-            stats: ServiceStats::default(),
-            stages: vec![],
-            events: vec![Event {
-                seq: 0,
-                timestamp_ns: 1,
-                kind: EventKind::SlowOp,
-                shard: 3,
-                a: 9,
-                b: 2,
-                label: "drain_eval".into(),
-            }],
-            events_dropped: 0,
-        },
-        server: vec![],
+        enabled: true,
+        samples: vec![],
+        events: vec![Event {
+            seq: 0,
+            timestamp_ns: 1,
+            kind: EventKind::SlowOp,
+            shard: 3,
+            a: 9,
+            b: 2,
+            label: "drain_eval".into(),
+        }],
+        events_dropped: 0,
     });
     let (op, mut payload) = encode_reply(&reply);
     assert_eq!(op, opcode::OK_METRICS);
-    // Offset of the event's kind byte: enabled + empty stats (shard
-    // count + three fleet counters + 12 batch buckets) + stage count
-    // + event count + seq + timestamp.
-    let kind_at = 1 + (4 + 3 * 8 + BatchHistogram::BUCKETS * 8) + 4 + 4 + 8 + 8;
+    // Offset of the event's kind byte: enabled + sample count + event
+    // count + seq + timestamp.
+    let kind_at = 1 + 4 + 4 + 8 + 8;
     assert_eq!(payload[kind_at], EventKind::SlowOp as u8);
     payload[kind_at] = 0xFF;
     assert!(matches!(
@@ -519,6 +627,24 @@ fn unknown_event_kind_tags_are_typed_errors() {
             what: "event kind tag"
         })
     ));
+}
+
+#[test]
+fn gauges_cross_the_wire_signed() {
+    let samples = vec![
+        Sample::gauge("crowd_low", "Low.", i64::MIN),
+        Sample::gauge("crowd_neg", "Neg.", -1),
+        Sample::counter("crowd_high_total", "High.", u64::MAX),
+    ];
+    let (op, payload) = encode_reply(&scrape_of(samples.clone()));
+    match decode_reply(op, &payload).unwrap() {
+        Reply::Metrics(m) => {
+            assert_eq!(m.samples, samples);
+            assert_eq!(m.get("crowd_neg"), Some(&Value::Gauge(-1)));
+            assert_eq!(m.get("crowd_absent"), None);
+        }
+        other => panic!("unexpected decode: {other:?}"),
+    }
 }
 
 #[test]

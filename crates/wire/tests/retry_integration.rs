@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crowd_data::{Label, Response, TaskId, WorkerId};
+use crowd_obs::Value;
 use crowd_service::{AssessmentService, FaultPlan, ServiceConfig, ServiceError, ServiceHandle};
 use crowd_shard::ShardPlan;
 use crowd_sim::{ArrivalSchedule, BinaryInstance, BinaryScenario, rng};
@@ -141,12 +142,19 @@ fn retry_after_dropped_connection_ingests_exactly_once() {
 
     // Counter-level exactly-once: per-shard response deliveries match
     // the twin's, so no batch landed zero or two times.
-    let a = client.stats().expect("stats");
+    let a: u64 = client
+        .metrics()
+        .expect("metrics")
+        .samples
+        .iter()
+        .filter(|s| s.name.starts_with("crowd_shard_responses_total{"))
+        .map(|s| match s.value {
+            Value::Counter(v) => v,
+            ref other => panic!("{}: expected a counter, got {other:?}", s.name),
+        })
+        .sum();
     let b = twin.stats().expect("twin stats");
-    assert_eq!(
-        a.shards.iter().map(|s| s.responses).sum::<u64>(),
-        b.shards.iter().map(|s| s.responses).sum::<u64>(),
-    );
+    assert_eq!(a, b.shards.iter().map(|s| s.responses).sum::<u64>());
     server.close();
 }
 

@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use crowd_core::WorkerReport;
 use crowd_data::{Label, Response, TaskId, WorkerId};
+use crowd_obs::{Sample, Value};
 use crowd_oracle::row_difference;
 use crowd_service::{AssessmentService, ServiceConfig, ServiceError, ServiceHandle};
 use crowd_shard::ShardPlan;
@@ -111,11 +112,30 @@ fn wire_reports_are_bit_identical_to_in_process() {
     let local = service.snapshot(CONFIDENCE).expect("local snapshot");
     assert_reports_bit_identical(&over_wire, &local, "final");
 
-    // Counters agree (ingest all went through the same handle).
+    // On the drained fleet the wire scrape names exactly the
+    // service's series, in order, then the server's own timings, and
+    // every counter agrees (ingest all went through the same handle).
+    let over_wire = client.metrics().expect("wire metrics");
+    let local = service.metrics().expect("local metrics").samples();
+    let name = |s: &Sample| s.name.clone();
+    let (service_part, server_part) = over_wire.samples.split_at(local.len());
     assert_eq!(
-        client.stats().expect("stats"),
-        service.stats().expect("stats")
+        service_part.iter().map(name).collect::<Vec<_>>(),
+        local.iter().map(name).collect::<Vec<_>>()
     );
+    assert!(!server_part.is_empty());
+    assert!(
+        server_part
+            .iter()
+            .all(|s| s.name.starts_with("crowd_wire_stage_ns{opcode=")),
+        "the server's own series follow the service's"
+    );
+    for s in local
+        .iter()
+        .filter(|s| matches!(s.value, Value::Counter(_)))
+    {
+        assert_eq!(over_wire.get(&s.name), Some(&s.value), "{}", s.name);
+    }
     server.close();
 }
 
@@ -127,7 +147,7 @@ fn zero_length_batches_are_valid_frames() {
     let receipt = client.ingest_batch(&[]).expect("empty batch is a no-op");
     assert_eq!(receipt.routed, 0);
     // The connection is healthy afterwards.
-    assert!(client.stats().is_ok());
+    assert!(client.drain().is_ok());
     server.close();
 }
 
@@ -158,10 +178,10 @@ fn split_reads_reassemble_over_a_real_socket() {
     let mut server = serve(service.handle());
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
 
-    // A Stats request dribbled one byte at a time, slower than the
+    // A Metrics request dribbled one byte at a time, slower than the
     // server's idle poll but faster than a mid-frame stall.
     let mut frame = Vec::new();
-    write_frame(&mut frame, opcode::STATS, &[]).unwrap();
+    write_frame(&mut frame, opcode::METRICS, &[]).unwrap();
     for b in frame {
         stream.write_all(&[b]).expect("write byte");
         stream.flush().expect("flush");
@@ -173,13 +193,13 @@ fn split_reads_reassemble_over_a_real_socket() {
             opcode: op,
             payload,
         } => {
-            assert_eq!(op, opcode::OK_STATS);
+            assert_eq!(op, opcode::OK_METRICS);
             assert!(matches!(
-                decode_reply(op, &payload).expect("decode stats"),
-                Reply::Stats(_)
+                decode_reply(op, &payload).expect("decode metrics"),
+                Reply::Metrics(_)
             ));
         }
-        other => panic!("expected a stats reply, got {other:?}"),
+        other => panic!("expected a metrics reply, got {other:?}"),
     }
     server.close();
 }
@@ -218,10 +238,43 @@ fn malformed_frames_get_error_replies_and_the_connection_survives() {
     }
 
     // The same connection still serves valid requests.
-    write_frame(&mut writer, opcode::STATS, &[]).unwrap();
+    write_frame(&mut writer, opcode::DRAIN, &[]).unwrap();
     match reader.read().expect("reply") {
-        FrameEvent::Frame { opcode: op, .. } => assert_eq!(op, opcode::OK_STATS),
-        other => panic!("expected a stats reply, got {other:?}"),
+        FrameEvent::Frame { opcode: op, .. } => assert_eq!(op, opcode::OK_UNIT),
+        other => panic!("expected a drain ack, got {other:?}"),
+    }
+    server.close();
+}
+
+#[test]
+fn the_retired_stats_opcode_gets_an_error_reply() {
+    let (_inst, service) = fleet(2);
+    let mut server = serve(service.handle());
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = FrameReader::new(stream.try_clone().expect("clone"), MAX_FRAME_LEN);
+    let mut writer = stream;
+
+    // 0x06 was `Stats`; the scrape is `Metrics` now.
+    write_frame(&mut writer, 0x06, &[]).unwrap();
+    match reader.read().expect("reply") {
+        FrameEvent::Frame {
+            opcode: op,
+            payload,
+        } => {
+            assert_eq!(op, opcode::ERR);
+            match decode_reply(op, &payload).expect("decode") {
+                Reply::Err(ServiceError::Wire(msg)) => {
+                    assert!(msg.contains("unknown opcode 0x06"), "got: {msg}")
+                }
+                other => panic!("expected a wire error, got {other:?}"),
+            }
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    write_frame(&mut writer, opcode::DRAIN, &[]).unwrap();
+    match reader.read().expect("reply") {
+        FrameEvent::Frame { opcode: op, .. } => assert_eq!(op, opcode::OK_UNIT),
+        other => panic!("expected a drain ack, got {other:?}"),
     }
     server.close();
 }
@@ -254,7 +307,7 @@ fn oversized_frames_poison_the_stream_with_a_parting_diagnosis() {
         other => panic!("expected a frame-too-large error, got {other:?}"),
     }
     // The connection is gone now.
-    assert!(client.stats().is_err());
+    assert!(client.drain().is_err());
     server.close();
 }
 
@@ -268,10 +321,10 @@ fn connection_cap_refuses_with_a_typed_reply() {
     let mut server =
         WireServer::bind("127.0.0.1:0", service.handle(), config).expect("bind loopback");
     let mut first = WireClient::connect(server.local_addr()).expect("connect");
-    first.stats().expect("first connection serves");
+    first.drain().expect("first connection serves");
 
     let mut second = WireClient::connect(server.local_addr()).expect("tcp connect succeeds");
-    match second.stats() {
+    match second.drain() {
         Err(ServiceError::Io(msg)) => {
             // Either the refusal reply or, if the send raced the
             // close, the socket error.
@@ -280,7 +333,7 @@ fn connection_cap_refuses_with_a_typed_reply() {
         other => panic!("expected an io error, got {other:?}"),
     }
     // The admitted connection is unaffected.
-    first.stats().expect("first connection still serves");
+    first.drain().expect("first connection still serves");
     server.close();
 }
 
@@ -342,34 +395,38 @@ fn metrics_scrape_over_a_live_server() {
     client.snapshot(CONFIDENCE).expect("snapshot");
 
     let m = client.metrics().expect("metrics scrape");
-    assert!(m.service.enabled, "instrumentation is on by default");
-    assert_eq!(m.service.stats.submitted, total as u64);
-    assert_eq!(m.service.stages.len(), 4, "one stage set per shard");
-    let merged = m.service.merged_stages();
-    assert!(merged.queue_wait.count() > 0, "queue-wait samples arrived");
-    assert!(
-        merged.batch_apply.count() > 0,
-        "batch-apply samples arrived"
+    assert!(m.enabled, "instrumentation is on by default");
+    assert_eq!(
+        m.get("crowd_submitted_responses_total"),
+        Some(&Value::Counter(total as u64))
     );
-    assert!(merged.drain_eval.count() > 0, "drain-eval samples arrived");
+    let count = |name: &str| match m.get(name) {
+        Some(Value::Histogram(h)) => h.count(),
+        other => panic!("{name}: expected a histogram, got {other:?}"),
+    };
+    let merged = |stage: &str| -> u64 {
+        (0..4)
+            .map(|sh| count(&format!("crowd_stage_{stage}_ns{{shard=\"{sh}\"}}")))
+            .sum()
+    };
+    assert!(merged("queue_wait") > 0, "queue-wait samples arrived");
+    assert!(merged("batch_apply") > 0, "batch-apply samples arrived");
+    assert!(merged("drain_eval") > 0, "drain-eval samples arrived");
+    assert_eq!(m.get("crowd_stage_queue_wait_ns{shard=\"4\"}"), None);
 
     // The server timed its own frame handling for the opcodes this
     // connection exercised.
     for op in [opcode::INGEST_BATCH, opcode::SNAPSHOT] {
-        let t = m
-            .server
-            .iter()
-            .find(|t| t.opcode == op)
-            .unwrap_or_else(|| panic!("no server timings for opcode {op:#04x}"));
-        assert!(t.decode.count() > 0, "decode timed for {op:#04x}");
-        assert!(t.handle.count() > 0, "handle timed for {op:#04x}");
-        assert!(t.write.count() > 0, "write timed for {op:#04x}");
+        for stage in ["decode", "handle", "write"] {
+            let name = format!("crowd_wire_stage_ns{{opcode=\"{op:#04x}\",stage=\"{stage}\"}}");
+            assert!(count(&name) > 0, "{name} timed");
+        }
     }
 
     // The exposition carries the same numbers the scrape decoded.
     let text = m.render_text();
     assert!(text.contains(&format!("crowd_submitted_responses_total {total}")));
-    for s in &m.service.stats.shards {
+    for s in &service.stats().expect("stats").shards {
         assert!(text.contains(&format!(
             "crowd_shard_responses_total{{shard=\"{}\"}} {}",
             s.shard, s.responses
@@ -397,11 +454,21 @@ fn shutdown_over_the_wire_stops_service_and_server() {
     client.ingest_batch(&all).expect("ingest");
     let finals = client
         .shutdown()
-        .expect("shutdown reply carries final stats");
-    assert_eq!(finals.submitted, all.len() as u64);
+        .expect("shutdown reply carries the final scrape");
+    assert_eq!(
+        finals.get("crowd_submitted_responses_total"),
+        Some(&Value::Counter(all.len() as u64))
+    );
 
-    // The handle agrees and stays typed post-shutdown.
-    assert_eq!(service.stats().expect("post-shutdown stats"), finals);
+    // The handle agrees and stays typed post-shutdown: its scrape is
+    // the final one, less the server's own timings.
+    let local = service.metrics().expect("post-shutdown metrics").samples();
+    assert_eq!(finals.samples[..local.len()], local[..]);
+    assert!(
+        finals.samples[local.len()..]
+            .iter()
+            .all(|s| s.name.starts_with("crowd_wire_stage_ns"))
+    );
     assert!(matches!(
         service.handle().ingest_batch(&all[..1]),
         Err(ServiceError::ShuttingDown)
@@ -419,7 +486,7 @@ fn shutdown_over_the_wire_stops_service_and_server() {
         },
     ) {
         assert!(
-            late.stats().is_err(),
+            late.drain().is_err(),
             "server must not serve after shutdown"
         );
     }

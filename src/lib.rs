@@ -24,7 +24,7 @@
 //!   ingest, bounded queues with backpressure, bit-identical fleet
 //!   snapshots,
 //! * [`obs`] — dependency-free observability: wait-free log₂ latency
-//!   histograms, a metrics registry with Prometheus-style text
+//!   histograms, named metric samples with a Prometheus-style text
 //!   exposition, and a lock-free flight-recorder event journal,
 //! * [`wire`] — the length-prefixed binary TCP protocol, blocking
 //!   server and client that put the runtime behind a socket with
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crowd_data::{
         GoldStandard, Label, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId,
     };
-    pub use crowd_obs::{EventJournal, EventKind, LatencyHistogram, MetricsRegistry};
+    pub use crowd_obs::{EventJournal, EventKind, LatencyHistogram};
     pub use crowd_service::{
         AssessmentService, BackpressurePolicy, ServiceConfig, ServiceError, ServiceHandle,
         ServiceMetrics,
